@@ -1,12 +1,15 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.integrate import quad
-from scipy.special import sici
+from scipy.integrate import dblquad, quad
+from scipy.special import j1, sici
 
 from radonlab import expsum as es
-from radonlab.errors import BudgetError, KernelError
+from radonlab.errors import BudgetError, KernelError, QuadratureError
 from radonlab.polymap import canonical_mapping
 
 Q_LIN = canonical_mapping(1, 1)    # y
@@ -60,6 +63,37 @@ def test_gauss_scan_matches_direct(rng):
 def test_gauss_budget():
     with pytest.raises(BudgetError):
         es.gauss_sum(10**9, (0, 1), Q_QUAD)
+
+
+def test_gauss_modulus_whose_square_overflows_int64_is_refused():
+    # a caller budget admits the q terms, but q^2 would not fit in int64
+    q = math.isqrt(2 ** 63 - 1) + 1
+    with pytest.raises(BudgetError):
+        es.gauss_sum(q, (1,), Q_LIN, budget=10 ** 19)
+
+
+@pytest.mark.parametrize("Q", [Q_QUAD, canonical_mapping(1, 3),
+                               canonical_mapping(2, 2)])
+def test_gauss_matches_python_int_residues_bitwise(Q, rng):
+    # reference residues in exact Python ints, then the same float steps
+    for q in (1, 2, 7, 12, 31):
+        a = tuple(int(x) for x in rng.integers(0, q, size=Q.d))
+        grid = itertools.product(range(1, q + 1), repeat=Q.k)
+        residues = np.array([sum(ai * math.prod(y ** e for y, e in zip(ys, g))
+                                 for ai, g in zip(a, Q.gamma)) % q
+                             for ys in grid], dtype=np.int64)
+        phases = np.exp(2j * np.pi * residues / q)
+        assert es.gauss_sum(q, a, Q) == complex(phases.sum() / q ** Q.k)
+
+
+def test_gauss_cubic_past_int64_cube_is_exact():
+    # q = 2200013 is prime and 2 mod 3, so y -> y^3 permutes Z/q and the
+    # cubic sum equals the complete linear sum, 0; y^3 itself overflows
+    # int64 here, so only reduction after every multiply gets this right
+    q = 2_200_013
+    assert q % 3 == 2 and (q - 1) ** 3 > 2 ** 63
+    g = es.gauss_sum(q, (0, 0, 1), canonical_mapping(1, 3))
+    assert abs(g) < 1e-10
 
 
 def test_rational_point_reduction():
@@ -191,6 +225,32 @@ def test_phi_disk_matches_radial_bessel():
     assert got == pytest.approx(expect, abs=1e-8)
 
 
+@pytest.mark.parametrize("xi", [
+    [0.7, 0.0, 0.0], [0.42, -0.56, 0.0],
+    [3.0, 1.0, 0.0],  # ran the earlier tensor midpoint grid out of memory
+    [0.0, 13.0, 0.0], [7.8, -10.4, 0.0]])
+def test_phi_disk_linear_phase_closed_form(xi):
+    # e(<v, y>) averaged over the unit disk is 2 J1(x) / x, x = 2 pi |v|
+    x = 2 * np.pi * np.hypot(xi[0], xi[1])
+    got = es.continuous_avg_multiplier(1, xi, canonical_mapping(2, 1))
+    assert got == pytest.approx(2 * j1(x) / x, abs=1e-12)
+
+
+def test_disk_rule_out_of_budget_raises_with_estimate():
+    with pytest.raises(QuadratureError) as info:
+        es.continuous_avg_multiplier(1, [3000, 1000, 500],
+                                     canonical_mapping(2, 1))
+    assert np.isfinite(info.value.estimate)
+    assert np.isfinite(info.value.error_bound)
+
+
+def test_interval_rule_out_of_budget_raises_with_estimate():
+    with pytest.raises(QuadratureError) as info:
+        es.continuous_avg_multiplier(1, [1e7 + 0.3], Q_LIN)
+    assert np.isfinite(info.value.estimate)
+    assert np.isfinite(info.value.error_bound)
+
+
 def test_phi_decay_bounds():
     # |Phi_N| <= C min(1, ||N^A xi||^{-1/d}) and
     # |Phi_N - 1| <= C min(1, ||N^A xi||), fitted C reported
@@ -230,6 +290,24 @@ def test_annulus_integral_is_psi_difference():
     inner = es.continuous_singular_multiplier(4.0, xi, Q_LIN, K)
     ann = es.annulus_integral(4.0, 8.0, xi, Q_LIN, K)
     assert whole - inner == pytest.approx(ann, abs=1e-8)
+
+
+def test_plane_kernel_annulus_against_dblquad():
+    Q2 = canonical_mapping(2, 2)
+    xi = np.array([0.3, -0.7, 0.45, 0.2, -0.35, 0.15, 0.1, -0.05])
+    K = es.plane_sign_kernel()
+
+    def integrand(r, th):
+        y1, y2 = r * np.cos(th), r * np.sin(th)
+        ph = sum(x * y1 ** g[0] * y2 ** g[1] for x, g in zip(xi, Q2.gamma))
+        return np.exp(2j * np.pi * ph) * y1 * y2 / r ** 4 * r
+
+    expect = sum(part * dblquad(lambda r, th: f(integrand(r, th)),
+                                0, 2 * np.pi, 0.5, 1.0,
+                                epsabs=1e-13, epsrel=1e-13)[0]
+                 for part, f in ((1, np.real), (1j, np.imag)))
+    got = es.annulus_integral(0.5, 1.0, xi, Q2, K)
+    assert got == pytest.approx(expect, abs=1e-10)
 
 
 # major-arc checks ------------------------------------------------------------
