@@ -19,6 +19,7 @@ likewise computed and reported, never assumed.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -166,7 +167,8 @@ class DenominatorSet:
     def __contains__(self, q: int) -> bool:
         if self.cap is not None and q > self.cap:
             raise ValueError("membership undecidable beyond the cap")
-        return q in set(self.members)
+        i = bisect.bisect_left(self.members, q)
+        return i < len(self.members) and self.members[i] == q
 
 
 def denominator_set(N: int, rho: float, cap: int | None = None,

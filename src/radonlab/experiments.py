@@ -73,15 +73,6 @@ class ExperimentSpec:
     summary: str
 
 
-def _as_polynomial(Q) -> PolynomialMapping:
-    """The canonical mapping's components as an explicit polynomial map.
-
-    The lattice operators key on the target dimension d0; the canonical
-    mapping is the special case with one monomial per component.
-    """
-    return PolynomialMapping(Q.k, Q.d, tuple({g: 1} for g in Q.gamma))
-
-
 def _ordered_map(fn, items, threads: int) -> list:
     """Map preserving item order; thread count never changes results."""
     items = list(items)
@@ -503,7 +494,8 @@ def _run_operator_norm(params, config, budgets) -> RunOutcome:
     which = params["which"]
     if which not in ("average", "singular"):
         raise ValueError("which must be 'average' or 'singular'")
-    Q = _as_polynomial(canonical_mapping(params["k"], params["deg"]))
+    Q = PolynomialMapping.from_canonical(
+        canonical_mapping(params["k"], params["deg"]))
     kernel = odd_power_kernel(params["kernel_c"]) \
         if which == "singular" else None
     if which == "singular" and Q.k != 1:
@@ -702,7 +694,7 @@ def _run_multiplier_apply(params, config, budgets) -> RunOutcome:
     convolution never wraps and equals the free-space operator exactly.
     """
     Q = canonical_mapping(params["k"], params["deg"])
-    P = _as_polynomial(Q)
+    P = PolynomialMapping.from_canonical(Q)
     n, m, trials = params["n"], params["m"], params["trials"]
     name = config.experiment
     ker = pushforward_kernel(P, n)

@@ -22,6 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .operators import random_arrays
+from .polymap import eval_real_coeffs
 from .variation import jump_count_batch, vr_exact_batch, vr_value
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
@@ -302,27 +304,10 @@ class FieldEnsembleSpec:
 
 
 def field_ensemble(spec: FieldEnsembleSpec):
-    rng = np.random.default_rng(spec.seed)
     n = 2 ** spec.L
-    shape = (n,) * spec.m
     centers = (np.arange(n) + 0.5) / n
-    grid = np.stack(np.meshgrid(*[centers] * spec.m, indexing="ij"),
-                    axis=-1)
-    for i in range(spec.size):
-        kind = spec.kinds[i % len(spec.kinds)]
-        if kind == "spike":
-            vals = np.zeros(shape, dtype=complex)
-            at = tuple(int(rng.integers(0, n)) for _ in range(spec.m))
-            vals[at] = 1.0
-        elif kind == "bump":
-            center = rng.uniform(0.25, 0.75, size=spec.m)
-            width = rng.uniform(0.05, 0.25)
-            d2 = ((grid - center) ** 2).sum(axis=-1)
-            vals = np.exp(-d2 / (2 * width ** 2)).astype(complex)
-        elif kind == "rademacher":
-            vals = rng.choice([-1.0, 1.0], size=shape).astype(complex)
-        else:
-            raise ValueError(f"unknown ensemble kind {kind!r}")
+    for vals in random_arrays(spec.kinds, spec.size, spec.seed, centers,
+                              spec.m, (0.25, 0.75), (0.05, 0.25)):
         yield DyadicField(spec.m, spec.L, vals)
 
 
@@ -352,18 +337,7 @@ class RealMapping:
                     raise ValueError("constant term: Q(0) != 0")
 
     def eval_real(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        out = np.zeros(y.shape[:-1] + (self.d,))
-        for i, comp in enumerate(self.coeffs):
-            for g, c in comp.items():
-                if not c:
-                    continue
-                acc = np.full(y.shape[:-1], float(c))
-                for j, e in enumerate(g):
-                    if e:
-                        acc = acc * y[..., j] ** e
-                out[..., i] += acc
-        return out
+        return eval_real_coeffs(self.coeffs, y)
 
 
 def _body_points(Q, t: float, radial: int, angular: int):

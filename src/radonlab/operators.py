@@ -370,29 +370,44 @@ class EnsembleSpec:
     kinds: tuple[str, ...] = ("spike", "bump", "rademacher")
 
 
-def ensemble(spec: EnsembleSpec):
-    rng = np.random.default_rng(spec.seed)
-    box = tuple((-spec.halfwidth, spec.halfwidth)
-                for _ in range(spec.ndim))
-    shape = tuple(2 * spec.halfwidth + 1 for _ in range(spec.ndim))
-    axes = [np.arange(-spec.halfwidth, spec.halfwidth + 1)] * spec.ndim
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    for i in range(spec.size):
-        kind = spec.kinds[i % len(spec.kinds)]
+def random_arrays(kinds, size: int, seed: int, axis, ndim: int,
+                  centers: tuple[float, float],
+                  widths: tuple[float, float]):
+    """`size` complex arrays on the grid axis^ndim, cycling through kinds.
+
+    spike: 1 at a uniformly drawn grid point.  bump: exp(-|x - c|^2 / 2w^2)
+    with every coordinate of c uniform on `centers` and w uniform on
+    `widths`.  rademacher: independent signs.  One generator seeded with
+    `seed` draws in this order, so the seed fixes every array.
+    """
+    rng = np.random.default_rng(seed)
+    axis = np.asarray(axis)
+    shape = (axis.size,) * ndim
+    grid = np.stack(np.meshgrid(*[axis] * ndim, indexing="ij"), axis=-1)
+    for i in range(size):
+        kind = kinds[i % len(kinds)]
         if kind == "spike":
             vals = np.zeros(shape, dtype=complex)
-            at = tuple(int(rng.integers(0, s)) for s in shape)
+            at = tuple(int(rng.integers(0, axis.size)) for _ in shape)
             vals[at] = 1.0
         elif kind == "bump":
-            center = rng.uniform(-spec.halfwidth / 2, spec.halfwidth / 2,
-                                 size=spec.ndim)
-            width = rng.uniform(1.0, max(2.0, spec.halfwidth / 3))
+            center = rng.uniform(*centers, size=ndim)
+            width = rng.uniform(*widths)
             d2 = ((grid - center) ** 2).sum(axis=-1)
             vals = np.exp(-d2 / (2 * width ** 2)).astype(complex)
         elif kind == "rademacher":
             vals = rng.choice([-1.0, 1.0], size=shape).astype(complex)
         else:
             raise ValueError(f"unknown ensemble kind {kind!r}")
+        yield vals
+
+
+def ensemble(spec: EnsembleSpec):
+    hw = spec.halfwidth
+    box = ((-hw, hw),) * spec.ndim
+    for vals in random_arrays(spec.kinds, spec.size, spec.seed,
+                              np.arange(-hw, hw + 1), spec.ndim,
+                              (-hw / 2, hw / 2), (1.0, max(2.0, hw / 3))):
         yield GridFunction(box, vals)
 
 

@@ -125,6 +125,15 @@ class PolynomialMapping:
                 if not isinstance(c, int):
                     raise ValueError("coefficients must be integers")
 
+    @classmethod
+    def from_canonical(cls, Q: CanonicalMapping) -> PolynomialMapping:
+        """The canonical mapping's components as an explicit polynomial map.
+
+        The lattice operators key on the target dimension d0; the canonical
+        mapping is the special case with one monomial per component.
+        """
+        return cls(Q.k, Q.d, tuple({g: 1} for g in Q.gamma))
+
     @property
     def degree(self) -> int:
         degs = [sum(g) for comp in self.coeffs for g, c in comp.items() if c]
@@ -149,18 +158,27 @@ class PolynomialMapping:
 
     def eval_real(self, y: np.ndarray) -> np.ndarray:
         """Evaluate on real points, shape (..., k) -> (..., d0), float64."""
-        y = np.asarray(y, dtype=float)
-        out = np.zeros(y.shape[:-1] + (self.d0,))
-        for i, comp in enumerate(self.coeffs):
-            for g, c in comp.items():
-                if not c:
-                    continue
-                acc = np.full(y.shape[:-1], float(c))
-                for j, e in enumerate(g):
-                    if e:
-                        acc = acc * y[..., j] ** e
-                out[..., i] += acc
-        return out
+        return eval_real_coeffs(self.coeffs, y)
+
+
+def eval_real_coeffs(coeffs, y: np.ndarray) -> np.ndarray:
+    """A polynomial map on real points, shape (..., k) -> (..., len(coeffs)).
+
+    coeffs[i] maps multi-indices gamma to the (real or integer) coefficient
+    of y^gamma in component i, as `PolynomialMapping.coeffs` does.
+    """
+    y = np.asarray(y, dtype=float)
+    out = np.zeros(y.shape[:-1] + (len(coeffs),))
+    for i, comp in enumerate(coeffs):
+        for g, c in comp.items():
+            if not c:
+                continue
+            acc = np.full(y.shape[:-1], float(c))
+            for j, e in enumerate(g):
+                if e:
+                    acc = acc * y[..., j] ** e
+            out[..., i] += acc
+    return out
 
 
 def mapping_from_univariate(coeffs_by_degree: dict[int, int]) -> PolynomialMapping:

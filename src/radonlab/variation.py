@@ -1,13 +1,16 @@
-"""r-variation seminorms and their companion functionals.
+"""r-variation seminorms, jump counts and their companion functionals.
 
-The r-variation of a finite sequence is the supremum over increasing
-subsequences of the l^r norm of consecutive differences.  The exact value
-is a longest-path dynamic program (the objective is additive along a
-chain); a subset-enumeration brute force serves as an independent oracle
-for short sequences.  The rest of the module packages the bookkeeping
+The r-variation V_r of a finite sequence is the supremum over increasing
+subsequences of the l^r norm of consecutive differences; the jump count
+at lambda is the length of a longest subsequence whose consecutive gaps
+exceed lambda.  Both are one longest-chain recursion over chain ends
+with two edge gains: |a_j - a_i|^r for V_r (the value is the 1/r-th
+power of the best total), and 1 on gaps > lambda, -inf otherwise, for
+jumps.  Subset-enumeration brute forces serve as independent oracles for
+short sequences.  The rest of the module packages the bookkeeping
 inequalities used downstream: sup bounds, splitting, the l^2 domination,
-long/short dyadic splitting, oscillation sums, jump counts, block
-partitions, and the norm bound for families of functions.
+long/short dyadic splitting, oscillation sums, the jump inequality,
+block partitions, and the norm bound for families of functions.
 
 Convention for jump counts: `jump_count` returns the number of POINTS in a
 longest chain whose consecutive gaps exceed lambda strictly (a constant
@@ -71,37 +74,45 @@ def _check_r(r: float):
         raise ValueError(f"need r >= 1, got {r}")
 
 
+def _longest_chain(v: np.ndarray, gain) -> tuple[np.ndarray, np.ndarray]:
+    """The one chain recursion behind V_r and the jump counts.
+
+    v is (n,) for one sequence or (n, m) for m sequences in columns.  A
+    chain i_0 < ... < i_k earns gain(|v_{i_{t+1}} - v_{i_t}|) per step;
+    best[j] is the largest total over chains ending at j, floored at 0 so
+    any point may start a chain, and prev[j] is the predecessor attaining
+    it (meaningful where best[j] > 0).  One row of candidates at a time:
+    O(m n^2) time, O(m n) memory.
+    """
+    best = np.zeros(v.shape)
+    prev = np.zeros(v.shape, dtype=np.intp)
+    # The column indices of a batch, () for one sequence, so that
+    # cand[(i, *cols)] is cand[i] or cand[i, arange(m)].
+    cols = tuple(np.indices(v.shape[1:]))
+    for j in range(1, len(v)):
+        cand = np.maximum(best[:j] + gain(np.abs(v[j] - v[:j])), 0.0)
+        prev[j] = i = cand.argmax(axis=0)
+        best[j] = cand[(i, *cols)]
+    return best, prev
+
+
 def vr_exact(a, r: float, labels=None) -> VariationResult:
     """Exact r-variation with a maximizing chain of labels.
 
-    DP over chain ends: B[j] = max_{i<j} B[i] + |a_j - a_i|^r, answer
+    B[j] = max(0, max_{i<j} B[i] + |a_j - a_i|^r), answer
     (max_j B[j])^{1/r}.  O(n^2).  The witness re-evaluates to the value.
     """
     _check_r(r)
     s = as_sample(a, labels)
-    v = s.values
-    n = len(s)
-    if n == 1:
-        return VariationResult(0.0, (float(s.labels[0]),), "dp")
-    best = np.zeros(n)
-    prev = np.full(n, -1, dtype=int)
-    for j in range(1, n):
-        gains = best[:j] + np.abs(v[j] - v[:j]) ** r
-        i = int(np.argmax(gains))
-        if gains[i] > 0:
-            best[j] = gains[i]
-            prev[j] = i
-    end = int(np.argmax(best))
-    if best[end] == 0:
-        return VariationResult(0.0, (float(s.labels[0]),), "dp")
-    chain = []
-    j = end
-    while j >= 0:
-        chain.append(j)
-        j = prev[j]
-    chain.reverse()
-    return VariationResult(float(best[end] ** (1.0 / r)),
-                           tuple(float(s.labels[i]) for i in chain), "dp")
+    best, prev = _longest_chain(s.values, lambda d: d ** r)
+    chain = [int(np.argmax(best))]
+    while best[chain[-1]] > 0:
+        chain.append(int(prev[chain[-1]]))
+    # The root as an array operation, exactly as in vr_exact_batch.
+    value = best.max(keepdims=True) ** (1.0 / r)
+    return VariationResult(float(value[0]),
+                           tuple(float(s.labels[i]) for i in chain[::-1]),
+                           "dp")
 
 
 def vr_value(a, r: float, labels=None) -> float:
@@ -109,20 +120,11 @@ def vr_value(a, r: float, labels=None) -> float:
 
 
 def vr_exact_batch(values: np.ndarray, r: float) -> np.ndarray:
-    """Batched DP: values is (m, n); returns the m variation values.
-
-    Same recursion as vr_exact, vectorized over the batch axis; no witness.
-    """
+    """Batched r-variation: values is (m, n); returns the m values."""
     _check_r(r)
     v = np.atleast_2d(np.asarray(values, dtype=complex))
-    m, n = v.shape
-    if n == 1:
-        return np.zeros(m)
-    pd = np.abs(v[:, :, None] - v[:, None, :]) ** r  # (m, i, j)
-    best = np.zeros((m, n))
-    for j in range(1, n):
-        best[:, j] = (best[:, :j] + pd[:, :j, j]).max(axis=1)
-    return best.max(axis=1) ** (1.0 / r)
+    best, _ = _longest_chain(np.ascontiguousarray(v.T), lambda d: d ** r)
+    return best.max(axis=0) ** (1.0 / r)
 
 
 def vr_bruteforce(a, r: float, labels=None) -> VariationResult:
@@ -221,7 +223,7 @@ def vr_short(a, r: float, labels=None) -> float:
 def long_short_split(a, r: float, labels=None) -> tuple[float, float, float]:
     """(V_r, V_r^long, V_r^short); V_r <= 2 (long + short) on full ranges."""
     s = as_sample(a, labels)
-    return (vr_value(s.values, r), vr_long(s, r), vr_short(s, r))
+    return (vr_value(s, r), vr_long(s, r), vr_short(s, r))
 
 
 def sup_bound_check(a, r: float) -> tuple[float, float]:
@@ -231,7 +233,7 @@ def sup_bound_check(a, r: float) -> tuple[float, float]:
     """
     s = as_sample(a)
     mags = np.abs(s.values)
-    vr = vr_value(s.values, r)
+    vr = vr_value(s, r)
     return float(mags.max()), float(2.0 * vr + mags.min())
 
 
@@ -243,7 +245,7 @@ def split_bound_check(a, r: float, w_label: float,
     """
     s = as_sample(a, labels)
     left = s.labels < w_label
-    lhs = vr_value(s.values, r)
+    lhs = vr_value(s, r)
     parts = 0.0
     if left.sum() > 1:
         parts += vr_value(s.values[left], r)
@@ -257,7 +259,7 @@ def l2_bound_check(a, r: float) -> tuple[float, float]:
     if r < 2:
         raise ValueError("the l^2 bound needs r >= 2")
     s = as_sample(a)
-    return (vr_value(s.values, r),
+    return (vr_value(s, r),
             float(2.0 * np.sqrt((np.abs(s.values) ** 2).sum())))
 
 
@@ -293,27 +295,23 @@ def oscillation_holder_check(a, lacunary, J: int, r: float) -> tuple[float, floa
         raise ValueError("the oscillation bound needs r >= 2")
     s = as_sample(a)
     return (oscillation(s, lacunary, J),
-            float(J ** (0.5 - 1.0 / r) * vr_value(s.values, r)))
+            float(J ** (0.5 - 1.0 / r) * vr_value(s, r)))
 
 
 def jump_count(a, lam: float) -> int:
     """Points in a longest chain with consecutive gaps strictly above lam.
 
-    Longest-path DP (ties |gap| == lam do not count).  A constant sequence
-    yields 1: a single point has no constraint.  The jump count used by the
+    The chain recursion with gain 1 on gaps > lam and -inf otherwise, so
+    ties |gap| == lam do not count.  A constant sequence yields 1: a
+    single point has no constraint.  The jump count used by the
     inequalities is this value minus one.
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     s = as_sample(a)
-    v = s.values
-    n = len(s)
-    length = np.ones(n, dtype=int)
-    for j in range(1, n):
-        ok = np.abs(v[j] - v[:j]) > lam
-        if ok.any():
-            length[j] = 1 + length[:j][ok].max()
-    return int(length.max())
+    best, _ = _longest_chain(s.values,
+                             lambda d: np.where(d > lam, 1.0, -np.inf))
+    return int(best.max()) + 1
 
 
 def jump_count_bruteforce(a, lam: float) -> int:
@@ -336,20 +334,13 @@ def jump_count_bruteforce(a, lam: float) -> int:
 
 
 def jump_count_batch(values: np.ndarray, lam: float) -> np.ndarray:
-    """Batched longest-chain DP: values is (m, n); returns m point counts.
-
-    Same recursion as jump_count, vectorized over the batch axis.
-    """
+    """Batched jump_count: values is (m, n); returns m point counts."""
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     v = np.atleast_2d(np.asarray(values, dtype=complex))
-    m, n = v.shape
-    length = np.ones((m, n), dtype=int)
-    for j in range(1, n):
-        ok = np.abs(v[:, j, None] - v[:, :j]) > lam
-        # rows with no valid predecessor keep length 1 (max of zeros)
-        length[:, j] = 1 + np.where(ok, length[:, :j], 0).max(axis=1)
-    return length.max(axis=1)
+    best, _ = _longest_chain(np.ascontiguousarray(v.T),
+                             lambda d: np.where(d > lam, 1.0, -np.inf))
+    return best.max(axis=0).astype(int) + 1
 
 
 def jump_variation_check(a, lam: float, r: float) -> tuple[float, float]:
@@ -359,7 +350,7 @@ def jump_variation_check(a, lam: float, r: float) -> tuple[float, float]:
         raise ValueError("lambda must be positive")
     s = as_sample(a)
     return (float(jump_count(s, lam) - 1),
-            float(lam ** (-r) * vr_value(s.values, r) ** r))
+            float(lam ** (-r) * vr_value(s, r) ** r))
 
 
 def dyadic_level_square_bound(a, r: float) -> tuple[float, float]:
@@ -382,7 +373,7 @@ def dyadic_level_square_bound(a, r: float) -> tuple[float, float]:
         diffs = v[stride::stride] - v[:-stride:stride]
         rhs += float(np.sqrt((np.abs(diffs) ** 2).sum()))
         stride *= 2
-    return vr_value(v, r), float(np.sqrt(2.0) * rhs)
+    return vr_value(s, r), float(np.sqrt(2.0) * rhs)
 
 
 def even_partition(u: int, v: int, h: int) -> tuple[int, ...]:
@@ -493,7 +484,7 @@ def mixed_variation_bound(a, w, r: float, labels=None) -> dict:
         raise ValueError("breakpoints must be strictly increasing")
     if w[0] > s.labels[0] or w[-1] < s.labels[-1]:
         raise ValueError("breakpoints must cover the label range")
-    lhs = vr_value(s.values, r)
+    lhs = vr_value(s, r)
     skel_idx = []
     for wk in w:
         i = np.searchsorted(s.labels, wk)

@@ -149,18 +149,14 @@ def test_multiplier_decay_slopes():
             ok, time.perf_counter() - started, budget=120.0)
 
 
-def as_poly(Q):
-    return PolynomialMapping(Q.k, Q.d, tuple({g: 1} for g in Q.gamma))
-
-
 def test_operator_backend_equivalence():
     started = time.perf_counter()
     kernel = odd_power_kernel(0.5)
     configs = (
-        (as_poly(canonical_mapping(1, 1)), 32, 6),
-        (as_poly(canonical_mapping(1, 2)), 8, 4),
-        (as_poly(canonical_mapping(1, 3)), 4, 3),
-        (as_poly(canonical_mapping(2, 1)), 6, 3),
+        (PolynomialMapping.from_canonical(canonical_mapping(1, 1)), 32, 6),
+        (PolynomialMapping.from_canonical(canonical_mapping(1, 2)), 8, 4),
+        (PolynomialMapping.from_canonical(canonical_mapping(1, 3)), 4, 3),
+        (PolynomialMapping.from_canonical(canonical_mapping(2, 1)), 6, 3),
         (PolynomialMapping(2, 1, ({(2, 0): 1, (0, 3): 1},)), 8, 5),
     )
 

@@ -67,6 +67,16 @@ def test_p5_products_and_count():
     assert 40 in ds and 7 not in ds
 
 
+def test_membership_at_the_ends_and_the_cap():
+    ds = ci.denominator_set(4, 1.0)
+    assert 1 in ds and 216 in ds
+    assert 0 not in ds and 5 not in ds and 217 not in ds
+    capped = ci.denominator_set(5, 1.0, cap=100)
+    assert 100 in capped and 99 not in capped
+    with pytest.raises(ValueError):
+        101 in capped
+
+
 def test_initial_segment_contained():
     for N, rho in [(4, 1.0), (5, 1.0), (9, 1.0), (10, 0.5)]:
         ds = ci.denominator_set(N, rho, cap=10 ** 6)

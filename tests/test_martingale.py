@@ -245,6 +245,26 @@ def test_field_ensemble_deterministic():
     assert len(a) == 6
 
 
+def test_field_ensemble_draws_are_pinned():
+    # The first fields of fixed seeds; any change to the draw order fails.
+    spec = mg.FieldEnsembleSpec(1, 3, 4, seed=2024)
+    first = [f.values for f in mg.field_ensemble(spec)]
+    assert all(np.all(v.imag == 0) for v in first)
+    assert first[0].real.tolist() == [0, 1, 0, 0, 0, 0, 0, 0]
+    assert first[1].real.tolist() == [
+        0.031191204372198404, 0.3167595351724426, 0.923428130400837,
+        0.7727737375924926, 0.18564252165896533, 0.01280201743426412,
+        0.0002534283641450456, 1.4401504912363341e-06]
+    assert first[2].real.tolist() == [1, 1, 1, 1, 1, -1, -1, 1]
+    assert first[3].real.tolist() == [1, 0, 0, 0, 0, 0, 0, 0]
+    spec = mg.FieldEnsembleSpec(2, 2, 4, seed=5)
+    plane = [f.values.real for f in mg.field_ensemble(spec)]
+    assert plane[0][2, 3] == plane[3][1, 1] == 1.0
+    assert plane[1].max() == 0.5293938828293052
+    assert plane[2].tolist() == [[1, -1, -1, -1], [1, -1, -1, -1],
+                                 [-1, -1, -1, 1], [-1, 1, 1, -1]]
+
+
 # continuous averages ------------------------------------------------------------
 
 def _interval_indicator(pts):

@@ -298,6 +298,26 @@ def test_ensemble_deterministic_and_typed():
     assert np.all(np.abs(first[2]) == 1.0)
 
 
+def test_ensemble_draws_are_pinned():
+    # The first fields of fixed seeds; any change to the draw order fails.
+    first = [g.values for g in ensemble(EnsembleSpec(1, 3, 4, seed=2024))]
+    assert all(np.all(v.imag == 0) for v in first)
+    assert first[0].real.tolist() == [0, 1, 0, 0, 0, 0, 0]
+    assert first[1].real.tolist() == [
+        0.26207349287882875, 0.6832167232021095, 0.9940572892268112,
+        0.807201342267722, 0.36582204362404896, 0.09252847462839943,
+        0.013061662830690364]
+    assert first[2].real.tolist() == [1, 1, 1, 1, 1, -1, -1]
+    assert first[3].real.tolist() == [0, 0, 0, 0, 0, 0, 1]
+    plane = [g.values.real for g in ensemble(EnsembleSpec(2, 2, 4, seed=5))]
+    assert plane[0][3, 4] == plane[3][1, 3] == 1.0
+    assert np.unravel_index(plane[1].argmax(), (5, 5)) == (3, 2)
+    assert plane[1].max() == 0.9560868863524238
+    assert plane[2].tolist() == [[1, -1, -1, -1, 1], [-1, -1, -1, -1, -1],
+                                 [-1, 1, -1, 1, 1], [-1, -1, -1, -1, 1],
+                                 [-1, 1, 1, 1, -1]]
+
+
 def test_empirical_norm_reports_finite_max(rng):
     spec = EnsembleSpec(ndim=1, halfwidth=16, size=6, seed=3)
     stats = empirical_norm(2.0, 3.0, spec, P_SQ, [1, 2, 4, 8])

@@ -135,3 +135,12 @@ def test_eval_real_matches_integer_eval():
     y = (3, -2)
     real = Q.eval_real(np.array(y, dtype=float))
     assert np.allclose(real, np.array(Q(y), dtype=float))
+
+
+def test_from_canonical_evaluates_like_the_canonical_mapping():
+    Q = pm.canonical_mapping(2, 2)
+    P = pm.PolynomialMapping.from_canonical(Q)
+    assert (P.k, P.d0) == (Q.k, Q.d)
+    pts = np.array([[3, -2], [0, 5], [-1, -1]])
+    assert np.array_equal(P.eval_many(pts), Q.eval_many(pts))
+    assert np.array_equal(P.eval_real(pts), Q.eval_real(pts))

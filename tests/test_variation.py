@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -130,13 +132,41 @@ def test_dp_matches_bruteforce(a, r):
 
 
 def test_batch_matches_scalar(rng):
+    # One recursion serves both paths, so they agree to the last bit.
     vals = rng.normal(size=(40, 9)) + 1j * rng.normal(size=(40, 9))
-    for r in (1.0, 2.0, 3.0):
+    for r in (1.0, 1.5, 2.0, 3.0, 10.0):
         batch = vr.vr_exact_batch(vals, r)
         singles = [vr.vr_exact(v, r).value for v in vals]
-        assert np.allclose(batch, singles, rtol=1e-13)
+        assert batch.tolist() == singles
+        assert [vr.vr_value(v, r) for v in vals] == singles
         bbatch = vr.vr_bruteforce_batch(vals, r)
         assert np.allclose(bbatch, singles, rtol=1e-12)
+
+
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0, 10.0])
+def test_batch_matches_scalar_at_the_boundaries(r):
+    # n = 1, a constant row, and r = 1 (where V_1 is the total variation).
+    rows = np.array([[0, 1, 0, 1], [3, 3, 3, 3], [0, 2, 1, 5]], dtype=complex)
+    batch = vr.vr_exact_batch(rows, r)
+    assert batch.tolist() == [vr.vr_exact(v, r).value for v in rows]
+    assert batch[1] == 0.0
+    assert vr.vr_exact_batch(rows[:, :1], r).tolist() == [0.0, 0.0, 0.0]
+    assert vr.vr_exact(rows[1], r).witness == (0.0,)
+    if r == 1.0:
+        assert batch.tolist() == [3.0, 0.0, 7.0]
+
+
+def test_batch_holds_no_cubic_tensor():
+    # A (200, 257) batch needs O(m n) memory; an m x n x n array of the
+    # pairwise distances alone would take 106 MB.
+    vals = np.random.default_rng(5).normal(size=(200, 257)) + 0j
+    tracemalloc.start()
+    try:
+        vr.vr_exact_batch(vals, 2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_bruteforce_budget():
@@ -223,6 +253,25 @@ def test_jump_dp_matches_bruteforce(rng):
         a = rng.normal(size=n) + 1j * rng.normal(size=n)
         lam = float(rng.uniform(0.05, 3.0))
         assert vr.jump_count(a, lam) == vr.jump_count_bruteforce(a, lam)
+
+
+def test_jump_ties_at_lambda_do_not_count():
+    rows = np.array([[0, 1, 2, 3], [0, 1, 0, 1], [5, 5, 5, 5]],
+                    dtype=complex)
+    assert vr.jump_count_batch(rows, 1.0).tolist() == [2, 1, 1]
+    assert vr.jump_count_batch(rows, 0.0).tolist() == [4, 4, 1]
+    for lam in (0.0, 1.0):
+        assert (vr.jump_count_batch(rows, lam).tolist()
+                == [vr.jump_count(row, lam) for row in rows])
+    assert vr.jump_count([4.0], 0.0) == 1
+    assert vr.jump_count_batch(rows[:, :1], 0.0).tolist() == [1, 1, 1]
+
+
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=10),
+       st.sampled_from([0.0, 1.0, 2.0, 2.5]))
+def test_jump_dp_matches_bruteforce_with_ties(a, lam):
+    # Integer values make gaps equal to lambda, which must not count.
+    assert vr.jump_count(a, lam) == vr.jump_count_bruteforce(a, lam)
 
 
 def test_jump_batch_matches_scalar(rng):
