@@ -29,7 +29,6 @@ from .errors import BudgetError, NotRepresentableError
 from .expsum import (RationalPoint, annulus_integral, gauss_sum,
                      residue_classes, torus_reduce)
 from .operators import GridFunction
-from .polymap import dilation_exponents
 
 SET_BUDGET = 2_000_000
 FRACTION_BUDGET = 5_000_000
@@ -523,7 +522,7 @@ def arc_projection(n: int, l: int, rho: float, chi: float, Q,
     2^{n(|gamma|-chi)}); with an integer level_j the level version with
     dilations 2^{n|gamma|+j}.
     """
-    degrees = np.asarray(dilation_exponents(Q), dtype=float)
+    degrees = np.asarray(Q.degrees, dtype=float)
     d = Q.d
     fractions = unit_fraction_lattice(n, l, rho, d, cap=cap)
     centers = fractions.as_array()
@@ -554,7 +553,7 @@ def projection_shell_difference(n: int, s: int, j: int, l: int, rho: float,
     """
     if not 0 <= s < n:
         raise ValueError("need 0 <= s < n")
-    degrees = np.asarray(dilation_exponents(Q), dtype=float)
+    degrees = np.asarray(Q.degrees, dtype=float)
     d = Q.d
     fractions = shell_fractions(s, l, rho, d, cap=cap)
     centers = fractions.as_array().reshape(len(fractions), d)
@@ -587,7 +586,7 @@ def singular_arc_multiplier(j: int, l: int, rho: float, chi: float, Q,
     """
     if j < 1:
         raise ValueError("need j >= 1")
-    degrees = np.asarray(dilation_exponents(Q), dtype=float)
+    degrees = np.asarray(Q.degrees, dtype=float)
     d = Q.d
     if shell_s is None:
         fractions = unit_fraction_lattice(j, l, rho, d, cap=cap)

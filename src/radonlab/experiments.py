@@ -39,7 +39,7 @@ from .operators import (EnsembleSpec, GridFunction, embed, empirical_norm,
                         ensemble, ergodic_average, ergodic_singular,
                         grid_difference, pushforward_kernel, radon_average,
                         truncated_singular, union_box, variation_growth_fit)
-from .polymap import PolynomialMapping, canonical_mapping
+from .polymap import canonical_mapping
 from .reporting import ResultRow
 from .variation import vr_bruteforce_batch, vr_exact_batch
 
@@ -494,8 +494,7 @@ def _run_operator_norm(params, config, budgets) -> RunOutcome:
     which = params["which"]
     if which not in ("average", "singular"):
         raise ValueError("which must be 'average' or 'singular'")
-    Q = PolynomialMapping.from_canonical(
-        canonical_mapping(params["k"], params["deg"]))
+    Q = canonical_mapping(params["k"], params["deg"])
     kernel = odd_power_kernel(params["kernel_c"]) \
         if which == "singular" else None
     if which == "singular" and Q.k != 1:
@@ -694,12 +693,11 @@ def _run_multiplier_apply(params, config, budgets) -> RunOutcome:
     convolution never wraps and equals the free-space operator exactly.
     """
     Q = canonical_mapping(params["k"], params["deg"])
-    P = PolynomialMapping.from_canonical(Q)
     n, m, trials = params["n"], params["m"], params["trials"]
     name = config.experiment
-    ker = pushforward_kernel(P, n)
+    ker = pushforward_kernel(Q, n)
 
-    # The averaged output lives on supp(f) + P(B_n); keep that inside
+    # The averaged output lives on supp(f) + Q(B_n); keep that inside
     # one period so the wrapped convolution equals the free-space one.
     lo_pad = tuple(max(0, -lo) for lo, _ in ker.box)
     hi_pad = tuple(m - 1 - max(0, hi) for _, hi in ker.box)
@@ -742,7 +740,7 @@ def _run_multiplier_apply(params, config, budgets) -> RunOutcome:
 
     def agree(values) -> tuple[float, float]:
         f = embed(GridFunction(support_box, values), period_box)
-        direct = radon_average(GridFunction(support_box, values), P,
+        direct = radon_average(GridFunction(support_box, values), Q,
                                n).output
         spectral = apply_periodic_multiplier(f, symbol)
         scale = max(float(np.abs(direct.values).max()), 1e-300)

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, KernelError, QuadratureError
-from .polymap import (CanonicalMapping, ConvexBody, ball, canonical_mapping,
-                      dilation_exponents, lattice_points)
+from .polymap import ConvexBody, PolynomialMapping, ball, lattice_points
 
 GAUSS_BUDGET = 100_000_000
 QUAD_NODE_BUDGET = 1 << 22  # integrand nodes per quadrature call
@@ -86,7 +85,7 @@ def residue_classes(q: int, d: int) -> np.ndarray:
     return grid[keep]
 
 
-def gauss_sum(q: int, a, Q: CanonicalMapping,
+def gauss_sum(q: int, a, Q: PolynomialMapping,
               budget: int = GAUSS_BUDGET) -> complex:
     """Normalized complete sum q^{-k} sum_{y in {1..q}^k} e(<a/q, Q(y)>).
 
@@ -139,7 +138,7 @@ def gauss_scan_quadratic(q: int) -> np.ndarray:
 
 # -- lattice multipliers --------------------------------------------------
 
-def avg_multiplier(N: int, xi, Q: CanonicalMapping,
+def avg_multiplier(N: int, xi, Q: PolynomialMapping,
                    body: ConvexBody | None = None,
                    budget: int = GAUSS_BUDGET) -> complex:
     """m_N(xi) = |B_N|^{-1} sum_{y in B_N} e(<xi, Q(y)>)."""
@@ -148,7 +147,7 @@ def avg_multiplier(N: int, xi, Q: CanonicalMapping,
     return _phase_average(pts, xi, Q, weights=None)
 
 
-def sing_multiplier(N: int, xi, Q: CanonicalMapping, kernel,
+def sing_multiplier(N: int, xi, Q: PolynomialMapping, kernel,
                     body: ConvexBody | None = None,
                     budget: int = GAUSS_BUDGET) -> complex:
     """sum_{y in B_N, y != 0} e(<xi, Q(y)>) K(y) (no normalization)."""
@@ -163,18 +162,10 @@ def _phase_average(pts: np.ndarray, xi, Q, weights):
     xi = torus_reduce(np.atleast_1d(np.asarray(xi, dtype=float)))
     if xi.shape != (Q.d,):
         raise ValueError("frequency does not match the index set")
+    images = Q.eval_real(pts)
     phase = np.zeros(len(pts))
-    if hasattr(Q, "gamma"):
-        for i, g in enumerate(Q.gamma):
-            if xi[i] == 0.0:
-                continue
-            mono = np.ones(len(pts))
-            for j, e in enumerate(g):
-                if e:
-                    mono = mono * pts[:, j].astype(float) ** e
-            phase += xi[i] * mono
-    else:
-        phase = Q.eval_many(pts).astype(float) @ xi
+    for i in np.flatnonzero(xi):
+        phase += xi[i] * images[:, i]
     vals = np.exp(2j * np.pi * phase)
     if weights is None:
         return complex(vals.sum() / len(pts))
@@ -375,7 +366,7 @@ def _disk_integral(f, lo: float, hi: float, tol: float):
                    "disk rule")
 
 
-def _oscillation(xi: np.ndarray, Q: CanonicalMapping, kernel=None):
+def _oscillation(xi: np.ndarray, Q: PolynomialMapping, kernel=None):
     """y -> e(<xi, Q(y)>) K(y) on (n, k) points (K = 1 without a kernel)."""
     def f(y):
         vals = np.exp(2j * np.pi * (Q.eval_real(y) @ xi))
@@ -383,7 +374,7 @@ def _oscillation(xi: np.ndarray, Q: CanonicalMapping, kernel=None):
     return f
 
 
-def continuous_avg_multiplier(N: float, xi, Q: CanonicalMapping,
+def continuous_avg_multiplier(N: float, xi, Q: PolynomialMapping,
                               body: ConvexBody | None = None,
                               tol: float = 1e-8) -> complex:
     """Phi_N(xi) = |B_1|^{-1} int_{B_1} e(<xi, Q(N y)>) dy.
@@ -396,11 +387,11 @@ def continuous_avg_multiplier(N: float, xi, Q: CanonicalMapping,
         raise ValueError("N must be positive")
     body = body or ball(Q.k)
     v = np.atleast_1d(np.asarray(xi, dtype=float)) * \
-        np.power(float(N), dilation_exponents(Q))
+        np.power(float(N), Q.degrees)
     return _scaled_body_integral(v, Q, body, tol)
 
 
-def _scaled_body_integral(v: np.ndarray, Q: CanonicalMapping,
+def _scaled_body_integral(v: np.ndarray, Q: PolynomialMapping,
                           body: ConvexBody, tol: float) -> complex:
     f = _oscillation(v, Q)
     if body.kind in ("euclidean_ball", "box") and Q.k == 1:
@@ -412,7 +403,7 @@ def _scaled_body_integral(v: np.ndarray, Q: CanonicalMapping,
         f"continuous multiplier for kind={body.kind!r}, k={Q.k}")
 
 
-def continuous_singular_multiplier(t: float, xi, Q: CanonicalMapping,
+def continuous_singular_multiplier(t: float, xi, Q: PolynomialMapping,
                                    kernel: CZKernelSpec,
                                    body: ConvexBody | None = None,
                                    tol: float = 1e-10,
@@ -453,7 +444,7 @@ def continuous_singular_multiplier(t: float, xi, Q: CanonicalMapping,
                           estimate=total, error_bound=prev_mag)
 
 
-def annulus_integral(lo: float, hi: float, xi, Q: CanonicalMapping,
+def annulus_integral(lo: float, hi: float, xi, Q: PolynomialMapping,
                      kernel: CZKernelSpec, tol: float = 1e-11) -> complex:
     """int_{lo < |y| <= hi} e(<xi, Q(y)>) K(y) dy (proper integral).
 
@@ -470,11 +461,10 @@ def annulus_integral(lo: float, hi: float, xi, Q: CanonicalMapping,
     raise NotImplementedError("annulus integrals support k <= 2")
 
 
-def scale_norm(N: float, xi, Q: CanonicalMapping) -> float:
+def scale_norm(N: float, xi, Q: PolynomialMapping) -> float:
     """The decay parameter ||N^A xi||_inf."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    return float(np.max(np.abs(xi) * np.power(float(N),
-                                              dilation_exponents(Q))))
+    return float(np.max(np.abs(xi) * np.power(float(N), Q.degrees)))
 
 
 # -- major-arc approximation checks ---------------------------------------
@@ -511,7 +501,7 @@ class ArcWindow:
 
 
 def major_arc_approx_check(window: ArcWindow, frac: RationalPoint,
-                           offsets, Q: CanonicalMapping,
+                           offsets, Q: PolynomialMapping,
                            body: ConvexBody | None = None,
                            tol: float = 1e-8) -> dict:
     """Compare m_N at xi = a/q + offsets with G(a/q) Phi_N(offsets).
@@ -531,7 +521,7 @@ def major_arc_approx_check(window: ArcWindow, frac: RationalPoint,
 
 
 def major_arc_diff_check(window: ArcWindow, M: int, frac: RationalPoint,
-                         offsets, Q: CanonicalMapping, kernel: CZKernelSpec,
+                         offsets, Q: PolynomialMapping, kernel: CZKernelSpec,
                          tol: float = 1e-8) -> dict:
     """Same comparison for truncation differences of the singular sums.
 

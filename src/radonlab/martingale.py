@@ -23,7 +23,6 @@ from fractions import Fraction
 import numpy as np
 
 from .operators import random_arrays
-from .polymap import eval_real_coeffs
 from .variation import jump_count_batch, vr_exact_batch, vr_value
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
@@ -313,31 +312,8 @@ def field_ensemble(spec: FieldEnsembleSpec):
 
 # -- continuous averages and the derivative formula -----------------------------------
 
-@dataclass(frozen=True)
-class RealMapping:
-    """Q: R^k -> R^d with real coefficients and Q(0) = 0.
-
-    The continuous operators only need k, d, and eval_real, so integer
-    lattice mappings work here unchanged; this class admits the real
-    coefficients they reject.
-    """
-
-    k: int
-    d: int
-    coeffs: tuple[dict, ...]
-
-    def __post_init__(self):
-        if self.k < 1 or self.d < 1 or len(self.coeffs) != self.d:
-            raise ValueError("inconsistent dimensions")
-        for comp in self.coeffs:
-            for g, c in comp.items():
-                if len(g) != self.k or any(e < 0 for e in g):
-                    raise ValueError(f"bad multi-index {g}")
-                if not any(g) and c != 0:
-                    raise ValueError("constant term: Q(0) != 0")
-
-    def eval_real(self, y: np.ndarray) -> np.ndarray:
-        return eval_real_coeffs(self.coeffs, y)
+# Q is any PolynomialMapping, real coefficients included: these operators
+# only read Q.k, Q.d and Q.eval_real.
 
 
 def _body_points(Q, t: float, radial: int, angular: int):

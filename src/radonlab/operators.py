@@ -76,9 +76,6 @@ class GridFunction:
             raise ValueError("need p > 0")
         return float(math.fsum(np.abs(self.values).ravel() ** p)) ** (1 / p)
 
-    def same_box(self, other: GridFunction) -> bool:
-        return self.box == other.box
-
 
 def delta_function(ndim: int, at=None) -> GridFunction:
     at = tuple(int(c) for c in at) if at is not None else (0,) * ndim
@@ -134,9 +131,6 @@ class PushforwardKernel:
     N: int
     lattice_size: int
 
-    def as_grid(self) -> GridFunction:
-        return GridFunction(self.box, self.values.astype(complex))
-
     def multiplier_at(self, xi) -> complex:
         """Fourier transform sum_z kappa(z) e(z . xi)."""
         xi = np.asarray(xi, dtype=float)
@@ -178,7 +172,7 @@ def pushforward_kernel(P: PolynomialMapping, N: int,
     vals = np.zeros(shape)
     np.add.at(vals,
               tuple((images[:, j] - los[j]).astype(np.intp)
-                    for j in range(P.d0)),
+                    for j in range(P.d)),
               weights)
     return PushforwardKernel(tuple((int(l), int(h))
                                    for l, h in zip(los, his)),
@@ -296,10 +290,10 @@ def _orbit_accumulate(f: GridFunction, images, weights) -> GridFunction:
 
 def ergodic_average(f: GridFunction, P: PolynomialMapping, N: int,
                     body: ConvexBody | None = None) -> GridFunction:
-    """The averaging operator on the shift system X = Z^{d0}.
+    """The averaging operator on the shift system X = Z^d.
 
     With commuting coordinate shifts S_j, the orbit average
-    |B_N|^{-1} sum_{y in B_N} f(S_1^{P_1(y)} ... S_{d0}^{P_{d0}(y)} x)
+    |B_N|^{-1} sum_{y in B_N} f(S_1^{P_1(y)} ... S_d^{P_d(y)} x)
     is the lattice average itself; built literally from composed shifts.
     """
     images, weights = _ball_images(P, N, body, None)

@@ -1,12 +1,16 @@
-"""Polynomial mappings on integer lattices and the bodies they average over.
+"""Polynomial mappings and the bodies they average over.
 
-A polynomial mapping P: Z^k -> Z^d0 with P(0) = 0 is stored by its integer
-coefficients against the monomial basis indexed by multi-indices.  The
-canonical mapping of degree N0 collects every non-constant monomial
-x^gamma, 0 <= gamma_j <= N0, so that any P of degree <= N0 factors exactly
-as an integer matrix L applied to the canonical mapping.  All arithmetic on
-lattice points is exact (Python integers), so overflow is impossible rather
-than detected.
+One type, `PolynomialMapping`, covers every map P: R^k -> R^d with
+P(0) = 0, stored by its coefficients against the monomial basis indexed
+by multi-indices.  The canonical mapping of degree N0 is the special case
+with one component y^gamma per non-zero gamma, 0 <= gamma_j <= N0; any
+P of degree <= N0 factors exactly as an integer matrix L applied to it,
+and its dilations t^A scale component gamma by t^{|gamma|}.
+
+Real coefficients serve the continuous operators through `eval_real`.
+The lattice paths (`__call__`, `eval_many`) require integer coefficients
+and compute exactly with Python integers, so overflow is impossible
+rather than detected.
 """
 
 from __future__ import annotations
@@ -46,75 +50,19 @@ def monomial(y: tuple[int, ...], gamma: tuple[int, ...]) -> int:
 
 
 @dataclass(frozen=True)
-class CanonicalMapping:
-    """The mapping y -> (y^gamma)_{gamma in Gamma} for a fixed index set."""
-
-    k: int
-    gamma: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if not self.gamma:
-            raise ValueError("empty index set")
-        seen = set()
-        for g in self.gamma:
-            if len(g) != self.k or any(e < 0 for e in g) or not any(g):
-                raise ValueError(f"bad multi-index {g}")
-            if g in seen:
-                raise ValueError(f"repeated multi-index {g}")
-            seen.add(g)
-
-    @property
-    def d(self) -> int:
-        return len(self.gamma)
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        """|gamma| for each component, the dilation exponents."""
-        return tuple(sum(g) for g in self.gamma)
-
-    def __call__(self, y: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(monomial(tuple(y), g) for g in self.gamma)
-
-    def eval_many(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate on an (n, k) integer array; returns (n, d) object array.
-
-        Object dtype keeps Python-int exactness for large coordinates.
-        """
-        pts = [tuple(int(c) for c in row) for row in np.atleast_2d(points)]
-        return np.array([[monomial(p, g) for g in self.gamma] for p in pts],
-                        dtype=object)
-
-    def eval_real(self, y: np.ndarray) -> np.ndarray:
-        """Evaluate on real points, shape (..., k) -> (..., d), float64."""
-        y = np.asarray(y, dtype=float)
-        out = np.empty(y.shape[:-1] + (self.d,))
-        for i, g in enumerate(self.gamma):
-            acc = np.ones(y.shape[:-1])
-            for j, e in enumerate(g):
-                if e:
-                    acc = acc * y[..., j] ** e
-            out[..., i] = acc
-        return out
-
-
-def canonical_mapping(k: int, max_degree: int) -> CanonicalMapping:
-    return CanonicalMapping(k, build_gamma(k, max_degree))
-
-
-@dataclass(frozen=True)
 class PolynomialMapping:
-    """P: Z^k -> Z^d0 with P(0) = 0, integer coefficients.
+    """P: R^k -> R^d with P(0) = 0.
 
-    coeffs[j] maps a multi-index gamma to the coefficient of x^gamma in the
+    coeffs[j] maps a multi-index gamma to the coefficient of y^gamma in the
     j-th component.  Constant terms are rejected.
     """
 
     k: int
-    d0: int
+    d: int
     coeffs: tuple[dict, ...] = field(hash=False)
 
     def __post_init__(self):
-        if self.k < 1 or self.d0 < 1 or len(self.coeffs) != self.d0:
+        if self.k < 1 or self.d < 1 or len(self.coeffs) != self.d:
             raise ValueError("inconsistent dimensions")
         for comp in self.coeffs:
             for g, c in comp.items():
@@ -122,17 +70,6 @@ class PolynomialMapping:
                     raise ValueError(f"bad multi-index {g}")
                 if not any(g) and c != 0:
                     raise ValueError("constant term: P(0) != 0")
-                if not isinstance(c, int):
-                    raise ValueError("coefficients must be integers")
-
-    @classmethod
-    def from_canonical(cls, Q: CanonicalMapping) -> PolynomialMapping:
-        """The canonical mapping's components as an explicit polynomial map.
-
-        The lattice operators key on the target dimension d0; the canonical
-        mapping is the special case with one monomial per component.
-        """
-        return cls(Q.k, Q.d, tuple({g: 1} for g in Q.gamma))
 
     @property
     def degree(self) -> int:
@@ -142,43 +79,57 @@ class PolynomialMapping:
         return max(degs)
 
     @property
-    def d(self) -> int:
-        """Target dimension, matching the canonical mapping interface."""
-        return self.d0
+    def gamma(self) -> tuple[tuple[int, ...], ...]:
+        """The index set of a canonical mapping, one monomial per component."""
+        if any(list(comp.values()) != [1] for comp in self.coeffs):
+            raise ValueError("not a canonical mapping: each component must "
+                             "be one monomial with coefficient 1")
+        return tuple(next(iter(comp)) for comp in self.coeffs)
 
-    def __call__(self, y) -> tuple[int, ...]:
-        y = tuple(int(c) for c in y)
+    @property
+    def degrees(self) -> tuple[int, ...]:
+        """|gamma| for each component, the dilation exponents."""
+        return tuple(sum(g) for g in self.gamma)
+
+    def _require_integer(self) -> None:
+        if not all(isinstance(c, int)
+                   for comp in self.coeffs for c in comp.values()):
+            raise ValueError("lattice evaluation needs integer coefficients")
+
+    def _exact(self, y: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(sum(c * monomial(y, g) for g, c in comp.items() if c)
                      for comp in self.coeffs)
 
+    def __call__(self, y) -> tuple[int, ...]:
+        self._require_integer()
+        return self._exact(tuple(int(c) for c in y))
+
     def eval_many(self, points: np.ndarray) -> np.ndarray:
-        """(n, k) integer points -> (n, d0) object array, exact."""
+        """(n, k) integer points -> (n, d) object array, exact."""
+        self._require_integer()
         pts = [tuple(int(c) for c in row) for row in np.atleast_2d(points)]
-        return np.array([list(self(p)) for p in pts], dtype=object)
+        return np.array([list(self._exact(p)) for p in pts], dtype=object)
 
     def eval_real(self, y: np.ndarray) -> np.ndarray:
-        """Evaluate on real points, shape (..., k) -> (..., d0), float64."""
-        return eval_real_coeffs(self.coeffs, y)
+        """Evaluate on real points, shape (..., k) -> (..., d), float64."""
+        y = np.asarray(y, dtype=float)
+        out = np.zeros(y.shape[:-1] + (self.d,))
+        for i, comp in enumerate(self.coeffs):
+            for g, c in comp.items():
+                if not c:
+                    continue
+                acc = np.full(y.shape[:-1], float(c))
+                for j, e in enumerate(g):
+                    if e:
+                        acc = acc * y[..., j] ** e
+                out[..., i] += acc
+        return out
 
 
-def eval_real_coeffs(coeffs, y: np.ndarray) -> np.ndarray:
-    """A polynomial map on real points, shape (..., k) -> (..., len(coeffs)).
-
-    coeffs[i] maps multi-indices gamma to the (real or integer) coefficient
-    of y^gamma in component i, as `PolynomialMapping.coeffs` does.
-    """
-    y = np.asarray(y, dtype=float)
-    out = np.zeros(y.shape[:-1] + (len(coeffs),))
-    for i, comp in enumerate(coeffs):
-        for g, c in comp.items():
-            if not c:
-                continue
-            acc = np.full(y.shape[:-1], float(c))
-            for j, e in enumerate(g):
-                if e:
-                    acc = acc * y[..., j] ** e
-            out[..., i] += acc
-    return out
+def canonical_mapping(k: int, max_degree: int) -> PolynomialMapping:
+    """The mapping y -> (y^gamma)_{gamma in build_gamma(k, max_degree)}."""
+    gamma = build_gamma(k, max_degree)
+    return PolynomialMapping(k, len(gamma), tuple({g: 1} for g in gamma))
 
 
 def mapping_from_univariate(coeffs_by_degree: dict[int, int]) -> PolynomialMapping:
@@ -187,17 +138,17 @@ def mapping_from_univariate(coeffs_by_degree: dict[int, int]) -> PolynomialMappi
         1, 1, ({(deg,): c for deg, c in coeffs_by_degree.items()},))
 
 
-def lift(P: PolynomialMapping) -> tuple[CanonicalMapping, np.ndarray]:
+def lift(P: PolynomialMapping) -> tuple[PolynomialMapping, np.ndarray]:
     """Factor P = L o Q through the canonical mapping of P's degree.
 
-    Returns (Q, L) with L an integer (d0, d) matrix acting by
+    Returns (Q, L) with L an integer (P.d, Q.d) matrix acting by
     (L v)_j = sum_gamma L[j, gamma] v_gamma.  Gamma is never pruned to the
     support of L: downstream dilations are indexed by the full canonical
     set, and a sparse L costs nothing.
     """
     Q = canonical_mapping(P.k, P.degree)
     index = {g: i for i, g in enumerate(Q.gamma)}
-    L = np.zeros((P.d0, Q.d), dtype=object)
+    L = np.zeros((P.d, Q.d), dtype=object)
     for j, comp in enumerate(P.coeffs):
         for g, c in comp.items():
             if c:
@@ -241,9 +192,6 @@ class ConvexBody:
             return np.abs(x).max(axis=1) < t
         return np.array([bool(self.predicate(row / t)) for row in x])
 
-    def sup_norm_bound(self, t: float) -> float:
-        return t * self.radius_bound
-
 
 def ball(k: int) -> ConvexBody:
     return ConvexBody("euclidean_ball", k)
@@ -275,20 +223,15 @@ def lattice_points(body: ConvexBody, t: float,
     return pts[keep]
 
 
-def dilation_exponents(Q: CanonicalMapping) -> np.ndarray:
-    """The diagonal exponents |gamma| of the dilation group t^A."""
-    return np.array(Q.degrees, dtype=float)
-
-
-def dilate(Q: CanonicalMapping, t: float, x: np.ndarray) -> np.ndarray:
+def dilate(Q: PolynomialMapping, t: float, x: np.ndarray) -> np.ndarray:
     """Apply t^A: coordinate gamma is scaled by t^{|gamma|}."""
     if t <= 0:
         raise ValueError("dilation parameter must be positive")
     x = np.asarray(x, dtype=float)
-    return x * np.power(float(t), dilation_exponents(Q))
+    return x * np.power(float(t), Q.degrees)
 
 
-def dilate_exact(Q: CanonicalMapping, t: int, x) -> tuple:
+def dilate_exact(Q: PolynomialMapping, t: int, x) -> tuple:
     """t^A on exact rationals/integers (t a positive integer)."""
     if t <= 0:
         raise ValueError("dilation parameter must be positive")

@@ -153,10 +153,10 @@ def test_operator_backend_equivalence():
     started = time.perf_counter()
     kernel = odd_power_kernel(0.5)
     configs = (
-        (PolynomialMapping.from_canonical(canonical_mapping(1, 1)), 32, 6),
-        (PolynomialMapping.from_canonical(canonical_mapping(1, 2)), 8, 4),
-        (PolynomialMapping.from_canonical(canonical_mapping(1, 3)), 4, 3),
-        (PolynomialMapping.from_canonical(canonical_mapping(2, 1)), 6, 3),
+        (canonical_mapping(1, 1), 32, 6),
+        (canonical_mapping(1, 2), 8, 4),
+        (canonical_mapping(1, 3), 4, 3),
+        (canonical_mapping(2, 1), 6, 3),
         (PolynomialMapping(2, 1, ({(2, 0): 1, (0, 3): 1},)), 8, 5),
     )
 

@@ -10,7 +10,7 @@ from scipy.special import j1, sici
 
 from radonlab import expsum as es
 from radonlab.errors import BudgetError, KernelError, QuadratureError
-from radonlab.polymap import canonical_mapping
+from radonlab.polymap import ball, canonical_mapping, lattice_points
 
 Q_LIN = canonical_mapping(1, 1)    # y
 Q_QUAD = canonical_mapping(1, 2)   # (y, y^2)
@@ -115,6 +115,20 @@ def test_avg_multiplier_examples():
     assert es.avg_multiplier(1, [1 / 3], Q_LIN) == pytest.approx(0.0, abs=1e-14)
     assert es.avg_multiplier(2, [0.5], Q_LIN) == pytest.approx(0.2, abs=1e-14)
     assert es.avg_multiplier(9, [0.0, 0.0], Q_QUAD) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("xi", [(0.0, 0.3), (0.3, 0.1)])
+def test_avg_multiplier_phase_is_a_monomial_loop(xi):
+    # The phase adds xi_gamma * y^gamma over the nonzero xi_gamma, in index
+    # order.  A matrix product of the images with xi rounds differently at
+    # xi = (0.3, 0.1), which would move the result tables.
+    y = lattice_points(ball(1), 9)[:, 0].astype(float)
+    phase = np.zeros(len(y))
+    for x, e in zip(xi, (1, 2)):
+        if x:
+            phase += x * y ** e
+    expected = complex(np.exp(2j * np.pi * phase).sum() / len(y))
+    assert es.avg_multiplier(9, np.array(xi), Q_QUAD) == expected
 
 
 def test_sing_multiplier_examples():

@@ -324,11 +324,14 @@ def test_continuous_average_validation():
 
 def test_real_mapping_validation():
     with pytest.raises(ValueError):
-        mg.RealMapping(1, 1, ({(0,): 1.0},))
+        PolynomialMapping(1, 1, ({(0,): 1.0},))
     with pytest.raises(ValueError):
-        mg.RealMapping(1, 1, ({(1, 0): 1.0},))
-    q = mg.RealMapping(1, 1, ({(1,): 0.5, (2,): -1.25},))
+        PolynomialMapping(1, 1, ({(1, 0): 1.0},))
+    q = PolynomialMapping(1, 1, ({(1,): 0.5, (2,): -1.25},))
     assert q.eval_real(np.array([[2.0]]))[0, 0] == pytest.approx(-4.0)
+    one = lambda pts: np.ones(len(pts), dtype=complex)
+    assert mg.continuous_average(one, 1.0, q, np.zeros(1)) == \
+        pytest.approx(1.0)
 
 
 def test_sampled_variation_bound_trig():

@@ -110,7 +110,7 @@ def test_singular_parity_odd_kernel_even_input():
 @pytest.mark.parametrize("P,ndim", [(P_ID, 1), (P_SQ, 1), (P_CUBE_MIX, 1),
                                     (P_2D_TO_1, 1)])
 def test_direct_vs_fft_average(rng, P, ndim):
-    # f lives on the target lattice Z^{d0}, not the source Z^k.
+    # f lives on the target lattice Z^d, not the source Z^k.
     f = random_grid(rng, ndim, 6)
     for N in (1, 2, 5):
         a = radon_average(f, P, N, backend="direct").output

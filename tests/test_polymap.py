@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from radonlab import polymap as pm
 from radonlab.errors import BudgetError
+from radonlab.expsum import gauss_sum
+from radonlab.operators import pushforward_kernel
 
 
 def test_gamma_univariate_quadratic():
@@ -137,10 +139,30 @@ def test_eval_real_matches_integer_eval():
     assert np.allclose(real, np.array(Q(y), dtype=float))
 
 
-def test_from_canonical_evaluates_like_the_canonical_mapping():
+def test_canonical_mapping_is_a_polynomial_mapping():
     Q = pm.canonical_mapping(2, 2)
-    P = pm.PolynomialMapping.from_canonical(Q)
-    assert (P.k, P.d0) == (Q.k, Q.d)
+    gamma = pm.build_gamma(2, 2)
+    assert Q.coeffs == tuple({g: 1} for g in gamma)
+    assert (Q.k, Q.d, Q.gamma) == (2, len(gamma), gamma)
+    assert Q.degrees == tuple(sum(g) for g in gamma)
     pts = np.array([[3, -2], [0, 5], [-1, -1]])
-    assert np.array_equal(P.eval_many(pts), Q.eval_many(pts))
-    assert np.array_equal(P.eval_real(pts), Q.eval_real(pts))
+    exact = [[pm.monomial(tuple(int(c) for c in p), g) for g in gamma]
+             for p in pts]
+    assert Q.eval_many(pts).tolist() == exact
+    assert np.array_equal(Q.eval_real(pts), np.array(exact, dtype=float))
+    with pytest.raises(ValueError):
+        pm.PolynomialMapping(1, 1, ({(1,): 2},)).gamma
+
+
+def test_real_coefficients_evaluate_only_on_the_reals():
+    # 0.5 y - 1.25 y^2 at y = 2 is -4, exactly in binary floating point.
+    P = pm.PolynomialMapping(1, 1, ({(1,): 0.5, (2,): -1.25},))
+    assert P.eval_real(np.array([[2.0]]))[0, 0] == -4.0
+    with pytest.raises(ValueError):
+        P((2,))
+    with pytest.raises(ValueError):
+        P.eval_many(np.array([[2]]))
+    with pytest.raises(ValueError):
+        pushforward_kernel(P, 3)
+    with pytest.raises(ValueError):
+        gauss_sum(3, (1,), P)
