@@ -428,11 +428,6 @@ class BumpFunction:
             raise ValueError("point dimension mismatch")
         return self.profile(np.sqrt((x * x).sum(axis=-1)))
 
-    def scaled(self, scales, theta) -> np.ndarray:
-        """eta(E theta) for diagonal E, theta torus-reduced first."""
-        theta = torus_reduce(np.asarray(theta, dtype=float))
-        return self(theta * np.asarray(scales, dtype=float))
-
 
 def _bump_profile(t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
@@ -464,19 +459,18 @@ class ArcMultiplier:
     separation: dict
     regime: dict
 
-    def eval_points(self, xis) -> np.ndarray:
-        xis = np.atleast_2d(np.asarray(xis, dtype=float))
-        if xis.shape[1] != self.d:
+    def __call__(self, xi):
+        """Sum of the center terms at one frequency (d,), giving a
+        complex, or at each row of a batch (F, d), giving an (F,) array."""
+        xi = np.asarray(xi, dtype=float)
+        xis = np.atleast_2d(xi)
+        if xi.ndim > 2 or xis.shape[1] != self.d:
             raise ValueError("frequency dimension mismatch")
         out = np.zeros(len(xis), dtype=complex)
         for i in range(len(self.centers)):
             theta = torus_reduce(xis - self.centers[i])
             out += self.term(i, theta)
-        return out
-
-    def __call__(self, xi) -> complex:
-        return complex(self.eval_points(np.asarray(xi,
-                                                   dtype=float)[None])[0])
+        return out if xi.ndim == 2 else complex(out[0])
 
 
 def separation_report(centers: np.ndarray, scales: np.ndarray, d: int,
@@ -630,11 +624,11 @@ def telescope_defect(n: int, j: int, l: int, rho: float, chi: float, Q,
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
     upper = arc_projection(n, l, rho, chi, Q, level_j=j, cap=cap)
     lower = arc_projection(n, l, rho, chi, Q, level_j=j + 1, cap=cap)
-    total = upper.eval_points(xis) - lower.eval_points(xis)
+    total = upper(xis) - lower(xis)
     for s in range(n):
         shell = projection_shell_difference(n, s, j, l, rho, chi, Q,
                                             cap=cap)
-        total -= shell.eval_points(xis)
+        total -= shell(xis)
     return {"max_defect": float(np.abs(total).max()),
             "points": len(xis)}
 
@@ -649,11 +643,11 @@ def shell_partition_defect(j: int, l: int, rho: float, chi: float, Q,
     """
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
     full = singular_arc_multiplier(j, l, rho, chi, Q, kernel, cap=cap)
-    total = full.eval_points(xis)
+    total = full(xis)
     for s in range(j):
         shell = singular_arc_multiplier(j, l, rho, chi, Q, kernel,
                                         shell_s=s, cap=cap)
-        total -= shell.eval_points(xis)
+        total -= shell(xis)
     defect = float(np.abs(total).max())
     reference = 2.0 ** (-chi * j / Q.d)
     return {"max_defect": defect, "reference": reference,
@@ -666,8 +660,9 @@ def apply_periodic_multiplier(f, theta):
     """Realize the convolution operator with symbol theta on Z_M data.
 
     f is a GridFunction whose box starts at 0 per coordinate (one period
-    of M-periodic data).  The forward DFT is multiplied pointwise by
-    theta evaluated at the matching torus frequencies and inverted; for
+    of M-periodic data).  theta is called once, on the whole (M^d, d)
+    batch of torus frequencies, and must return their M^d values; the
+    forward DFT is multiplied by them pointwise and inverted.  For
     M-periodic data this is the exact Fourier-side action.
     """
     if any(lo != 0 for lo, _ in f.box):
@@ -677,9 +672,8 @@ def apply_periodic_multiplier(f, theta):
                                indexing="ij"), axis=-1).reshape(-1,
                                                                 len(shape))
     freqs = torus_reduce(-idx / np.array(shape, dtype=float))
-    if hasattr(theta, "eval_points"):
-        symbol = np.asarray(theta.eval_points(freqs), dtype=complex)
-    else:
-        symbol = np.array([theta(x) for x in freqs], dtype=complex)
+    symbol = np.asarray(theta(freqs), dtype=complex)
+    if symbol.shape != (len(freqs),):
+        raise ValueError("symbol must give one value per frequency")
     spectrum = np.fft.fftn(f.values) * symbol.reshape(shape)
     return GridFunction(f.box, np.fft.ifftn(spectrum))

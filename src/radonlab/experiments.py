@@ -35,10 +35,10 @@ from .martingale import (FieldEnsembleSpec, conditional_expectation,
                          doubling_constant, field_ensemble, good_lambda_check,
                          haar_field, lepingle_ratio, martingale_differences,
                          martingale_jump, ratio_sweep, variation_field)
-from .operators import (EnsembleSpec, GridFunction, embed, empirical_norm,
-                        ensemble, ergodic_average, ergodic_singular,
-                        grid_difference, pushforward_kernel, radon_average,
-                        truncated_singular, union_box, variation_growth_fit)
+from .operators import (EnsembleSpec, GridFunction, embed, ensemble,
+                        ergodic_average, ergodic_singular, grid_difference,
+                        pushforward_kernel, radon_average, truncated_singular,
+                        union_box, variation_growth_fit)
 from .polymap import canonical_mapping
 from .reporting import ResultRow
 from .variation import vr_bruteforce_batch, vr_exact_batch
@@ -711,11 +711,9 @@ def _run_multiplier_apply(params, config, budgets) -> RunOutcome:
         rng_freq = np.random.default_rng(config.seed)
         freq_idx = rng_freq.integers(0, m,
                                      size=(params["freq_points"], Q.d))
-    dev = 0.0
-    for idx in freq_idx:
-        xi = idx / float(m)
-        dev = max(dev, abs(ker.multiplier_at(xi)
-                           - avg_multiplier(n, xi, Q)))
+    xis = freq_idx / float(m)
+    dev = float(np.abs(ker.multiplier_at(xis)
+                       - avg_multiplier(n, xis, Q)).max())
     rows = [ResultRow(name, "kernel-dft", {"n": n, "m": m}, dev, 1e-10,
                       dev / 1e-10, dev <= 1e-10)]
 
@@ -725,18 +723,12 @@ def _run_multiplier_apply(params, config, budgets) -> RunOutcome:
     shape = tuple(b - a + 1 for a, b in support_box)
     inputs = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
               for _ in range(trials)]
-    # Every trial queries the same m^d torus frequencies; memoize the
-    # pure symbol so the sweep costs one evaluation per frequency.
-    cache: dict = {}
 
-    def symbol(x):
-        key = tuple(np.round(np.asarray(x, dtype=float), 12))
-        if key not in cache:
-            cache[key] = avg_multiplier(n, x, Q)
-        return cache[key]
+    def symbol(xis):
+        return avg_multiplier(n, xis, Q)
 
-    def squared(x):
-        return symbol(x) ** 2
+    def squared(xis):
+        return symbol(xis) ** 2
 
     def agree(values) -> tuple[float, float]:
         f = embed(GridFunction(support_box, values), period_box)

@@ -25,6 +25,7 @@ from .polymap import ConvexBody, PolynomialMapping, ball, lattice_points
 
 GAUSS_BUDGET = 100_000_000
 QUAD_NODE_BUDGET = 1 << 22  # integrand nodes per quadrature call
+_PHASE_CHUNK = 1 << 16  # phase_sum's chunk: ~1 MB of complex values
 _INT64_MODULUS_MAX = math.isqrt(2 ** 63 - 1)
 
 
@@ -140,36 +141,54 @@ def gauss_scan_quadratic(q: int) -> np.ndarray:
 
 def avg_multiplier(N: int, xi, Q: PolynomialMapping,
                    body: ConvexBody | None = None,
-                   budget: int = GAUSS_BUDGET) -> complex:
-    """m_N(xi) = |B_N|^{-1} sum_{y in B_N} e(<xi, Q(y)>)."""
+                   budget: int = GAUSS_BUDGET):
+    """m_N(xi) = |B_N|^{-1} sum_{y in B_N} e(<xi, Q(y)>).
+
+    xi is one frequency (d,), giving a complex, or a batch (F, d), giving
+    an (F,) array; either is torus-reduced first.
+    """
     body = body or ball(Q.k)
     pts = lattice_points(body, N, budget=budget)
-    return _phase_average(pts, xi, Q, weights=None)
+    return phase_sum(Q.eval_real(pts), torus_reduce(xi))
 
 
 def sing_multiplier(N: int, xi, Q: PolynomialMapping, kernel,
                     body: ConvexBody | None = None,
-                    budget: int = GAUSS_BUDGET) -> complex:
-    """sum_{y in B_N, y != 0} e(<xi, Q(y)>) K(y) (no normalization)."""
+                    budget: int = GAUSS_BUDGET):
+    """sum_{y in B_N, y != 0} e(<xi, Q(y)>) K(y), not normalized; xi is
+    one frequency (d,) or a batch (F, d), as in avg_multiplier."""
     body = body or ball(Q.k)
     pts = lattice_points(body, N, budget=budget)
     pts = pts[np.any(pts != 0, axis=1)]
     w = kernel.eval_many(pts)
-    return _phase_average(pts, xi, Q, weights=w)
+    return phase_sum(Q.eval_real(pts), torus_reduce(xi), weights=w)
 
 
-def _phase_average(pts: np.ndarray, xi, Q, weights):
-    xi = torus_reduce(np.atleast_1d(np.asarray(xi, dtype=float)))
-    if xi.shape != (Q.d,):
+def phase_sum(points: np.ndarray, xi, weights=None):
+    """sum_j w_j e(<xi, z_j>) over the rows z_j of points (n, d), divided
+    by n when weights is None.
+
+    xi is one frequency (d,), giving a complex, or a batch (F, d), giving
+    an (F,) array, summed in row chunks of at most _PHASE_CHUNK phases.
+    """
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    if xi.ndim > 2 or xi.shape[-1] != points.shape[1]:
         raise ValueError("frequency does not match the index set")
-    images = Q.eval_real(pts)
-    phase = np.zeros(len(pts))
-    for i in np.flatnonzero(xi):
-        phase += xi[i] * images[:, i]
-    vals = np.exp(2j * np.pi * phase)
+    batch = np.atleast_2d(xi)
+    out = np.empty(len(batch), dtype=complex)
+    rows = max(1, _PHASE_CHUNK // max(len(points), 1))
+    for lo in range(0, len(batch), rows):
+        block = batch[lo:lo + rows]
+        phase = np.zeros((len(block), len(points)))
+        for i in range(points.shape[1]):
+            phase += block[:, i, None] * points[:, i]
+        vals = np.exp(2j * np.pi * phase)
+        if weights is not None:
+            vals *= weights
+        out[lo:lo + rows] = vals.sum(axis=1)
     if weights is None:
-        return complex(vals.sum() / len(pts))
-    return complex((vals * np.asarray(weights, dtype=float)).sum())
+        out /= len(points)
+    return out if xi.ndim == 2 else complex(out[0])
 
 
 def weyl_sum(phase_poly, N: int, weight=None,

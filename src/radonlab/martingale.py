@@ -175,10 +175,6 @@ def maximal_function(f: DyadicField) -> DyadicField:
     return DyadicField(f.m, f.L, vals)
 
 
-def square_and_maximal(f: DyadicField) -> tuple[DyadicField, DyadicField]:
-    return square_function(f), maximal_function(f)
-
-
 def _level_stack(f: DyadicField) -> np.ndarray:
     """(cells, L + 1) array of the per-cell level sequences."""
     return np.stack([e.values.astype(complex).ravel()

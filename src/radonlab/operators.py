@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError
-from .expsum import CZKernelSpec
+from .expsum import CZKernelSpec, phase_sum
 from .polymap import ConvexBody, PolynomialMapping, ball, lattice_points
 from .variation import vr_exact_batch
 
@@ -131,13 +131,12 @@ class PushforwardKernel:
     N: int
     lattice_size: int
 
-    def multiplier_at(self, xi) -> complex:
-        """Fourier transform sum_z kappa(z) e(z . xi)."""
-        xi = np.asarray(xi, dtype=float)
-        coords = [np.arange(lo, hi + 1) for lo, hi in self.box]
-        mesh = np.meshgrid(*coords, indexing="ij")
-        phase = sum(x * m for x, m in zip(xi, mesh))
-        return complex((self.values * np.exp(2j * np.pi * phase)).sum())
+    def multiplier_at(self, xi):
+        """Fourier transform sum_z kappa(z) e(z . xi) over the box cells:
+        a complex at one frequency (d,), an (F,) array at a batch (F, d)."""
+        cells = np.indices(self.values.shape).reshape(self.values.ndim, -1)
+        cells = cells.T + np.array([lo for lo, _ in self.box])
+        return phase_sum(cells, xi, weights=self.values.ravel())
 
 
 def _ball_images(P: PolynomialMapping, N: int, body: ConvexBody | None,

@@ -290,6 +290,9 @@ def test_thread_count_determinism(tmp_path, capsys):
         ["lepingle", "--seed", "3", "--fields", "40"],
         ["multiplier-apply", "--seed", "3", "--trials", "4",
          "--freq-points", "8"],
+        # m^d = 20^3 > 4096: the kernel-dft row samples its frequencies
+        ["multiplier-apply", "--seed", "3", "--deg", "3", "--n", "2",
+         "--m", "20", "--trials", "2", "--freq-points", "8"],
     )
     ok = True
     for argv in jobs:

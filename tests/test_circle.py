@@ -278,26 +278,20 @@ def test_bump_validates_dimension():
         ci.BumpFunction(2)(np.zeros(3))
 
 
-def test_bump_scaled_reduces_to_torus():
-    eta = ci.BumpFunction(1)
-    # theta = 1 is the torus point 0, inside the plateau at any scale
-    assert float(eta.scaled(np.array([4.0]), np.array([1.0]))) == 1.0
-
-
 # arc projections ------------------------------------------------------------
 
 def test_projection_plateau_at_centers():
     xi = ci.arc_projection(2, Q=Q_PAIR, **ARC)
     assert len(xi.centers) == 64
     assert xi.separation["disjoint"] is True
-    assert np.allclose(xi.eval_points(xi.centers), 1.0)
+    assert np.allclose(xi(xi.centers), 1.0)
 
 
 def test_projection_partition_bound(rng):
     # disjoint supports of [0,1]-valued bumps keep the sum within 1
     xi = ci.arc_projection(2, Q=Q_PAIR, **ARC)
     sample = rng.uniform(-0.5, 0.5, size=(500, 2))
-    vals = xi.eval_points(sample).real
+    vals = xi(sample).real
     assert vals.min() >= 0.0
     assert vals.max() <= 1.0 + 1e-9
 
@@ -305,6 +299,24 @@ def test_projection_partition_bound(rng):
 def test_projection_vanishes_far_from_fractions():
     xi = ci.arc_projection(2, Q=Q_PAIR, **ARC)
     assert xi(np.array([0.437, 0.261])) == 0j
+
+
+def test_arc_multiplier_batch_equals_single(rng):
+    # rows near the centers land on the bump slopes; rows with zero
+    # components and the zero frequency ride along
+    for arc in (ci.arc_projection(2, Q=Q_PAIR, level_j=1, **ARC),
+                ci.singular_arc_multiplier(2, Q=Q_PAIR, kernel=KERNEL,
+                                           **ARC)):
+        offsets = rng.uniform(-1.0, 1.0, (8, 2)) * [2.0 ** -8, 2.0 ** -10]
+        xis = arc.centers[:8] + offsets
+        xis = np.vstack([xis, [[0.0, 0.0], [0.0, 0.01], [0.004, 0.0]]])
+        batch = arc(xis)
+        assert batch.shape == (11,)
+        assert np.count_nonzero(batch) >= 3
+        assert np.array_equal(batch, [arc(x) for x in xis])
+        for bad in (np.zeros(3), np.zeros((2, 3)), np.zeros((1, 1, 2))):
+            with pytest.raises(ValueError):
+                arc(bad)
 
 
 def test_projection_overlap_reported_not_hidden():
@@ -359,7 +371,7 @@ def test_singular_vanishes_at_centers():
     assert nu.separation["disjoint"] is True
     # at each center the oscillatory factor is the annulus sum of the
     # odd kernel at frequency zero, which cancels
-    vals = nu.eval_points(nu.centers)
+    vals = nu(nu.centers)
     assert np.max(np.abs(vals)) == 0.0
 
 
@@ -409,18 +421,6 @@ def test_shell_centers_partition_nu_centers():
 
 # periodic application ---------------------------------------------------------
 
-class _Symbol:
-    """Frequency-side wrapper with the d and eval_points interface."""
-
-    def __init__(self, d, fn):
-        self.d = d
-        self._fn = fn
-
-    def eval_points(self, xis):
-        return np.asarray([self._fn(np.asarray(x, dtype=float))
-                           for x in np.atleast_2d(xis)], dtype=complex)
-
-
 def _padded_field(rng, ndim, M, pad):
     vals = np.zeros((M,) * ndim, dtype=complex)
     inner = tuple(slice(pad, M - pad) for _ in range(ndim))
@@ -430,7 +430,7 @@ def _padded_field(rng, ndim, M, pad):
 
 def test_apply_identity(rng):
     f = _padded_field(rng, 1, 32, 4)
-    g = ci.apply_periodic_multiplier(f, _Symbol(1, lambda x: 1.0))
+    g = ci.apply_periodic_multiplier(f, lambda x: np.ones(len(x)))
     assert grid_difference(f, g) < 1e-12
 
 
@@ -438,7 +438,7 @@ def test_apply_translation(rng):
     f = _padded_field(rng, 2, 8, 0)
     shift = np.array([1.0, 0.0])
     g = ci.apply_periodic_multiplier(
-        f, _Symbol(2, lambda x: np.exp(2j * np.pi * (x @ shift))))
+        f, lambda x: np.exp(2j * np.pi * (x @ shift)))
     assert np.max(np.abs(g.values - np.roll(f.values, 1, axis=0))) < 1e-12
 
 
@@ -448,8 +448,8 @@ def test_apply_matches_spatial_operator(Q, ndim, M, rng):
     # operator when the data is padded clear of wraparound
     N = 2
     f = _padded_field(rng, ndim, M, M // 2 - 2)
-    theta = _Symbol(ndim, lambda x: avg_multiplier(N, x, Q))
-    spectral = ci.apply_periodic_multiplier(f, theta)
+    spectral = ci.apply_periodic_multiplier(
+        f, lambda x: avg_multiplier(N, x, Q))
     spatial = radon_average(f, Q, N).output
     assert grid_difference(spectral, spatial) < 1e-10
 
@@ -457,8 +457,13 @@ def test_apply_matches_spatial_operator(Q, ndim, M, rng):
 def test_apply_composition_is_pointwise_product(rng):
     N = 2
     f = _padded_field(rng, 1, 64, 24)
-    m = _Symbol(1, lambda x: avg_multiplier(N, x, Q_1D))
-    m2 = _Symbol(1, lambda x: avg_multiplier(N, x, Q_1D) ** 2)
+
+    def m(x):
+        return avg_multiplier(N, x, Q_1D)
+
+    def m2(x):
+        return avg_multiplier(N, x, Q_1D) ** 2
+
     twice = ci.apply_periodic_multiplier(
         ci.apply_periodic_multiplier(f, m), m)
     once = ci.apply_periodic_multiplier(f, m2)
@@ -468,13 +473,33 @@ def test_apply_composition_is_pointwise_product(rng):
 def test_apply_requires_zero_based_box():
     f = GridFunction(((1, 4),), np.ones(4, dtype=complex))
     with pytest.raises(ValueError):
-        ci.apply_periodic_multiplier(f, _Symbol(1, lambda x: 1.0))
+        ci.apply_periodic_multiplier(f, lambda x: np.ones(len(x)))
 
 
 def test_apply_accepts_plain_callable(rng):
-    f = _padded_field(rng, 1, 16, 2)
-    g = ci.apply_periodic_multiplier(f, lambda x: 1.0 + 0j)
+    # theta is called once, on the (M^d, d) batch of torus frequencies
+    f = _padded_field(rng, 2, 8, 2)
+    calls = []
+
+    def theta(xis):
+        calls.append(np.array(xis))
+        return np.ones(len(xis), dtype=complex)
+
+    g = ci.apply_periodic_multiplier(f, theta)
     assert grid_difference(f, g) < 1e-12
+    assert len(calls) == 1
+    assert calls[0].shape == (64, 2)
+    # every torus frequency a / 8 in the window [-1/2, 1/2), once each
+    assert len({tuple(x) for x in calls[0] * 8}) == 64
+    assert calls[0].min() == -0.5 and calls[0].max() == 0.375
+
+
+def test_apply_refuses_a_scalar_symbol(rng):
+    f = _padded_field(rng, 1, 16, 2)
+    with pytest.raises(ValueError):
+        ci.apply_periodic_multiplier(f, lambda x: 1.0 + 0j)
+    with pytest.raises(ValueError):
+        ci.apply_periodic_multiplier(f, lambda x: np.ones((len(x), 1)))
 
 
 # properties -------------------------------------------------------------------
@@ -506,7 +531,10 @@ def test_apply_linearity(shift, a, b):
     rng = np.random.default_rng(99)
     f = _padded_field(rng, 1, 16, 0)
     g = _padded_field(rng, 1, 16, 0)
-    theta = _Symbol(1, lambda x, s=shift: np.exp(2j * np.pi * x[0] * s))
+
+    def theta(x):
+        return np.exp(2j * np.pi * x[:, 0] * shift)
+
     lhs = ci.apply_periodic_multiplier(
         GridFunction(f.box, a * f.values + b * g.values), theta)
     rhs_f = ci.apply_periodic_multiplier(f, theta)

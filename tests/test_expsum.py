@@ -119,9 +119,9 @@ def test_avg_multiplier_examples():
 
 @pytest.mark.parametrize("xi", [(0.0, 0.3), (0.3, 0.1)])
 def test_avg_multiplier_phase_is_a_monomial_loop(xi):
-    # The phase adds xi_gamma * y^gamma over the nonzero xi_gamma, in index
-    # order.  A matrix product of the images with xi rounds differently at
-    # xi = (0.3, 0.1), which would move the result tables.
+    # The phase adds xi_gamma * y^gamma in index order; a zero xi_gamma adds
+    # an exact zero.  A matrix product of the images with xi rounds
+    # differently at xi = (0.3, 0.1), which would move the result tables.
     y = lattice_points(ball(1), 9)[:, 0].astype(float)
     phase = np.zeros(len(y))
     for x, e in zip(xi, (1, 2)):
@@ -136,6 +136,31 @@ def test_sing_multiplier_examples():
     assert es.sing_multiplier(1, [0.25], Q_LIN, K) == pytest.approx(2j, abs=1e-14)
     expect = 2j * (np.sin(0.2 * np.pi) + np.sin(0.4 * np.pi) / 2)
     assert es.sing_multiplier(2, [0.1], Q_LIN, K) == pytest.approx(expect, abs=1e-13)
+
+
+@pytest.mark.parametrize("N,Q,F", [(1, Q_QUAD, 9), (9, Q_QUAD, 9),
+                                   (500, Q_LIN, 150)])
+def test_multiplier_batch_equals_single(N, Q, F):
+    # A batch (F, d) gives, row for row, the bits of one frequency at a
+    # time.  At N = 500 a chunk holds 65 rows, so 150 rows span three
+    # chunks, the last one partial.
+    K = es.odd_power_kernel(1.0)
+    xis = np.random.default_rng(5).uniform(-1.5, 1.5, size=(F, Q.d))
+    xis[0] = 0.0
+    xis[1:4, 0] = 0.0
+    xis[4:6, -1] = 0.0
+    for m in (lambda x: es.avg_multiplier(N, x, Q),
+              lambda x: es.sing_multiplier(N, x, Q, K)):
+        batch = m(xis)
+        assert batch.shape == (F,)
+        assert type(m(xis[7])) is complex
+        assert np.array_equal(batch, [m(x) for x in xis])
+
+
+def test_multiplier_refuses_a_frequency_of_the_wrong_width():
+    for xi in ([0.1, 0.2, 0.3], np.zeros((4, 1)), np.zeros((2, 3, 2))):
+        with pytest.raises(ValueError):
+            es.avg_multiplier(3, xi, Q_QUAD)
 
 
 @given(st.integers(1, 12), st.integers(-400, 400), st.integers(1, 40))

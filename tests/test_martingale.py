@@ -131,13 +131,14 @@ def test_square_norm_equals_mean_free_norm():
 
 def test_constant_square_and_maximal():
     c = mg.DyadicField(1, 4, np.full(16, -2.5 + 0j))
-    S, M = mg.square_and_maximal(c)
+    S, M = mg.square_function(c), mg.maximal_function(c)
     assert np.all(S.values == 0.0)
     assert np.all(M.values == 2.5)
 
 
 def test_haar_square_and_maximal():
-    S, M = mg.square_and_maximal(mg.haar_field(5))
+    h = mg.haar_field(5)
+    S, M = mg.square_function(h), mg.maximal_function(h)
     assert np.all(S.values == 1.0)
     assert np.all(M.values == 1.0)
 

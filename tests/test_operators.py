@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ from radonlab.operators import (EnsembleSpec, GridFunction, delta_function,
                                 embed, empirical_norm, ensemble,
                                 ergodic_average, ergodic_singular,
                                 grid_difference, pushforward_kernel,
-                                radon_average, truncated_singular, union_box,
+                                radon_average, truncated_singular,
                                 variation_curve, variation_growth_fit)
-from radonlab.polymap import PolynomialMapping, ball, mapping_from_univariate
+from radonlab.polymap import (PolynomialMapping, ball, canonical_mapping,
+                              mapping_from_univariate)
 
 P_ID = mapping_from_univariate({1: 1})
 P_SQ = mapping_from_univariate({2: 1})
@@ -216,6 +218,38 @@ def test_singular_multiplier_consistency():
     ker = pushforward_kernel(P_SQ, 6, kernel=KERNEL)
     direct = sing_multiplier(6, [0.31], P_SQ, KERNEL, ball(1))
     assert abs(ker.multiplier_at([0.31]) - direct) <= 1e-10
+
+
+@pytest.mark.parametrize("P,N,F", [(P_2D, 3, 12),
+                                   (canonical_mapping(1, 3), 5, 64)])
+def test_multiplier_at_batch_equals_single(P, N, F, rng):
+    # canonical_mapping(1, 3) at N = 5 has 71,786 box cells, more than one
+    # 2^16-phase chunk, so each of its 64 frequencies is a chunk of its own.
+    ker = pushforward_kernel(P, N)
+    xis = rng.uniform(-0.5, 0.5, size=(F, P.d))
+    xis[0] = 0.0
+    xis[1:3, 0] = 0.0
+    xis[3, -1] = 0.0
+    batch = ker.multiplier_at(xis)
+    assert batch.shape == (F,)
+    assert np.array_equal(batch, [ker.multiplier_at(x) for x in xis])
+    assert np.abs(batch - avg_multiplier(N, xis, P)).max() <= 1e-10
+    with pytest.raises(ValueError):
+        ker.multiplier_at(np.zeros((2, P.d + 1)))
+
+
+def test_multiplier_at_memory_is_chunked():
+    # Unchunked, 200 frequencies over 71,786 cells would hold 14.4M
+    # phases, 230 MB per complex temporary.
+    ker = pushforward_kernel(canonical_mapping(1, 3), 5)
+    xis = np.random.default_rng(2).uniform(-0.5, 0.5, size=(200, 3))
+    tracemalloc.start()
+    try:
+        ker.multiplier_at(xis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_memory_budget_refusal():
