@@ -33,8 +33,8 @@ from .expsum import (GAUSS_BUDGET, ArcWindow, annulus_integral,
                      scale_norm)
 from .martingale import (FieldEnsembleSpec, conditional_expectation,
                          doubling_constant, field_ensemble, good_lambda_check,
-                         haar_field, lepingle_ratio, martingale_differences,
-                         martingale_jump, ratio_sweep, variation_field)
+                         haar_field, jump_bound_defect, lepingle_ratio,
+                         martingale_differences, ratio_sweep)
 from .operators import (EnsembleSpec, GridFunction, embed, ensemble,
                         ergodic_average, ergodic_singular, grid_difference,
                         pushforward_kernel, radon_average, truncated_singular,
@@ -621,20 +621,13 @@ def _run_lepingle(params, config, budgets) -> RunOutcome:
                           float(2 ** m), None, grown == 2 ** m))
 
     r_jump = params["jump_r"]
-    defect = -math.inf
-    for f in fields[:min(len(fields), 50)]:
-        vr = np.real(variation_field(f, r_jump).values)
-        for lam in params["lam_grid"]:
-            counts = np.real(martingale_jump(f, lam).values)
-            defect = max(defect, float(np.max(
-                (counts - 1.0) - lam ** -r_jump * vr ** r_jump)))
+    defect = jump_bound_defect(fields[:min(len(fields), 50)],
+                               params["lam_grid"], r_jump)
     rows.append(ResultRow(name, "jump-bound",
                           {"r": r_jump, "lam_grid": list(params["lam_grid"])},
                           defect, 0.0, None, defect <= 1e-9))
 
-    sweeps = _ordered_map(
-        lambda p: ratio_sweep(fields, p, params["r_grid"]),
-        params["p_grid"], config.threads)
+    sweeps = ratio_sweep(fields, params["p_grid"], params["r_grid"])
     for p, sweep in zip(params["p_grid"], sweeps):
         for rec in sweep["rows"]:
             rows.append(ResultRow(name, "sweep", {"p": p, "r": rec["r"]},
@@ -663,17 +656,13 @@ def _run_good_lambda(params, config, budgets) -> RunOutcome:
         seed=config.seed)))
     q, r = params["q"], params["r"]
     name = config.experiment
-    items = [(i, float(lam)) for i in range(len(fields))
-             for lam in params["lam_grid"]]
-
-    def check(item) -> float:
-        i, lam = item
-        return good_lambda_check(fields[i], lam, q, r)["ratio"]
-
-    ratios = _ordered_map(check, items, config.threads)
-    rows = [ResultRow(name, "check", {"i": i, "lam": lam}, ratio, None,
-                      None, math.isfinite(ratio))
-            for (i, lam), ratio in zip(items, ratios)]
+    lams = [float(lam) for lam in params["lam_grid"]]
+    checks = _ordered_map(lambda f: good_lambda_check(f, lams, q, r),
+                          fields, config.threads)
+    rows = [ResultRow(name, "check", {"i": i, "lam": rec["lam"]},
+                      rec["ratio"], None, None, math.isfinite(rec["ratio"]))
+            for i, records in enumerate(checks) for rec in records]
+    ratios = [row.observed for row in rows]
     rows.append(ResultRow(name, "max-ratio", {"q": q, "r": r},
                           max(ratios), None, None, None))
     figures = ({"name": "ratio", "case": "check", "x": "params:lam",

@@ -309,17 +309,20 @@ def ergodic_singular(f: GridFunction, P: PolynomialMapping, N: int,
 
 # -- variation curves across truncations -----------------------------------------
 
-def variation_curve(f: GridFunction, P: PolynomialMapping, r: float,
-                    N_set, p: float, which: str = "average",
-                    kernel: CZKernelSpec | None = None,
-                    body: ConvexBody | None = None,
-                    backend: str = "fft") -> dict:
+def variation_curves(f: GridFunction, P: PolynomialMapping, r_grid,
+                     N_set, p: float, which: str = "average",
+                     kernel: CZKernelSpec | None = None,
+                     body: ConvexBody | None = None,
+                     backend: str = "fft") -> list[dict]:
     """Pointwise V_r across the truncation family, then the l^p norm.
 
     which = "average" uses M_N, which = "singular" uses T_N (kernel
-    required).  A singleton N_set gives the zero field.  The ratio
-    ||V_r||_p / ||f||_p is the quantity the boundedness statements
-    control for r > 2 (recorded in `lepingle_regime`).
+    required).  Each operator is applied once per N; the one
+    (cells, |N_set|) stack serves every r of r_grid, and the result has
+    one record per r, in grid order.  A singleton N_set gives the zero
+    field.  The ratio ||V_r||_p / ||f||_p is the quantity the
+    boundedness statements control for r > 2 (recorded in
+    `lepingle_regime`).
     """
     N_set = sorted(int(n) for n in N_set)
     if not N_set:
@@ -338,15 +341,29 @@ def variation_curve(f: GridFunction, P: PolynomialMapping, r: float,
         else:
             raise ValueError(f"unknown operator family {which!r}")
     u = union_box(*outs)
+    shape = tuple(hi - lo + 1 for lo, hi in u)
     stack = np.stack([embed(o, u).values.ravel() for o in outs], axis=1)
-    var = vr_exact_batch(stack, r)
-    var_grid = GridFunction(
-        u, var.reshape(tuple(hi - lo + 1 for lo, hi in u)).astype(complex))
-    num = var_grid.norm(p)
     den = f.norm(p)
-    return {"variation": var_grid, "norm": num, "input_norm": den,
-            "ratio": num / den if den > 0 else float("inf"),
-            "lepingle_regime": r > 2, "N_set": N_set}
+    curves = []
+    for r in r_grid:
+        var_grid = GridFunction(
+            u, vr_exact_batch(stack, r).reshape(shape).astype(complex))
+        num = var_grid.norm(p)
+        curves.append({"variation": var_grid, "norm": num,
+                       "input_norm": den,
+                       "ratio": num / den if den > 0 else float("inf"),
+                       "lepingle_regime": r > 2, "N_set": N_set})
+    return curves
+
+
+def variation_curve(f: GridFunction, P: PolynomialMapping, r: float,
+                    N_set, p: float, which: str = "average",
+                    kernel: CZKernelSpec | None = None,
+                    body: ConvexBody | None = None,
+                    backend: str = "fft") -> dict:
+    """The one-r record of `variation_curves`."""
+    return variation_curves(f, P, [r], N_set, p, which, kernel, body,
+                            backend)[0]
 
 
 # -- ensembles and empirical norms ------------------------------------------------
@@ -404,16 +421,23 @@ def ensemble(spec: EnsembleSpec):
         yield GridFunction(box, vals)
 
 
+def _ensemble_ratios(p: float, r_grid, spec: EnsembleSpec,
+                     P: PolynomialMapping, N_set, which: str,
+                     kernel: CZKernelSpec | None) -> list[list[float]]:
+    """ratios[i][j] = ||V_r(op_N f_i : N)||_p / ||f_i||_p at r = r_grid[j]."""
+    return [[c["ratio"] for c in variation_curves(
+        f, P, r_grid, N_set, p, which=which, kernel=kernel)]
+        for f in ensemble(spec)]
+
+
 def empirical_norm(p: float, r: float, spec: EnsembleSpec,
                    P: PolynomialMapping, N_set, which: str = "average",
                    kernel: CZKernelSpec | None = None) -> dict:
     """Max of ||V_r(op_N f : N)||_p / ||f||_p over the ensemble."""
-    worst, per_input = 0.0, []
-    for f in ensemble(spec):
-        out = variation_curve(f, P, r, N_set, p, which=which, kernel=kernel)
-        per_input.append(out["ratio"])
-        worst = max(worst, out["ratio"])
-    return {"max_ratio": worst, "ratios": per_input, "p": p, "r": r}
+    per_input = [row[0] for row in _ensemble_ratios(p, [r], spec, P, N_set,
+                                                    which, kernel)]
+    return {"max_ratio": max(per_input, default=0.0), "ratios": per_input,
+            "p": p, "r": r}
 
 
 def variation_growth_fit(p: float, r_grid, spec: EnsembleSpec,
@@ -423,15 +447,17 @@ def variation_growth_fit(p: float, r_grid, spec: EnsembleSpec,
     """Check ratio(r) <= C_p r/(r-2) as r decreases toward 2.
 
     Reports per-r max ratios and the fitted C_p = max_r ratio(r)(r-2)/r.
+    Each input's truncation stack is built once for the whole r grid.
     """
+    r_grid = list(r_grid)
+    if any(r <= 2 for r in r_grid):
+        raise ValueError("growth fit needs r > 2")
+    ratios = _ensemble_ratios(p, r_grid, spec, P, N_set, which, kernel)
     rows = []
     fitted = 0.0
-    for r in r_grid:
-        if r <= 2:
-            raise ValueError("growth fit needs r > 2")
-        stats = empirical_norm(p, r, spec, P, N_set, which, kernel)
-        scaled = stats["max_ratio"] * (r - 2.0) / r
+    for j, r in enumerate(r_grid):
+        worst = max((row[j] for row in ratios), default=0.0)
+        scaled = worst * (r - 2.0) / r
         fitted = max(fitted, scaled)
-        rows.append({"r": float(r), "max_ratio": stats["max_ratio"],
-                     "scaled": scaled})
+        rows.append({"r": float(r), "max_ratio": worst, "scaled": scaled})
     return {"rows": rows, "fitted_constant": fitted, "p": p}

@@ -288,6 +288,7 @@ def test_thread_count_determinism(tmp_path, capsys):
     jobs = (
         ["vr-suite", "--seed", "3", "--n-max", "8", "--trials", "20"],
         ["lepingle", "--seed", "3", "--fields", "40"],
+        ["good-lambda", "--seed", "3", "--fields", "20"],
         ["multiplier-apply", "--seed", "3", "--trials", "4",
          "--freq-points", "8"],
         # m^d = 20^3 > 4096: the kernel-dft row samples its frequencies

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -8,8 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from radonlab import martingale as mg
+from radonlab.experiments import EXPERIMENTS
 from radonlab.polymap import PolynomialMapping, canonical_mapping
-from radonlab.variation import jump_count_batch, vr_exact_batch
+from radonlab.variation import jump_count_batch, vr_exact_batch, vr_value
 
 Q_LINE = canonical_mapping(1, 1)
 Q_PLANE = PolynomialMapping(2, 2, ({(1, 0): 1}, {(0, 1): 1}))
@@ -199,36 +201,107 @@ def test_lepingle_regime_guard():
 
 def test_ratio_sweep_reports_bounded_fit():
     fields = list(mg.field_ensemble(mg.FieldEnsembleSpec(1, 5, 12, seed=7)))
-    out = mg.ratio_sweep(fields, 2.0, [2.05, 2.5, 3.0, 4.0])
+    out, = mg.ratio_sweep(fields, [2.0], [2.05, 2.5, 3.0, 4.0])
     assert math.isfinite(out["fitted_constant"])
     assert out["fitted_constant"] > 0
     for row in out["rows"]:
         assert row["scaled"] == pytest.approx(
             row["max_ratio"] * (row["r"] - 2) / row["r"])
     with pytest.raises(ValueError):
-        mg.ratio_sweep(fields, 2.0, [1.5, 3.0])
+        mg.ratio_sweep(fields, [2.0], [1.5, 3.0])
+
+
+def _per_cell_variation(f, r, memo):
+    """V_r of every cell's level sequence by the scalar DP, one cell at a time."""
+    levels = np.stack([e.values.ravel() for e in mg.martingale_levels(f)],
+                      axis=1)
+    out = np.empty(len(levels))
+    for c, seq in enumerate(levels):
+        key = (r, seq.tobytes())
+        if key not in memo:
+            memo[key] = vr_value(seq, r)
+        out[c] = memo[key]
+    return out
+
+
+def test_ratio_sweep_bitwise_across_chunk_boundaries():
+    # 37 fields of 256 cells: several full chunks and a partial last one,
+    # which holds a spike, the largest ratio for p < 3.
+    fields = list(mg.field_ensemble(mg.FieldEnsembleSpec(
+        1, 8, 36, seed=4, kinds=("rademacher",))))
+    fields.append(mg.DyadicField(1, 8, np.eye(256)[100]))
+    per_chunk = mg._ENGINE_COLUMNS // fields[0].cells
+    assert len(fields) > 2 * per_chunk and len(fields) % per_chunk == 1
+    p_grid, r_grid = (1.5, 2.0, 3.0), (4.0, 2.05)
+    sweeps = mg.ratio_sweep(fields, p_grid, r_grid)
+    assert [s["p"] for s in sweeps] == list(p_grid)
+    memo = {}
+    for r in r_grid:
+        vrs = [_per_cell_variation(f, r, memo) for f in fields]
+        for p, sweep in zip(p_grid, sweeps):
+            ratios = []
+            for f, v in zip(fields, vrs):
+                den = f.norm(p)
+                ratios.append(mg.DyadicField(1, 8, v).norm(p) / den
+                              if den else 0.0)
+            if p < 3:
+                assert ratios.index(max(ratios)) == len(fields) - 1
+            row, = (row for row in sweep["rows"] if row["r"] == r)
+            assert row["max_ratio"] == max(ratios)
+            assert row["max_ratio"] == max(mg.lepingle_ratio(f, p, r)
+                                           for f in fields)
+
+
+def test_good_lambda_grid_equals_one_lambda_calls():
+    lams = (0.25, 0.5, 1.0, 2.0)
+    for f in mg.field_ensemble(mg.FieldEnsembleSpec(1, 6, 6, seed=19)):
+        grid = mg.good_lambda_check(f, lams, 2.0, 2.5)
+        assert [rec["lam"] for rec in grid] == list(lams)
+        for lam, rec in zip(lams, grid):
+            assert rec == mg.good_lambda_check(f, [lam], 2.0, 2.5)[0]
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweeps_hold_one_chunk_at_a_time():
+    # Unchunked, the sweep peaks at 34 MB and the 50-field jump block at
+    # 8.7 MB; chunked, both stay under 1 MB.
+    params = EXPERIMENTS["lepingle"].defaults
+    fields = list(mg.field_ensemble(mg.FieldEnsembleSpec(
+        1, 8, params["fields"], seed=1)))
+    assert _peak_bytes(lambda: mg.ratio_sweep(
+        fields, params["p_grid"], params["r_grid"])) < 8 << 20
+    assert _peak_bytes(lambda: mg.jump_bound_defect(
+        fields[:50], params["lam_grid"], params["jump_r"])) < 8 << 20
 
 
 def test_good_lambda_validation_and_trivial_cases():
     h = mg.haar_field(4)
     with pytest.raises(ValueError):
-        mg.good_lambda_check(h, 0.0, 2.0, 3.0)
+        mg.good_lambda_check(h, [0.0], 2.0, 3.0)
     with pytest.raises(ValueError):
-        mg.good_lambda_check(h, 1.0, 1.5, 3.0)
+        mg.good_lambda_check(h, [1.0], 1.5, 3.0)
     with pytest.raises(ValueError):
-        mg.good_lambda_check(h, 1.0, 2.0, 2.0)
+        mg.good_lambda_check(h, [1.0], 2.0, 2.0)
     # V_r = 1 < 2 everywhere: the left set is empty
-    rep = mg.good_lambda_check(h, 2.0, 2.0, 3.0)
+    rep, = mg.good_lambda_check(h, [2.0], 2.0, 3.0)
     assert rep["lhs_measure"] == 0.0 and rep["ratio"] == 0.0
     c = mg.DyadicField(1, 4, np.full(16, 9.0 + 0j))
-    rep = mg.good_lambda_check(c, 1.0, 2.0, 3.0)
+    rep, = mg.good_lambda_check(c, [1.0], 2.0, 3.0)
     assert rep["lhs_measure"] == 0.0 and rep["rhs_measure"] == 0.0
 
 
 def test_good_lambda_finite_on_random_fields():
     for f in mg.field_ensemble(mg.FieldEnsembleSpec(1, 5, 9, seed=11)):
         for lam in (0.25, 1.0):
-            rep = mg.good_lambda_check(f, lam, 2.5, 2.5)
+            rep, = mg.good_lambda_check(f, [lam], 2.5, 2.5)
             assert math.isfinite(rep["ratio"])
 
 
