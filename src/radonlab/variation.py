@@ -17,6 +17,17 @@ longest chain whose consecutive gaps exceed lambda strictly (a constant
 sequence counts 1).  The number of jumps along that chain is one less, and
 that is the quantity every inequality here uses; checks state this
 explicitly.
+
+Shapes: `vr_exact_batch` and `jump_count_batch` take m sequences as the
+rows of an (m, n) array and return m values.  The checks
+(`sup_bound_check`, `split_bound_check`, `l2_bound_check`,
+`oscillation_holder_check`, `long_short_split`, `jump_variation_check`,
+`dyadic_level_square_bound`, and `vr_long`, `vr_short`, `oscillation`
+under them) take one sequence (n,), giving floats, or a block (m, n)
+sharing one set of labels, giving length-m arrays.  A check runs the
+engine once per (block, part, r), so checking many sequences at once
+costs one engine run per part rather than one per sequence, and a
+block's row equals the one-sequence result to the last bit.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ import numpy as np
 from .errors import BudgetError
 
 BRUTEFORCE_LIMIT = 16
+_GAIN_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -74,26 +86,30 @@ def _check_r(r: float):
         raise ValueError(f"need r >= 1, got {r}")
 
 
-def _longest_chain(v: np.ndarray, gain) -> tuple[np.ndarray, np.ndarray]:
+def _longest_chain(v: np.ndarray, gain) -> np.ndarray:
     """The one chain recursion behind V_r and the jump counts.
 
     v is (n,) for one sequence or (n, m) for m sequences in columns.  A
     chain i_0 < ... < i_k earns gain(|v_{i_{t+1}} - v_{i_t}|) per step;
     best[j] is the largest total over chains ending at j, floored at 0 so
-    any point may start a chain, and prev[j] is the predecessor attaining
-    it (meaningful where best[j] > 0).  One row of candidates at a time:
-    O(m n^2) time, O(m n) memory.
+    any point may start a chain.  Once best[i] is final it is pushed to
+    every later j.  The gains of as many predecessors as fit in
+    `_GAIN_BYTES` of differences are taken in one array operation, so a
+    short sequence costs a few array operations per point and a long
+    batch one predecessor at a time.  Returns best.  O(m n^2) time,
+    O(m n) memory.
     """
+    n = len(v)
     best = np.zeros(v.shape)
-    prev = np.zeros(v.shape, dtype=np.intp)
-    # The column indices of a batch, () for one sequence, so that
-    # cand[(i, *cols)] is cand[i] or cand[i, arange(m)].
-    cols = tuple(np.indices(v.shape[1:]))
-    for j in range(1, len(v)):
-        cand = np.maximum(best[:j] + gain(np.abs(v[j] - v[:j])), 0.0)
-        prev[j] = i = cand.argmax(axis=0)
-        best[j] = cand[(i, *cols)]
-    return best, prev
+    rows = max(1, _GAIN_BYTES // (16 * v.size))
+    for i0 in range(0, n - 1, rows):
+        i1 = min(i0 + rows, n - 1)
+        # g[a, b] is the gain from i0 + a to i0 + 1 + b.
+        g = gain(np.abs(v[i0 + 1:] - v[i0:i1, None]))
+        for i in range(i0, i1):
+            later = best[i + 1:]
+            np.maximum(later, best[i] + g[i - i0, i - i0:], out=later)
+    return best
 
 
 def vr_exact(a, r: float, labels=None) -> VariationResult:
@@ -104,10 +120,13 @@ def vr_exact(a, r: float, labels=None) -> VariationResult:
     """
     _check_r(r)
     s = as_sample(a, labels)
-    best, prev = _longest_chain(s.values, lambda d: d ** r)
+    v = s.values
+    best = _longest_chain(v, lambda d: d ** r)
     chain = [int(np.argmax(best))]
     while best[chain[-1]] > 0:
-        chain.append(int(prev[chain[-1]]))
+        # The first predecessor attaining best[j].
+        j = chain[-1]
+        chain.append(int(np.argmax(best[:j] + np.abs(v[j] - v[:j]) ** r)))
     # The root as an array operation, exactly as in vr_exact_batch.
     value = best.max(keepdims=True) ** (1.0 / r)
     return VariationResult(float(value[0]),
@@ -123,7 +142,7 @@ def vr_exact_batch(values: np.ndarray, r: float) -> np.ndarray:
     """Batched r-variation: values is (m, n); returns the m values."""
     _check_r(r)
     v = np.atleast_2d(np.asarray(values, dtype=complex))
-    best, _ = _longest_chain(np.ascontiguousarray(v.T), lambda d: d ** r)
+    best = _longest_chain(np.ascontiguousarray(v.T), lambda d: d ** r)
     return best.max(axis=0) ** (1.0 / r)
 
 
@@ -188,114 +207,146 @@ def vr_bruteforce_batch(values: np.ndarray, r: float) -> np.ndarray:
     return best ** (1.0 / r)
 
 
-def _require_integer_labels(s: SeqSample) -> np.ndarray:
-    lab = s.labels
+def _block(a, labels=None) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(rows, labels, one) of a sequence (n,) or a block of rows (m, n).
+
+    The rows are (m, n) complex and share the labels; `one` marks a single
+    sequence, whose results the checks give as floats.
+    """
+    if isinstance(a, SeqSample):
+        return a.values[None], a.labels, True
+    v = np.asarray(a, dtype=complex)
+    if v.ndim not in (1, 2) or v.shape[-1] == 0:
+        raise ValueError("need a sequence (n,) or a block of rows (m, n)")
+    if labels is None:
+        labels = np.arange(v.shape[-1], dtype=float)
+    else:
+        labels = SeqSample(np.zeros(v.shape[-1]), labels).labels
+    return v.reshape(-1, v.shape[-1]), labels, v.ndim == 1
+
+
+def _out(one: bool, *results):
+    """A check's length-m results, as floats when it got one sequence."""
+    out = tuple(float(x[0]) if one else x for x in results)
+    return out if len(out) > 1 else out[0]
+
+
+def _pow(x: np.ndarray, e: float) -> np.ndarray:
+    """x ** e per element in Python floats.
+
+    NumPy's vectorized power may round differently from the scalar pow
+    (on an AVX-512 machine it did for about 5% of random inputs at e = 3),
+    so the checks raise to powers this way and a block stays
+    bit-identical to its rows.
+    """
+    return np.array([t ** e for t in x.tolist()])
+
+
+def _require_integer_labels(lab: np.ndarray) -> np.ndarray:
     ilab = np.round(lab).astype(np.int64)
     if np.any(np.abs(lab - ilab) > 0) or np.any(ilab < 1):
         raise ValueError("long/short variation needs positive integer labels")
     return ilab
 
 
-def vr_long(a, r: float, labels=None) -> float:
+def vr_long(a, r: float, labels=None):
     """Variation along the powers of two present among the labels."""
-    s = as_sample(a, labels)
-    ilab = _require_integer_labels(s)
+    v, lab, one = _block(a, labels)
+    ilab = _require_integer_labels(lab)
     dyadic = (ilab & (ilab - 1)) == 0  # powers of two (labels >= 1)
-    if dyadic.sum() <= 1:
-        return 0.0
-    return vr_value(s.values[dyadic], r)
+    return _out(one, vr_exact_batch(v[:, dyadic], r) if dyadic.sum() > 1
+                else np.zeros(len(v)))
 
 
-def vr_short(a, r: float, labels=None) -> float:
+def vr_short(a, r: float, labels=None):
     """l^r sum over dyadic blocks [2^n, 2^{n+1}) of within-block variation."""
     _check_r(r)
-    s = as_sample(a, labels)
-    ilab = _require_integer_labels(s)
-    block = np.floor(np.log2(ilab)).astype(int)
-    total = 0.0
+    v, lab, one = _block(a, labels)
+    block = np.floor(np.log2(_require_integer_labels(lab))).astype(int)
+    total = np.zeros(len(v))
     for b in np.unique(block):
         sel = block == b
         if sel.sum() > 1:
-            total += vr_value(s.values[sel], r) ** r
-    return total ** (1.0 / r)
+            total += _pow(vr_exact_batch(v[:, sel], r), r)
+    return _out(one, _pow(total, 1.0 / r))
 
 
-def long_short_split(a, r: float, labels=None) -> tuple[float, float, float]:
+def long_short_split(a, r: float, labels=None):
     """(V_r, V_r^long, V_r^short); V_r <= 2 (long + short) on full ranges."""
-    s = as_sample(a, labels)
-    return (vr_value(s, r), vr_long(s, r), vr_short(s, r))
+    v, lab, one = _block(a, labels)
+    return _out(one, vr_exact_batch(v, r), vr_long(v, r, lab),
+                vr_short(v, r, lab))
 
 
-def sup_bound_check(a, r: float) -> tuple[float, float]:
+def sup_bound_check(a, r: float):
     """sup_j |a_j| <= 2 V_r + min_{j0} |a_{j0}| (worst anchor).
 
     Returns (lhs, rhs).
     """
-    s = as_sample(a)
-    mags = np.abs(s.values)
-    vr = vr_value(s, r)
-    return float(mags.max()), float(2.0 * vr + mags.min())
+    v, _, one = _block(a)
+    mags = np.abs(v)
+    return _out(one, mags.max(axis=1),
+                2.0 * vr_exact_batch(v, r) + mags.min(axis=1))
 
 
-def split_bound_check(a, r: float, w_label: float,
-                      labels=None) -> tuple[float, float]:
+def split_bound_check(a, r: float, w_label: float, labels=None):
     """V_r(all) <= 2 sup|a| + V_r(labels < w) + V_r(labels >= w).
 
     Returns (lhs, rhs).
     """
-    s = as_sample(a, labels)
-    left = s.labels < w_label
-    lhs = vr_value(s, r)
-    parts = 0.0
-    if left.sum() > 1:
-        parts += vr_value(s.values[left], r)
-    if (~left).sum() > 1:
-        parts += vr_value(s.values[~left], r)
-    return lhs, float(2.0 * np.abs(s.values).max() + parts)
+    v, lab, one = _block(a, labels)
+    left = lab < w_label
+    lhs = vr_exact_batch(v, r)
+    parts = np.zeros(len(v))
+    for side in (left, ~left):
+        if side.sum() > 1:
+            parts += vr_exact_batch(v[:, side], r)
+    return _out(one, lhs, 2.0 * np.abs(v).max(axis=1) + parts)
 
 
-def l2_bound_check(a, r: float) -> tuple[float, float]:
+def l2_bound_check(a, r: float):
     """For r >= 2: V_r <= 2 (sum |a_j|^2)^{1/2}.  Returns (lhs, rhs)."""
     if r < 2:
         raise ValueError("the l^2 bound needs r >= 2")
-    s = as_sample(a)
-    return (vr_value(s, r),
-            float(2.0 * np.sqrt((np.abs(s.values) ** 2).sum())))
+    v, _, one = _block(a)
+    return _out(one, vr_exact_batch(v, r),
+                2.0 * np.sqrt((np.abs(v) ** 2).sum(axis=1)))
 
 
-def oscillation(a, lacunary, J: int, labels=None) -> float:
+def oscillation(a, lacunary, J: int, labels=None):
     """O_J = (sum_{j<=J} sup_{n_j < n <= n_{j+1}} |a_n - a_{n_j}|^2)^{1/2}.
 
     `lacunary` lists the anchor labels n_1 < n_2 < ...; J consecutive gaps
     are used, so J must not exceed len(lacunary) - 1.
     """
-    s = as_sample(a, labels)
+    v, lab, one = _block(a, labels)
     lac = np.asarray(lacunary, dtype=float)
     if lac.ndim != 1 or lac.size < 2 or np.any(np.diff(lac) <= 0):
         raise ValueError("lacunary anchors must be strictly increasing")
     if J < 1 or J > lac.size - 1:
         raise ValueError(f"J={J} exceeds available lacunary gaps")
-    if lac[0] < s.labels[0] or lac[J] > s.labels[-1]:
+    if lac[0] < lab[0] or lac[J] > lab[-1]:
         raise ValueError("lacunary anchors outside the label range")
-    total = 0.0
-    for j in range(J):
-        anchor = s.values[np.searchsorted(s.labels, lac[j])]
-        if not np.isclose(s.labels[np.searchsorted(s.labels, lac[j])],
-                          lac[j]):
-            raise ValueError(f"anchor {lac[j]} is not a label")
-        inside = (s.labels > lac[j]) & (s.labels <= lac[j + 1])
+    at = np.searchsorted(lab, lac[:J])
+    off = ~np.isclose(lab[at], lac[:J])
+    if off.any():
+        raise ValueError(f"anchor {lac[:J][off][0]} is not a label")
+    total = np.zeros(len(v))
+    for j, i in enumerate(at):
+        inside = (lab > lac[j]) & (lab <= lac[j + 1])
         if inside.any():
-            total += float(np.max(np.abs(s.values[inside] - anchor)) ** 2)
-    return total ** 0.5
+            total += _pow(np.abs(v[:, inside] - v[:, i:i + 1]).max(axis=1),
+                          2)
+    return _out(one, _pow(total, 0.5))
 
 
-def oscillation_holder_check(a, lacunary, J: int, r: float) -> tuple[float, float]:
+def oscillation_holder_check(a, lacunary, J: int, r: float):
     """O_J <= J^{1/2 - 1/r} V_r for r >= 2.  Returns (lhs, rhs)."""
     if r < 2:
         raise ValueError("the oscillation bound needs r >= 2")
-    s = as_sample(a)
-    return (oscillation(s, lacunary, J),
-            float(J ** (0.5 - 1.0 / r) * vr_value(s, r)))
+    v, lab, one = _block(a)
+    return _out(one, oscillation(v, lacunary, J, lab),
+                J ** (0.5 - 1.0 / r) * vr_exact_batch(v, r))
 
 
 def jump_count(a, lam: float) -> int:
@@ -309,7 +360,7 @@ def jump_count(a, lam: float) -> int:
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     s = as_sample(a)
-    best, _ = _longest_chain(s.values,
+    best = _longest_chain(s.values,
                              lambda d: np.where(d > lam, 1.0, -np.inf))
     return int(best.max()) + 1
 
@@ -338,22 +389,22 @@ def jump_count_batch(values: np.ndarray, lam: float) -> np.ndarray:
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     v = np.atleast_2d(np.asarray(values, dtype=complex))
-    best, _ = _longest_chain(np.ascontiguousarray(v.T),
+    best = _longest_chain(np.ascontiguousarray(v.T),
                              lambda d: np.where(d > lam, 1.0, -np.inf))
     return best.max(axis=0).astype(int) + 1
 
 
-def jump_variation_check(a, lam: float, r: float) -> tuple[float, float]:
+def jump_variation_check(a, lam: float, r: float):
     """(jump_count - 1) <= lam^{-r} V_r^r.  Returns (lhs, rhs)."""
     _check_r(r)
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    s = as_sample(a)
-    return (float(jump_count(s, lam) - 1),
-            float(lam ** (-r) * vr_value(s, r) ** r))
+    v, _, one = _block(a)
+    return _out(one, (jump_count_batch(v, lam) - 1).astype(float),
+                lam ** (-r) * _pow(vr_exact_batch(v, r), r))
 
 
-def dyadic_level_square_bound(a, r: float) -> tuple[float, float]:
+def dyadic_level_square_bound(a, r: float):
     """V_r vs sqrt(2) * sum over strides 2^i of the l^2 of stride differences.
 
     For a sequence of length 2^s + 1 and r >= 2:
@@ -362,18 +413,17 @@ def dyadic_level_square_bound(a, r: float) -> tuple[float, float]:
     """
     if r < 2:
         raise ValueError("the dyadic level bound needs r >= 2")
-    s = as_sample(a)
-    n = len(s) - 1
+    v, _, one = _block(a)
+    n = v.shape[1] - 1
     if n < 1 or n & (n - 1):
         raise ValueError("length must be 2^s + 1")
-    v = s.values
-    rhs = 0.0
+    rhs = np.zeros(len(v))
     stride = 1
     while stride <= n:
-        diffs = v[stride::stride] - v[:-stride:stride]
-        rhs += float(np.sqrt((np.abs(diffs) ** 2).sum()))
+        diffs = v[:, stride::stride] - v[:, :-stride:stride]
+        rhs += np.sqrt((np.abs(diffs) ** 2).sum(axis=1))
         stride *= 2
-    return vr_value(s, r), float(np.sqrt(2.0) * rhs)
+    return _out(one, vr_exact_batch(v, r), np.sqrt(2.0) * rhs)
 
 
 def even_partition(u: int, v: int, h: int) -> tuple[int, ...]:

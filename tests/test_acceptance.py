@@ -68,15 +68,16 @@ def test_dyadic_level_square_constant():
     started = time.perf_counter()
     violations = 0
     for s, block in seq_ensembles().items():
-        for a in block:
-            for r in (2.0, 3.0):
-                lhs, rhs = dyadic_level_square_bound(a, r)
-                violations += lhs > rhs + 1e-9
+        for r in (2.0, 3.0):
+            lhs, rhs = dyadic_level_square_bound(block, r)
+            violations += int(np.sum(lhs > rhs + 1e-9))
     verdict("sqrt(2) dyadic-level square bound, 1000 draws per level",
             violations == 0, time.perf_counter() - started, budget=60.0)
 
 
 def test_explicit_constant_seminorm_facts():
+    # Each check takes a whole level's block at once; a block's row equals
+    # the one-sequence check to the last bit (tests/test_variation.py).
     started = time.perf_counter()
     violations = 0
     total = 0
@@ -84,21 +85,22 @@ def test_explicit_constant_seminorm_facts():
         n = 2 ** s + 1
         anchors = [0] + [2 ** i for i in range(s + 1)]
         labels = np.arange(1, n + 1)
-        for a in block:
-            for r in (2.0, 3.0):
-                checks = [sup_bound_check(a, r),
-                          split_bound_check(a, r, n / 2),
-                          l2_bound_check(a, r),
-                          oscillation_holder_check(a, anchors, s + 1, r)]
-                v, lng, sht = long_short_split(a, r, labels=labels)
-                checks.append((v, 2.0 * (lng + sht)))
-                for lam in (0.25, 1.0):
-                    checks.append(jump_variation_check(a, lam, r))
-                for lhs, rhs in checks:
-                    total += 1
-                    # Equality is attained on degenerate subsequences, so
-                    # pure roundoff needs a few ulps of slack.
-                    violations += lhs > rhs + 1e-12 * max(1.0, rhs)
+        for r in (2.0, 3.0):
+            checks = [sup_bound_check(block, r),
+                      split_bound_check(block, r, n / 2),
+                      l2_bound_check(block, r),
+                      oscillation_holder_check(block, anchors, s + 1, r)]
+            v, lng, sht = long_short_split(block, r, labels=labels)
+            checks.append((v, 2.0 * (lng + sht)))
+            for lam in (0.25, 1.0):
+                checks.append(jump_variation_check(block, lam, r))
+            for lhs, rhs in checks:
+                total += lhs.size
+                # Equality is attained on degenerate subsequences, so
+                # pure roundoff needs a few ulps of slack.
+                violations += int(np.sum(lhs > rhs
+                                         + 1e-12 * np.maximum(1.0, rhs)))
+    assert total == 84000
     verdict(f"explicit-constant seminorm bounds, {total} checks",
             violations == 0, time.perf_counter() - started)
 

@@ -265,6 +265,11 @@ def test_jump_ties_at_lambda_do_not_count():
                 == [vr.jump_count(row, lam) for row in rows])
     assert vr.jump_count([4.0], 0.0) == 1
     assert vr.jump_count_batch(rows[:, :1], 0.0).tolist() == [1, 1, 1]
+    # The check takes the block too: jumps are points minus one.
+    lhs, rhs = vr.jump_variation_check(rows, 1.0, 2.0)
+    assert lhs.tolist() == [1.0, 0.0, 0.0]
+    assert rhs.tolist() == [vr.jump_variation_check(row, 1.0, 2.0)[1]
+                            for row in rows]
 
 
 @given(st.lists(st.integers(-3, 3), min_size=1, max_size=10),
@@ -325,3 +330,103 @@ def test_mixed_variation_fitted_constant(rng):
 def test_mixed_variation_rejects_off_label_breakpoints():
     with pytest.raises(ValueError):
         vr.mixed_variation_bound([0, 1, 0], (1, 1.7, 2), 2, labels=[1, 1.5, 2])
+
+
+# blocks of sequences ----------------------------------------------------
+
+def assert_block_is_its_rows(check, block, *args, **kwargs):
+    """check(block) holds length-m arrays whose rows are the one-row
+    floats of check(row), bit for bit."""
+    got = check(block, *args, **kwargs)
+    got = got if isinstance(got, tuple) else (got,)
+    for x in got:
+        assert isinstance(x, np.ndarray) and x.shape == (len(block),)
+    for i, row in enumerate(block):
+        want = check(row, *args, **kwargs)
+        want = want if isinstance(want, tuple) else (want,)
+        assert all(type(w) is float for w in want)
+        assert (np.array([x[i] for x in got]).tobytes()
+                == np.array(want).tobytes())
+
+
+def check_block(rng, n, m=12):
+    block = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    block[0] = 2.5          # a constant row
+    block[1] = block[2]     # a repeated row
+    return block
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 33])
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0])
+def test_checks_on_a_block_equal_their_rows(rng, n, r):
+    block = check_block(rng, n)
+    labels = np.arange(1, n + 1)
+    assert_block_is_its_rows(vr.sup_bound_check, block, r)
+    # w = n / 2 splits; w = 0 and w = n + 1 leave one side empty.
+    for w in (n / 2, 0.0, n + 1.0):
+        assert_block_is_its_rows(vr.split_bound_check, block, r, w,
+                                 labels=labels)
+    assert_block_is_its_rows(vr.long_short_split, block, r, labels=labels)
+    assert_block_is_its_rows(vr.vr_long, block, r, labels=labels)
+    assert_block_is_its_rows(vr.vr_short, block, r, labels=labels)
+    for lam in (0.25, 1.0):
+        assert_block_is_its_rows(vr.jump_variation_check, block, lam, r)
+    if r >= 2:
+        assert_block_is_its_rows(vr.l2_bound_check, block, r)
+    if r >= 2 and n >= 2:
+        lac = [0, n // 2, n - 1] if n // 2 not in (0, n - 1) else [0, n - 1]
+        assert_block_is_its_rows(vr.oscillation_holder_check, block, lac,
+                                 len(lac) - 1, r)
+
+
+@pytest.mark.parametrize("s", [0, 1, 3, 6])
+@pytest.mark.parametrize("r", [2.0, 3.0])
+def test_dyadic_level_block_equals_its_rows(rng, s, r):
+    assert_block_is_its_rows(vr.dyadic_level_square_bound,
+                             check_block(rng, 2 ** s + 1), r)
+
+
+def test_checks_round_as_their_scalar_formulas(rng):
+    # Powers are taken in Python floats, as the one-sequence definitions
+    # state them; NumPy's vectorized power may round some values apart.
+    # Sums are row sums, so a block adds in the order one sequence does.
+    n, r, lam = 17, 3.0, 0.5
+    block = check_block(rng, n, m=40)
+    labels = np.arange(1, n + 1)
+    short = vr.vr_short(block, r, labels=labels)
+    _, jump_rhs = vr.jump_variation_check(block, lam, r)
+    osc, _ = vr.oscillation_holder_check(block, [0, 4, 16], 2, r)
+    _, l2_rhs = vr.l2_bound_check(block, r)
+    _, dyadic_rhs = vr.dyadic_level_square_bound(block, r)
+    for i, a in enumerate(block):
+        assert l2_rhs[i] == 2.0 * np.sqrt((np.abs(a) ** 2).sum())
+        levels = 0.0
+        for stride in (1, 2, 4, 8, 16):
+            d = a[stride::stride] - a[:-stride:stride]
+            levels += float(np.sqrt((np.abs(d) ** 2).sum()))
+        assert dyadic_rhs[i] == np.sqrt(2.0) * levels
+        total = 0.0
+        for lo, hi in ((2, 4), (4, 8), (8, 16), (16, 18)):
+            total += vr.vr_value(a[lo - 1:hi - 1], r) ** r
+        assert short[i] == total ** (1.0 / r)
+        assert jump_rhs[i] == lam ** (-r) * vr.vr_value(a, r) ** r
+        sq = (float(np.abs(a[1:5] - a[0]).max()) ** 2
+              + float(np.abs(a[5:17] - a[4]).max()) ** 2)
+        assert osc[i] == sq ** 0.5
+
+
+def test_checks_on_a_block_keep_their_refusals():
+    block = np.ones((3, 5), dtype=complex)
+    for bad in (lambda: vr.l2_bound_check(block, 1.5),
+                lambda: vr.oscillation_holder_check(block, [0, 2, 4], 2, 1.5),
+                lambda: vr.dyadic_level_square_bound(block, 1.5),
+                lambda: vr.dyadic_level_square_bound(block[:, :4], 2.0),
+                lambda: vr.jump_variation_check(block, 0.0, 2.0),
+                lambda: vr.jump_variation_check(block, -1.0, 2.0),
+                lambda: vr.sup_bound_check(block, 0.5),
+                lambda: vr.sup_bound_check(block[None], 2.0),
+                lambda: vr.long_short_split(block, 2.0, labels=np.arange(5)),
+                lambda: vr.split_bound_check(block, 2.0, 1.0,
+                                             labels=[0, 1, 1, 2, 3])):
+        with pytest.raises(ValueError):
+            bad()
