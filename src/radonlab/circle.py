@@ -20,6 +20,7 @@ likewise computed and reported, never assumed.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -37,15 +38,16 @@ PAIR_BUDGET = 40_000_000
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
-def _primes_upto(n: int) -> list[int]:
+@functools.lru_cache(maxsize=32)
+def _primes_upto(n: int) -> tuple[int, ...]:
     if n < 2:
-        return []
+        return ()
     sieve = np.ones(n + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, int(math.isqrt(n)) + 1):
         if sieve[p]:
             sieve[p * p::p] = False
-    return [int(p) for p in np.nonzero(sieve)[0]]
+    return tuple(int(p) for p in np.nonzero(sieve)[0])
 
 
 def _legendre_valuation(n: int, p: int) -> int:
@@ -593,8 +595,13 @@ def singular_arc_multiplier(j: int, l: int, rho: float, chi: float, Q,
         scale_exp = shell_s
         label = f"singular-arc(j={j}, s={shell_s}, l={l})"
     centers = fractions.as_array().reshape(len(fractions), d)
-    gauss = np.array([gauss_sum(f.q, list(f.numerators), Q)
-                      for f in fractions.members], dtype=complex)
+    by_q: dict[int, list[int]] = {}
+    for i, f in enumerate(fractions.members):
+        by_q.setdefault(f.q, []).append(i)
+    gauss = np.empty(len(fractions), dtype=complex)
+    for q, rows in by_q.items():
+        gauss[rows] = gauss_sum(
+            q, [fractions.members[i].numerators for i in rows], Q)
     eta = BumpFunction(d)
     scales = 2.0 ** (scale_exp * (degrees - chi))
 

@@ -162,13 +162,12 @@ def _run_gauss_scan(params, config, budgets) -> RunOutcome:
             restricted = np.abs(table[0, mask])
             dev = float(np.max(np.abs(restricted * math.sqrt(q) - 1.0)))
         else:
-            best, dev = 0.0, math.nan
-            for a in range(1, max(q, 2)):
-                if math.gcd(a, q) != 1:
-                    continue
-                vec = (0,) * (Q.d - 1) + (a,)
-                best = max(best, abs(gauss_sum(q, vec, Q,
-                                               budgets["lattice_points"])))
+            tops = [a for a in range(1, q) if math.gcd(a, q) == 1]
+            vecs = np.zeros((len(tops), Q.d), dtype=np.int64)
+            vecs[:, -1] = tops
+            sums = gauss_sum(q, vecs, Q, budgets["lattice_points"])
+            best = max(map(abs, sums.tolist()))
+            dev = math.nan
         return {"q": q, "max": best, "classical_dev": dev}
 
     qs = list(range(2, q_max + 1))

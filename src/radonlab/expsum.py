@@ -10,6 +10,11 @@ is a Gauss sum times a continuous multiplier, up to an explicit error.
 Rational phases are computed exactly: the inner product <a/q, Q(y)> is an
 integer residue mod q before any trigonometry, so a Gauss sum's phase set
 is exact and only the final average rounds.
+
+The kernels take one input or a batch: `gauss_sum` one numerator vector
+(d,) or a block (m, d), `phase_sum` and the multipliers one frequency (d,)
+or a batch (F, d).  One input gives a complex, a batch an array, and a
+row of a batch equals its one-input call bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .polymap import ConvexBody, PolynomialMapping, ball, lattice_points
 
 GAUSS_BUDGET = 100_000_000
 QUAD_NODE_BUDGET = 1 << 22  # integrand nodes per quadrature call
-_PHASE_CHUNK = 1 << 16  # phase_sum's chunk: ~1 MB of complex values
+_PHASE_CHUNK = 1 << 16  # phase_sum's and gauss_sum's chunk, ~1 MB
 _INT64_MODULUS_MAX = math.isqrt(2 ** 63 - 1)
 
 
@@ -86,38 +91,69 @@ def residue_classes(q: int, d: int) -> np.ndarray:
     return grid[keep]
 
 
-def gauss_sum(q: int, a, Q: PolynomialMapping,
-              budget: int = GAUSS_BUDGET) -> complex:
+def gauss_sum(q: int, a, Q: PolynomialMapping, budget: int = GAUSS_BUDGET):
     """Normalized complete sum q^{-k} sum_{y in {1..q}^k} e(<a/q, Q(y)>).
 
-    The phase <a, Q(y)> mod q is exact int64 arithmetic: every product
-    and sum is reduced mod q right away, so no intermediate exceeds q^2,
-    which fits in int64 for q <= isqrt(2^63 - 1).
+    a is one numerator vector (d,), giving a complex, or a block (m, d),
+    giving an (m,) array; a row of a block equals its one-vector call bit
+    for bit.  The monomial residues y^gamma mod q and the root table
+    e(r/q) are built once per call and shared by every row; rows go in
+    chunks of at most _PHASE_CHUNK products a_i y^gamma_i (or one row), so
+    memory stays flat in m.  The budget bounds each sum's q^k terms.
+
+    The phase <a, Q(y)> mod q is exact int64 arithmetic: numerators are
+    reduced mod q before the int64 cast, so any Python int is admitted;
+    every product is reduced mod q right away, and the d reduced products
+    sum to less than d q before their own reduction.  No intermediate
+    exceeds max(q^2, d q), which fits in int64 for q <= isqrt(2^63 - 1).
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    a = tuple(int(x) for x in a)
-    if len(a) != Q.d:
+    a = np.asarray(a)
+    if a.ndim not in (1, 2) or a.shape[-1] != Q.d:
         raise ValueError("numerator vector does not match the index set")
-    if q ** Q.k > budget:
-        raise BudgetError(f"complete sum has {q ** Q.k} terms",
-                          estimate=q ** Q.k)
+    terms = q ** Q.k
+    if terms > budget:
+        raise BudgetError(f"complete sum has {terms} terms", estimate=terms)
     if q > _INT64_MODULUS_MAX:
         raise BudgetError(f"modulus {q} squared overflows int64",
-                          estimate=q ** Q.k)
-    axes = np.meshgrid(*[np.arange(1, q + 1, dtype=np.int64) % q] * Q.k,
-                       indexing="ij", sparse=True)
-    residues = np.zeros((q,) * Q.k, dtype=np.int64)
+                          estimate=terms)
+    if a.dtype != np.int64:  # e.g. Python ints of any size or sign
+        a = (a.astype(object) % q).astype(np.int64)
+    block = (a % q).reshape(-1, Q.d)
+    y = np.arange(1, q + 1, dtype=np.int64)
+    y[-1] = 0  # y = q is 0 mod q
+    axes = [y.reshape((1,) * j + (q,) + (1,) * (Q.k - j - 1))
+            for j in range(Q.k)]
+    monos = np.empty((Q.d,) + (q,) * Q.k, dtype=np.int64)
     for i, g in enumerate(Q.gamma):
-        mono = a[i] % q
-        if mono == 0:
-            continue
-        for y, e in zip(axes, g):
+        mono = None
+        for axis, e in zip(axes, g):
             for _ in range(e):
-                mono = mono * y % q
-        residues = (residues + mono) % q
-    phases = np.exp(2j * np.pi * residues.ravel() / q)
-    return complex(phases.sum() / q ** Q.k)
+                mono = axis if mono is None else mono * axis % q
+        monos[i] = mono
+    monos = monos.reshape(Q.d, terms)
+    roots = np.exp(2j * np.pi * np.arange(q) / q)
+    out = np.empty(len(block), dtype=complex)
+    rows = max(1, _PHASE_CHUNK // (Q.d * terms))
+    for lo in range(0, len(block), rows):
+        products = block[lo:lo + rows, :, None] * monos
+        products %= q
+        residues = np.add.reduce(products, axis=1)
+        residues %= q
+        np.add.reduce(roots[residues], axis=1, out=out[lo:lo + rows])
+    return out / terms if a.ndim == 2 else complex(out[0] / terms)
+
+
+def _prime_divisors(q: int) -> list[int]:
+    out, p = [], 2
+    while p * p <= q:
+        if q % p == 0:
+            out.append(p)
+            while q % p == 0:
+                q //= p
+        p += 1
+    return out + [q] if q > 1 else out
 
 
 def gauss_scan_quadratic(q: int) -> np.ndarray:
@@ -125,16 +161,20 @@ def gauss_scan_quadratic(q: int) -> np.ndarray:
 
     The (q x q) table of normalized magnitudes is the 2-D DFT of the
     incidence array of y -> (y mod q, y^2 mod q); entry [a1, a2] is
-    |G((a1, a2)/q)|.  Classes failing the joint gcd condition are masked
-    with NaN.  Cross-checked against gauss_sum in the tests.
+    |G((a1, a2)/q)|.  Classes failing the joint gcd condition, those
+    where some prime p | q divides both a1 and a2, are masked with NaN.
+    Cross-checked against gauss_sum in the tests.
     """
     y = np.arange(1, q + 1, dtype=np.int64)
     inc = np.zeros((q, q))
     np.add.at(inc, (y % q, (y * y) % q), 1.0)
     mags = np.abs(np.fft.fft2(inc)) / q
-    a1, a2 = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
-    ok = np.gcd(np.gcd(a1, a2), q) == 1
-    return np.where(ok, mags, np.nan)
+    a = np.arange(q)
+    shared = np.zeros((q, q), dtype=bool)
+    for p in _prime_divisors(q):
+        hit = a % p == 0
+        shared |= np.outer(hit, hit)
+    return np.where(shared, np.nan, mags)
 
 
 # -- lattice multipliers --------------------------------------------------

@@ -15,6 +15,7 @@ rather than detected.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -78,9 +79,10 @@ class PolynomialMapping:
             raise ValueError("zero mapping has no degree")
         return max(degs)
 
-    @property
+    @functools.cached_property
     def gamma(self) -> tuple[tuple[int, ...], ...]:
-        """The index set of a canonical mapping, one monomial per component."""
+        """The index set of a canonical mapping, one monomial per component;
+        computed on first use, since gauss_sum reads it on every call."""
         if any(list(comp.values()) != [1] for comp in self.coeffs):
             raise ValueError("not a canonical mapping: each component must "
                              "be one monomial with coefficient 1")

@@ -296,6 +296,8 @@ def test_thread_count_determinism(tmp_path, capsys):
         # m^d = 20^3 > 4096: the kernel-dft row samples its frequencies
         ["multiplier-apply", "--seed", "3", "--deg", "3", "--n", "2",
          "--m", "20", "--trials", "2", "--freq-points", "8"],
+        # one batched Gauss-sum call per q on the deg >= 3 branch
+        ["gauss-scan", "--deg", "3", "--q-max", "40"],
     )
     ok = True
     for argv in jobs:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,71 @@ def test_gauss_cubic_past_int64_cube_is_exact():
     assert q % 3 == 2 and (q - 1) ** 3 > 2 ** 63
     g = es.gauss_sum(q, (0, 0, 1), canonical_mapping(1, 3))
     assert abs(g) < 1e-10
+
+
+@pytest.mark.parametrize("Q", [Q_QUAD, canonical_mapping(1, 3),
+                               canonical_mapping(2, 2)])
+def test_gauss_block_equals_rows_bitwise(Q, rng):
+    for q in (1, 2, 7, 12, 31, 199):
+        # numerators past q and below zero, then Python ints past int64
+        block = rng.integers(-3 * q, 3 * q, size=(9, Q.d))
+        huge = [[(-1) ** i * (10 ** 30 + 7 * i + j) for j in range(Q.d)]
+                for i in range(2)]
+        for rows in (block, huge):
+            sums = es.gauss_sum(q, rows, Q)
+            assert sums.shape == (len(rows),) and sums.dtype == complex
+            for row, g in zip(rows, sums):
+                one = es.gauss_sum(q, tuple(int(x) for x in row), Q)
+                assert isinstance(one, complex)
+                assert np.array([one]).tobytes() == np.array([g]).tobytes()
+        # a numerator is only its class mod q
+        assert es.gauss_sum(q, huge[0], Q) == es.gauss_sum(
+            q, [x % q for x in huge[0]], Q)
+
+
+def test_gauss_empty_block():
+    sums = es.gauss_sum(7, np.zeros((0, 2), dtype=np.int64), Q_QUAD)
+    assert sums.shape == (0,) and sums.dtype == complex
+
+
+def test_gauss_block_of_wrong_width_is_refused():
+    with pytest.raises(ValueError):
+        es.gauss_sum(7, np.ones((4, 3), dtype=np.int64), Q_QUAD)
+    with pytest.raises(ValueError):
+        es.gauss_sum(7, np.ones((2, 4, 2), dtype=np.int64), Q_QUAD)
+
+
+@pytest.mark.parametrize("q, Q, budget", [
+    (10 ** 9, Q_QUAD, es.GAUSS_BUDGET),
+    (math.isqrt(2 ** 63 - 1) + 1, Q_LIN, 10 ** 19),
+])
+def test_gauss_block_guards_refuse_before_allocating(q, Q, budget):
+    block = np.ones((100_000, Q.d), dtype=np.int64)  # 0.8-1.6 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            es.gauss_sum(q, block, Q, budget=budget)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def _gcd_masked_scan(q):
+    # the scan with its joint gcd condition taken over the whole grid
+    y = np.arange(1, q + 1, dtype=np.int64)
+    inc = np.zeros((q, q))
+    np.add.at(inc, (y % q, (y * y) % q), 1.0)
+    mags = np.abs(np.fft.fft2(inc)) / q
+    a1, a2 = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
+    ok = np.gcd(np.gcd(a1, a2), q) == 1
+    return np.where(ok, mags, np.nan)
+
+
+def test_gauss_scan_prime_divisor_mask_matches_gcd_mask():
+    for q in range(1, 81):
+        table = es.gauss_scan_quadratic(q)
+        assert table.tobytes() == _gcd_masked_scan(q).tobytes()
 
 
 def test_rational_point_reduction():
