@@ -31,13 +31,13 @@ from .expsum import (GAUSS_BUDGET, ArcWindow, annulus_integral,
                      gauss_scan_quadratic, gauss_sum, major_arc_approx_check,
                      major_arc_diff_check, odd_power_kernel, reduce_fraction,
                      scale_norm)
-from .martingale import (FieldEnsembleSpec, conditional_expectation,
-                         doubling_constant, field_ensemble, good_lambda_check,
-                         haar_field, jump_bound_defect, lepingle_ratio,
-                         martingale_differences, ratio_sweep)
-from .operators import (EnsembleSpec, GridFunction, embed, ensemble,
-                        ergodic_average, ergodic_singular, grid_difference,
-                        pushforward_kernel, radon_average, truncated_singular,
+from .martingale import (DyadicField, FieldEnsembleSpec, _chunks,
+                         _integral_norm, _level_stack, doubling_constant,
+                         field_ensemble, good_lambda_check, haar_field,
+                         jump_bound_defect, lepingle_ratio, ratio_sweep)
+from .operators import (EnsembleSpec, GridFunction, apply_truncation, embed,
+                        ensemble, ergodic_average, ergodic_singular,
+                        grid_difference, pushforward_kernel, radon_average,
                         union_box, variation_growth_fit)
 from .polymap import canonical_mapping
 from .reporting import ResultRow
@@ -482,12 +482,6 @@ def _run_iw_build(params, config, budgets) -> RunOutcome:
 # -- operator-norm -----------------------------------------------------------------
 
 
-def _apply_family(f, Q, N, which, kernel, backend):
-    if which == "average":
-        return radon_average(f, Q, N, backend=backend).output
-    return truncated_singular(f, Q, N, kernel, backend=backend).output
-
-
 def _run_operator_norm(params, config, budgets) -> RunOutcome:
     """Backend agreement, structural identities, and empirical norms."""
     which = params["which"]
@@ -508,8 +502,8 @@ def _run_operator_norm(params, config, budgets) -> RunOutcome:
         i, f = item
         worst = 0.0
         for N in n_set:
-            a = _apply_family(f, Q, N, which, kernel, "direct")
-            b = _apply_family(f, Q, N, which, kernel, "fft")
+            a = apply_truncation(f, Q, N, kernel).output
+            b = apply_truncation(f, Q, N, kernel, backend="fft").output
             scale = max(float(np.abs(a.values).max()), 1e-300)
             worst = max(worst, grid_difference(a, b) / scale)
         return worst
@@ -536,9 +530,9 @@ def _run_operator_norm(params, config, budgets) -> RunOutcome:
     combo = GridFunction(f.box, a1 * f.values + a2 * g.values)
     worst = 0.0
     for N in n_set:
-        lhs = _apply_family(combo, Q, N, which, kernel, "direct")
-        fa = _apply_family(f, Q, N, which, kernel, "direct")
-        ga = _apply_family(g, Q, N, which, kernel, "direct")
+        lhs = apply_truncation(combo, Q, N, kernel).output
+        fa = apply_truncation(f, Q, N, kernel).output
+        ga = apply_truncation(g, Q, N, kernel).output
         rhs = GridFunction(fa.box, a1 * fa.values + a2 * ga.values)
         scale = max(float(np.abs(lhs.values).max()), 1e-300)
         worst = max(worst, grid_difference(lhs, rhs) / scale)
@@ -548,7 +542,7 @@ def _run_operator_norm(params, config, budgets) -> RunOutcome:
     exact = True
     for f in fields[:4]:
         for N in n_set:
-            direct = _apply_family(f, Q, N, which, kernel, "direct")
+            direct = apply_truncation(f, Q, N, kernel).output
             if which == "average":
                 orbit = ergodic_average(f, Q, N)
             else:
@@ -562,7 +556,7 @@ def _run_operator_norm(params, config, budgets) -> RunOutcome:
 
     p = params["p"]
     fit = variation_growth_fit(p, params["r_grid"], spec, Q, n_set,
-                               which=which, kernel=kernel)
+                               kernel=kernel)
     for rec in fit["rows"]:
         rows.append(ResultRow(name, "growth", {"p": p, "r": rec["r"]},
                               rec["max_ratio"], None, rec["scaled"], None))
@@ -588,24 +582,31 @@ def _run_lepingle(params, config, budgets) -> RunOutcome:
     name = config.experiment
     rows = []
 
+    # Both identities read level stacks: E_j (E_kk f) is column j of the
+    # stack of the fields E_kk f, and D_k f is column k minus column k-1.
+    shape = (2 ** L,) * m
     worst = 0.0
-    for f in fields[:min(len(fields), 24)]:
-        levels = [conditional_expectation(f, k) for k in range(L + 1)]
+    for chunk in _chunks(fields[:24]):
+        stack = _level_stack(chunk)
+        levels = stack.reshape(len(chunk), -1, L + 1)
         for kk in range(L + 1):
-            for j in range(kk + 1):
-                towered = conditional_expectation(levels[kk], j)
-                worst = max(worst, float(np.max(np.abs(
-                    towered.values - levels[j].values))))
+            towered = _level_stack(DyadicField(m, L, v[:, kk].reshape(shape))
+                                   for v in levels)
+            worst = max(worst, float(np.max(np.abs(
+                towered[:, :kk + 1] - stack[:, :kk + 1]))))
     rows.append(ResultRow(name, "tower", {"fields": min(len(fields), 24)},
                           worst, 1e-10, worst / 1e-10, worst <= 1e-10))
 
     worst = 0.0
-    for f in fields:
-        e0 = conditional_expectation(f, 0)
-        lhs = float(np.sum(np.abs(f.values - e0.values) ** 2)
-                    * f.cell_measure)
-        rhs = math.fsum(d.norm(2) ** 2 for d in martingale_differences(f))
-        worst = max(worst, abs(lhs - rhs) / max(1.0, lhs))
+    for chunk in _chunks(fields):
+        for f, v in zip(chunk, _level_stack(chunk).reshape(
+                len(chunk), -1, L + 1)):
+            lhs = float(np.sum(np.abs(v[:, L] - v[:, 0]) ** 2)
+                        * f.cell_measure)
+            rhs = math.fsum(_integral_norm(np.abs(v[:, k] - v[:, k - 1]), 2,
+                                           f.cell_measure) ** 2
+                            for k in range(1, L + 1))
+            worst = max(worst, abs(lhs - rhs) / max(1.0, lhs))
     rows.append(ResultRow(name, "orthogonality", {"fields": len(fields)},
                           worst, 1e-10, worst / 1e-10, worst <= 1e-10))
 

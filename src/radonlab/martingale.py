@@ -1,5 +1,5 @@
-"""Dyadic martingales on the unit cube, jump experiments, and the
-continuous averaging operator with its derivative formula.
+"""Dyadic martingales on the unit cube and the jump and variation
+experiments over their filtration.
 
 Fields are cell-constant on the finest dyadic grid of [0, 1)^m, so
 every coarser conditional expectation is an exact block average and the
@@ -31,9 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .operators import random_arrays
-from .variation import jump_count_batch, vr_exact_batch, vr_value
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+from .variation import jump_count_batch, vr_exact_batch
 
 # Rows of one level stack handed to the variation engine: 4 fields at
 # m = 1, L = 8.  Bounds a sweep's working set whatever the field count.
@@ -400,144 +398,3 @@ def field_ensemble(spec: FieldEnsembleSpec):
     for vals in random_arrays(spec.kinds, spec.size, spec.seed, centers,
                               spec.m, (0.25, 0.75), (0.05, 0.25)):
         yield DyadicField(spec.m, spec.L, vals)
-
-
-# -- continuous averages and the derivative formula -----------------------------------
-
-# Q is any PolynomialMapping, real coefficients included: these operators
-# only read Q.k, Q.d and Q.eval_real.
-
-
-def _body_points(Q, t: float, radial: int, angular: int):
-    """Midpoint nodes and weights for |G_t|^{-1} * integral over G_t.
-
-    k = 1 uses the interval (-t, t); k = 2 the disc of radius t in
-    polar coordinates (midpoint in radius, uniform midpoint in angle,
-    which is trapezoid-accurate on the periodic circle).
-    """
-    if Q.k == 1:
-        h = 2 * t / radial
-        r = -t + h * (np.arange(radial) + 0.5)
-        return r[:, None], np.full(radial, h / (2 * t))
-    if Q.k == 2:
-        hr = t / radial
-        ha = 2 * math.pi / angular
-        rr = hr * (np.arange(radial) + 0.5)
-        aa = ha * (np.arange(angular) + 0.5)
-        r, a = np.meshgrid(rr, aa, indexing="ij")
-        pts = np.stack([r * np.cos(a), r * np.sin(a)],
-                       axis=-1).reshape(-1, 2)
-        w = (r * hr * ha / (math.pi * t * t)).reshape(-1)
-        return pts, w
-    raise ValueError("only k <= 2 bodies are realized")
-
-
-def continuous_average(f, t: float, Q, x, radial: int = 128,
-                       angular: int = 128) -> np.ndarray:
-    """|G_t|^{-1} * integral over G_t of f(x - Q(y)) dy.
-
-    f is a vectorized callable on points of shape (n, d); x has shape
-    (d,) or (npts, d).  Midpoint quadrature with one Richardson step
-    (the caller picks the resolution; discontinuous f wants cell
-    boundaries aligned with its jumps).
-    """
-    if t <= 0:
-        raise ValueError("need t > 0")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != Q.d:
-        raise ValueError("evaluation points must live in R^d")
-
-    def quad(radial_n, angular_n):
-        ys, w = _body_points(Q, t, radial_n, angular_n)
-        images = np.asarray(Q.eval_real(ys), dtype=float)
-        pts = (x[:, None, :] - images[None, :, :]).reshape(-1, Q.d)
-        vals = np.asarray(f(pts), dtype=complex).reshape(len(x), len(w))
-        return vals @ w
-
-    crude = quad(radial, angular)
-    fine = quad(2 * radial, 2 * angular)
-    out = (4.0 * fine - crude) / 3.0
-    return out if out.shape[0] > 1 else out[0]
-
-
-def ddt_average(f, t: float, Q, x, radial: int = 128,
-                angular: int = 128) -> np.ndarray:
-    """Derivative of t -> continuous_average via the two-term formula.
-
-    d/dt M_t f(x) = -(k / t) M_t f(x) + boundary term: the average of
-    f(x - Q(t * omega)) over the unit sphere directions, weighted by
-    t^{k-1} r(omega)^k / (t^k |G|).
-    """
-    if t <= 0:
-        raise ValueError("need t > 0")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    bulk = np.atleast_1d(continuous_average(f, t, Q, x, radial, angular))
-    if Q.k == 1:
-        ends = np.asarray(Q.eval_real(np.array([[t], [-t]])), dtype=float)
-        pts = (x[:, None, :] - ends[None, :, :]).reshape(-1, Q.d)
-        vals = np.asarray(f(pts), dtype=complex).reshape(len(x), 2)
-        boundary = vals.sum(axis=1) / (2 * t)
-    elif Q.k == 2:
-        ha = 2 * math.pi / angular
-        aa = ha * (np.arange(angular) + 0.5)
-        ring = t * np.stack([np.cos(aa), np.sin(aa)], axis=-1)
-        images = np.asarray(Q.eval_real(ring), dtype=float)
-        pts = (x[:, None, :] - images[None, :, :]).reshape(-1, Q.d)
-        vals = np.asarray(f(pts), dtype=complex).reshape(len(x), angular)
-        boundary = vals.sum(axis=1) * ha / (math.pi * t)
-    else:
-        raise ValueError("only k <= 2 bodies are realized")
-    out = -(Q.k / t) * bulk + boundary
-    return out if out.shape[0] > 1 else out[0]
-
-
-def derivative_consistency(f, t: float, Q, x, dt: float = 1e-4,
-                           radial: int = 128,
-                           angular: int = 128) -> dict:
-    """Two-term derivative against a centered difference quotient."""
-    formula = np.atleast_1d(ddt_average(f, t, Q, x, radial, angular))
-    hi = np.atleast_1d(continuous_average(f, t + dt, Q, x, radial,
-                                          angular))
-    lo = np.atleast_1d(continuous_average(f, t - dt, Q, x, radial,
-                                          angular))
-    centered = (hi - lo) / (2 * dt)
-    scale = max(float(np.abs(formula).max()), 1e-30)
-    rel = float(np.abs(formula - centered).max()) / scale
-    return {"formula": formula, "centered": centered,
-            "relative_error": rel}
-
-
-def sampled_variation_bound(a, da, u: float, v: float, h: int,
-                            r: float, dense: int = 512) -> dict:
-    """Continuous V_r against the sampled-values-plus-derivative bound.
-
-    lhs: V_r of a over a dense uniform sample of [u, v).
-    rhs: (sum_j |a(s_j)|^r)^{1/r}
-         + (sum_j (integral of |a'| over [s_j, s_{j+1}])^r)^{1/r}
-    on the equispaced breakpoints s_j = u + (v - u) j / h.  The bound
-    carries an implicit constant, so the ratio is reported as fitted.
-    """
-    if not u < v:
-        raise ValueError("need u < v")
-    if h < 1:
-        raise ValueError("need h >= 1")
-    ts = np.linspace(u, v, dense, endpoint=False)
-    lhs = vr_value(np.asarray(a(ts), dtype=complex), r)
-    s = u + (v - u) * np.arange(h + 1) / h
-    term_samples = float((np.abs(np.asarray(a(s), dtype=complex)) ** r)
-                         .sum() ** (1.0 / r))
-    pieces = []
-    for j in range(h):
-        mid = 0.5 * (s[j] + s[j + 1])
-        half = 0.5 * (s[j + 1] - s[j])
-        nodes = mid + half * _GL_NODES
-        pieces.append(half * float((_GL_WEIGHTS
-                                    * np.abs(da(nodes))).sum()))
-    term_derivative = float((np.asarray(pieces) ** r)
-                            .sum() ** (1.0 / r))
-    rhs = term_samples + term_derivative
-    return {"lhs": lhs, "rhs": rhs,
-            "term_samples": term_samples,
-            "term_derivative": term_derivative,
-            "ratio": lhs / rhs if rhs > 0 else 0.0,
-            "h": h, "r": r}

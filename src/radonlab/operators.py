@@ -221,27 +221,11 @@ def _convolve_fft(f: GridFunction, ker: PushforwardKernel) -> GridFunction:
     return GridFunction(out_box, np.fft.ifftn(F * G, axes=axes))
 
 
-def radon_average(f: GridFunction, P: PolynomialMapping, N: int,
-                  body: ConvexBody | None = None,
-                  backend: str = "direct") -> OperatorResult:
-    """M_N f(x) = |B_N|^{-1} sum_{y in B_N} f(x - P(y))."""
-    if N < 1:
-        raise ValueError("need N >= 1")
-    if backend == "direct":
-        images, weights = _ball_images(P, N, body, None)
-        out = _accumulate_translates(f, images, weights)
-    elif backend == "fft":
-        out = _convolve_fft(f, pushforward_kernel(P, N, body))
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    return OperatorResult(out, backend, N)
-
-
-def truncated_singular(f: GridFunction, P: PolynomialMapping, N: int,
-                       kernel: CZKernelSpec,
-                       body: ConvexBody | None = None,
-                       backend: str = "direct") -> OperatorResult:
-    """T_N f(x) = sum_{y in B_N, y != 0} f(x - P(y)) K(y)."""
+def apply_truncation(f: GridFunction, P: PolynomialMapping, N: int,
+                     kernel: CZKernelSpec | None = None,
+                     body: ConvexBody | None = None,
+                     backend: str = "direct") -> OperatorResult:
+    """M_N f without a kernel, T_N f with one; see the two below."""
     if N < 1:
         raise ValueError("need N >= 1")
     if backend == "direct":
@@ -252,6 +236,21 @@ def truncated_singular(f: GridFunction, P: PolynomialMapping, N: int,
     else:
         raise ValueError(f"unknown backend {backend!r}")
     return OperatorResult(out, backend, N)
+
+
+def radon_average(f: GridFunction, P: PolynomialMapping, N: int,
+                  body: ConvexBody | None = None,
+                  backend: str = "direct") -> OperatorResult:
+    """M_N f(x) = |B_N|^{-1} sum_{y in B_N} f(x - P(y))."""
+    return apply_truncation(f, P, N, None, body, backend)
+
+
+def truncated_singular(f: GridFunction, P: PolynomialMapping, N: int,
+                       kernel: CZKernelSpec,
+                       body: ConvexBody | None = None,
+                       backend: str = "direct") -> OperatorResult:
+    """T_N f(x) = sum_{y in B_N, y != 0} f(x - P(y)) K(y)."""
+    return apply_truncation(f, P, N, kernel, body, backend)
 
 
 # -- shift-system realization ----------------------------------------------------
@@ -310,36 +309,25 @@ def ergodic_singular(f: GridFunction, P: PolynomialMapping, N: int,
 # -- variation curves across truncations -----------------------------------------
 
 def variation_curves(f: GridFunction, P: PolynomialMapping, r_grid,
-                     N_set, p: float, which: str = "average",
-                     kernel: CZKernelSpec | None = None,
+                     N_set, p: float, kernel: CZKernelSpec | None = None,
                      body: ConvexBody | None = None,
                      backend: str = "fft") -> list[dict]:
     """Pointwise V_r across the truncation family, then the l^p norm.
 
-    which = "average" uses M_N, which = "singular" uses T_N (kernel
-    required).  Each operator is applied once per N; the one
-    (cells, |N_set|) stack serves every r of r_grid, and the result has
-    one record per r, in grid order.  A singleton N_set gives the zero
-    field.  The ratio ||V_r||_p / ||f||_p is the quantity the
-    boundedness statements control for r > 2 (recorded in
-    `lepingle_regime`).
+    The family is M_N without a kernel and T_N with one.  Each operator
+    is applied once per N; the one (cells, |N_set|) stack serves every r
+    of r_grid, and the result has one record per r, in grid order.  A
+    singleton N_set gives the zero field.  The ratio ||V_r||_p / ||f||_p
+    is the quantity the boundedness statements control for r > 2
+    (recorded in `lepingle_regime`).
     """
     N_set = sorted(int(n) for n in N_set)
     if not N_set:
         raise ValueError("need at least one truncation")
     if len(N_set) != len(set(N_set)):
         raise ValueError("duplicate truncation radii")
-    outs = []
-    for n in N_set:
-        if which == "average":
-            outs.append(radon_average(f, P, n, body, backend).output)
-        elif which == "singular":
-            if kernel is None:
-                raise ValueError("singular curve needs a kernel")
-            outs.append(truncated_singular(f, P, n, kernel, body,
-                                           backend).output)
-        else:
-            raise ValueError(f"unknown operator family {which!r}")
+    outs = [apply_truncation(f, P, n, kernel, body, backend).output
+            for n in N_set]
     u = union_box(*outs)
     shape = tuple(hi - lo + 1 for lo, hi in u)
     stack = np.stack([embed(o, u).values.ravel() for o in outs], axis=1)
@@ -356,17 +344,7 @@ def variation_curves(f: GridFunction, P: PolynomialMapping, r_grid,
     return curves
 
 
-def variation_curve(f: GridFunction, P: PolynomialMapping, r: float,
-                    N_set, p: float, which: str = "average",
-                    kernel: CZKernelSpec | None = None,
-                    body: ConvexBody | None = None,
-                    backend: str = "fft") -> dict:
-    """The one-r record of `variation_curves`."""
-    return variation_curves(f, P, [r], N_set, p, which, kernel, body,
-                            backend)[0]
-
-
-# -- ensembles and empirical norms ------------------------------------------------
+# -- ensembles and the growth fit ------------------------------------------------
 
 @dataclass(frozen=True)
 class EnsembleSpec:
@@ -421,38 +399,21 @@ def ensemble(spec: EnsembleSpec):
         yield GridFunction(box, vals)
 
 
-def _ensemble_ratios(p: float, r_grid, spec: EnsembleSpec,
-                     P: PolynomialMapping, N_set, which: str,
-                     kernel: CZKernelSpec | None) -> list[list[float]]:
-    """ratios[i][j] = ||V_r(op_N f_i : N)||_p / ||f_i||_p at r = r_grid[j]."""
-    return [[c["ratio"] for c in variation_curves(
-        f, P, r_grid, N_set, p, which=which, kernel=kernel)]
-        for f in ensemble(spec)]
-
-
-def empirical_norm(p: float, r: float, spec: EnsembleSpec,
-                   P: PolynomialMapping, N_set, which: str = "average",
-                   kernel: CZKernelSpec | None = None) -> dict:
-    """Max of ||V_r(op_N f : N)||_p / ||f||_p over the ensemble."""
-    per_input = [row[0] for row in _ensemble_ratios(p, [r], spec, P, N_set,
-                                                    which, kernel)]
-    return {"max_ratio": max(per_input, default=0.0), "ratios": per_input,
-            "p": p, "r": r}
-
-
 def variation_growth_fit(p: float, r_grid, spec: EnsembleSpec,
                          P: PolynomialMapping, N_set,
-                         which: str = "average",
                          kernel: CZKernelSpec | None = None) -> dict:
     """Check ratio(r) <= C_p r/(r-2) as r decreases toward 2.
 
-    Reports per-r max ratios and the fitted C_p = max_r ratio(r)(r-2)/r.
-    Each input's truncation stack is built once for the whole r grid.
+    The ratio is ||V_r(op_N f : N)||_p / ||f||_p, op_N = M_N without a
+    kernel and T_N with one.  Reports per-r max ratios over the ensemble
+    and the fitted C_p = max_r ratio(r)(r-2)/r.  Each input's truncation
+    stack is built once for the whole r grid.
     """
     r_grid = list(r_grid)
     if any(r <= 2 for r in r_grid):
         raise ValueError("growth fit needs r > 2")
-    ratios = _ensemble_ratios(p, r_grid, spec, P, N_set, which, kernel)
+    ratios = [[c["ratio"] for c in variation_curves(
+        f, P, r_grid, N_set, p, kernel=kernel)] for f in ensemble(spec)]
     rows = []
     fitted = 0.0
     for j, r in enumerate(r_grid):

@@ -19,7 +19,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -232,10 +231,3 @@ def dilate(Q: PolynomialMapping, t: float, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     return x * np.power(float(t), Q.degrees)
 
-
-def dilate_exact(Q: PolynomialMapping, t: int, x) -> tuple:
-    """t^A on exact rationals/integers (t a positive integer)."""
-    if t <= 0:
-        raise ValueError("dilation parameter must be positive")
-    return tuple(Fraction(xi) * Fraction(t) ** e
-                 for xi, e in zip(x, Q.degrees))

@@ -257,14 +257,6 @@ def test_weyl_sum_quadratic_example():
     assert s == pytest.approx(1j * np.sqrt(3), abs=1e-13)
 
 
-def test_weyl_decay_probe_reports_fit():
-    golden = (np.sqrt(5) - 1) / 2
-    out = es.weyl_decay_probe(lambda y: golden * y[:, 0] ** 2,
-                              [2 ** e for e in range(4, 11)])
-    assert np.isfinite(out["alpha"])
-    assert all(m <= 1.0 + 1e-12 for m in out["normalized"])
-
-
 # kernels -------------------------------------------------------------------
 
 def test_kernel_size_certificates():
@@ -352,6 +344,36 @@ def test_disk_rule_out_of_budget_raises_with_estimate():
 def test_interval_rule_out_of_budget_raises_with_estimate():
     with pytest.raises(QuadratureError) as info:
         es.continuous_avg_multiplier(1, [1e7 + 0.3], Q_LIN)
+    assert np.isfinite(info.value.estimate)
+    assert np.isfinite(info.value.error_bound)
+
+
+def test_phi_body_mean_is_pinned_bitwise():
+    # Values of the multiplier before its rules were shared with the
+    # continuous averages; the shared body mean must not move a bit.
+    assert es.continuous_avg_multiplier(3, [0.4, 0.9], Q_QUAD) == \
+        0.10984500292866717 + 0.057347293324302266j
+    assert es.continuous_avg_multiplier(
+        2, [0.42, -0.56, 0.3], canonical_mapping(2, 1)) == \
+        -0.061370014159210326 - 0.11834072493588063j
+
+
+def _singular(pts):
+    # integrable, but no panel edge meets the singularity
+    return np.abs(np.asarray(pts)[:, 0] - 0.3) ** -0.5
+
+
+@pytest.mark.parametrize("call", [
+    lambda: es.continuous_average(_singular, 1.0, Q_LIN, np.zeros(1)),
+    lambda: es.ddt_average(_singular, 1.0, canonical_mapping(2, 1),
+                           np.zeros(3)),
+    lambda: es.sampled_variation_bound(
+        lambda t: np.sign(t - 0.3) * 2 * np.sqrt(np.abs(t - 0.3)),
+        lambda t: np.abs(t - 0.3) ** -0.5, 0.0, 1.0, 2, 2.5)],
+    ids=["average", "derivative", "sampled-bound"])
+def test_continuous_side_out_of_budget_raises_with_estimate(call):
+    with pytest.raises(QuadratureError) as info:
+        call()
     assert np.isfinite(info.value.estimate)
     assert np.isfinite(info.value.error_bound)
 

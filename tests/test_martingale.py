@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from radonlab import expsum as es
 from radonlab import martingale as mg
 from radonlab.experiments import EXPERIMENTS
 from radonlab.polymap import PolynomialMapping, canonical_mapping
@@ -346,54 +347,53 @@ def _interval_indicator(pts):
 
 
 def test_interval_average_closed_form():
-    # M_t of 1_{[-1,1]} at the origin is min(1, 1/t); the dyadic grids
-    # align cell boundaries with the jumps, so midpoint is exact
+    # M_t of 1_{[-1,1]} at the origin is min(1, 1/t); the panel edges
+    # are dyadic and soon meet the jumps, so the panel rule is exact
     for t in (0.5, 1.0, 2.0, 4.0):
-        got = mg.continuous_average(_interval_indicator, t, Q_LINE,
+        got = es.continuous_average(_interval_indicator, t, Q_LINE,
                                     np.zeros(1))
         assert got == pytest.approx(min(1.0, 1.0 / t), abs=1e-12)
 
 
 def test_interval_derivative_closed_form():
-    got = mg.ddt_average(_interval_indicator, 2.0, Q_LINE, np.zeros(1))
+    got = es.ddt_average(_interval_indicator, 2.0, Q_LINE, np.zeros(1))
     assert got == pytest.approx(-0.25, abs=1e-12)
 
 
 def test_derivative_formula_vs_centered_difference():
     smooth = lambda pts: np.exp(-np.asarray(pts)[:, 0] ** 2).astype(complex)
-    rep = mg.derivative_consistency(smooth, 2.0, Q_LINE, np.zeros(1))
+    rep = es.derivative_consistency(smooth, 2.0, Q_LINE, np.zeros(1))
     assert rep["relative_error"] < 1e-3
 
 
 def test_disc_average_and_derivative():
     one = lambda pts: np.ones(len(pts), dtype=complex)
-    assert mg.continuous_average(one, 1.5, Q_PLANE,
+    assert es.continuous_average(one, 1.5, Q_PLANE,
                                  np.zeros(2)) == pytest.approx(1.0)
-    assert abs(mg.ddt_average(one, 1.5, Q_PLANE, np.zeros(2))) < 1e-12
+    assert abs(es.ddt_average(one, 1.5, Q_PLANE, np.zeros(2))) < 1e-12
     smooth = lambda pts: np.exp(-(np.asarray(pts) ** 2)
                                 .sum(axis=1)).astype(complex)
-    rep = mg.derivative_consistency(smooth, 1.2, Q_PLANE, np.zeros(2),
-                                    radial=96, angular=96)
+    rep = es.derivative_consistency(smooth, 1.2, Q_PLANE, np.zeros(2))
     assert rep["relative_error"] < 1e-3
 
 
 def test_continuous_average_batch_points():
     smooth = lambda pts: np.cos(np.asarray(pts)[:, 0]).astype(complex)
     xs = np.array([[0.0], [0.5], [1.0]])
-    got = mg.continuous_average(smooth, 1.0, Q_LINE, xs)
-    single = [mg.continuous_average(smooth, 1.0, Q_LINE, x) for x in xs]
+    got = es.continuous_average(smooth, 1.0, Q_LINE, xs)
+    single = [es.continuous_average(smooth, 1.0, Q_LINE, x) for x in xs]
     assert np.allclose(got, single)
 
 
 def test_continuous_average_validation():
     one = lambda pts: np.ones(len(pts), dtype=complex)
     with pytest.raises(ValueError):
-        mg.continuous_average(one, 0.0, Q_LINE, np.zeros(1))
+        es.continuous_average(one, 0.0, Q_LINE, np.zeros(1))
     with pytest.raises(ValueError):
-        mg.continuous_average(one, 1.0, Q_LINE, np.zeros(2))
+        es.continuous_average(one, 1.0, Q_LINE, np.zeros(2))
     q3 = canonical_mapping(3, 1)
     with pytest.raises(ValueError):
-        mg.continuous_average(one, 1.0, q3, np.zeros(q3.d))
+        es.continuous_average(one, 1.0, q3, np.zeros(q3.d))
 
 
 def test_real_mapping_validation():
@@ -404,7 +404,7 @@ def test_real_mapping_validation():
     q = PolynomialMapping(1, 1, ({(1,): 0.5, (2,): -1.25},))
     assert q.eval_real(np.array([[2.0]]))[0, 0] == pytest.approx(-4.0)
     one = lambda pts: np.ones(len(pts), dtype=complex)
-    assert mg.continuous_average(one, 1.0, q, np.zeros(1)) == \
+    assert es.continuous_average(one, 1.0, q, np.zeros(1)) == \
         pytest.approx(1.0)
 
 
@@ -422,13 +422,13 @@ def test_sampled_variation_bound_trig():
                    for j, cj in enumerate(c))
 
     for h in (2, 4, 8):
-        rep = mg.sampled_variation_bound(a, da, 0.0, 4.0, h, 2.5)
+        rep = es.sampled_variation_bound(a, da, 0.0, 4.0, h, 2.5)
         assert 0.0 < rep["ratio"] < 5.0
         assert rep["lhs"] <= rep["rhs"] * rep["ratio"] + 1e-12
     with pytest.raises(ValueError):
-        mg.sampled_variation_bound(a, da, 1.0, 1.0, 4, 2.5)
+        es.sampled_variation_bound(a, da, 1.0, 1.0, 4, 2.5)
     with pytest.raises(ValueError):
-        mg.sampled_variation_bound(a, da, 0.0, 1.0, 0, 2.5)
+        es.sampled_variation_bound(a, da, 0.0, 1.0, 0, 2.5)
 
 
 # properties ---------------------------------------------------------------------

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from radonlab.errors import BudgetError
 from radonlab.expsum import avg_multiplier, odd_power_kernel, sing_multiplier
 from radonlab.operators import (EnsembleSpec, GridFunction, delta_function,
-                                embed, empirical_norm, ensemble,
-                                ergodic_average, ergodic_singular,
-                                grid_difference, pushforward_kernel,
-                                radon_average, truncated_singular,
-                                variation_curve, variation_growth_fit)
+                                embed, ensemble, ergodic_average,
+                                ergodic_singular, grid_difference,
+                                pushforward_kernel, radon_average,
+                                truncated_singular, variation_curves,
+                                variation_growth_fit)
 from radonlab.polymap import (PolynomialMapping, ball, canonical_mapping,
                               mapping_from_univariate)
 
@@ -267,7 +267,7 @@ def test_invalid_truncation_radius():
 # -- variation curves -----------------------------------------------------------------
 
 def test_variation_singleton_is_zero():
-    out = variation_curve(delta_function(1), P_ID, 3.0, [1], 2.0)
+    out = variation_curves(delta_function(1), P_ID, [3.0], [1], 2.0)[0]
     assert out["norm"] == 0.0
     assert out["lepingle_regime"]
     assert np.all(out["variation"].values == 0.0)
@@ -275,15 +275,15 @@ def test_variation_singleton_is_zero():
 
 def test_variation_two_term_value():
     # At x = 0 the averages are 1/3 then 1/5, so V_r(0) = 2/15 for every r.
-    for r in (2.0, 2.5, 4.0):
-        out = variation_curve(delta_function(1), P_ID, r, [1, 2], 2.0)
+    for out in variation_curves(delta_function(1), P_ID, (2.0, 2.5, 4.0),
+                                [1, 2], 2.0):
         assert abs(out["variation"][0] - 2 / 15) <= 1e-15
 
 
 def test_variation_ratio_monotone_in_r(rng):
     f = random_grid(rng, 1, 10)
-    ratios = [variation_curve(f, P_SQ, r, [1, 2, 4, 8], 2.0)["ratio"]
-              for r in (2.1, 2.5, 3.0, 4.0)]
+    ratios = [c["ratio"] for c in variation_curves(
+        f, P_SQ, (2.1, 2.5, 3.0, 4.0), [1, 2, 4, 8], 2.0)]
     for a, b in zip(ratios, ratios[1:]):
         assert b <= a + 1e-12
 
@@ -291,28 +291,22 @@ def test_variation_ratio_monotone_in_r(rng):
 def test_variation_ratio_homogeneous(rng):
     f = random_grid(rng, 1, 8)
     g = GridFunction(f.box, 2.0 * f.values)
-    r1 = variation_curve(f, P_SQ, 3.0, [1, 3, 5], 2.0)["ratio"]
-    r2 = variation_curve(g, P_SQ, 3.0, [1, 3, 5], 2.0)["ratio"]
+    r1 = variation_curves(f, P_SQ, [3.0], [1, 3, 5], 2.0)[0]["ratio"]
+    r2 = variation_curves(g, P_SQ, [3.0], [1, 3, 5], 2.0)[0]["ratio"]
     assert r1 == pytest.approx(r2, rel=1e-12)
-
-
-def test_variation_requires_kernel_for_singular():
-    with pytest.raises(ValueError):
-        variation_curve(delta_function(1), P_ID, 3.0, [1, 2], 2.0,
-                        which="singular")
 
 
 def test_variation_rejects_duplicates():
     with pytest.raises(ValueError):
-        variation_curve(delta_function(1), P_ID, 3.0, [2, 2], 2.0)
+        variation_curves(delta_function(1), P_ID, [3.0], [2, 2], 2.0)
 
 
 def test_variation_singular_curve_runs(rng):
     # An odd mapping: pushing the odd kernel through an even one (x^2)
     # cancels every weight and the curve is identically zero.
     f = random_grid(rng, 1, 6)
-    out = variation_curve(f, P_CUBE_MIX, 3.0, [1, 2, 4], 2.0,
-                          which="singular", kernel=KERNEL)
+    out = variation_curves(f, P_CUBE_MIX, [3.0], [1, 2, 4], 2.0,
+                           kernel=KERNEL)[0]
     assert out["norm"] > 0.0
     assert math.isfinite(out["ratio"])
 
@@ -352,11 +346,14 @@ def test_ensemble_draws_are_pinned():
                                  [-1, 1, 1, 1, -1]]
 
 
-def test_empirical_norm_reports_finite_max(rng):
+def test_growth_fit_reports_the_ensemble_max():
     spec = EnsembleSpec(ndim=1, halfwidth=16, size=6, seed=3)
-    stats = empirical_norm(2.0, 3.0, spec, P_SQ, [1, 2, 4, 8])
-    assert stats["max_ratio"] == pytest.approx(max(stats["ratios"]))
-    assert 0 < stats["max_ratio"] < 10
+    fit = variation_growth_fit(2.0, [3.0], spec, P_SQ, [1, 2, 4, 8])
+    row = fit["rows"][0]
+    ratios = [variation_curves(f, P_SQ, [3.0], [1, 2, 4, 8], 2.0)[0]["ratio"]
+              for f in ensemble(spec)]
+    assert row["max_ratio"] == pytest.approx(max(ratios))
+    assert 0 < row["max_ratio"] < 10
 
 
 def test_growth_fit_scaled_constant_bounded():

@@ -128,8 +128,6 @@ def test_dilation_identity_and_exact():
     Q = pm.canonical_mapping(2, 2)
     x = np.arange(1.0, 1.0 + Q.d)
     assert np.array_equal(pm.dilate(Q, 1.0, x), x)
-    exact = pm.dilate_exact(Q, 2, [1] * Q.d)
-    assert [int(v) for v in exact] == [2 ** e for e in Q.degrees]
 
 
 def test_eval_real_matches_integer_eval():
