@@ -26,22 +26,22 @@ from .circle import (SET_BUDGET, apply_periodic_multiplier,
                      containment_report, denominator_set,
                      factor_smooth_rough)
 from .errors import BudgetError, NotRepresentableError
-from .expsum import (GAUSS_BUDGET, ArcWindow, annulus_integral,
-                     avg_multiplier, continuous_avg_multiplier, decay_slope,
+from .expsum import (GAUSS_BUDGET, ArcWindow, _prime_divisors,
+                     annulus_integral, avg_multiplier,
+                     continuous_avg_multiplier, decay_slope,
                      gauss_scan_quadratic, gauss_sum, major_arc_approx_check,
                      major_arc_diff_check, odd_power_kernel, reduce_fraction,
                      scale_norm)
-from .martingale import (DyadicField, FieldEnsembleSpec, _chunks,
-                         _integral_norm, _level_stack, doubling_constant,
+from .martingale import (FieldEnsembleSpec, doubling_constant,
                          field_ensemble, good_lambda_check, haar_field,
-                         jump_bound_defect, lepingle_ratio, ratio_sweep)
+                         jump_bound_defect, lepingle_ratio,
+                         orthogonality_defect, ratio_sweep, tower_defect)
 from .operators import (EnsembleSpec, GridFunction, apply_truncation, embed,
-                        ensemble, ergodic_average, ergodic_singular,
-                        grid_difference, pushforward_kernel, radon_average,
-                        union_box, variation_growth_fit)
+                        ensemble, ergodic_truncation, grid_difference,
+                        pushforward_kernel, union_box, variation_curves)
 from .polymap import canonical_mapping
 from .reporting import ResultRow
-from .variation import vr_bruteforce_batch, vr_exact_batch
+from .variation import growth_fit, vr_bruteforce_batch, vr_exact_batch
 
 DEFAULT_BUDGETS = {"lattice_points": GAUSS_BUDGET,
                    "set_cardinality": SET_BUDGET}
@@ -128,15 +128,6 @@ def run(config: RunConfig) -> RunOutcome:
 # -- gauss-scan --------------------------------------------------------------------
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in range(2, int(math.isqrt(n)) + 1):
-        if n % p == 0:
-            return False
-    return True
-
-
 def _run_gauss_scan(params, config, budgets) -> RunOutcome:
     """Gauss sum magnitudes against the classical square-root decay.
 
@@ -157,9 +148,8 @@ def _run_gauss_scan(params, config, budgets) -> RunOutcome:
         if quadratic:
             table = gauss_scan_quadratic(q)
             best = float(np.nanmax(table))
-            a2 = np.arange(q)
-            mask = np.gcd(a2, q) == 1
-            restricted = np.abs(table[0, mask])
+            # Row a1 = 0 is NaN exactly where gcd(a2, q) > 1.
+            restricted = table[0, ~np.isnan(table[0])]
             dev = float(np.max(np.abs(restricted * math.sqrt(q) - 1.0)))
         else:
             tops = [a for a in range(1, q) if math.gcd(a, q) == 1]
@@ -178,7 +168,7 @@ def _run_gauss_scan(params, config, budgets) -> RunOutcome:
         ref = q ** -0.5
         ratio = best / ref
         passed = None
-        if quadratic and q % 2 == 1 and _is_prime(q):
+        if quadratic and q % 2 == 1 and _prime_divisors(q) == [q]:
             passed = abs(ratio - 1.0) <= 1e-9
         rows.append(ResultRow(name, "scan", {"q": q}, best, ref, ratio,
                               passed))
@@ -351,15 +341,16 @@ def _run_prop_fit(params, config, budgets, which: str) -> RunOutcome:
     tol = params["tol"]
     name = config.experiment
 
-    def check(item) -> dict:
-        window, frac, offs = item["window"], item["frac"], item["offsets"]
-        if which == "avg":
+    def approx(window, frac, offs) -> dict:
+        if kernel is None:
             return major_arc_approx_check(window, frac, offs, Q, tol=tol)
         M = max(1, int(window.N * params["m_factor"]))
         return major_arc_diff_check(window, M, frac, offs, Q, kernel,
                                     tol=tol)
 
-    results = _ordered_map(check, draws, config.threads)
+    results = _ordered_map(
+        lambda item: approx(item["window"], item["frac"], item["offsets"]),
+        draws, config.threads)
     rows = []
     for item, res in zip(draws, results):
         rows.append(ResultRow(
@@ -373,14 +364,7 @@ def _run_prop_fit(params, config, budgets, which: str) -> RunOutcome:
     probes = _rational_probes(params, Q.d)
 
     def rational(item) -> float:
-        offs = np.zeros(Q.d)
-        if which == "avg":
-            res = major_arc_approx_check(item["window"], item["frac"], offs,
-                                         Q, tol=tol)
-        else:
-            M = max(1, int(item["N"] * params["m_factor"]))
-            res = major_arc_diff_check(item["window"], M, item["frac"], offs,
-                                       Q, kernel, tol=tol)
+        res = approx(item["window"], item["frac"], np.zeros(Q.d))
         return res["error"] * item["N"] / item["frac"].q
 
     scaled = _ordered_map(rational, probes, config.threads)
@@ -483,7 +467,14 @@ def _run_iw_build(params, config, budgets) -> RunOutcome:
 
 
 def _run_operator_norm(params, config, budgets) -> RunOutcome:
-    """Backend agreement, structural identities, and empirical norms."""
+    """Backend agreement, structural identities, and empirical norms.
+
+    The kernel picks the family: M_N for `which` = average, T_N for
+    singular.  Each field's direct and fft outputs are built once per N,
+    and every check reads them; only linearity applies the operator to a
+    further input, and the ergodic check realizes its own orbits.  The
+    growth rows read the fft outputs in increasing N.
+    """
     which = params["which"]
     if which not in ("average", "singular"):
         raise ValueError("which must be 'average' or 'singular'")
@@ -492,36 +483,53 @@ def _run_operator_norm(params, config, budgets) -> RunOutcome:
         if which == "singular" else None
     if which == "singular" and Q.k != 1:
         raise ValueError("the bundled kernel is one-dimensional")
-    spec = EnsembleSpec(ndim=Q.d, halfwidth=params["halfwidth"],
-                        size=params["size"], seed=config.seed)
     n_set = tuple(int(n) for n in params["n_set"])
+    if not n_set:
+        raise ValueError("need at least one truncation")
+    if len(set(n_set)) != len(n_set):
+        raise ValueError("duplicate truncation radii")
     name = config.experiment
-    fields = list(ensemble(spec))
+    fields = list(ensemble(EnsembleSpec(
+        ndim=Q.d, halfwidth=params["halfwidth"], size=params["size"],
+        seed=config.seed)))
+    p, r_grid = params["p"], params["r_grid"]
+    by_n = sorted(range(len(n_set)), key=n_set.__getitem__)
 
-    def backend_dev(item) -> float:
+    def gap(a: GridFunction, b: GridFunction) -> float:
+        return grid_difference(a, b) / max(float(np.abs(a.values).max()),
+                                           1e-300)
+
+    def realized(f, N, direct) -> bool:
+        orbit = ergodic_truncation(f, Q, N, kernel)
+        u = union_box(direct, orbit)
+        return np.array_equal(embed(direct, u).values,
+                              embed(orbit, u).values)
+
+    def check(item) -> dict:
+        """Every per-field check, read from one (direct, fft) pair per N.
+
+        Only the first two fields keep their outputs (for linearity), so
+        the ensemble's outputs are never all held at once.
+        """
         i, f = item
-        worst = 0.0
-        for N in n_set:
-            a = apply_truncation(f, Q, N, kernel).output
-            b = apply_truncation(f, Q, N, kernel, backend="fft").output
-            scale = max(float(np.abs(a.values).max()), 1e-300)
-            worst = max(worst, grid_difference(a, b) / scale)
-        return worst
+        pairs = [tuple(apply_truncation(f, Q, N, kernel, backend=b).output
+                       for b in ("direct", "fft")) for N in n_set]
+        total = complex(f.values.sum())
+        return {"backend": max(gap(a, b) for a, b in pairs),
+                "mass": max(abs(complex(a.values.sum()) - total)
+                            for a, _ in pairs) / max(1.0, abs(total)),
+                "ergodic": i >= 4 or all(
+                    realized(f, N, a) for N, (a, _) in zip(n_set, pairs)),
+                "ratios": [c["ratio"] for c in variation_curves(
+                    f, [pairs[j][1] for j in by_n], r_grid, p)],
+                "direct": [a for a, _ in pairs] if i < 2 else None}
 
-    devs = _ordered_map(backend_dev, list(enumerate(fields)),
-                        config.threads)
-    rows = [ResultRow(name, "backend", {"i": i}, dev, 1e-10, dev / 1e-10,
-                      dev <= 1e-10)
-            for i, dev in enumerate(devs)]
-
-    if which == "average":
-        worst = 0.0
-        for f in fields:
-            total = complex(f.values.sum())
-            for N in n_set:
-                out = radon_average(f, Q, N).output
-                dev = abs(complex(out.values.sum()) - total)
-                worst = max(worst, dev / max(1.0, abs(total)))
+    recs = _ordered_map(check, enumerate(fields), config.threads)
+    rows = [ResultRow(name, "backend", {"i": i}, rec["backend"], 1e-10,
+                      rec["backend"] / 1e-10, rec["backend"] <= 1e-10)
+            for i, rec in enumerate(recs)]
+    if kernel is None:
+        worst = max(rec["mass"] for rec in recs)
         rows.append(ResultRow(name, "mass", {"n_set": list(n_set)}, worst,
                               1e-12, worst / 1e-12, worst <= 1e-12))
 
@@ -529,34 +537,17 @@ def _run_operator_norm(params, config, budgets) -> RunOutcome:
     f, g = fields[0], fields[1]
     combo = GridFunction(f.box, a1 * f.values + a2 * g.values)
     worst = 0.0
-    for N in n_set:
+    for N, fa, ga in zip(n_set, recs[0]["direct"], recs[1]["direct"]):
         lhs = apply_truncation(combo, Q, N, kernel).output
-        fa = apply_truncation(f, Q, N, kernel).output
-        ga = apply_truncation(g, Q, N, kernel).output
-        rhs = GridFunction(fa.box, a1 * fa.values + a2 * ga.values)
-        scale = max(float(np.abs(lhs.values).max()), 1e-300)
-        worst = max(worst, grid_difference(lhs, rhs) / scale)
+        worst = max(worst, gap(lhs, GridFunction(
+            fa.box, a1 * fa.values + a2 * ga.values)))
     rows.append(ResultRow(name, "linearity", {"n_set": list(n_set)}, worst,
                           1e-12, worst / 1e-12, worst <= 1e-12))
-
-    exact = True
-    for f in fields[:4]:
-        for N in n_set:
-            direct = apply_truncation(f, Q, N, kernel).output
-            if which == "average":
-                orbit = ergodic_average(f, Q, N)
-            else:
-                orbit = ergodic_singular(f, Q, N, kernel)
-            u = union_box(direct, orbit)
-            if not np.array_equal(embed(direct, u).values,
-                                  embed(orbit, u).values):
-                exact = False
     rows.append(ResultRow(name, "ergodic", {"n_set": list(n_set)}, None,
-                          None, None, exact))
+                          None, None, all(rec["ergodic"] for rec in recs)))
 
-    p = params["p"]
-    fit = variation_growth_fit(p, params["r_grid"], spec, Q, n_set,
-                               kernel=kernel)
+    fit = growth_fit(r_grid, [max(col) for col in zip(
+        *(rec["ratios"] for rec in recs))])
     for rec in fit["rows"]:
         rows.append(ResultRow(name, "growth", {"p": p, "r": rec["r"]},
                               rec["max_ratio"], None, rec["scaled"], None))
@@ -568,7 +559,8 @@ def _run_operator_norm(params, config, budgets) -> RunOutcome:
     return RunOutcome(tuple(rows), figures,
                       {"which": which, "p": p,
                        "fitted_constant": fit["fitted_constant"],
-                       "worst_backend_dev": max(devs)})
+                       "worst_backend_dev": max(rec["backend"]
+                                                for rec in recs)})
 
 
 # -- lepingle ----------------------------------------------------------------------
@@ -582,31 +574,10 @@ def _run_lepingle(params, config, budgets) -> RunOutcome:
     name = config.experiment
     rows = []
 
-    # Both identities read level stacks: E_j (E_kk f) is column j of the
-    # stack of the fields E_kk f, and D_k f is column k minus column k-1.
-    shape = (2 ** L,) * m
-    worst = 0.0
-    for chunk in _chunks(fields[:24]):
-        stack = _level_stack(chunk)
-        levels = stack.reshape(len(chunk), -1, L + 1)
-        for kk in range(L + 1):
-            towered = _level_stack(DyadicField(m, L, v[:, kk].reshape(shape))
-                                   for v in levels)
-            worst = max(worst, float(np.max(np.abs(
-                towered[:, :kk + 1] - stack[:, :kk + 1]))))
+    worst = tower_defect(fields[:24])
     rows.append(ResultRow(name, "tower", {"fields": min(len(fields), 24)},
                           worst, 1e-10, worst / 1e-10, worst <= 1e-10))
-
-    worst = 0.0
-    for chunk in _chunks(fields):
-        for f, v in zip(chunk, _level_stack(chunk).reshape(
-                len(chunk), -1, L + 1)):
-            lhs = float(np.sum(np.abs(v[:, L] - v[:, 0]) ** 2)
-                        * f.cell_measure)
-            rhs = math.fsum(_integral_norm(np.abs(v[:, k] - v[:, k - 1]), 2,
-                                           f.cell_measure) ** 2
-                            for k in range(1, L + 1))
-            worst = max(worst, abs(lhs - rhs) / max(1.0, lhs))
+    worst = orthogonality_defect(fields)
     rows.append(ResultRow(name, "orthogonality", {"fields": len(fields)},
                           worst, 1e-10, worst / 1e-10, worst <= 1e-10))
 
@@ -721,8 +692,8 @@ def _run_multiplier_apply(params, config, budgets) -> RunOutcome:
 
     def agree(values) -> tuple[float, float]:
         f = embed(GridFunction(support_box, values), period_box)
-        direct = radon_average(GridFunction(support_box, values), Q,
-                               n).output
+        direct = apply_truncation(GridFunction(support_box, values), Q,
+                                  n).output
         spectral = apply_periodic_multiplier(f, symbol)
         scale = max(float(np.abs(direct.values).max()), 1e-300)
         dev_apply = grid_difference(embed(direct, period_box),
@@ -771,7 +742,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         {"trials": 200, "n_min": 64, "n_max": 4096, "deg": 2,
          "rational_n_grid": (81, 243, 729, 2187, 6561),
          "rational_fracs": ((0, 1, 3), (1, 1, 4), (1, 2, 5)),
-         "m_factor": 0.5, "kernel_c": 0.5, "tol": 1e-8},
+         "tol": 1e-8},
         needs_seed=True,
         summary="averaging multiplier major-arc approximation"),
     "prop2-fit": ExperimentSpec(

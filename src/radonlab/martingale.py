@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .operators import random_arrays
-from .variation import jump_count_batch, vr_exact_batch
+from .variation import growth_fit, jump_count_batch, lp_norm, vr_exact_batch
 
 # Rows of one level stack handed to the variation engine: 4 fields at
 # m = 1, L = 8.  Bounds a sweep's working set whatever the field count.
@@ -77,24 +77,10 @@ class DyadicField:
 
     def norm(self, p: float) -> float:
         """Integral L^p norm on [0, 1)^m; p = inf gives the sup."""
-        if self.values.dtype == object:
-            v = np.abs(self.values.astype(complex))
-        else:
-            v = np.abs(self.values)
-        return _integral_norm(v.ravel(), p, self.cell_measure)
-
-
-def _integral_norm(v: np.ndarray, p: float, cell_measure: float) -> float:
-    """L^p norm of the nonnegative cell values v (1-d); p = inf: the sup."""
-    if p == math.inf:
-        return float(v.max())
-    if p < 1:
-        raise ValueError("need p >= 1")
-    # fsum is exactly rounded, so the form of its input cannot change the
-    # value; a memoryview hands it Python floats without boxing each
-    # element as a NumPy scalar, which is twice as fast.
-    return float((cell_measure * math.fsum(memoryview(v ** p)))
-                 ** (1.0 / p))
+        v = self.values
+        if v.dtype == object:
+            v = v.astype(complex)
+        return lp_norm(v, p, self.cell_measure)
 
 
 def measure_where(f: DyadicField, mask: np.ndarray) -> float:
@@ -279,6 +265,43 @@ def jump_bound_defect(fields, lams, r: float) -> float:
     return defect
 
 
+def tower_defect(fields) -> float:
+    """max over fields, cells and j <= k of |E_j (E_k f) - E_j f|.
+
+    E_j (E_k f) is column j of the level stack of the fields E_k f, so
+    each chunk of fields costs one stack per level k.
+    """
+    worst = 0.0
+    for chunk in _chunks(fields):
+        m, L, shape = chunk[0].m, chunk[0].L, chunk[0].values.shape
+        stack = _level_stack(chunk)
+        levels = stack.reshape(len(chunk), -1, L + 1)
+        for k in range(L + 1):
+            towered = _level_stack(DyadicField(m, L, v[:, k].reshape(shape))
+                                   for v in levels)
+            worst = max(worst, float(np.max(np.abs(
+                towered[:, :k + 1] - stack[:, :k + 1]))))
+    return worst
+
+
+def orthogonality_defect(fields) -> float:
+    """max over fields of the relative gap in
+    ||E_L f - E_0 f||_2^2 = sum_k ||D_k f||_2^2, D_k = E_k f - E_{k-1} f
+    read as column differences of the level stack."""
+    worst = 0.0
+    for chunk in _chunks(fields):
+        L = chunk[0].L
+        for f, v in zip(chunk, _level_stack(chunk).reshape(
+                len(chunk), -1, L + 1)):
+            lhs = float(np.sum(np.abs(v[:, L] - v[:, 0]) ** 2)
+                        * f.cell_measure)
+            rhs = math.fsum(lp_norm(v[:, k] - v[:, k - 1], 2,
+                                    f.cell_measure) ** 2
+                            for k in range(1, L + 1))
+            worst = max(worst, abs(lhs - rhs) / max(1.0, lhs))
+    return worst
+
+
 def lepingle_ratio(f: DyadicField, p: float, r: float,
                    allow_small_r: bool = False) -> float:
     """||V_r(E_k f : k)||_p / ||f||_p; the Lepingle regime wants r > 2."""
@@ -301,16 +324,11 @@ def ratio_sweep(fields, p_grid, r_grid) -> list[dict]:
     once per chunk, the engine runs once per (chunk, r), and every p
     reads that one V_r array; the values equal those of
     `lepingle_ratio` field by field.  Returns one sweep per p, in p_grid
-    order: {"p", "rows", "fitted_constant"}, rows running over r in
-    decreasing order with max_ratio and scaled = max_ratio (r - 2) / r.
-    fitted_constant is the largest scaled value; a bounded fit as r
-    decreases toward 2 is the behavior the inequality predicts.
-    Reported, never asserted against a target value.
+    order: {"p"} plus the `growth_fit` of its worst ratios, rows running
+    over r in decreasing order.
     """
     p_grid = list(p_grid)
     r_grid = sorted((float(r) for r in r_grid), reverse=True)
-    if any(r <= 2 for r in r_grid):
-        raise ValueError("sweep grid must stay in the regime r > 2")
     ratios = {(p, r): [] for p in p_grid for r in r_grid}
     for chunk in _chunks(fields):
         stack = _level_stack(chunk)
@@ -319,19 +337,11 @@ def ratio_sweep(fields, p_grid, r_grid) -> list[dict]:
             vr = vr_exact_batch(stack, r).reshape(len(chunk), -1)
             for p in p_grid:
                 ratios[p, r] += [
-                    _integral_norm(v, p, f.cell_measure) / d if d else 0.0
+                    lp_norm(v, p, f.cell_measure) / d if d else 0.0
                     for v, f, d in zip(vr, chunk, denoms[p])]
-    sweeps = []
-    for p in p_grid:
-        rows = []
-        for r in r_grid:
-            worst = max(ratios[p, r])
-            rows.append({"r": r, "max_ratio": worst,
-                         "scaled": worst * (r - 2) / r})
-        sweeps.append({"p": p, "rows": rows,
-                       "fitted_constant": max(row["scaled"]
-                                              for row in rows)})
-    return sweeps
+    return [{"p": p, **growth_fit(r_grid, [max(ratios[p, r])
+                                           for r in r_grid])}
+            for p in p_grid]
 
 
 def good_lambda_check(f: DyadicField, lams, q: float,

@@ -1,16 +1,21 @@
 """Discrete averaging and singular operators on finitely supported data.
 
 A GridFunction is a dense complex array over an integer box, implicitly
-zero outside.  The averaging operator M_N f(x) = |B_N|^{-1} sum f(x - P(y))
-and the truncated singular T_N f(x) = sum_{y != 0} f(x - P(y)) K(y) are
+zero outside.  The averages M_N and the truncated singular integrals T_N
+are one truncation family, and `apply_truncation` is its one dispatch:
+without a kernel it applies M_N f(x) = |B_N|^{-1} sum f(x - P(y)), with a
+kernel K it applies T_N f(x) = sum_{y != 0} f(x - P(y)) K(y).  Both are
 convolutions with the pushforward of the lattice ball under the mapping.
 
 Two backends: "direct" accumulates weighted translates of f, one lattice
 point at a time in lexicographic order; "fft" histograms the pushforward
 kernel and convolves with zero padding to the full linear size, so the
-cyclic product is exactly the linear one.  The shift-system realization
-(composed single-axis translations) performs the identical sequence of
-float operations as the direct backend and therefore matches it bitwise.
+cyclic product is exactly the linear one.  `ergodic_truncation`, the
+shift-system realization (composed single-axis translations), is an
+independent oracle: it performs the identical sequence of float
+operations as the direct backend and therefore matches it bitwise.
+
+`variation_curves` turns the outputs of one family into V_r curves.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 from .errors import BudgetError
 from .expsum import CZKernelSpec, phase_sum
 from .polymap import ConvexBody, PolynomialMapping, ball, lattice_points
-from .variation import vr_exact_batch
+from .variation import lp_norm, vr_exact_batch
 
 MEMORY_BUDGET_ELEMENTS = 80_000_000
 
@@ -69,12 +74,8 @@ class GridFunction:
         return complex(self.values.sum())
 
     def norm(self, p: float) -> float:
-        """l^p norm against counting measure, compensated summation."""
-        if np.isinf(p):
-            return float(np.abs(self.values).max())
-        if p <= 0:
-            raise ValueError("need p > 0")
-        return float(math.fsum(np.abs(self.values).ravel() ** p)) ** (1 / p)
+        """l^p norm against counting measure (`lp_norm`)."""
+        return lp_norm(self.values, p)
 
 
 def delta_function(ndim: int, at=None) -> GridFunction:
@@ -187,19 +188,21 @@ class OperatorResult:
     N: int
 
 
-def _result_box(f: GridFunction, los, his):
-    return tuple((flo + int(lo), fhi + int(hi))
-                 for (flo, fhi), lo, hi in zip(f.box, los, his))
+def _output_grid(f: GridFunction, images):
+    """The box of f translated by every row of images, its zero grid, and
+    the images' lower corner."""
+    los = images.min(axis=0)
+    his = images.max(axis=0)
+    out_box = tuple((flo + int(lo), fhi + int(hi))
+                    for (flo, fhi), lo, hi in zip(f.box, los, his))
+    shape = tuple(hi - lo + 1 for lo, hi in out_box)
+    _check_elements(math.prod(shape))
+    return out_box, np.zeros(shape, dtype=complex), los
 
 
 def _accumulate_translates(f: GridFunction, images, weights) -> GridFunction:
     """out += w_i * (f translated by images[i]), in the given row order."""
-    los = images.min(axis=0)
-    his = images.max(axis=0)
-    out_box = _result_box(f, los, his)
-    shape = tuple(hi - lo + 1 for lo, hi in out_box)
-    _check_elements(math.prod(shape))
-    out = np.zeros(shape, dtype=complex)
+    out_box, out, los = _output_grid(f, images)
     f_shape = f.values.shape
     for i in range(len(images)):
         sl = tuple(slice(int(images[i, j] - los[j]),
@@ -225,7 +228,11 @@ def apply_truncation(f: GridFunction, P: PolynomialMapping, N: int,
                      kernel: CZKernelSpec | None = None,
                      body: ConvexBody | None = None,
                      backend: str = "direct") -> OperatorResult:
-    """M_N f without a kernel, T_N f with one; see the two below."""
+    """One member of the truncation family, chosen by the kernel.
+
+    Without a kernel, M_N f(x) = |B_N|^{-1} sum_{y in B_N} f(x - P(y));
+    with one, T_N f(x) = sum_{y in B_N, y != 0} f(x - P(y)) K(y).
+    """
     if N < 1:
         raise ValueError("need N >= 1")
     if backend == "direct":
@@ -238,21 +245,6 @@ def apply_truncation(f: GridFunction, P: PolynomialMapping, N: int,
     return OperatorResult(out, backend, N)
 
 
-def radon_average(f: GridFunction, P: PolynomialMapping, N: int,
-                  body: ConvexBody | None = None,
-                  backend: str = "direct") -> OperatorResult:
-    """M_N f(x) = |B_N|^{-1} sum_{y in B_N} f(x - P(y))."""
-    return apply_truncation(f, P, N, None, body, backend)
-
-
-def truncated_singular(f: GridFunction, P: PolynomialMapping, N: int,
-                       kernel: CZKernelSpec,
-                       body: ConvexBody | None = None,
-                       backend: str = "direct") -> OperatorResult:
-    """T_N f(x) = sum_{y in B_N, y != 0} f(x - P(y)) K(y)."""
-    return apply_truncation(f, P, N, kernel, body, backend)
-
-
 # -- shift-system realization ----------------------------------------------------
 
 def _shift_axis(f: GridFunction, axis: int, amount: int) -> GridFunction:
@@ -263,19 +255,14 @@ def _shift_axis(f: GridFunction, axis: int, amount: int) -> GridFunction:
 
 
 def _orbit_accumulate(f: GridFunction, images, weights) -> GridFunction:
-    """Average of f over the orbit of composed shifts.
+    """Weighted sum of f over the orbit of composed shifts.
 
     Walks the lattice points in the same order as the direct backend and
     performs the same multiply-and-add per point, so the output is
     bitwise equal to it; the translate is realized by composing
     single-axis shifts rather than by index arithmetic.
     """
-    los = images.min(axis=0)
-    his = images.max(axis=0)
-    out_box = _result_box(f, los, his)
-    shape = tuple(hi - lo + 1 for lo, hi in out_box)
-    _check_elements(math.prod(shape))
-    out = np.zeros(shape, dtype=complex)
+    out_box, out, _ = _output_grid(f, images)
     for i in range(len(images)):
         shifted = f
         for axis in range(f.ndim):
@@ -286,48 +273,33 @@ def _orbit_accumulate(f: GridFunction, images, weights) -> GridFunction:
     return GridFunction(out_box, out)
 
 
-def ergodic_average(f: GridFunction, P: PolynomialMapping, N: int,
-                    body: ConvexBody | None = None) -> GridFunction:
-    """The averaging operator on the shift system X = Z^d.
+def ergodic_truncation(f: GridFunction, P: PolynomialMapping, N: int,
+                       kernel: CZKernelSpec | None = None,
+                       body: ConvexBody | None = None) -> GridFunction:
+    """The truncation family on the shift system X = Z^d.
 
-    With commuting coordinate shifts S_j, the orbit average
-    |B_N|^{-1} sum_{y in B_N} f(S_1^{P_1(y)} ... S_d^{P_d(y)} x)
-    is the lattice average itself; built literally from composed shifts.
+    With commuting coordinate shifts S_j, the orbit sum
+    sum_{y in B_N} w(y) f(S_1^{P_1(y)} ... S_d^{P_d(y)} x), with the
+    weights of `apply_truncation` (1/|B_N|, or K(y) off the origin), is
+    the lattice operator itself; built literally from composed shifts.
     """
-    images, weights = _ball_images(P, N, body, None)
-    return _orbit_accumulate(f, images, weights)
-
-
-def ergodic_singular(f: GridFunction, P: PolynomialMapping, N: int,
-                     kernel: CZKernelSpec,
-                     body: ConvexBody | None = None) -> GridFunction:
-    """Shift-system realization of the truncated singular operator."""
-    images, weights = _ball_images(P, N, body, kernel)
-    return _orbit_accumulate(f, images, weights)
+    return _orbit_accumulate(f, *_ball_images(P, N, body, kernel))
 
 
 # -- variation curves across truncations -----------------------------------------
 
-def variation_curves(f: GridFunction, P: PolynomialMapping, r_grid,
-                     N_set, p: float, kernel: CZKernelSpec | None = None,
-                     body: ConvexBody | None = None,
-                     backend: str = "fft") -> list[dict]:
-    """Pointwise V_r across the truncation family, then the l^p norm.
+def variation_curves(f: GridFunction, outs, r_grid, p: float) -> list[dict]:
+    """Pointwise V_r across a truncation family, then the l^p norm.
 
-    The family is M_N without a kernel and T_N with one.  Each operator
-    is applied once per N; the one (cells, |N_set|) stack serves every r
-    of r_grid, and the result has one record per r, in grid order.  A
-    singleton N_set gives the zero field.  The ratio ||V_r||_p / ||f||_p
-    is the quantity the boundedness statements control for r > 2
-    (recorded in `lepingle_regime`).
+    outs are the family's outputs on f (`apply_truncation`) in
+    increasing N.  One (cells, len(outs)) stack serves every r of r_grid,
+    and the result has one record per r, in grid order.  A single output
+    gives the zero field.  The ratio ||V_r||_p / ||f||_p is the quantity
+    the boundedness statements control for r > 2 (recorded in
+    `lepingle_regime`).
     """
-    N_set = sorted(int(n) for n in N_set)
-    if not N_set:
+    if not outs:
         raise ValueError("need at least one truncation")
-    if len(N_set) != len(set(N_set)):
-        raise ValueError("duplicate truncation radii")
-    outs = [apply_truncation(f, P, n, kernel, body, backend).output
-            for n in N_set]
     u = union_box(*outs)
     shape = tuple(hi - lo + 1 for lo, hi in u)
     stack = np.stack([embed(o, u).values.ravel() for o in outs], axis=1)
@@ -340,11 +312,11 @@ def variation_curves(f: GridFunction, P: PolynomialMapping, r_grid,
         curves.append({"variation": var_grid, "norm": num,
                        "input_norm": den,
                        "ratio": num / den if den > 0 else float("inf"),
-                       "lepingle_regime": r > 2, "N_set": N_set})
+                       "lepingle_regime": r > 2})
     return curves
 
 
-# -- ensembles and the growth fit ------------------------------------------------
+# -- random ensembles ------------------------------------------------------------
 
 @dataclass(frozen=True)
 class EnsembleSpec:
@@ -397,28 +369,3 @@ def ensemble(spec: EnsembleSpec):
                               np.arange(-hw, hw + 1), spec.ndim,
                               (-hw / 2, hw / 2), (1.0, max(2.0, hw / 3))):
         yield GridFunction(box, vals)
-
-
-def variation_growth_fit(p: float, r_grid, spec: EnsembleSpec,
-                         P: PolynomialMapping, N_set,
-                         kernel: CZKernelSpec | None = None) -> dict:
-    """Check ratio(r) <= C_p r/(r-2) as r decreases toward 2.
-
-    The ratio is ||V_r(op_N f : N)||_p / ||f||_p, op_N = M_N without a
-    kernel and T_N with one.  Reports per-r max ratios over the ensemble
-    and the fitted C_p = max_r ratio(r)(r-2)/r.  Each input's truncation
-    stack is built once for the whole r grid.
-    """
-    r_grid = list(r_grid)
-    if any(r <= 2 for r in r_grid):
-        raise ValueError("growth fit needs r > 2")
-    ratios = [[c["ratio"] for c in variation_curves(
-        f, P, r_grid, N_set, p, kernel=kernel)] for f in ensemble(spec)]
-    rows = []
-    fitted = 0.0
-    for j, r in enumerate(r_grid):
-        worst = max((row[j] for row in ratios), default=0.0)
-        scaled = worst * (r - 2.0) / r
-        fitted = max(fitted, scaled)
-        rows.append({"r": float(r), "max_ratio": worst, "scaled": scaled})
-    return {"rows": rows, "fitted_constant": fitted, "p": p}

@@ -133,12 +133,6 @@ def canonical_mapping(k: int, max_degree: int) -> PolynomialMapping:
     return PolynomialMapping(k, len(gamma), tuple({g: 1} for g in gamma))
 
 
-def mapping_from_univariate(coeffs_by_degree: dict[int, int]) -> PolynomialMapping:
-    """Convenience: a single polynomial Z -> Z from {degree: coefficient}."""
-    return PolynomialMapping(
-        1, 1, ({(deg,): c for deg, c in coeffs_by_degree.items()},))
-
-
 def lift(P: PolynomialMapping) -> tuple[PolynomialMapping, np.ndarray]:
     """Factor P = L o Q through the canonical mapping of P's degree.
 

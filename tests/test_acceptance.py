@@ -17,9 +17,9 @@ from radonlab import circle as ci
 from radonlab import cli
 from radonlab.experiments import RunConfig, run
 from radonlab.expsum import odd_power_kernel
-from radonlab.operators import (EnsembleSpec, GridFunction, embed, ensemble,
-                                ergodic_average, ergodic_singular,
-                                radon_average, truncated_singular, union_box)
+from radonlab.operators import (EnsembleSpec, GridFunction,
+                                apply_truncation, embed, ensemble,
+                                ergodic_truncation, union_box)
 from radonlab.polymap import PolynomialMapping, canonical_mapping
 from radonlab.variation import (dyadic_level_square_bound,
                                 jump_variation_check, l2_bound_check,
@@ -175,38 +175,37 @@ def test_operator_backend_equivalence():
                                             size=20, seed=7000 + j)))
         for i, f in enumerate(fields):
             count += 1
-            direct = radon_average(f, Q, N, backend="direct").output
-            fast = radon_average(f, Q, N, backend="fft").output
+            direct = apply_truncation(f, Q, N, backend="direct").output
+            fast = apply_truncation(f, Q, N, backend="fft").output
             worst_backend = max(worst_backend, sup_gap(direct, fast))
             worst_mass = max(worst_mass,
                              abs(direct.values.sum() - f.values.sum())
                              / max(1.0, abs(f.values.sum())))
             if Q.k == 1:
-                ds = truncated_singular(f, Q, N, kernel,
-                                        backend="direct").output
-                fs = truncated_singular(f, Q, N, kernel,
-                                        backend="fft").output
+                ds = apply_truncation(f, Q, N, kernel,
+                                      backend="direct").output
+                fs = apply_truncation(f, Q, N, kernel, backend="fft").output
                 worst_backend = max(worst_backend, sup_gap(ds, fs))
             if i < 2:
                 g = fields[i + 1]
                 ub = union_box(f, g)
                 fe, ge = embed(f, ub), embed(g, ub)
                 combo = GridFunction(ub, 0.7 * fe.values - 1.3j * ge.values)
-                lhs = radon_average(combo, Q, N, backend="fft").output
-                rf = radon_average(fe, Q, N, backend="fft").output
-                rg = radon_average(ge, Q, N, backend="fft").output
+                lhs = apply_truncation(combo, Q, N, backend="fft").output
+                rf = apply_truncation(fe, Q, N, backend="fft").output
+                rg = apply_truncation(ge, Q, N, backend="fft").output
                 dev = np.abs(lhs.values - (0.7 * rf.values
                                            - 1.3j * rg.values)).max()
                 worst_lin = max(worst_lin, float(dev)
                                 / max(float(np.abs(lhs.values).max()),
                                       1e-30))
             if i < 3:
-                erg = ergodic_average(f, Q, N)
+                erg = ergodic_truncation(f, Q, N)
                 u = union_box(direct, erg)
                 ergodic_ok = ergodic_ok and np.array_equal(
                     embed(direct, u).values, embed(erg, u).values)
                 if Q.k == 1:
-                    es = ergodic_singular(f, Q, N, kernel)
+                    es = ergodic_truncation(f, Q, N, kernel)
                     u = union_box(ds, es)
                     ergodic_ok = ergodic_ok and np.array_equal(
                         embed(ds, u).values, embed(es, u).values)
@@ -298,6 +297,10 @@ def test_thread_count_determinism(tmp_path, capsys):
          "--m", "20", "--trials", "2", "--freq-points", "8"],
         # one batched Gauss-sum call per q on the deg >= 3 branch
         ["gauss-scan", "--deg", "3", "--q-max", "40"],
+        # one per-field check per thread, both families
+        ["operator-norm", "--seed", "3", "--size", "5"],
+        ["operator-norm", "--seed", "3", "--size", "5",
+         "--which", "singular"],
     )
     ok = True
     for argv in jobs:

@@ -9,7 +9,8 @@ from scipy.integrate import quad
 from radonlab import circle as ci
 from radonlab.errors import BudgetError, NotRepresentableError
 from radonlab.expsum import annulus_integral, avg_multiplier, odd_power_kernel
-from radonlab.operators import GridFunction, grid_difference, radon_average
+from radonlab.operators import (GridFunction, apply_truncation,
+                                grid_difference)
 from radonlab.polymap import canonical_mapping
 
 Q_1D = canonical_mapping(1, 1)     # y
@@ -450,7 +451,7 @@ def test_apply_matches_spatial_operator(Q, ndim, M, rng):
     f = _padded_field(rng, ndim, M, M // 2 - 2)
     spectral = ci.apply_periodic_multiplier(
         f, lambda x: avg_multiplier(N, x, Q))
-    spatial = radon_average(f, Q, N).output
+    spatial = apply_truncation(f, Q, N).output
     assert grid_difference(spectral, spatial) < 1e-10
 
 

@@ -121,6 +121,19 @@ def test_orthogonality_identity():
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
+def test_tower_and_orthogonality_defects():
+    # Nine L = 8 fields span three engine chunks (4, 4, 1); each defect is
+    # the worst of the per-field defects.
+    rng = np.random.default_rng(6)
+    for fields in ([random_field(rng, L=8) for _ in range(9)],
+                   [random_field(rng, m=2, L=3) for _ in range(3)]):
+        for defect in (mg.tower_defect, mg.orthogonality_defect):
+            worst = defect(fields)
+            assert worst <= 1e-12
+            assert worst == pytest.approx(max(defect([f]) for f in fields),
+                                          abs=1e-15)
+
+
 def test_square_norm_equals_mean_free_norm():
     rng = np.random.default_rng(4)
     f = random_field(rng, L=6)

@@ -7,22 +7,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radonlab.errors import BudgetError
+from radonlab import experiments
+from radonlab.experiments import RunConfig, run
 from radonlab.expsum import avg_multiplier, odd_power_kernel, sing_multiplier
-from radonlab.operators import (EnsembleSpec, GridFunction, delta_function,
-                                embed, ensemble, ergodic_average,
-                                ergodic_singular, grid_difference,
-                                pushforward_kernel, radon_average,
-                                truncated_singular, variation_curves,
-                                variation_growth_fit)
-from radonlab.polymap import (PolynomialMapping, ball, canonical_mapping,
-                              mapping_from_univariate)
+from radonlab.operators import (EnsembleSpec, GridFunction,
+                                apply_truncation, delta_function, embed,
+                                ensemble, ergodic_truncation,
+                                grid_difference, pushforward_kernel,
+                                variation_curves)
+from radonlab.polymap import PolynomialMapping, ball, canonical_mapping
+from radonlab.variation import growth_fit
 
-P_ID = mapping_from_univariate({1: 1})
-P_SQ = mapping_from_univariate({2: 1})
-P_CUBE_MIX = mapping_from_univariate({3: 1, 1: -2})
+P_ID = PolynomialMapping(1, 1, ({(1,): 1},))
+P_SQ = PolynomialMapping(1, 1, ({(2,): 1},))
+P_CUBE_MIX = PolynomialMapping(1, 1, ({(3,): 1, (1,): -2},))
 P_2D = PolynomialMapping(2, 2, ({(1, 0): 1}, {(0, 2): 1, (2, 0): 1}))
 P_2D_TO_1 = PolynomialMapping(2, 1, ({(2, 0): 1, (0, 3): 1},))
 KERNEL = odd_power_kernel(1.0)
+
+
+def curves(f, P, r_grid, N_set, p, kernel=None):
+    """variation_curves over the fft outputs of the family at N_set."""
+    return variation_curves(
+        f, [apply_truncation(f, P, n, kernel, backend="fft").output
+            for n in sorted(N_set)], r_grid, p)
 
 
 def random_grid(rng, ndim, halfwidth):
@@ -69,7 +77,7 @@ def test_embed_requires_containment():
 # -- frozen operator examples ---------------------------------------------------
 
 def test_average_of_delta_identity_map():
-    out = radon_average(delta_function(1), P_ID, 1).output
+    out = apply_truncation(delta_function(1), P_ID, 1).output
     assert out.box == ((-1, 1),)
     np.testing.assert_allclose(out.values.real, [1 / 3, 1 / 3, 1 / 3],
                                atol=1e-15)
@@ -77,7 +85,7 @@ def test_average_of_delta_identity_map():
 
 def test_average_of_delta_square_map_masses():
     # y in {-2..2}: images 4, 1, 0, 1, 4 -> mass 1/5 at 0, 2/5 at 1 and 4
-    out = radon_average(delta_function(1), P_SQ, 2).output
+    out = apply_truncation(delta_function(1), P_SQ, 2).output
     assert out.box == ((0, 4),)
     np.testing.assert_allclose(out.values.real, [0.2, 0.4, 0.0, 0.0, 0.4],
                                atol=1e-15)
@@ -93,7 +101,7 @@ def test_pushforward_kernel_masses():
 
 
 def test_singular_of_delta_is_kernel():
-    out = truncated_singular(delta_function(1), P_ID, 3, KERNEL).output
+    out = apply_truncation(delta_function(1), P_ID, 3, KERNEL).output
     assert out.box == ((-3, 3),)
     expected = [-1 / 3, -1 / 2, -1.0, 0.0, 1.0, 1 / 2, 1 / 3]
     np.testing.assert_allclose(out.values.real, expected, atol=1e-15)
@@ -102,7 +110,7 @@ def test_singular_of_delta_is_kernel():
 def test_singular_parity_odd_kernel_even_input():
     f = GridFunction(((-3, 3),), np.array([1.0, 2.0, 3.0, 4.0, 3.0, 2.0,
                                            1.0]))
-    out = truncated_singular(f, P_ID, 2, KERNEL).output
+    out = apply_truncation(f, P_ID, 2, KERNEL).output
     vals = out.values.real
     np.testing.assert_allclose(vals, -vals[::-1], atol=1e-14)
 
@@ -115,8 +123,8 @@ def test_direct_vs_fft_average(rng, P, ndim):
     # f lives on the target lattice Z^d, not the source Z^k.
     f = random_grid(rng, ndim, 6)
     for N in (1, 2, 5):
-        a = radon_average(f, P, N, backend="direct").output
-        b = radon_average(f, P, N, backend="fft").output
+        a = apply_truncation(f, P, N, backend="direct").output
+        b = apply_truncation(f, P, N, backend="fft").output
         assert a.box == b.box
         scale = np.abs(a.values).max()
         assert grid_difference(a, b) <= 1e-10 * max(scale, 1.0)
@@ -124,22 +132,22 @@ def test_direct_vs_fft_average(rng, P, ndim):
 
 def test_direct_vs_fft_2d_output(rng):
     f = random_grid(rng, 2, 3)
-    a = radon_average(f, P_2D, 4, backend="direct").output
-    b = radon_average(f, P_2D, 4, backend="fft").output
+    a = apply_truncation(f, P_2D, 4, backend="direct").output
+    b = apply_truncation(f, P_2D, 4, backend="fft").output
     assert grid_difference(a, b) <= 1e-10
 
 
 def test_direct_vs_fft_singular(rng):
     f = random_grid(rng, 1, 8)
     for N in (2, 7):
-        a = truncated_singular(f, P_SQ, N, KERNEL, backend="direct").output
-        b = truncated_singular(f, P_SQ, N, KERNEL, backend="fft").output
+        a = apply_truncation(f, P_SQ, N, KERNEL, backend="direct").output
+        b = apply_truncation(f, P_SQ, N, KERNEL, backend="fft").output
         assert grid_difference(a, b) <= 1e-10
 
 
 def test_unknown_backend_rejected():
     with pytest.raises(ValueError):
-        radon_average(delta_function(1), P_ID, 1, backend="magic")
+        apply_truncation(delta_function(1), P_ID, 1, backend="magic")
 
 
 # -- shift-system realization ------------------------------------------------------
@@ -147,31 +155,31 @@ def test_unknown_backend_rejected():
 def test_ergodic_average_bitwise_1d(rng):
     for P in (P_ID, P_SQ, P_CUBE_MIX):
         f = random_grid(rng, 1, 5)
-        direct = radon_average(f, P, 4, backend="direct").output
-        orbit = ergodic_average(f, P, 4)
+        direct = apply_truncation(f, P, 4, backend="direct").output
+        orbit = ergodic_truncation(f, P, 4)
         assert direct.box == orbit.box
         assert np.array_equal(direct.values, orbit.values)
 
 
 def test_ergodic_average_bitwise_2d(rng):
     f = random_grid(rng, 2, 3)
-    direct = radon_average(f, P_2D, 3, backend="direct").output
-    orbit = ergodic_average(f, P_2D, 3)
+    direct = apply_truncation(f, P_2D, 3, backend="direct").output
+    orbit = ergodic_truncation(f, P_2D, 3)
     assert direct.box == orbit.box
     assert np.array_equal(direct.values, orbit.values)
 
 
 def test_ergodic_singular_bitwise(rng):
     f = random_grid(rng, 1, 5)
-    direct = truncated_singular(f, P_SQ, 5, KERNEL, backend="direct").output
-    orbit = ergodic_singular(f, P_SQ, 5, KERNEL)
+    direct = apply_truncation(f, P_SQ, 5, KERNEL, backend="direct").output
+    orbit = ergodic_truncation(f, P_SQ, 5, KERNEL)
     assert direct.box == orbit.box
     assert np.array_equal(direct.values, orbit.values)
 
 
 def test_ergodic_matches_average_of_delta():
-    direct = radon_average(delta_function(1), P_ID, 1).output
-    orbit = ergodic_average(delta_function(1), P_ID, 1)
+    direct = apply_truncation(delta_function(1), P_ID, 1).output
+    orbit = ergodic_truncation(delta_function(1), P_ID, 1)
     assert np.array_equal(direct.values, orbit.values)
 
 
@@ -182,17 +190,17 @@ def test_linearity(rng):
     g = random_grid(rng, 1, 6)
     alpha, beta = 1.7 - 0.3j, -0.4 + 2.1j
     combo = GridFunction(f.box, alpha * f.values + beta * g.values)
-    lhs = radon_average(combo, P_SQ, 3).output
-    rhs_f = radon_average(f, P_SQ, 3).output
-    rhs_g = radon_average(g, P_SQ, 3).output
+    lhs = apply_truncation(combo, P_SQ, 3).output
+    rhs_f = apply_truncation(f, P_SQ, 3).output
+    rhs_g = apply_truncation(g, P_SQ, 3).output
     rhs = alpha * rhs_f.values + beta * rhs_g.values
     assert np.abs(lhs.values - rhs).max() <= 1e-12 * np.abs(rhs).max()
 
 
 def test_translation_equivariance_exact(rng):
     f = random_grid(rng, 1, 6)
-    shifted_in = radon_average(f.translate([9]), P_SQ, 3).output
-    shifted_out = radon_average(f, P_SQ, 3).output.translate([9])
+    shifted_in = apply_truncation(f.translate([9]), P_SQ, 3).output
+    shifted_out = apply_truncation(f, P_SQ, 3).output.translate([9])
     assert shifted_in.box == shifted_out.box
     assert np.array_equal(shifted_in.values, shifted_out.values)
 
@@ -201,7 +209,7 @@ def test_mass_preservation(rng):
     for ndim, P in ((1, P_SQ), (2, P_2D)):
         f = random_grid(rng, ndim, 4)
         for N in (1, 3):
-            out = radon_average(f, P, N).output
+            out = apply_truncation(f, P, N).output
             assert abs(out.mass() - f.mass()) <= 1e-12 * abs(f.mass() + 1)
 
 
@@ -254,20 +262,20 @@ def test_multiplier_at_memory_is_chunked():
 
 def test_memory_budget_refusal():
     with pytest.raises(BudgetError) as info:
-        radon_average(delta_function(1), mapping_from_univariate({5: 1}),
-                      2000)
+        apply_truncation(delta_function(1),
+                         PolynomialMapping(1, 1, ({(5,): 1},)), 2000)
     assert info.value.estimate > 10 ** 16
 
 
 def test_invalid_truncation_radius():
     with pytest.raises(ValueError):
-        radon_average(delta_function(1), P_ID, 0)
+        apply_truncation(delta_function(1), P_ID, 0)
 
 
 # -- variation curves -----------------------------------------------------------------
 
 def test_variation_singleton_is_zero():
-    out = variation_curves(delta_function(1), P_ID, [3.0], [1], 2.0)[0]
+    out = curves(delta_function(1), P_ID, [3.0], [1], 2.0)[0]
     assert out["norm"] == 0.0
     assert out["lepingle_regime"]
     assert np.all(out["variation"].values == 0.0)
@@ -275,14 +283,14 @@ def test_variation_singleton_is_zero():
 
 def test_variation_two_term_value():
     # At x = 0 the averages are 1/3 then 1/5, so V_r(0) = 2/15 for every r.
-    for out in variation_curves(delta_function(1), P_ID, (2.0, 2.5, 4.0),
+    for out in curves(delta_function(1), P_ID, (2.0, 2.5, 4.0),
                                 [1, 2], 2.0):
         assert abs(out["variation"][0] - 2 / 15) <= 1e-15
 
 
 def test_variation_ratio_monotone_in_r(rng):
     f = random_grid(rng, 1, 10)
-    ratios = [c["ratio"] for c in variation_curves(
+    ratios = [c["ratio"] for c in curves(
         f, P_SQ, (2.1, 2.5, 3.0, 4.0), [1, 2, 4, 8], 2.0)]
     for a, b in zip(ratios, ratios[1:]):
         assert b <= a + 1e-12
@@ -291,22 +299,28 @@ def test_variation_ratio_monotone_in_r(rng):
 def test_variation_ratio_homogeneous(rng):
     f = random_grid(rng, 1, 8)
     g = GridFunction(f.box, 2.0 * f.values)
-    r1 = variation_curves(f, P_SQ, [3.0], [1, 3, 5], 2.0)[0]["ratio"]
-    r2 = variation_curves(g, P_SQ, [3.0], [1, 3, 5], 2.0)[0]["ratio"]
+    r1 = curves(f, P_SQ, [3.0], [1, 3, 5], 2.0)[0]["ratio"]
+    r2 = curves(g, P_SQ, [3.0], [1, 3, 5], 2.0)[0]["ratio"]
     assert r1 == pytest.approx(r2, rel=1e-12)
 
 
 def test_variation_rejects_duplicates():
+    # A family lists each truncation once; operator-norm refuses repeats
+    # before it applies any operator.
+    for n_set in ((2, 2), ()):
+        with pytest.raises(ValueError):
+            run(RunConfig("operator-norm", seed=1,
+                          params={"n_set": n_set}))
     with pytest.raises(ValueError):
-        variation_curves(delta_function(1), P_ID, [3.0], [2, 2], 2.0)
+        variation_curves(delta_function(1), [], [3.0], 2.0)
 
 
 def test_variation_singular_curve_runs(rng):
     # An odd mapping: pushing the odd kernel through an even one (x^2)
     # cancels every weight and the curve is identically zero.
     f = random_grid(rng, 1, 6)
-    out = variation_curves(f, P_CUBE_MIX, [3.0], [1, 2, 4], 2.0,
-                           kernel=KERNEL)[0]
+    out = curves(f, P_CUBE_MIX, [3.0], [1, 2, 4], 2.0,
+                 kernel=KERNEL)[0]
     assert out["norm"] > 0.0
     assert math.isfinite(out["ratio"])
 
@@ -347,28 +361,62 @@ def test_ensemble_draws_are_pinned():
 
 
 def test_growth_fit_reports_the_ensemble_max():
-    spec = EnsembleSpec(ndim=1, halfwidth=16, size=6, seed=3)
-    fit = variation_growth_fit(2.0, [3.0], spec, P_SQ, [1, 2, 4, 8])
-    row = fit["rows"][0]
-    ratios = [variation_curves(f, P_SQ, [3.0], [1, 2, 4, 8], 2.0)[0]["ratio"]
-              for f in ensemble(spec)]
-    assert row["max_ratio"] == pytest.approx(max(ratios))
-    assert 0 < row["max_ratio"] < 10
+    # operator-norm's growth rows against V_r curves rebuilt from scratch,
+    # with the truncations listed out of order.
+    params = {"halfwidth": 8, "size": 6, "n_set": (4, 1, 8, 2),
+              "r_grid": (3.0, 2.5)}
+    out = run(RunConfig("operator-norm", seed=3, params=params))
+    rows = [r for r in out.rows if r.case == "growth"]
+    Q = canonical_mapping(1, 2)
+    spec = EnsembleSpec(ndim=Q.d, halfwidth=8, size=6, seed=3)
+    for j, row in enumerate(rows):
+        ratios = [curves(f, Q, params["r_grid"], params["n_set"], 2.0)[j]
+                  ["ratio"] for f in ensemble(spec)]
+        assert row.params["r"] == params["r_grid"][j]
+        assert row.observed == max(ratios)
+        assert 0 < row.observed < 10
 
 
 def test_growth_fit_scaled_constant_bounded():
     spec = EnsembleSpec(ndim=1, halfwidth=12, size=4, seed=5)
-    fit = variation_growth_fit(2.0, [2.1, 2.5, 3.0], spec, P_SQ,
-                               [1, 2, 4, 8])
+    r_grid = [2.1, 2.5, 3.0]
+    ratios = [[c["ratio"] for c in curves(f, P_SQ, r_grid, [1, 2, 4, 8],
+                                          2.0)] for f in ensemble(spec)]
+    fit = growth_fit(r_grid, [max(col) for col in zip(*ratios)])
     assert 0 < fit["fitted_constant"] < 10
     assert all(row["scaled"] <= fit["fitted_constant"] + 1e-15
                for row in fit["rows"])
 
 
 def test_growth_fit_rejects_low_r():
-    spec = EnsembleSpec(ndim=1, halfwidth=4, size=1, seed=1)
     with pytest.raises(ValueError):
-        variation_growth_fit(2.0, [2.0], spec, P_SQ, [1, 2])
+        growth_fit([2.0], [1.0])
+
+
+def test_operator_norm_applies_each_truncation_once(monkeypatch):
+    # Two backends per (field, N) serve every check, plus one linearity
+    # input per N; the orbit oracle realizes the first four fields.
+    calls = {}
+
+    def counting(key):
+        fn = getattr(experiments, key)
+
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(experiments, key, wrapped)
+
+    counting("apply_truncation")
+    counting("ergodic_truncation")
+    size, n_set = 5, (3, 1, 2)
+    for which in ("average", "singular"):
+        calls.update(apply_truncation=0, ergodic_truncation=0)
+        run(RunConfig("operator-norm", seed=2,
+                      params={"size": size, "n_set": n_set,
+                              "halfwidth": 6, "which": which}))
+        assert calls == {"apply_truncation": size * len(n_set) * 2
+                         + len(n_set),
+                         "ergodic_truncation": 4 * len(n_set)}
 
 
 # -- randomized cross-checks ---------------------------------------------------------
@@ -378,8 +426,8 @@ def test_growth_fit_rejects_low_r():
 def test_backends_agree_property(seed, n):
     rng = np.random.default_rng(seed)
     f = random_grid(rng, 1, 5)
-    a = radon_average(f, P_SQ, n, backend="direct").output
-    b = radon_average(f, P_SQ, n, backend="fft").output
+    a = apply_truncation(f, P_SQ, n, backend="direct").output
+    b = apply_truncation(f, P_SQ, n, backend="fft").output
     assert grid_difference(a, b) <= 1e-10 * max(np.abs(a.values).max(), 1.0)
 
 
@@ -388,6 +436,6 @@ def test_backends_agree_property(seed, n):
 def test_ergodic_identification_property(seed):
     rng = np.random.default_rng(seed)
     f = random_grid(rng, 1, 4)
-    direct = radon_average(f, P_CUBE_MIX, 3, backend="direct").output
-    orbit = ergodic_average(f, P_CUBE_MIX, 3)
+    direct = apply_truncation(f, P_CUBE_MIX, 3, backend="direct").output
+    orbit = ergodic_truncation(f, P_CUBE_MIX, 3)
     assert np.array_equal(direct.values, orbit.values)

@@ -30,7 +30,7 @@ def test_gamma_cardinality():
 
 def test_lift_univariate_example():
     # 3x^2 + 2x lifts through (x, x^2) with matrix (2, 3)
-    P = pm.mapping_from_univariate({1: 2, 2: 3})
+    P = pm.PolynomialMapping(1, 1, ({(1,): 2, (2,): 3},))
     Q, L = pm.lift(P)
     assert Q.gamma == ((1,), (2,))
     assert L.tolist() == [[2, 3]]
@@ -42,7 +42,7 @@ def test_lift_identity_on_random_univariate(coeffs, y):
     by_deg = {i + 1: c for i, c in enumerate(coeffs)}
     if not any(by_deg.values()):
         by_deg[1] = 1
-    P = pm.mapping_from_univariate(by_deg)
+    P = pm.PolynomialMapping(1, 1, ({(d,): c for d, c in by_deg.items()},))
     Q, L = pm.lift(P)
     assert pm.apply_lift(L, Q((y,))) == P((y,))
 
@@ -68,7 +68,7 @@ def test_constant_term_rejected():
 
 def test_exact_huge_coordinates():
     # Exact integer arithmetic: no wraparound on values beyond 2^63.
-    P = pm.mapping_from_univariate({3: 1})
+    P = pm.PolynomialMapping(1, 1, ({(3,): 1},))
     assert P((10**7,))[0] == 10**21
 
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -113,6 +114,19 @@ def test_family_variation_bound_spikes():
     assert out["V"] == pytest.approx(1.0)
     assert out["bound"] == pytest.approx(4.0)
     assert out["lhs"] == pytest.approx(4.0)
+
+
+def test_lp_norm_is_the_compensated_sum():
+    rng = np.random.default_rng(8)
+    for shape in ((7,), (3, 5), (2, 2, 2)):
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for p in (1.0, 1.5, 2.0, 3.0):
+            s = math.fsum(np.abs(v).ravel() ** p)
+            assert vr.lp_norm(v, p) == float(s) ** (1 / p)
+            assert vr.lp_norm(v, p, 0.25) == (0.25 * s) ** (1 / p)
+        assert vr.lp_norm(v, math.inf) == np.abs(v).max()
+    with pytest.raises(ValueError):
+        vr.lp_norm(v, 0.5)
 
 
 def test_mixed_variation_example():
