@@ -7,13 +7,15 @@ exceed lambda.  Both are one longest-chain recursion over chain ends
 with two edge gains: |a_j - a_i|^r for V_r (the value is the 1/r-th
 power of the best total), and 1 on gaps > lambda, -inf otherwise, for
 jumps.  Subset-enumeration brute forces serve as independent oracles for
-short sequences.  The rest of the module packages the bookkeeping
-inequalities used downstream: sup bounds, splitting, the l^2 domination,
-long/short dyadic splitting, oscillation sums, the jump inequality,
-block partitions, and the norm bound for families of functions.  Two
-helpers serve every norm and every fit downstream: `lp_norm`, the one
-l^p (or L^p on equal cells) norm, and `growth_fit`, the r/(r - 2)
-scaling of a ratio sweep.
+short sequences: they total the chain of each of the 2^n subsets of each
+of m rows, m 2^n cells taken as n(n - 1)/2 slice adds per chunk of rows,
+with O(2^n) memory per row of the chunk.  The rest of the module
+packages the bookkeeping inequalities used downstream: sup bounds,
+splitting, the l^2 domination, long/short dyadic splitting, oscillation
+sums, the jump inequality, block partitions, and the norm bound for
+families of functions.  Two helpers serve every norm and every fit
+downstream: `lp_norm`, the one l^p (or L^p on equal cells) norm, and
+`growth_fit`, the r/(r - 2) scaling of a ratio sweep.
 
 Convention for jump counts: `jump_count` returns the number of POINTS in a
 longest chain whose consecutive gaps exceed lambda strictly (a constant
@@ -44,6 +46,7 @@ from .errors import BudgetError
 
 BRUTEFORCE_LIMIT = 16
 _GAIN_BYTES = 128 * 1024
+_CHAIN_BYTES = 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -150,64 +153,62 @@ def vr_exact_batch(values: np.ndarray, r: float) -> np.ndarray:
     return best.max(axis=0) ** (1.0 / r)
 
 
-def vr_bruteforce(a, r: float, labels=None) -> VariationResult:
-    """Oracle: enumerate every subsequence (n <= 16).
+def _subset_chains(v: np.ndarray, gain) -> np.ndarray:
+    """Every subset's chain total: the oracle counterpart of _longest_chain.
 
-    Gray-order mask DP: the chain sum of a mask extends the chain sum of
-    the mask without its top bit, so each of the 2^n masks costs O(1).
+    v is (m, n) with n <= BRUTEFORCE_LIMIT.  Returns chain (m, 2^n), where
+    chain[:, mask] is the total gain(|v_j - v_i|) over consecutive indices
+    i < j of mask (0 for masks of at most one bit).  A mask with top bit h
+    extends the mask without h, and the masks whose rest has top bit t
+    form the slice [2^h + 2^t, 2^h + 2^{t+1}), so each pair t < h is one
+    array add: n(n - 1)/2 adds for m 2^n cells, O(m 2^n) memory.
     """
-    _check_r(r)
-    s = as_sample(a, labels)
-    v = s.values
-    n = len(s)
-    if n > BRUTEFORCE_LIMIT:
-        raise BudgetError(f"brute force limited to n <= {BRUTEFORCE_LIMIT}",
-                          estimate=2 ** n)
-    if n == 1:
-        return VariationResult(0.0, (float(s.labels[0]),), "bruteforce")
-    pd = np.abs(v[None, :] - v[:, None]) ** r
-    top = [0] * (1 << n)      # highest set bit index
-    second = [0] * (1 << n)   # second-highest set bit index
-    chain_sum = [0.0] * (1 << n)
-    best_val, best_mask = 0.0, 1
-    for mask in range(1, 1 << n):
-        h = mask.bit_length() - 1
-        rest = mask ^ (1 << h)
-        top[mask] = h
-        if rest:
-            second[mask] = top[rest]
-            chain_sum[mask] = chain_sum[rest] + pd[top[rest], h]
-        if chain_sum[mask] > best_val:
-            best_val, best_mask = chain_sum[mask], mask
-    witness = tuple(float(s.labels[i]) for i in range(n)
-                    if best_mask >> i & 1)
-    if best_val == 0.0:
-        witness = (float(s.labels[0]),)
-    return VariationResult(float(best_val ** (1.0 / r)), witness,
-                           "bruteforce")
-
-
-def vr_bruteforce_batch(values: np.ndarray, r: float) -> np.ndarray:
-    """Oracle, batched over (m, n) values with the mask DP vectorized."""
-    _check_r(r)
-    v = np.atleast_2d(np.asarray(values, dtype=complex))
     m, n = v.shape
     if n > BRUTEFORCE_LIMIT:
         raise BudgetError(f"brute force limited to n <= {BRUTEFORCE_LIMIT}",
                           estimate=2 ** n)
-    if n == 1:
-        return np.zeros(m)
-    pd = np.abs(v[:, :, None] - v[:, None, :]) ** r
+    pd = gain(np.abs(v[:, :, None] - v[:, None, :]))
     chain = np.zeros((m, 1 << n))
+    for h in range(1, n):
+        for t in range(h):
+            np.add(chain[:, 1 << t:2 << t], pd[:, t, h, None],
+                   out=chain[:, (1 << h) + (1 << t):(1 << h) + (2 << t)])
+    return chain
+
+
+def vr_bruteforce(a, r: float, labels=None) -> VariationResult:
+    """Oracle: enumerate every subsequence (n <= 16).
+
+    The witness is the first mask attaining the best total, or the first
+    label when the best is 0.
+    """
+    _check_r(r)
+    s = as_sample(a, labels)
+    chain = _subset_chains(s.values[None], lambda d: d ** r)[0]
+    # argmax is 0, the empty mask, exactly when the best total is 0.
+    mask = int(chain.argmax()) or 1
+    # The root as an array operation, exactly as in vr_exact.
+    value = chain[mask:mask + 1] ** (1.0 / r)
+    return VariationResult(float(value[0]),
+                           tuple(float(x) for i, x in enumerate(s.labels)
+                                 if mask >> i & 1), "bruteforce")
+
+
+def vr_bruteforce_batch(values: np.ndarray, r: float) -> np.ndarray:
+    """Oracle, batched over (m, n) values: m 2^n subset totals.
+
+    Rows go through _subset_chains in chunks of about _CHAIN_BYTES of
+    totals, so a chunk costs n(n - 1)/2 slice adds and memory stays
+    O(2^n) per chunk row.
+    """
+    _check_r(r)
+    v = np.atleast_2d(np.asarray(values, dtype=complex))
+    m, n = v.shape
+    rows = max(1, _CHAIN_BYTES // (8 << n))
     best = np.zeros(m)
-    for mask in range(3, 1 << n):
-        h = mask.bit_length() - 1
-        rest = mask ^ (1 << h)
-        if rest == 0:
-            continue
-        prev_top = rest.bit_length() - 1
-        chain[:, mask] = chain[:, rest] + pd[:, prev_top, h]
-        np.maximum(best, chain[:, mask], out=best)
+    for i in range(0, m, rows):
+        best[i:i + rows] = _subset_chains(v[i:i + rows],
+                                          lambda d: d ** r).max(axis=1)
     return best ** (1.0 / r)
 
 
@@ -407,21 +408,9 @@ def jump_count(a, lam: float) -> int:
 
 def jump_count_bruteforce(a, lam: float) -> int:
     """Oracle: longest valid chain by subset enumeration (n <= 16)."""
-    s = as_sample(a)
-    v = s.values
-    n = len(s)
-    if n > BRUTEFORCE_LIMIT:
-        raise BudgetError(f"brute force limited to n <= {BRUTEFORCE_LIMIT}",
-                          estimate=2 ** n)
-    best = 1
-    for mask in range(1, 1 << n):
-        idx = [i for i in range(n) if mask >> i & 1]
-        if len(idx) <= best:
-            continue
-        if all(abs(v[idx[t + 1]] - v[idx[t]]) > lam
-               for t in range(len(idx) - 1)):
-            best = len(idx)
-    return best
+    chain = _subset_chains(as_sample(a).values[None],
+                           lambda d: np.where(d > lam, 1.0, -np.inf))
+    return int(chain.max()) + 1
 
 
 def jump_count_batch(values: np.ndarray, lam: float) -> np.ndarray:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -183,9 +184,82 @@ def test_batch_holds_no_cubic_tensor():
     assert peak < 16 * 2 ** 20
 
 
+def _enumerated_vr(rows, r):
+    """Best chain totals by an explicit walk over every subsequence.
+
+    Each total is a left-associated sum of Python floats, taken from the
+    same |v_j - v_i|^r table the oracle builds, so it must match the
+    oracle to the last bit.
+    """
+    pd = np.abs(rows[:, :, None] - rows[:, None, :]) ** r
+    best = []
+    for table in pd.tolist():
+        top = 0.0
+        for k in range(2, len(table) + 1):
+            for idx in itertools.combinations(range(len(table)), k):
+                total = 0.0
+                for i, j in zip(idx, idx[1:]):
+                    total += table[i][j]
+                top = max(top, total)
+        best.append(top)
+    return np.array(best) ** (1.0 / r)
+
+
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0, 10.0])
+def test_bruteforce_batch_is_the_explicit_enumeration(r):
+    rng = np.random.default_rng(11)
+    for n in range(1, 9):
+        rows = rng.normal(size=(6, n)) + 1j * rng.normal(size=(6, n))
+        rows[0] = 2.5  # a constant row
+        got = vr.vr_bruteforce_batch(rows, r)
+        assert got.tolist() == _enumerated_vr(rows, r).tolist()
+        assert got[0] == 0.0
+    if r == 1.0:
+        # V_1 is the total variation.
+        assert vr.vr_bruteforce_batch([[0, 1, 0, 1], [0, 2, 1, 5]],
+                                      r).tolist() == [3.0, 7.0]
+
+
+def test_bruteforce_batch_at_the_limit():
+    rows = np.random.default_rng(12).normal(size=(1, vr.BRUTEFORCE_LIMIT)) + 0j
+    got = vr.vr_bruteforce_batch(rows, 2.0)
+    assert got.tolist() == _enumerated_vr(rows, 2.0).tolist()
+    assert got[0] == pytest.approx(vr.vr_exact(rows[0], 2.0).value, rel=1e-12)
+
+
+@pytest.mark.parametrize("a,lam", [([0, 1, 2, 3], 1.0), ([0, 1, 0, 1], 1.0),
+                                   ([0, 2, 1, 3, 0, 2], 1.0), ([5, 5, 5], 0.0),
+                                   ([4.0], 0.0), ([0, 1], 0.0), ([0, 1], 1.0)])
+def test_jump_bruteforce_is_the_explicit_enumeration(a, lam):
+    # Integer gaps equal to lambda must not count.
+    longest = max(k for k in range(1, len(a) + 1)
+                  for idx in itertools.combinations(range(len(a)), k)
+                  if all(abs(a[j] - a[i]) > lam
+                         for i, j in zip(idx, idx[1:])))
+    assert vr.jump_count_bruteforce(a, lam) == longest
+
+
 def test_bruteforce_budget():
-    with pytest.raises(BudgetError):
-        vr.vr_bruteforce(np.zeros(17), 2)
+    too_long = np.zeros(vr.BRUTEFORCE_LIMIT + 1)
+    for oracle in (lambda: vr.vr_bruteforce(too_long, 2),
+                   lambda: vr.vr_bruteforce_batch(too_long, 2),
+                   lambda: vr.jump_count_bruteforce(too_long, 1.0)):
+        with pytest.raises(BudgetError) as info:
+            oracle()
+        assert info.value.estimate == 2 ** 17
+
+
+def test_bruteforce_batch_memory_is_chunked():
+    # vr-suite's largest default input; one (500, 2^12) array of chain
+    # totals alone would take 16 MB.
+    vals = np.random.default_rng(6).normal(size=(500, 12)) + 0j
+    tracemalloc.start()
+    try:
+        vr.vr_bruteforce_batch(vals, 2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20
 
 
 @given(seqs, rs, finite_complex, st.floats(0.25, 4))
