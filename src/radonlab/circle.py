@@ -663,24 +663,28 @@ def shell_partition_defect(j: int, l: int, rho: float, chi: float, Q,
 
 # -- periodic application ----------------------------------------------------------------
 
-def apply_periodic_multiplier(f, theta):
-    """Realize the convolution operator with symbol theta on Z_M data.
+def torus_frequencies(shape) -> np.ndarray:
+    """The (M^d, d) frequencies -a / M of the Z_M grid of `shape`, in C
+    order of a and reduced into [-1/2, 1/2): the DFT of a periodic grid
+    function at a is its Fourier transform at this frequency."""
+    idx = np.indices(shape).reshape(len(shape), -1).T
+    return torus_reduce(-idx / np.array(shape, dtype=float))
+
+
+def apply_periodic_multiplier(f, symbol):
+    """Realize the convolution operator with a symbol on Z_M data.
 
     f is a GridFunction whose box starts at 0 per coordinate (one period
-    of M-periodic data).  theta is called once, on the whole (M^d, d)
-    batch of torus frequencies, and must return their M^d values; the
-    forward DFT is multiplied by them pointwise and inverted.  For
-    M-periodic data this is the exact Fourier-side action.
+    of M-periodic data).  symbol holds the M^d values of the multiplier
+    at torus_frequencies(f.values.shape), in that order; the forward DFT
+    is multiplied by them pointwise and inverted.  For M-periodic data
+    this is the exact Fourier-side action.
     """
     if any(lo != 0 for lo, _ in f.box):
         raise ValueError("periodic data must live on a box starting at 0")
     shape = f.values.shape
-    idx = np.stack(np.meshgrid(*[np.arange(M) for M in shape],
-                               indexing="ij"), axis=-1).reshape(-1,
-                                                                len(shape))
-    freqs = torus_reduce(-idx / np.array(shape, dtype=float))
-    symbol = np.asarray(theta(freqs), dtype=complex)
-    if symbol.shape != (len(freqs),):
+    symbol = np.asarray(symbol, dtype=complex)
+    if symbol.shape != (math.prod(shape),):
         raise ValueError("symbol must give one value per frequency")
     spectrum = np.fft.fftn(f.values) * symbol.reshape(shape)
     return GridFunction(f.box, np.fft.ifftn(spectrum))

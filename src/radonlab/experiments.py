@@ -24,7 +24,7 @@ import numpy as np
 
 from .circle import (SET_BUDGET, apply_periodic_multiplier,
                      containment_report, denominator_set,
-                     factor_smooth_rough)
+                     factor_smooth_rough, torus_frequencies)
 from .errors import BudgetError, NotRepresentableError
 from .expsum import (GAUSS_BUDGET, ArcWindow, _prime_divisors,
                      annulus_integral, avg_multiplier,
@@ -684,11 +684,8 @@ def _run_multiplier_apply(params, config, budgets) -> RunOutcome:
     inputs = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
               for _ in range(trials)]
 
-    def symbol(xis):
-        return avg_multiplier(n, xis, Q)
-
-    def squared(xis):
-        return symbol(xis) ** 2
+    symbol = avg_multiplier(n, torus_frequencies((m,) * Q.d), Q)
+    squared = symbol ** 2
 
     def agree(values) -> tuple[float, float]:
         f = embed(GridFunction(support_box, values), period_box)

@@ -133,11 +133,12 @@ class PushforwardKernel:
     lattice_size: int
 
     def multiplier_at(self, xi):
-        """Fourier transform sum_z kappa(z) e(z . xi) over the box cells:
+        """Fourier transform sum_z kappa(z) e(z . xi) over the support:
         a complex at one frequency (d,), an (F,) array at a batch (F, d)."""
-        cells = np.indices(self.values.shape).reshape(self.values.ndim, -1)
-        cells = cells.T + np.array([lo for lo, _ in self.box])
-        return phase_sum(cells, xi, weights=self.values.ravel())
+        support = np.nonzero(self.values)
+        origin = np.array([lo for lo, _ in self.box])
+        cells = np.stack(support, axis=1) + origin
+        return phase_sum(cells, xi, weights=self.values[support])
 
 
 def _ball_images(P: PolynomialMapping, N: int, body: ConvexBody | None,

@@ -14,9 +14,9 @@ import time
 import numpy as np
 
 from radonlab import circle as ci
-from radonlab import cli
+from radonlab import cli, experiments
 from radonlab.experiments import RunConfig, run
-from radonlab.expsum import odd_power_kernel
+from radonlab.expsum import avg_multiplier, odd_power_kernel
 from radonlab.operators import (EnsembleSpec, GridFunction,
                                 apply_truncation, embed, ensemble,
                                 ergodic_truncation, union_box)
@@ -225,6 +225,28 @@ def test_periodic_multiplier_consistency():
           and all(r.passed for r in checks))
     verdict("periodic multiplier application matches the lattice average",
             ok, time.perf_counter() - started)
+
+
+def test_multiplier_apply_evaluates_the_symbol_once(monkeypatch):
+    # One call for the kernel-dft row and one for the torus symbol table
+    # that every trial reads, whatever the trial count.
+    started = time.perf_counter()
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return avg_multiplier(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "avg_multiplier", counting)
+    counts = {}
+    for trials in (4, 12):
+        calls.clear()
+        outcome = run(RunConfig(experiment="multiplier-apply", seed=SEED,
+                                params={"trials": trials}))
+        counts[trials] = len(calls)
+        assert all(r.passed for r in flags(outcome))
+    verdict(f"multiplier-apply evaluates avg_multiplier {counts} times",
+            counts == {4: 2, 12: 2}, time.perf_counter() - started)
 
 
 def test_denominator_set_sweep():

@@ -431,15 +431,15 @@ def _padded_field(rng, ndim, M, pad):
 
 def test_apply_identity(rng):
     f = _padded_field(rng, 1, 32, 4)
-    g = ci.apply_periodic_multiplier(f, lambda x: np.ones(len(x)))
+    g = ci.apply_periodic_multiplier(f, np.ones(32))
     assert grid_difference(f, g) < 1e-12
 
 
 def test_apply_translation(rng):
     f = _padded_field(rng, 2, 8, 0)
     shift = np.array([1.0, 0.0])
-    g = ci.apply_periodic_multiplier(
-        f, lambda x: np.exp(2j * np.pi * (x @ shift)))
+    xis = ci.torus_frequencies((8, 8))
+    g = ci.apply_periodic_multiplier(f, np.exp(2j * np.pi * (xis @ shift)))
     assert np.max(np.abs(g.values - np.roll(f.values, 1, axis=0))) < 1e-12
 
 
@@ -450,7 +450,7 @@ def test_apply_matches_spatial_operator(Q, ndim, M, rng):
     N = 2
     f = _padded_field(rng, ndim, M, M // 2 - 2)
     spectral = ci.apply_periodic_multiplier(
-        f, lambda x: avg_multiplier(N, x, Q))
+        f, avg_multiplier(N, ci.torus_frequencies((M,) * ndim), Q))
     spatial = apply_truncation(f, Q, N).output
     assert grid_difference(spectral, spatial) < 1e-10
 
@@ -458,13 +458,8 @@ def test_apply_matches_spatial_operator(Q, ndim, M, rng):
 def test_apply_composition_is_pointwise_product(rng):
     N = 2
     f = _padded_field(rng, 1, 64, 24)
-
-    def m(x):
-        return avg_multiplier(N, x, Q_1D)
-
-    def m2(x):
-        return avg_multiplier(N, x, Q_1D) ** 2
-
+    m = avg_multiplier(N, ci.torus_frequencies((64,)), Q_1D)
+    m2 = m ** 2
     twice = ci.apply_periodic_multiplier(
         ci.apply_periodic_multiplier(f, m), m)
     once = ci.apply_periodic_multiplier(f, m2)
@@ -474,33 +469,22 @@ def test_apply_composition_is_pointwise_product(rng):
 def test_apply_requires_zero_based_box():
     f = GridFunction(((1, 4),), np.ones(4, dtype=complex))
     with pytest.raises(ValueError):
-        ci.apply_periodic_multiplier(f, lambda x: np.ones(len(x)))
+        ci.apply_periodic_multiplier(f, np.ones(4))
 
 
-def test_apply_accepts_plain_callable(rng):
-    # theta is called once, on the (M^d, d) batch of torus frequencies
-    f = _padded_field(rng, 2, 8, 2)
-    calls = []
-
-    def theta(xis):
-        calls.append(np.array(xis))
-        return np.ones(len(xis), dtype=complex)
-
-    g = ci.apply_periodic_multiplier(f, theta)
-    assert grid_difference(f, g) < 1e-12
-    assert len(calls) == 1
-    assert calls[0].shape == (64, 2)
+def test_torus_frequencies_layout():
+    xis = ci.torus_frequencies((8, 8))
+    assert xis.shape == (64, 2)
     # every torus frequency a / 8 in the window [-1/2, 1/2), once each
-    assert len({tuple(x) for x in calls[0] * 8}) == 64
-    assert calls[0].min() == -0.5 and calls[0].max() == 0.375
+    assert len({tuple(x) for x in xis * 8}) == 64
+    assert xis.min() == -0.5 and xis.max() == 0.375
 
 
 def test_apply_refuses_a_scalar_symbol(rng):
     f = _padded_field(rng, 1, 16, 2)
-    with pytest.raises(ValueError):
-        ci.apply_periodic_multiplier(f, lambda x: 1.0 + 0j)
-    with pytest.raises(ValueError):
-        ci.apply_periodic_multiplier(f, lambda x: np.ones((len(x), 1)))
+    for symbol in (1.0 + 0j, np.ones((16, 1)), np.ones(15)):
+        with pytest.raises(ValueError):
+            ci.apply_periodic_multiplier(f, symbol)
 
 
 # properties -------------------------------------------------------------------
@@ -533,8 +517,7 @@ def test_apply_linearity(shift, a, b):
     f = _padded_field(rng, 1, 16, 0)
     g = _padded_field(rng, 1, 16, 0)
 
-    def theta(x):
-        return np.exp(2j * np.pi * x[:, 0] * shift)
+    theta = np.exp(2j * np.pi * ci.torus_frequencies((16,))[:, 0] * shift)
 
     lhs = ci.apply_periodic_multiplier(
         GridFunction(f.box, a * f.values + b * g.values), theta)

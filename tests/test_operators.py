@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from radonlab.errors import BudgetError
 from radonlab import experiments
 from radonlab.experiments import RunConfig, run
-from radonlab.expsum import avg_multiplier, odd_power_kernel, sing_multiplier
+from radonlab.expsum import (avg_multiplier, odd_power_kernel, phase_sum,
+                            sing_multiplier)
 from radonlab.operators import (EnsembleSpec, GridFunction,
                                 apply_truncation, delta_function, embed,
                                 ensemble, ergodic_truncation,
@@ -23,6 +24,7 @@ P_SQ = PolynomialMapping(1, 1, ({(2,): 1},))
 P_CUBE_MIX = PolynomialMapping(1, 1, ({(3,): 1, (1,): -2},))
 P_2D = PolynomialMapping(2, 2, ({(1, 0): 1}, {(0, 2): 1, (2, 0): 1}))
 P_2D_TO_1 = PolynomialMapping(2, 1, ({(2, 0): 1, (0, 3): 1},))
+P_2D_ID = PolynomialMapping(2, 2, ({(1, 0): 1}, {(0, 1): 1}))
 KERNEL = odd_power_kernel(1.0)
 
 
@@ -229,10 +231,12 @@ def test_singular_multiplier_consistency():
 
 
 @pytest.mark.parametrize("P,N,F", [(P_2D, 3, 12),
-                                   (canonical_mapping(1, 3), 5, 64)])
+                                   (canonical_mapping(1, 3), 5, 64),
+                                   (P_2D_ID, 60, 12)])
 def test_multiplier_at_batch_equals_single(P, N, F, rng):
-    # canonical_mapping(1, 3) at N = 5 has 71,786 box cells, more than one
-    # 2^16-phase chunk, so each of its 64 frequencies is a chunk of its own.
+    # canonical_mapping(1, 3) at N = 5 has 71,786 box cells but 11 in its
+    # support.  The identity on Z^2 at N = 60 has 11,289 support cells, so
+    # a 2^16-phase chunk holds 5 frequencies and its 12 span three chunks.
     ker = pushforward_kernel(P, N)
     xis = rng.uniform(-0.5, 0.5, size=(F, P.d))
     xis[0] = 0.0
@@ -246,11 +250,27 @@ def test_multiplier_at_batch_equals_single(P, N, F, rng):
         ker.multiplier_at(np.zeros((2, P.d + 1)))
 
 
+@pytest.mark.parametrize("P,kernel,support", [(P_SQ, None, 9),
+                                              (P_SQ, KERNEL, 0),
+                                              (P_CUBE_MIX, KERNEL, 16)])
+def test_multiplier_at_sums_over_the_support(P, kernel, support, rng):
+    # Under y -> y^2, y and -y land on one cell: the average kernel weighs
+    # 9 of the 65 box cells at N = 8, and c/y + c/(-y) cancels to an exact
+    # zero on every cell of the singular one.  y^3 - 2y spreads signed
+    # weights over a box that starts below 0.
+    ker = pushforward_kernel(P, 8, kernel=kernel)
+    assert np.count_nonzero(ker.values) == support < ker.values.size
+    cells = np.indices(ker.values.shape).reshape(1, -1).T + ker.box[0][0]
+    xis = rng.uniform(-0.5, 0.5, size=(16, 1))
+    full_box = phase_sum(cells, xis, weights=ker.values.ravel())
+    assert np.abs(ker.multiplier_at(xis) - full_box).max() <= 1e-14
+
+
 def test_multiplier_at_memory_is_chunked():
-    # Unchunked, 200 frequencies over 71,786 cells would hold 14.4M
-    # phases, 230 MB per complex temporary.
-    ker = pushforward_kernel(canonical_mapping(1, 3), 5)
-    xis = np.random.default_rng(2).uniform(-0.5, 0.5, size=(200, 3))
+    # Unchunked, 200 frequencies over 11,289 support cells would hold
+    # 2.3M phases, 36 MB per complex temporary.
+    ker = pushforward_kernel(P_2D_ID, 60)
+    xis = np.random.default_rng(2).uniform(-0.5, 0.5, size=(200, 2))
     tracemalloc.start()
     try:
         ker.multiplier_at(xis)
