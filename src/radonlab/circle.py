@@ -288,7 +288,6 @@ class FractionSet:
 
     members: tuple[RationalPoint, ...]
     d: int
-    generator: str
 
     def __len__(self) -> int:
         return len(self.members)
@@ -303,7 +302,7 @@ class FractionSet:
         return {(f.numerators, f.q) for f in self.members}
 
 
-def fraction_set(denominators, d: int, generator: str = "R_of_S",
+def fraction_set(denominators, d: int,
                  budget: int = FRACTION_BUDGET) -> FractionSet:
     """R(S) = {a/q in Q^d on the torus: a in A_q, q in S}.
 
@@ -329,7 +328,7 @@ def fraction_set(denominators, d: int, generator: str = "R_of_S",
             seen[key] = pt
     members = tuple(sorted(seen.values(),
                            key=lambda f: (f.q, f.numerators)))
-    return FractionSet(members, d, generator)
+    return FractionSet(members, d)
 
 
 def unit_fraction_lattice(n: int, l: int, rho: float, d: int,
@@ -338,10 +337,9 @@ def unit_fraction_lattice(n: int, l: int, rho: float, d: int,
                           budget: int = FRACTION_BUDGET) -> FractionSet:
     """U_{n^l}: the reduced fractions over the denominator set P_{n^l}."""
     if n == 0:
-        return FractionSet((), d, "U_N")
+        return FractionSet((), d)
     dset = denominator_set(n ** l, rho, cap=cap, budget=set_budget)
-    fs = fraction_set(dset.members, d, generator="U_N", budget=budget)
-    return fs
+    return fraction_set(dset.members, d, budget=budget)
 
 
 def shell_fractions(s: int, l: int, rho: float, d: int,
@@ -351,7 +349,7 @@ def shell_fractions(s: int, l: int, rho: float, d: int,
     inner_keys = unit_fraction_lattice(s, l, rho, d, cap=cap).keys()
     members = tuple(f for f in outer.members
                     if (f.numerators, f.q) not in inner_keys)
-    return FractionSet(members, d, "U_shell")
+    return FractionSet(members, d)
 
 
 # -- the smooth cutoff ---------------------------------------------------------------

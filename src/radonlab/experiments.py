@@ -512,7 +512,7 @@ def _run_operator_norm(params, config, budgets) -> RunOutcome:
         the ensemble's outputs are never all held at once.
         """
         i, f = item
-        pairs = [tuple(apply_truncation(f, Q, N, kernel, backend=b).output
+        pairs = [tuple(apply_truncation(f, Q, N, kernel, backend=b)
                        for b in ("direct", "fft")) for N in n_set]
         total = complex(f.values.sum())
         return {"backend": max(gap(a, b) for a, b in pairs),
@@ -538,7 +538,7 @@ def _run_operator_norm(params, config, budgets) -> RunOutcome:
     combo = GridFunction(f.box, a1 * f.values + a2 * g.values)
     worst = 0.0
     for N, fa, ga in zip(n_set, recs[0]["direct"], recs[1]["direct"]):
-        lhs = apply_truncation(combo, Q, N, kernel).output
+        lhs = apply_truncation(combo, Q, N, kernel)
         worst = max(worst, gap(lhs, GridFunction(
             fa.box, a1 * fa.values + a2 * ga.values)))
     rows.append(ResultRow(name, "linearity", {"n_set": list(n_set)}, worst,
@@ -689,8 +689,7 @@ def _run_multiplier_apply(params, config, budgets) -> RunOutcome:
 
     def agree(values) -> tuple[float, float]:
         f = embed(GridFunction(support_box, values), period_box)
-        direct = apply_truncation(GridFunction(support_box, values), Q,
-                                  n).output
+        direct = apply_truncation(GridFunction(support_box, values), Q, n)
         spectral = apply_periodic_multiplier(f, symbol)
         scale = max(float(np.abs(direct.values).max()), 1e-300)
         dev_apply = grid_difference(embed(direct, period_box),

@@ -1,9 +1,9 @@
 """Exponential sums and the oscillatory integrals that approximate them.
 
 Normalized complete Gauss sums over rational points, lattice multiplier
-sums for averaging and truncated singular convolutions, Weyl sums with a
-C^1 weight, and the continuous (dilation-invariant) multipliers obtained
-by integrating the same phases over a convex body.  The continuous
+sums for averaging and truncated singular convolutions over the lattice
+ball B_N, and the continuous (dilation-invariant) multipliers obtained
+by integrating the same phases over the unit ball.  The continuous
 averages M_t f(x) of a function on R^d along a mapping, their derivative
 formula in t and the sampled-values-plus-derivative variation bound run
 on the same two budgeted rules as those multipliers: one interval rule,
@@ -31,14 +31,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, KernelError, QuadratureError
-from .polymap import (ConvexBody, PolynomialMapping, ball, dilate,
-                      lattice_points)
+from .polymap import PolynomialMapping, dilate, lattice_points
 from .variation import vr_value
 
 GAUSS_BUDGET = 100_000_000
 QUAD_NODE_BUDGET = 1 << 22  # integrand nodes per quadrature call
 _PHASE_CHUNK = 1 << 16  # phase_sum's and gauss_sum's chunk, ~1 MB
 _INT64_MODULUS_MAX = math.isqrt(2 ** 63 - 1)
+MAX_ANNULI = 200  # dyadic annuli continuous_singular_multiplier may sum
 
 
 def torus_reduce(x) -> np.ndarray:
@@ -187,25 +187,21 @@ def gauss_scan_quadratic(q: int) -> np.ndarray:
 # -- lattice multipliers --------------------------------------------------
 
 def avg_multiplier(N: int, xi, Q: PolynomialMapping,
-                   body: ConvexBody | None = None,
                    budget: int = GAUSS_BUDGET):
     """m_N(xi) = |B_N|^{-1} sum_{y in B_N} e(<xi, Q(y)>).
 
     xi is one frequency (d,), giving a complex, or a batch (F, d), giving
     an (F,) array; either is torus-reduced first.
     """
-    body = body or ball(Q.k)
-    pts = lattice_points(body, N, budget=budget)
+    pts = lattice_points(Q.k, N, budget=budget)
     return phase_sum(Q.eval_real(pts), torus_reduce(xi))
 
 
 def sing_multiplier(N: int, xi, Q: PolynomialMapping, kernel,
-                    body: ConvexBody | None = None,
                     budget: int = GAUSS_BUDGET):
     """sum_{y in B_N, y != 0} e(<xi, Q(y)>) K(y), not normalized; xi is
     one frequency (d,) or a batch (F, d), as in avg_multiplier."""
-    body = body or ball(Q.k)
-    pts = lattice_points(body, N, budget=budget)
+    pts = lattice_points(Q.k, N, budget=budget)
     pts = pts[np.any(pts != 0, axis=1)]
     w = kernel.eval_many(pts)
     return phase_sum(Q.eval_real(pts), torus_reduce(xi), weights=w)
@@ -236,25 +232,6 @@ def phase_sum(points: np.ndarray, xi, weights=None):
     if weights is None:
         out /= len(points)
     return out if xi.ndim == 2 else complex(out[0])
-
-
-def weyl_sum(phase_poly, N: int, weight=None,
-             body: ConvexBody | None = None, k: int = 1, pts=None,
-             budget: int = GAUSS_BUDGET) -> complex:
-    """S_N = sum_{n in region} e(P(n)) phi(n) for a real phase polynomial.
-
-    `phase_poly` maps an (n, k) float array to phases; `weight` maps it to
-    C^1 weights (default 1).  The region is the dilated body's lattice
-    points, or an explicit (n, k) integer array passed as `pts` (e.g. the
-    one-sided range 1..N).
-    """
-    if pts is None:
-        body = body or ball(k)
-        pts = lattice_points(body, N, budget=budget)
-    pts = np.atleast_2d(np.asarray(pts)).astype(float)
-    ph = np.asarray(phase_poly(pts), dtype=float)
-    w = np.ones(len(pts)) if weight is None else np.asarray(weight(pts))
-    return complex((np.exp(2j * np.pi * ph) * w).sum())
 
 
 # -- Calderon-Zygmund kernels ---------------------------------------------
@@ -439,32 +416,25 @@ def _body_mean(g, k: int, t: float, tol: float) -> complex:
             lambda y: g(y[:, None]), -t, t, tol) / (2 * t))
     if k == 2:
         return complex(_disk_integral(g, 0.0, t, tol) / (np.pi * t * t))
-    raise ValueError("only k <= 2 bodies are realized")
+    raise ValueError("only k <= 2 balls are realized")
 
 
 def continuous_avg_multiplier(N: float, xi, Q: PolynomialMapping,
-                              body: ConvexBody | None = None,
                               tol: float = 1e-8) -> complex:
     """Phi_N(xi) = |B_1|^{-1} int_{B_1} e(<xi, Q(N y)>) dy.
 
     Scaling moves N onto the frequency: Phi_N(xi) = Phi_1(N^A xi).
-    Supported bodies: interval (k = 1, Gauss-Legendre panels) and disk
-    (k = 2, Gauss-Legendre in r times the trapezoid rule in theta).
+    B_1 is the unit ball: the interval (-1, 1) for k = 1 (Gauss-Legendre
+    panels) or the unit disk for k = 2 (Gauss-Legendre in r times the
+    trapezoid rule in theta).
     """
     v = dilate(Q, N, np.atleast_1d(xi))
-    body = body or ball(Q.k)
-    if body.kind != "euclidean_ball" and not (body.kind == "box"
-                                              and Q.k == 1):
-        raise NotImplementedError(
-            f"continuous multiplier for kind={body.kind!r}, k={Q.k}")
     return _body_mean(_oscillation(v, Q), Q.k, 1.0, tol)
 
 
 def continuous_singular_multiplier(t: float, xi, Q: PolynomialMapping,
                                    kernel: CZKernelSpec,
-                                   body: ConvexBody | None = None,
-                                   tol: float = 1e-10,
-                                   max_annuli: int = 200) -> complex:
+                                   tol: float = 1e-10) -> complex:
     """Psi_t(xi) = p.v. int_{B_t} e(<xi, Q(y)>) K(y) dy.
 
     Dyadic annular decomposition from the outside in; each annulus is a
@@ -474,14 +444,11 @@ def continuous_singular_multiplier(t: float, xi, Q: PolynomialMapping,
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    body = body or ball(Q.k)
-    if body.kind != "euclidean_ball":
-        raise NotImplementedError("singular integrals use the ball body")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     total = 0.0 + 0.0j
     prev_mag = None
     growth = 0
-    for m in range(max_annuli):
+    for m in range(MAX_ANNULI):
         hi = t * 2.0 ** (-m)
         lo = hi / 2.0
         term = annulus_integral(lo, hi, xi, Q, kernel, tol=tol / 10)
@@ -656,7 +623,6 @@ class ArcWindow:
 
 def major_arc_approx_check(window: ArcWindow, frac: RationalPoint,
                            offsets, Q: PolynomialMapping,
-                           body: ConvexBody | None = None,
                            tol: float = 1e-8) -> dict:
     """Compare m_N at xi = a/q + offsets with G(a/q) Phi_N(offsets).
 
@@ -665,9 +631,9 @@ def major_arc_approx_check(window: ArcWindow, frac: RationalPoint,
     offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
     window.check(frac.q, offsets, Q.degrees)
     xi = frac.as_floats() + offsets
-    m = avg_multiplier(window.N, xi, Q, body)
+    m = avg_multiplier(window.N, xi, Q)
     g = gauss_sum(frac.q, frac.numerators, Q)
-    phi = continuous_avg_multiplier(window.N, offsets, Q, body, tol=tol)
+    phi = continuous_avg_multiplier(window.N, offsets, Q, tol=tol)
     err = abs(m - g * phi)
     bound = window.error_bound(Q.degrees)
     return {"error": err, "bound": bound, "ratio": err / bound,

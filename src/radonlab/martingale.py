@@ -24,7 +24,6 @@ leaves magnitudes to the experiment reports.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -302,15 +301,10 @@ def orthogonality_defect(fields) -> float:
     return worst
 
 
-def lepingle_ratio(f: DyadicField, p: float, r: float,
-                   allow_small_r: bool = False) -> float:
-    """||V_r(E_k f : k)||_p / ||f||_p; the Lepingle regime wants r > 2."""
-    if r <= 2 and not allow_small_r:
-        raise ValueError("Lepingle regime needs r > 2; "
-                         "pass allow_small_r=True to explore")
+def lepingle_ratio(f: DyadicField, p: float, r: float) -> float:
+    """||V_r(E_k f : k)||_p / ||f||_p; the Lepingle regime needs r > 2."""
     if r <= 2:
-        warnings.warn("r <= 2 leaves the regime where the variation "
-                      "norm is bounded", stacklevel=2)
+        raise ValueError("Lepingle regime needs r > 2")
     denom = f.norm(p)
     if denom == 0.0:
         return 0.0

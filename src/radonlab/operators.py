@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import BudgetError
 from .expsum import CZKernelSpec, phase_sum
-from .polymap import ConvexBody, PolynomialMapping, ball, lattice_points
+from .polymap import PolynomialMapping, lattice_points
 from .variation import lp_norm, vr_exact_batch
 
 MEMORY_BUDGET_ELEMENTS = 80_000_000
@@ -141,11 +141,9 @@ class PushforwardKernel:
         return phase_sum(cells, xi, weights=self.values[support])
 
 
-def _ball_images(P: PolynomialMapping, N: int, body: ConvexBody | None,
-                 kernel: CZKernelSpec | None):
+def _ball_images(P: PolynomialMapping, N: int, kernel: CZKernelSpec | None):
     """Lattice points, their images under P, and per-point weights."""
-    body = body or ball(P.k)
-    pts = lattice_points(body, N)
+    pts = lattice_points(P.k, N)
     if kernel is not None:
         pts = pts[np.any(pts != 0, axis=1)]
         if len(pts) == 0:
@@ -162,10 +160,9 @@ def _ball_images(P: PolynomialMapping, N: int, body: ConvexBody | None,
 
 
 def pushforward_kernel(P: PolynomialMapping, N: int,
-                       body: ConvexBody | None = None,
                        kernel: CZKernelSpec | None = None,
                        budget: int = MEMORY_BUDGET_ELEMENTS) -> PushforwardKernel:
-    images, weights = _ball_images(P, N, body, kernel)
+    images, weights = _ball_images(P, N, kernel)
     los = images.min(axis=0)
     his = images.max(axis=0)
     shape = tuple(int(h - l + 1) for l, h in zip(los, his))
@@ -181,13 +178,6 @@ def pushforward_kernel(P: PolynomialMapping, N: int,
 
 
 # -- the two backends ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class OperatorResult:
-    output: GridFunction
-    backend: str
-    N: int
-
 
 def _output_grid(f: GridFunction, images):
     """The box of f translated by every row of images, its zero grid, and
@@ -227,8 +217,7 @@ def _convolve_fft(f: GridFunction, ker: PushforwardKernel) -> GridFunction:
 
 def apply_truncation(f: GridFunction, P: PolynomialMapping, N: int,
                      kernel: CZKernelSpec | None = None,
-                     body: ConvexBody | None = None,
-                     backend: str = "direct") -> OperatorResult:
+                     backend: str = "direct") -> GridFunction:
     """One member of the truncation family, chosen by the kernel.
 
     Without a kernel, M_N f(x) = |B_N|^{-1} sum_{y in B_N} f(x - P(y));
@@ -237,13 +226,10 @@ def apply_truncation(f: GridFunction, P: PolynomialMapping, N: int,
     if N < 1:
         raise ValueError("need N >= 1")
     if backend == "direct":
-        images, weights = _ball_images(P, N, body, kernel)
-        out = _accumulate_translates(f, images, weights)
-    elif backend == "fft":
-        out = _convolve_fft(f, pushforward_kernel(P, N, body, kernel=kernel))
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    return OperatorResult(out, backend, N)
+        return _accumulate_translates(f, *_ball_images(P, N, kernel))
+    if backend == "fft":
+        return _convolve_fft(f, pushforward_kernel(P, N, kernel=kernel))
+    raise ValueError(f"unknown backend {backend!r}")
 
 
 # -- shift-system realization ----------------------------------------------------
@@ -275,8 +261,7 @@ def _orbit_accumulate(f: GridFunction, images, weights) -> GridFunction:
 
 
 def ergodic_truncation(f: GridFunction, P: PolynomialMapping, N: int,
-                       kernel: CZKernelSpec | None = None,
-                       body: ConvexBody | None = None) -> GridFunction:
+                       kernel: CZKernelSpec | None = None) -> GridFunction:
     """The truncation family on the shift system X = Z^d.
 
     With commuting coordinate shifts S_j, the orbit sum
@@ -284,7 +269,7 @@ def ergodic_truncation(f: GridFunction, P: PolynomialMapping, N: int,
     weights of `apply_truncation` (1/|B_N|, or K(y) off the origin), is
     the lattice operator itself; built literally from composed shifts.
     """
-    return _orbit_accumulate(f, *_ball_images(P, N, body, kernel))
+    return _orbit_accumulate(f, *_ball_images(P, N, kernel))
 
 
 # -- variation curves across truncations -----------------------------------------

@@ -1,4 +1,4 @@
-"""Polynomial mappings and the bodies they average over.
+"""Polynomial mappings and the lattice balls they average over.
 
 One type, `PolynomialMapping`, covers every map P: R^k -> R^d with
 P(0) = 0, stored by its coefficients against the monomial basis indexed
@@ -10,7 +10,8 @@ and its dilations t^A scale component gamma by t^{|gamma|}.
 Real coefficients serve the continuous operators through `eval_real`.
 The lattice paths (`__call__`, `eval_many`) require integer coefficients
 and compute exactly with Python integers, so overflow is impossible
-rather than detected.
+rather than detected.  Every operator averages over the closed lattice
+ball B_t = {y in Z^k : |y| <= t} that `lattice_points` enumerates.
 """
 
 from __future__ import annotations
@@ -157,65 +158,26 @@ def apply_lift(L: np.ndarray, v) -> tuple:
                  for j in range(L.shape[0]))
 
 
-@dataclass(frozen=True)
-class ConvexBody:
-    """Open bounded convex body in R^k containing the origin.
-
-    kind 'euclidean_ball' is the closed unit ball (its dilate by t meets
-    Z^k in the standard lattice ball |x| <= t); kind 'box' is the open cube
-    (-1, 1)^k; kind 'polytope' is given by a support predicate together
-    with an outer radius bound in the sup norm.
-    """
-
-    kind: str
-    k: int
-    predicate: object = None
-    radius_bound: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("euclidean_ball", "box", "polytope"):
-            raise ValueError(f"unknown body kind {self.kind!r}")
-        if self.kind == "polytope" and self.predicate is None:
-            raise ValueError("polytope body needs a membership predicate")
-
-    def contains(self, x: np.ndarray, t: float = 1.0) -> np.ndarray:
-        """Membership of points (rows of x) in the dilate by t."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.kind == "euclidean_ball":
-            return (x * x).sum(axis=1) <= t * t
-        if self.kind == "box":
-            return np.abs(x).max(axis=1) < t
-        return np.array([bool(self.predicate(row / t)) for row in x])
-
-
-def ball(k: int) -> ConvexBody:
-    return ConvexBody("euclidean_ball", k)
-
-
-def box(k: int) -> ConvexBody:
-    return ConvexBody("box", k)
-
-
-def lattice_points(body: ConvexBody, t: float,
+def lattice_points(k: int, t: float,
                    budget: int = DEFAULT_LATTICE_BUDGET) -> np.ndarray:
-    """Enumerate the dilate's lattice points, lexicographically ordered.
+    """The lattice ball B_t = {y in Z^k : |y| <= t}, lexicographically ordered.
 
-    Returns an (n, k) int64 array.  The candidate box has
-    (2 floor(t rho) + 1)^k points; enumeration beyond `budget` is refused.
+    Returns an (n, k) int64 array.  The candidate cube has
+    (2 floor(t) + 1)^k points; enumeration beyond `budget` is refused.
     """
     if t < 0:
         raise ValueError("negative dilation")
-    r = math.floor(t * body.radius_bound + 1e-9)
+    r = math.floor(t + 1e-9)
     side = 2 * r + 1
-    if side ** body.k > budget:
+    if side ** k > budget:
         raise BudgetError(
-            f"lattice enumeration would scan {side ** body.k} candidates",
-            estimate=side ** body.k)
-    axes = [np.arange(-r, r + 1, dtype=np.int64)] * body.k
+            f"lattice enumeration would scan {side ** k} candidates",
+            estimate=side ** k)
+    axes = [np.arange(-r, r + 1, dtype=np.int64)] * k
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    pts = grid.reshape(-1, body.k)
-    keep = body.contains(pts, t)
-    return pts[keep]
+    pts = grid.reshape(-1, k)
+    x = pts.astype(float)
+    return pts[(x * x).sum(axis=1) <= t * t]
 
 
 def dilate(Q: PolynomialMapping, t: float, x: np.ndarray) -> np.ndarray:

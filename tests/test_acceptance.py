@@ -175,25 +175,24 @@ def test_operator_backend_equivalence():
                                             size=20, seed=7000 + j)))
         for i, f in enumerate(fields):
             count += 1
-            direct = apply_truncation(f, Q, N, backend="direct").output
-            fast = apply_truncation(f, Q, N, backend="fft").output
+            direct = apply_truncation(f, Q, N, backend="direct")
+            fast = apply_truncation(f, Q, N, backend="fft")
             worst_backend = max(worst_backend, sup_gap(direct, fast))
             worst_mass = max(worst_mass,
                              abs(direct.values.sum() - f.values.sum())
                              / max(1.0, abs(f.values.sum())))
             if Q.k == 1:
-                ds = apply_truncation(f, Q, N, kernel,
-                                      backend="direct").output
-                fs = apply_truncation(f, Q, N, kernel, backend="fft").output
+                ds = apply_truncation(f, Q, N, kernel, backend="direct")
+                fs = apply_truncation(f, Q, N, kernel, backend="fft")
                 worst_backend = max(worst_backend, sup_gap(ds, fs))
             if i < 2:
                 g = fields[i + 1]
                 ub = union_box(f, g)
                 fe, ge = embed(f, ub), embed(g, ub)
                 combo = GridFunction(ub, 0.7 * fe.values - 1.3j * ge.values)
-                lhs = apply_truncation(combo, Q, N, backend="fft").output
-                rf = apply_truncation(fe, Q, N, backend="fft").output
-                rg = apply_truncation(ge, Q, N, backend="fft").output
+                lhs = apply_truncation(combo, Q, N, backend="fft")
+                rf = apply_truncation(fe, Q, N, backend="fft")
+                rg = apply_truncation(ge, Q, N, backend="fft")
                 dev = np.abs(lhs.values - (0.7 * rf.values
                                            - 1.3j * rg.values)).max()
                 worst_lin = max(worst_lin, float(dev)

@@ -11,7 +11,7 @@ from scipy.special import j1, sici
 
 from radonlab import expsum as es
 from radonlab.errors import BudgetError, KernelError, QuadratureError
-from radonlab.polymap import ball, canonical_mapping, lattice_points
+from radonlab.polymap import canonical_mapping, lattice_points
 
 Q_LIN = canonical_mapping(1, 1)    # y
 Q_QUAD = canonical_mapping(1, 2)   # (y, y^2)
@@ -188,7 +188,7 @@ def test_avg_multiplier_phase_is_a_monomial_loop(xi):
     # The phase adds xi_gamma * y^gamma in index order; a zero xi_gamma adds
     # an exact zero.  A matrix product of the images with xi rounds
     # differently at xi = (0.3, 0.1), which would move the result tables.
-    y = lattice_points(ball(1), 9)[:, 0].astype(float)
+    y = lattice_points(1, 9)[:, 0].astype(float)
     phase = np.zeros(len(y))
     for x, e in zip(xi, (1, 2)):
         if x:
@@ -248,13 +248,6 @@ def test_multiplier_conjugate_symmetry(N, xi):
 def test_sing_multiplier_odd_kernel_at_zero():
     K = es.odd_power_kernel(0.5)
     assert es.sing_multiplier(9, [0.0], Q_LIN, K) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_weyl_sum_quadratic_example():
-    # sum_{n=1..3} e(n^2/3) = i sqrt(3)
-    pts = np.arange(1, 4)[:, None]
-    s = es.weyl_sum(lambda y: y[:, 0] ** 2 / 3.0, 3, pts=pts)
-    assert s == pytest.approx(1j * np.sqrt(3), abs=1e-13)
 
 
 # kernels -------------------------------------------------------------------

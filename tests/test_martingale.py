@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -207,10 +206,6 @@ def test_lepingle_regime_guard():
     h = mg.haar_field(3)
     with pytest.raises(ValueError):
         mg.lepingle_ratio(h, 2, 2.0)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        mg.lepingle_ratio(h, 2, 2.0, allow_small_r=True)
-    assert len(caught) == 1
 
 
 def test_ratio_sweep_reports_bounded_fit():

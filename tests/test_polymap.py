@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -73,7 +75,27 @@ def test_exact_huge_coordinates():
 
 
 def test_lattice_ball_1d():
-    assert pm.lattice_points(pm.ball(1), 2).ravel().tolist() == [-2, -1, 0, 1, 2]
+    assert pm.lattice_points(1, 2).ravel().tolist() == [-2, -1, 0, 1, 2]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("t", [0, 1, 2.5, 5])
+def test_lattice_ball_matches_brute_force(k, t):
+    # itertools.product runs in lexicographic order, so the filtered list
+    # fixes both the set and the order; the test sum(y^2) <= t^2 is exact.
+    r = math.ceil(t) + 1
+    brute = [list(y) for y in itertools.product(range(-r, r + 1), repeat=k)
+             if sum(c * c for c in y) <= Fraction(t) ** 2]
+    pts = pm.lattice_points(k, t)
+    assert pts.dtype == np.int64 and pts.shape == (len(brute), k)
+    assert pts.tolist() == brute
+
+
+def test_lattice_ball_origin_and_closed_boundary():
+    for k in (1, 2, 3):
+        assert pm.lattice_points(k, 0).tolist() == [[0] * k]
+    disk = pm.lattice_points(2, 5).tolist()
+    assert [3, 4] in disk and [-5, 0] in disk and [4, 4] not in disk
 
 
 def test_lattice_ball_2d_count():
@@ -81,38 +103,23 @@ def test_lattice_ball_2d_count():
     brute = sum(1 for x in range(-10, 11) for y in range(-10, 11)
                 if x * x + y * y <= 100)
     assert brute == 317
-    assert len(pm.lattice_points(pm.ball(2), 10)) == 317
+    assert len(pm.lattice_points(2, 10)) == 317
 
 
 def test_lattice_monotone_in_t():
-    body = pm.ball(2)
-    counts = [len(pm.lattice_points(body, t)) for t in range(1, 12)]
+    counts = [len(pm.lattice_points(2, t)) for t in range(1, 12)]
     assert all(a <= b for a, b in zip(counts, counts[1:]))
 
 
 def test_lattice_density_matches_volume():
     # |B_N| / N^k within 10% of vol(B_1) = pi at N = 200, k = 2
-    n = len(pm.lattice_points(pm.ball(2), 200))
+    n = len(pm.lattice_points(2, 200))
     assert abs(n / 200.0 ** 2 - math.pi) < 0.1 * math.pi
 
 
 def test_lattice_budget_refusal():
     with pytest.raises(BudgetError):
-        pm.lattice_points(pm.ball(3), 10_000)
-
-
-def test_box_body_open():
-    pts = pm.lattice_points(pm.box(1), 3)
-    assert pts.ravel().tolist() == [-2, -1, 0, 1, 2]
-
-
-def test_polytope_predicate_body():
-    # open triangle |x| + |y| < 1, dilated
-    tri = pm.ConvexBody("polytope", 2,
-                        predicate=lambda z: abs(z[0]) + abs(z[1]) < 1)
-    pts = pm.lattice_points(tri, 2)
-    assert all(abs(x) + abs(y) < 2 for x, y in pts)
-    assert [0, 0] in pts.tolist()
+        pm.lattice_points(3, 10_000)
 
 
 @given(st.floats(0.5, 8), st.floats(0.5, 8))
