@@ -2,15 +2,13 @@
 
 Normalized complete Gauss sums over rational points, lattice multiplier
 sums for averaging and truncated singular convolutions over the lattice
-ball B_N, and the continuous (dilation-invariant) multipliers obtained
-by integrating the same phases over the unit ball.  The continuous
-averages M_t f(x) of a function on R^d along a mapping, their derivative
-formula in t and the sampled-values-plus-derivative variation bound run
-on the same two budgeted rules as those multipliers: one interval rule,
-one disk rule, each raising QuadratureError past QUAD_NODE_BUDGET nodes.
-The module ends with the major-arc approximation checks: on a major arc
-the lattice multiplier is a Gauss sum times a continuous multiplier, up
-to an explicit error.
+ball B_N, and their continuous (dilation-invariant) counterparts Phi_N
+and Psi_t, which integrate the same phases over the ball of R^k.  The
+multipliers are the only continuous objects here, and k is 1 or 2: one
+interval rule and one disk rule integrate them, each raising
+QuadratureError past QUAD_NODE_BUDGET nodes.  The module ends with the
+major-arc approximation checks: on a major arc the lattice multiplier
+is a Gauss sum times a continuous multiplier, up to an explicit error.
 
 Rational phases are computed exactly: the inner product <a/q, Q(y)> is an
 integer residue mod q before any trigonometry, so a Gauss sum's phase set
@@ -32,7 +30,6 @@ import numpy as np
 
 from .errors import BudgetError, KernelError, QuadratureError
 from .polymap import PolynomialMapping, dilate, lattice_points
-from .variation import vr_value
 
 GAUSS_BUDGET = 100_000_000
 QUAD_NODE_BUDGET = 1 << 22  # integrand nodes per quadrature call
@@ -62,8 +59,8 @@ class RationalPoint:
     def __post_init__(self):
         if self.q < 1:
             raise ValueError("q must be >= 1")
-        if any(not (0 <= a < self.q) or not isinstance(a, int)
-               for a in self.numerators) and self.q > 1:
+        if any(not isinstance(a, int) or not 0 <= a < self.q
+               for a in self.numerators):
             raise ValueError("numerators must satisfy 0 <= a < q")
 
     @property
@@ -238,7 +235,8 @@ def phase_sum(points: np.ndarray, xi, weights=None):
 
 @dataclass(frozen=True)
 class CZKernelSpec:
-    """A truncation kernel with size/smoothness certificate.
+    """A truncation kernel on R^k, k = 1 or 2, with size/smoothness
+    certificate.
 
     evaluate: (n, k) float points -> values.  The certificate samples
     annuli and records sup of |y|^k |K| + |y|^{k+1} |grad K| (1.0 for the
@@ -250,6 +248,10 @@ class CZKernelSpec:
     evaluate: object
     name: str = "kernel"
     certificate: dict = field(default_factory=dict, hash=False, compare=False)
+
+    def __post_init__(self):
+        if self.k not in (1, 2):
+            raise ValueError("only k <= 2 balls are realized")
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         return np.asarray(self.evaluate(np.atleast_2d(
@@ -403,22 +405,6 @@ def _oscillation(xi: np.ndarray, Q: PolynomialMapping, kernel=None):
     return f
 
 
-def _body_mean(g, k: int, t: float, tol: float) -> complex:
-    """|B_t|^{-1} int_{B_t} g(y) dy over the unit ball's dilate B_t.
-
-    g maps an (n, k) array of points to values.  k = 1 is the interval
-    (-t, t) under the interval rule, k = 2 the disk of radius t under the
-    disk rule; tol bounds the rule's refinement difference on the
-    integral.  Past QUAD_NODE_BUDGET nodes it raises QuadratureError.
-    """
-    if k == 1:
-        return complex(_refining_midpoint(
-            lambda y: g(y[:, None]), -t, t, tol) / (2 * t))
-    if k == 2:
-        return complex(_disk_integral(g, 0.0, t, tol) / (np.pi * t * t))
-    raise ValueError("only k <= 2 balls are realized")
-
-
 def continuous_avg_multiplier(N: float, xi, Q: PolynomialMapping,
                               tol: float = 1e-8) -> complex:
     """Phi_N(xi) = |B_1|^{-1} int_{B_1} e(<xi, Q(N y)>) dy.
@@ -428,8 +414,13 @@ def continuous_avg_multiplier(N: float, xi, Q: PolynomialMapping,
     panels) or the unit disk for k = 2 (Gauss-Legendre in r times the
     trapezoid rule in theta).
     """
-    v = dilate(Q, N, np.atleast_1d(xi))
-    return _body_mean(_oscillation(v, Q), Q.k, 1.0, tol)
+    f = _oscillation(dilate(Q, N, np.atleast_1d(xi)), Q)
+    if Q.k == 1:
+        return complex(_refining_midpoint(
+            lambda y: f(y[:, None]), -1.0, 1.0, tol) / 2.0)
+    if Q.k == 2:
+        return complex(_disk_integral(f, 0.0, 1.0, tol) / np.pi)
+    raise ValueError("only k <= 2 balls are realized")
 
 
 def continuous_singular_multiplier(t: float, xi, Q: PolynomialMapping,
@@ -482,110 +473,12 @@ def annulus_integral(lo: float, hi: float, xi, Q: PolynomialMapping,
             lambda y: f(y[:, None]) + f(-y[:, None]), lo, hi, tol))
     if Q.k == 2:
         return complex(_disk_integral(f, lo, hi, tol))
-    raise NotImplementedError("annulus integrals support k <= 2")
+    raise ValueError("only k <= 2 balls are realized")
 
 
 def scale_norm(N: float, xi, Q: PolynomialMapping) -> float:
     """The decay parameter ||N^A xi||_inf."""
     return float(np.max(np.abs(dilate(Q, N, np.atleast_1d(xi)))))
-
-
-# -- continuous averages and the derivative formula -------------------------
-
-# Q is any PolynomialMapping, real coefficients included: these operators
-# only read Q.k, Q.d and Q.eval_real.  f is a vectorized callable on
-# points of shape (n, d); x is one point (d,), giving a complex, or a
-# set (npts, d), giving an (npts,) array, computed one point at a time.
-
-
-def _pullbacks(f, t: float, Q, x):
-    """y -> f(x_i - Q(y)) on (n, k) points, one per row x_i of x."""
-    if t <= 0:
-        raise ValueError("need t > 0")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != Q.d:
-        raise ValueError("evaluation points must live in R^d")
-    return [lambda y, xi=xi: np.asarray(f(xi - Q.eval_real(y)),
-                                        dtype=complex) for xi in x]
-
-
-def _per_point(values: list):
-    out = np.array(values, dtype=complex)
-    return out if len(out) > 1 else out[0]
-
-
-def continuous_average(f, t: float, Q, x, tol: float = 1e-8):
-    """|G_t|^{-1} * integral over G_t of f(x - Q(y)) dy.
-
-    G_t is the unit ball of R^k dilated by t (k <= 2), integrated by the
-    interval or disk rule to tol; a discontinuous f converges once the
-    rule's panel edges meet its jumps, or raises QuadratureError.
-    """
-    return _per_point([_body_mean(g, Q.k, t, tol)
-                       for g in _pullbacks(f, t, Q, x)])
-
-
-def ddt_average(f, t: float, Q, x, tol: float = 1e-8):
-    """Derivative of t -> continuous_average via the two-term formula.
-
-    d/dt M_t f(x) = -(k / t) M_t f(x) + boundary term: the boundary
-    integral of f(x - Q(y)) over |y| = t divided by |G_t|.  For k = 1 that
-    is the two endpoints; for k = 2 the ring, integrated in theta over
-    [0, 2 pi) by the interval rule.
-    """
-    def boundary(g):
-        if Q.k == 1:
-            return g(np.array([[t], [-t]])).sum() / (2 * t)
-        return _refining_midpoint(
-            lambda th: g(t * np.stack([np.cos(th), np.sin(th)], axis=-1)),
-            0.0, 2 * np.pi, tol) / (np.pi * t)
-    return _per_point([-(Q.k / t) * _body_mean(g, Q.k, t, tol) + boundary(g)
-                       for g in _pullbacks(f, t, Q, x)])
-
-
-def derivative_consistency(f, t: float, Q, x, dt: float = 1e-4,
-                           tol: float = 1e-8) -> dict:
-    """Two-term derivative against a centered difference quotient."""
-    formula = np.atleast_1d(ddt_average(f, t, Q, x, tol))
-    hi = np.atleast_1d(continuous_average(f, t + dt, Q, x, tol))
-    lo = np.atleast_1d(continuous_average(f, t - dt, Q, x, tol))
-    centered = (hi - lo) / (2 * dt)
-    scale = max(float(np.abs(formula).max()), 1e-30)
-    rel = float(np.abs(formula - centered).max()) / scale
-    return {"formula": formula, "centered": centered,
-            "relative_error": rel}
-
-
-def sampled_variation_bound(a, da, u: float, v: float, h: int,
-                            r: float, dense: int = 512) -> dict:
-    """Continuous V_r against the sampled-values-plus-derivative bound.
-
-    lhs: V_r of a over a dense uniform sample of [u, v).
-    rhs: (sum_j |a(s_j)|^r)^{1/r}
-         + (sum_j (integral of |a'| over [s_j, s_{j+1}])^r)^{1/r}
-    on the equispaced breakpoints s_j = u + (v - u) j / h, each integral
-    by the interval rule to tol 1e-8.  The bound carries an implicit
-    constant, so the ratio is reported as fitted.
-    """
-    if not u < v:
-        raise ValueError("need u < v")
-    if h < 1:
-        raise ValueError("need h >= 1")
-    ts = np.linspace(u, v, dense, endpoint=False)
-    lhs = vr_value(np.asarray(a(ts), dtype=complex), r)
-    s = u + (v - u) * np.arange(h + 1) / h
-    term_samples = float((np.abs(np.asarray(a(s), dtype=complex)) ** r)
-                         .sum() ** (1.0 / r))
-    pieces = [float(_refining_midpoint(lambda y: np.abs(da(y)), s[j],
-                                       s[j + 1], 1e-8)) for j in range(h)]
-    term_derivative = float((np.asarray(pieces) ** r)
-                            .sum() ** (1.0 / r))
-    rhs = term_samples + term_derivative
-    return {"lhs": lhs, "rhs": rhs,
-            "term_samples": term_samples,
-            "term_derivative": term_derivative,
-            "ratio": lhs / rhs if rhs > 0 else 0.0,
-            "h": h, "r": r}
 
 
 # -- major-arc approximation checks ---------------------------------------

@@ -7,11 +7,12 @@ with one component y^gamma per non-zero gamma, 0 <= gamma_j <= N0; any
 P of degree <= N0 factors exactly as an integer matrix L applied to it,
 and its dilations t^A scale component gamma by t^{|gamma|}.
 
-Real coefficients serve the continuous operators through `eval_real`.
-The lattice paths (`__call__`, `eval_many`) require integer coefficients
-and compute exactly with Python integers, so overflow is impossible
-rather than detected.  Every operator averages over the closed lattice
-ball B_t = {y in Z^k : |y| <= t} that `lattice_points` enumerates.
+Coefficients are Python ints, checked once at construction.  The
+lattice paths (`__call__`, `eval_many`) compute exactly with Python
+integers, so overflow is impossible rather than detected; `eval_real`
+evaluates the same map on float points, for phases and quadrature
+nodes.  Every operator averages over the closed lattice ball
+B_t = {y in Z^k : |y| <= t} that `lattice_points` enumerates.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ class PolynomialMapping:
     """P: R^k -> R^d with P(0) = 0.
 
     coeffs[j] maps a multi-index gamma to the coefficient of y^gamma in the
-    j-th component.  Constant terms are rejected.
+    j-th component.  Coefficients must be Python ints; constant terms
+    are rejected.
     """
 
     k: int
@@ -69,6 +71,8 @@ class PolynomialMapping:
             for g, c in comp.items():
                 if len(g) != self.k or any(e < 0 for e in g):
                     raise ValueError(f"bad multi-index {g}")
+                if not isinstance(c, int):
+                    raise ValueError(f"coefficient {c!r} is not an int")
                 if not any(g) and c != 0:
                     raise ValueError("constant term: P(0) != 0")
 
@@ -93,22 +97,15 @@ class PolynomialMapping:
         """|gamma| for each component, the dilation exponents."""
         return tuple(sum(g) for g in self.gamma)
 
-    def _require_integer(self) -> None:
-        if not all(isinstance(c, int)
-                   for comp in self.coeffs for c in comp.values()):
-            raise ValueError("lattice evaluation needs integer coefficients")
-
     def _exact(self, y: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(sum(c * monomial(y, g) for g, c in comp.items() if c)
                      for comp in self.coeffs)
 
     def __call__(self, y) -> tuple[int, ...]:
-        self._require_integer()
         return self._exact(tuple(int(c) for c in y))
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         """(n, k) integer points -> (n, d) object array, exact."""
-        self._require_integer()
         pts = [tuple(int(c) for c in row) for row in np.atleast_2d(points)]
         return np.array([list(self._exact(p)) for p in pts], dtype=object)
 

@@ -167,6 +167,15 @@ def test_rational_point_reduction():
     assert p.numerators == (2, 3) and p.q == 4 and p.reduced
     z = es.reduce_fraction((0,), 5)
     assert z.q == 1 and z.numerators == (0,)
+    assert es.RationalPoint((0, 0), 1).reduced
+
+
+@pytest.mark.parametrize("numerators, q", [
+    ((3,), 1), ((-2,), 1), ((0.5,), 1), ((0, 1), 1),
+    ((5,), 5), ((-1,), 5), ((2.0,), 5)])
+def test_rational_point_refuses_numerators_outside_range(numerators, q):
+    with pytest.raises(ValueError):
+        es.RationalPoint(numerators, q)
 
 
 def test_residue_classes_match_definition():
@@ -342,8 +351,8 @@ def test_interval_rule_out_of_budget_raises_with_estimate():
 
 
 def test_phi_body_mean_is_pinned_bitwise():
-    # Values of the multiplier before its rules were shared with the
-    # continuous averages; the shared body mean must not move a bit.
+    # Pinned values of Phi_N under the interval rule (k = 1) and the disk
+    # rule (k = 2); integrating over the unit ball must not move a bit.
     assert es.continuous_avg_multiplier(3, [0.4, 0.9], Q_QUAD) == \
         0.10984500292866717 + 0.057347293324302266j
     assert es.continuous_avg_multiplier(
@@ -351,24 +360,20 @@ def test_phi_body_mean_is_pinned_bitwise():
         -0.061370014159210326 - 0.11834072493588063j
 
 
-def _singular(pts):
-    # integrable, but no panel edge meets the singularity
-    return np.abs(np.asarray(pts)[:, 0] - 0.3) ** -0.5
-
-
 @pytest.mark.parametrize("call", [
-    lambda: es.continuous_average(_singular, 1.0, Q_LIN, np.zeros(1)),
-    lambda: es.ddt_average(_singular, 1.0, canonical_mapping(2, 1),
-                           np.zeros(3)),
-    lambda: es.sampled_variation_bound(
-        lambda t: np.sign(t - 0.3) * 2 * np.sqrt(np.abs(t - 0.3)),
-        lambda t: np.abs(t - 0.3) ** -0.5, 0.0, 1.0, 2, 2.5)],
-    ids=["average", "derivative", "sampled-bound"])
-def test_continuous_side_out_of_budget_raises_with_estimate(call):
-    with pytest.raises(QuadratureError) as info:
+    lambda: es.CZKernelSpec(3, lambda pts: np.zeros(len(pts))),
+    lambda: es.continuous_avg_multiplier(2, np.full(7, 0.1),
+                                         canonical_mapping(3, 1)),
+    lambda: es.annulus_integral(0.5, 1.0, np.full(7, 0.1),
+                                canonical_mapping(3, 1),
+                                es.odd_power_kernel()),
+    lambda: es.continuous_singular_multiplier(1.0, np.full(7, 0.1),
+                                              canonical_mapping(3, 1),
+                                              es.odd_power_kernel())],
+    ids=["kernel", "avg-multiplier", "annulus", "singular-multiplier"])
+def test_k3_is_refused_with_value_error(call):
+    with pytest.raises(ValueError, match="only k <= 2"):
         call()
-    assert np.isfinite(info.value.estimate)
-    assert np.isfinite(info.value.error_bound)
 
 
 def test_phi_decay_bounds():

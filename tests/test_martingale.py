@@ -7,14 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from radonlab import expsum as es
 from radonlab import martingale as mg
 from radonlab.experiments import EXPERIMENTS
-from radonlab.polymap import PolynomialMapping, canonical_mapping
 from radonlab.variation import jump_count_batch, vr_exact_batch, vr_value
-
-Q_LINE = canonical_mapping(1, 1)
-Q_PLANE = PolynomialMapping(2, 2, ({(1, 0): 1}, {(0, 1): 1}))
 
 
 def random_field(rng, m=1, L=6):
@@ -346,97 +341,6 @@ def test_field_ensemble_draws_are_pinned():
     assert plane[1].max() == 0.5293938828293052
     assert plane[2].tolist() == [[1, -1, -1, -1], [1, -1, -1, -1],
                                  [-1, -1, -1, 1], [-1, 1, 1, -1]]
-
-
-# continuous averages ------------------------------------------------------------
-
-def _interval_indicator(pts):
-    return (np.abs(np.asarray(pts)[:, 0]) <= 1.0).astype(complex)
-
-
-def test_interval_average_closed_form():
-    # M_t of 1_{[-1,1]} at the origin is min(1, 1/t); the panel edges
-    # are dyadic and soon meet the jumps, so the panel rule is exact
-    for t in (0.5, 1.0, 2.0, 4.0):
-        got = es.continuous_average(_interval_indicator, t, Q_LINE,
-                                    np.zeros(1))
-        assert got == pytest.approx(min(1.0, 1.0 / t), abs=1e-12)
-
-
-def test_interval_derivative_closed_form():
-    got = es.ddt_average(_interval_indicator, 2.0, Q_LINE, np.zeros(1))
-    assert got == pytest.approx(-0.25, abs=1e-12)
-
-
-def test_derivative_formula_vs_centered_difference():
-    smooth = lambda pts: np.exp(-np.asarray(pts)[:, 0] ** 2).astype(complex)
-    rep = es.derivative_consistency(smooth, 2.0, Q_LINE, np.zeros(1))
-    assert rep["relative_error"] < 1e-3
-
-
-def test_disc_average_and_derivative():
-    one = lambda pts: np.ones(len(pts), dtype=complex)
-    assert es.continuous_average(one, 1.5, Q_PLANE,
-                                 np.zeros(2)) == pytest.approx(1.0)
-    assert abs(es.ddt_average(one, 1.5, Q_PLANE, np.zeros(2))) < 1e-12
-    smooth = lambda pts: np.exp(-(np.asarray(pts) ** 2)
-                                .sum(axis=1)).astype(complex)
-    rep = es.derivative_consistency(smooth, 1.2, Q_PLANE, np.zeros(2))
-    assert rep["relative_error"] < 1e-3
-
-
-def test_continuous_average_batch_points():
-    smooth = lambda pts: np.cos(np.asarray(pts)[:, 0]).astype(complex)
-    xs = np.array([[0.0], [0.5], [1.0]])
-    got = es.continuous_average(smooth, 1.0, Q_LINE, xs)
-    single = [es.continuous_average(smooth, 1.0, Q_LINE, x) for x in xs]
-    assert np.allclose(got, single)
-
-
-def test_continuous_average_validation():
-    one = lambda pts: np.ones(len(pts), dtype=complex)
-    with pytest.raises(ValueError):
-        es.continuous_average(one, 0.0, Q_LINE, np.zeros(1))
-    with pytest.raises(ValueError):
-        es.continuous_average(one, 1.0, Q_LINE, np.zeros(2))
-    q3 = canonical_mapping(3, 1)
-    with pytest.raises(ValueError):
-        es.continuous_average(one, 1.0, q3, np.zeros(q3.d))
-
-
-def test_real_mapping_validation():
-    with pytest.raises(ValueError):
-        PolynomialMapping(1, 1, ({(0,): 1.0},))
-    with pytest.raises(ValueError):
-        PolynomialMapping(1, 1, ({(1, 0): 1.0},))
-    q = PolynomialMapping(1, 1, ({(1,): 0.5, (2,): -1.25},))
-    assert q.eval_real(np.array([[2.0]]))[0, 0] == pytest.approx(-4.0)
-    one = lambda pts: np.ones(len(pts), dtype=complex)
-    assert es.continuous_average(one, 1.0, q, np.zeros(1)) == \
-        pytest.approx(1.0)
-
-
-def test_sampled_variation_bound_trig():
-    rng = np.random.default_rng(17)
-    c = rng.standard_normal(5) / (1 + np.arange(5)) ** 2
-
-    def a(t):
-        t = np.asarray(t, dtype=float)
-        return sum(cj * np.sin((j + 1) * t) for j, cj in enumerate(c))
-
-    def da(t):
-        t = np.asarray(t, dtype=float)
-        return sum(cj * (j + 1) * np.cos((j + 1) * t)
-                   for j, cj in enumerate(c))
-
-    for h in (2, 4, 8):
-        rep = es.sampled_variation_bound(a, da, 0.0, 4.0, h, 2.5)
-        assert 0.0 < rep["ratio"] < 5.0
-        assert rep["lhs"] <= rep["rhs"] * rep["ratio"] + 1e-12
-    with pytest.raises(ValueError):
-        es.sampled_variation_bound(a, da, 1.0, 1.0, 4, 2.5)
-    with pytest.raises(ValueError):
-        es.sampled_variation_bound(a, da, 0.0, 1.0, 0, 2.5)
 
 
 # properties ---------------------------------------------------------------------
