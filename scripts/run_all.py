@@ -3,7 +3,8 @@
 
 Seedless experiments ignore --seed; the rest share it.  The exit status
 is the worst per-experiment status, so a failed exact check (1), a
-usage error (2), or a budget refusal (3) survives to the calling shell.
+usage error (2), or a budget refusal or unconverged quadrature (3)
+survives to the calling shell.
 """
 
 import argparse

@@ -5,7 +5,8 @@ Option precedence is defaults, then the config file, then environment
 (LAB_OUT, LAB_THREADS), then explicit flags.  Result tables carry no
 timing or host information; wall time goes to a .meta.json sidecar so
 the CSV/JSON pair is byte-identical for equal seeds at any thread
-count.  The exit status reflects exact-inequality pass flags only.
+count.  The exit status is 1 when an exact-inequality pass flag fails,
+2 on a usage error, and 3 when a budget or quadrature guard stops a run.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import BudgetError
+from .errors import BudgetError, QuadratureError
 from .experiments import EXPERIMENTS, RunConfig, run
 from .reporting import (compare_runs, emit_plotdata, make_document,
                         read_json, render_comparison, write_csv, write_json)
@@ -201,6 +202,11 @@ def main(argv=None) -> int:
     except BudgetError as err:
         detail = f" (estimated {err.estimate})" if err.estimate else ""
         print(f"error: computation over budget{detail}: {err}",
+              file=sys.stderr)
+        return 3
+    except QuadratureError as err:
+        print(f"error: quadrature did not converge: {err} (estimate "
+              f"{err.estimate}, error bound {err.error_bound})",
               file=sys.stderr)
         return 3
     except (ValueError, OSError) as err:

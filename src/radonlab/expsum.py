@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,8 +76,10 @@ class RationalPoint:
 
 
 def reduce_fraction(numerators, q: int) -> RationalPoint:
-    """Canonical joint-reduced representative of a/q on the torus."""
-    nums = [a % q for a in numerators]
+    """Canonical joint-reduced representative of a/q on the torus; a and q
+    may be integers of any type, NumPy's included."""
+    q = operator.index(q)
+    nums = [operator.index(a) % q for a in numerators]
     g = 0
     for a in nums:
         g = math.gcd(g, a)
@@ -254,8 +257,12 @@ class CZKernelSpec:
             raise ValueError("only k <= 2 balls are realized")
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        return np.asarray(self.evaluate(np.atleast_2d(
-            np.asarray(pts, dtype=float))), dtype=float)
+        """K at the rows of pts (n, k); points of another width are refused."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        if pts.shape[-1] != self.k:
+            raise ValueError(f"{self.name} is a kernel on R^{self.k}, "
+                             f"got points in R^{pts.shape[-1]}")
+        return np.asarray(self.evaluate(pts), dtype=float)
 
     def size_certificate(self, radii=None, samples: int = 64) -> float:
         """sup over sampled annuli of |y|^k |K| + |y|^{k+1} |grad K|."""

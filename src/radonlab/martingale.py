@@ -14,6 +14,8 @@ cell.  The sweeps build that stack once per chunk of at most
 _ENGINE_COLUMNS rows and hand it to the variation engine once per r (or
 lambda), sharing the result across every p and lambda.  The engine's
 columns are independent, so chunking never changes a value.
+`conditional_expectation` builds one level of one field, exactly for
+rationals, and is the reference the stack is tested against.
 
 The variational and jump experiments report fitted constants: the
 inequalities behind them carry implicit constants, so the module
@@ -80,14 +82,6 @@ class DyadicField:
         if v.dtype == object:
             v = v.astype(complex)
         return lp_norm(v, p, self.cell_measure)
-
-
-def measure_where(f: DyadicField, mask: np.ndarray) -> float:
-    """Lebesgue measure of the union of cells flagged by mask."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != f.values.shape:
-        raise ValueError("mask shape mismatch")
-    return float(f.cell_measure * int(mask.sum()))
 
 
 def cell_measure_exact(m: int, k: int) -> Fraction:
@@ -157,19 +151,6 @@ def conditional_expectation(f: DyadicField, k: int) -> DyadicField:
     return DyadicField(f.m, f.L, _expand(coarse, f.m, factor))
 
 
-def martingale_levels(f: DyadicField) -> tuple[DyadicField, ...]:
-    """E_0 f, ..., E_L f."""
-    return tuple(conditional_expectation(f, k) for k in range(f.L + 1))
-
-
-def martingale_differences(f: DyadicField) -> tuple[DyadicField, ...]:
-    """D_k = E_k f - E_{k-1} f for k = 1..L; zero mean on parent cells."""
-    levels = martingale_levels(f)
-    return tuple(DyadicField(f.m, f.L, levels[k].values
-                             - levels[k - 1].values)
-                 for k in range(1, f.L + 1))
-
-
 def _level_stack(fields) -> np.ndarray:
     """(F * cells, L + 1) complex array: row i * cells + c holds
     E_0 f_i, ..., E_L f_i at cell c of the i-th field.
@@ -205,49 +186,10 @@ def _square(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(vals)
 
 
-def _on_grid(f: DyadicField, values: np.ndarray) -> DyadicField:
-    return DyadicField(f.m, f.L, values.reshape(f.values.shape))
-
-
-def square_function(f: DyadicField) -> DyadicField:
-    return _on_grid(f, _square(_level_stack([f])))
-
-
-def maximal_function(f: DyadicField) -> DyadicField:
-    return _on_grid(f, np.abs(_level_stack([f])).max(axis=1))
-
-
 # -- jumps and variation over the filtration ----------------------------------------
 
-def martingale_jump(f: DyadicField, lam: float) -> DyadicField:
-    """Per-point chain length J_lambda over the level sequence.
-
-    Counts chain points (constant field gives 1 everywhere); the jump
-    count entering the companion norm and the inequalities is this
-    minus one.
-    """
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    return _on_grid(f, jump_count_batch(_level_stack([f]), lam))
-
-
-def jump_norm(f: DyadicField, lam: float, p: float) -> float:
-    """Companion norm ||lambda sqrt(J_lambda - 1)||_p."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    j = martingale_jump(f, lam)
-    jumps = np.real(j.values) - 1.0
-    return DyadicField(f.m, f.L,
-                       lam * np.sqrt(jumps).astype(complex)).norm(p)
-
-
-def variation_field(f: DyadicField, r: float) -> DyadicField:
-    """Pointwise V_r of the level sequence."""
-    return _on_grid(f, vr_exact_batch(_level_stack([f]), r))
-
-
 def jump_bound_defect(fields, lams, r: float) -> float:
-    """max over fields, cells and lambda of (J_lambda - 1) - lambda^{-r} V_r^r.
+    """max over fields, cells and lambda of N_lambda - lambda^{-r} V_r^r.
 
     The pointwise jump inequality says this is <= 0.  One level stack
     per chunk of fields, one V_r call per chunk and one jump-count call
@@ -258,9 +200,8 @@ def jump_bound_defect(fields, lams, r: float) -> float:
         stack = _level_stack(chunk)
         vr_r = vr_exact_batch(stack, r) ** r
         for lam in lams:
-            counts = jump_count_batch(stack, lam)
-            defect = max(defect, float(np.max(
-                (counts - 1.0) - lam ** -r * vr_r)))
+            jumps = jump_count_batch(stack, lam)
+            defect = max(defect, float(np.max(jumps - lam ** -r * vr_r)))
     return defect
 
 
@@ -308,7 +249,8 @@ def lepingle_ratio(f: DyadicField, p: float, r: float) -> float:
     denom = f.norm(p)
     if denom == 0.0:
         return 0.0
-    return variation_field(f, r).norm(p) / denom
+    return lp_norm(vr_exact_batch(_level_stack([f]), r), p,
+                   f.cell_measure) / denom
 
 
 def ratio_sweep(fields, p_grid, r_grid) -> list[dict]:
@@ -365,8 +307,8 @@ def good_lambda_check(f: DyadicField, lams, q: float,
     mx = np.abs(stack).max(axis=1).reshape(shape)
     records = []
     for lam in lams:
-        lhs = measure_where(f, (vr > lam) & (mx < lam / 2))
-        exceed = measure_where(f, s > lam)
+        lhs = f.cell_measure * int(np.sum((vr > lam) & (mx < lam / 2)))
+        exceed = f.cell_measure * int(np.sum(s > lam))
         below = s[s <= lam]
         integral = float(f.cell_measure * math.fsum(below ** q))
         tail = lam ** (-q) * (r - 2) ** (-q / 2) * integral

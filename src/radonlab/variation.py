@@ -2,26 +2,22 @@
 
 The r-variation V_r of a finite sequence is the supremum over increasing
 subsequences of the l^r norm of consecutive differences; the jump count
-at lambda is the length of a longest subsequence whose consecutive gaps
-exceed lambda.  Both are one longest-chain recursion over chain ends
-with two edge gains: |a_j - a_i|^r for V_r (the value is the 1/r-th
-power of the best total), and 1 on gaps > lambda, -inf otherwise, for
-jumps.  Subset-enumeration brute forces serve as independent oracles for
-short sequences: they total the chain of each of the 2^n subsets of each
-of m rows, m 2^n cells taken as n(n - 1)/2 slice adds per chunk of rows,
-with O(2^n) memory per row of the chunk.  The rest of the module
-packages the bookkeeping inequalities used downstream: sup bounds,
-splitting, the l^2 domination, long/short dyadic splitting, oscillation
-sums, the jump inequality, block partitions, and the norm bound for
-families of functions.  Two helpers serve every norm and every fit
-downstream: `lp_norm`, the one l^p (or L^p on equal cells) norm, and
-`growth_fit`, the r/(r - 2) scaling of a ratio sweep.
+N_lambda is the number of steps in a longest subsequence whose
+consecutive gaps exceed lambda.  Both are one longest-chain recursion
+over chain ends with two edge gains: |a_j - a_i|^r for V_r (the value is
+the 1/r-th power of the best total), and 1 on gaps > lambda, -inf
+otherwise, for jumps.  Subset-enumeration brute forces serve as
+independent oracles for short sequences: they total the chain of each of
+the 2^n subsets of each of m rows, m 2^n cells taken as n(n - 1)/2 slice
+adds per chunk of rows, with O(2^n) memory per row of the chunk.  The
+rest of the module packages the bookkeeping inequalities used
+downstream: sup bounds, splitting, the l^2 domination, long/short dyadic
+splitting, oscillation sums, the jump inequality, block partitions, and
+the norm bound for families of functions.  Two helpers serve every norm
+and every fit downstream: `lp_norm`, the one l^p (or L^p on equal
+cells) norm, and `growth_fit`, the r/(r - 2) scaling of a ratio sweep.
 
-Convention for jump counts: `jump_count` returns the number of POINTS in a
-longest chain whose consecutive gaps exceed lambda strictly (a constant
-sequence counts 1).  The number of jumps along that chain is one less, and
-that is the quantity every inequality here uses; checks state this
-explicitly.
+Jump counts count jumps: a constant sequence or a single point has none.
 
 Shapes: `vr_exact_batch` and `jump_count_batch` take m sequences as the
 rows of an (m, n) array and return m values.  The checks
@@ -32,7 +28,10 @@ under them) take one sequence (n,), giving floats, or a block (m, n)
 sharing one set of labels, giving length-m arrays.  A check runs the
 engine once per (block, part, r), so checking many sequences at once
 costs one engine run per part rather than one per sequence, and a
-block's row equals the one-sequence result to the last bit.
+block's row equals the one-sequence result to the last bit.  `vr_exact`,
+`vr_bruteforce`, `jump_count`, `jump_count_bruteforce`,
+`mixed_variation_bound` and `partition_variation_bound` take exactly one
+sequence.  `_block` reads and checks every sequence and its labels.
 """
 
 from __future__ import annotations
@@ -50,47 +49,45 @@ _CHAIN_BYTES = 1024 * 1024
 
 
 @dataclass(frozen=True)
-class SeqSample:
-    """A finite complex sequence with strictly increasing real labels."""
-
-    values: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values",
-                           np.asarray(self.values, dtype=complex))
-        object.__setattr__(self, "labels",
-                           np.asarray(self.labels, dtype=float))
-        if self.values.ndim != 1 or self.labels.shape != self.values.shape:
-            raise ValueError("values and labels must be 1-d and aligned")
-        if self.values.size == 0:
-            raise ValueError("empty sequence")
-        if np.any(np.diff(self.labels) <= 0):
-            raise ValueError("labels must be strictly increasing")
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-def as_sample(a, labels=None) -> SeqSample:
-    if isinstance(a, SeqSample):
-        return a
-    v = np.asarray(a, dtype=complex)
-    if labels is None:
-        labels = np.arange(v.size, dtype=float)
-    return SeqSample(v, labels)
-
-
-@dataclass(frozen=True)
 class VariationResult:
     value: float
     witness: tuple
-    method: str
 
 
 def _check_r(r: float):
     if not (r >= 1):
         raise ValueError(f"need r >= 1, got {r}")
+
+
+def _block(a, labels=None) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(rows, labels, one) of a sequence (n,) or a block of rows (m, n).
+
+    The rows are (m, n) complex and share the labels; `one` marks a single
+    sequence, whose results the checks give as floats.  Given labels must
+    be 1-d, aligned with the rows and strictly increasing; without them
+    the labels are 0..n-1.
+    """
+    v = np.asarray(a, dtype=complex)
+    if v.ndim not in (1, 2) or v.shape[-1] == 0:
+        raise ValueError("need a sequence (n,) or a block of rows (m, n)")
+    n = v.shape[-1]
+    if labels is None:
+        labels = np.arange(n, dtype=float)
+    else:
+        labels = np.asarray(labels, dtype=float)
+        if labels.shape != (n,):
+            raise ValueError("labels must be 1-d and aligned")
+        if np.any(np.diff(labels) <= 0):
+            raise ValueError("labels must be strictly increasing")
+    return v.reshape(-1, n), labels, v.ndim == 1
+
+
+def _one(a, labels=None) -> tuple[np.ndarray, np.ndarray]:
+    """(values (n,), labels) of exactly one sequence; a block is refused."""
+    v, labels, one = _block(a, labels)
+    if not one:
+        raise ValueError("need one sequence (n,), not a block")
+    return v[0], labels
 
 
 def _longest_chain(v: np.ndarray, gain) -> np.ndarray:
@@ -126,8 +123,7 @@ def vr_exact(a, r: float, labels=None) -> VariationResult:
     (max_j B[j])^{1/r}.  O(n^2).  The witness re-evaluates to the value.
     """
     _check_r(r)
-    s = as_sample(a, labels)
-    v = s.values
+    v, labels = _one(a, labels)
     best = _longest_chain(v, lambda d: d ** r)
     chain = [int(np.argmax(best))]
     while best[chain[-1]] > 0:
@@ -137,8 +133,7 @@ def vr_exact(a, r: float, labels=None) -> VariationResult:
     # The root as an array operation, exactly as in vr_exact_batch.
     value = best.max(keepdims=True) ** (1.0 / r)
     return VariationResult(float(value[0]),
-                           tuple(float(s.labels[i]) for i in chain[::-1]),
-                           "dp")
+                           tuple(float(labels[i]) for i in chain[::-1]))
 
 
 def vr_value(a, r: float, labels=None) -> float:
@@ -183,15 +178,15 @@ def vr_bruteforce(a, r: float, labels=None) -> VariationResult:
     label when the best is 0.
     """
     _check_r(r)
-    s = as_sample(a, labels)
-    chain = _subset_chains(s.values[None], lambda d: d ** r)[0]
+    v, labels = _one(a, labels)
+    chain = _subset_chains(v[None], lambda d: d ** r)[0]
     # argmax is 0, the empty mask, exactly when the best total is 0.
     mask = int(chain.argmax()) or 1
     # The root as an array operation, exactly as in vr_exact.
     value = chain[mask:mask + 1] ** (1.0 / r)
     return VariationResult(float(value[0]),
-                           tuple(float(x) for i, x in enumerate(s.labels)
-                                 if mask >> i & 1), "bruteforce")
+                           tuple(float(x) for i, x in enumerate(labels)
+                                 if mask >> i & 1))
 
 
 def vr_bruteforce_batch(values: np.ndarray, r: float) -> np.ndarray:
@@ -210,24 +205,6 @@ def vr_bruteforce_batch(values: np.ndarray, r: float) -> np.ndarray:
         best[i:i + rows] = _subset_chains(v[i:i + rows],
                                           lambda d: d ** r).max(axis=1)
     return best ** (1.0 / r)
-
-
-def _block(a, labels=None) -> tuple[np.ndarray, np.ndarray, bool]:
-    """(rows, labels, one) of a sequence (n,) or a block of rows (m, n).
-
-    The rows are (m, n) complex and share the labels; `one` marks a single
-    sequence, whose results the checks give as floats.
-    """
-    if isinstance(a, SeqSample):
-        return a.values[None], a.labels, True
-    v = np.asarray(a, dtype=complex)
-    if v.ndim not in (1, 2) or v.shape[-1] == 0:
-        raise ValueError("need a sequence (n,) or a block of rows (m, n)")
-    if labels is None:
-        labels = np.arange(v.shape[-1], dtype=float)
-    else:
-        labels = SeqSample(np.zeros(v.shape[-1]), labels).labels
-    return v.reshape(-1, v.shape[-1]), labels, v.ndim == 1
 
 
 def _out(one: bool, *results):
@@ -390,46 +367,38 @@ def oscillation_holder_check(a, lacunary, J: int, r: float):
                 J ** (0.5 - 1.0 / r) * vr_exact_batch(v, r))
 
 
-def jump_count(a, lam: float) -> int:
-    """Points in a longest chain with consecutive gaps strictly above lam.
-
-    The chain recursion with gain 1 on gaps > lam and -inf otherwise, so
-    ties |gap| == lam do not count.  A constant sequence yields 1: a
-    single point has no constraint.  The jump count used by the
-    inequalities is this value minus one.
-    """
+def _jump_gain(lam: float):
+    """The jump gain: 1 on gaps strictly above lam (not at ties), else -inf."""
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    s = as_sample(a)
-    best = _longest_chain(s.values,
-                             lambda d: np.where(d > lam, 1.0, -np.inf))
-    return int(best.max()) + 1
+    return lambda d: np.where(d > lam, 1.0, -np.inf)
+
+
+def jump_count(a, lam: float) -> int:
+    """N_lam: the jumps of a longest chain with gaps strictly above lam."""
+    return int(_longest_chain(_one(a)[0], _jump_gain(lam)).max())
 
 
 def jump_count_bruteforce(a, lam: float) -> int:
-    """Oracle: longest valid chain by subset enumeration (n <= 16)."""
-    chain = _subset_chains(as_sample(a).values[None],
-                           lambda d: np.where(d > lam, 1.0, -np.inf))
-    return int(chain.max()) + 1
+    """Oracle: most jumps of a valid chain by subset enumeration (n <= 16)."""
+    return int(_subset_chains(_one(a)[0][None], _jump_gain(lam)).max())
 
 
 def jump_count_batch(values: np.ndarray, lam: float) -> np.ndarray:
-    """Batched jump_count: values is (m, n); returns m point counts."""
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    """Batched jump_count: values is (m, n); returns m jump counts."""
+    gain = _jump_gain(lam)
     v = np.atleast_2d(np.asarray(values, dtype=complex))
-    best = _longest_chain(np.ascontiguousarray(v.T),
-                             lambda d: np.where(d > lam, 1.0, -np.inf))
-    return best.max(axis=0).astype(int) + 1
+    best = _longest_chain(np.ascontiguousarray(v.T), gain)
+    return best.max(axis=0).astype(int)
 
 
 def jump_variation_check(a, lam: float, r: float):
-    """(jump_count - 1) <= lam^{-r} V_r^r.  Returns (lhs, rhs)."""
+    """N_lam <= lam^{-r} V_r^r.  Returns (lhs, rhs)."""
     _check_r(r)
     if lam <= 0:
         raise ValueError("lambda must be positive")
     v, _, one = _block(a)
-    return _out(one, (jump_count_batch(v, lam) - 1).astype(float),
+    return _out(one, jump_count_batch(v, lam).astype(float),
                 lam ** (-r) * _pow(vr_exact_batch(v, r), r))
 
 
@@ -472,7 +441,7 @@ def even_partition(u: int, v: int, h: int) -> tuple[int, ...]:
 
 def partition_variation_bound(a, u: int, v: int, h: int, r: float,
                               p: float) -> dict:
-    """Both partition bounds for a sequence labeled u..v, plus V_r.
+    """Both partition bounds for a sequence on the indices u..v, plus V_r.
 
     knots: the even partition t_0..t_h.
     block_bound: (sum_j |a_{t_j}|^r)^{1/r}
@@ -485,18 +454,14 @@ def partition_variation_bound(a, u: int, v: int, h: int, r: float,
     _check_r(r)
     if p < 1:
         raise ValueError("need p >= 1")
-    s = as_sample(a)
-    ilab = np.round(s.labels).astype(np.int64)
-    if np.any(np.abs(s.labels - ilab) > 0):
-        raise ValueError("partition bounds need integer labels")
-    lab_index = {int(l): i for i, l in enumerate(ilab)}
-    if any(j not in lab_index for j in range(u, v + 1)):
-        raise ValueError("labels must cover u..v")
-    vals = s.values
+    vals, _ = _one(a)
     knots = even_partition(u, v, h)
-    at_knots = np.array([vals[lab_index[t]] for t in knots])
-    steps = np.array([abs(vals[lab_index[k + 1]] - vals[lab_index[k]])
-                      for k in range(u, v)])
+    if u < 0 or v >= vals.size:
+        raise ValueError(f"the sequence must cover indices {u}..{v}")
+    at_knots = vals[list(knots)]
+    # A scalar abs per step: NumPy's vectorized abs of complex values may
+    # round some of them differently in the last bit.
+    steps = np.array([abs(vals[k + 1] - vals[k]) for k in range(u, v)])
     block_l1 = np.array([
         steps[knots[j] - u: knots[j + 1] - u].sum() for j in range(h)])
     block_bound = ((np.abs(at_knots) ** r).sum() ** (1 / r)
@@ -505,10 +470,9 @@ def partition_variation_bound(a, u: int, v: int, h: int, r: float,
                     * (np.abs(at_knots) ** p).sum() ** (1 / p)
                     + h ** (1 / r - 1) * (v - u) ** (1 - 1 / p)
                     * (steps ** p).sum() ** (1 / p))
-    span = slice(lab_index[u], lab_index[v] + 1)
     return {
         "knots": knots,
-        "vr": vr_value(vals[span], r),
+        "vr": vr_value(vals[u:v + 1], r),
         "block_bound": float(block_bound),
         "holder_bound": float(holder_bound),
     }
@@ -548,26 +512,26 @@ def mixed_variation_bound(a, w, r: float, labels=None) -> dict:
     constant in lhs <= C rhs is fitted, never asserted.
     """
     _check_r(r)
-    s = as_sample(a, labels)
+    vals, labels = _one(a, labels)
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or w.size < 2 or np.any(np.diff(w) <= 0):
         raise ValueError("breakpoints must be strictly increasing")
-    if w[0] > s.labels[0] or w[-1] < s.labels[-1]:
+    if w[0] > labels[0] or w[-1] < labels[-1]:
         raise ValueError("breakpoints must cover the label range")
-    lhs = vr_value(s, r)
+    lhs = vr_value(vals, r)
     skel_idx = []
     for wk in w:
-        i = np.searchsorted(s.labels, wk)
-        if i < len(s) and np.isclose(s.labels[i], wk):
+        i = np.searchsorted(labels, wk)
+        if i < len(labels) and np.isclose(labels[i], wk):
             skel_idx.append(i)
         else:
             raise ValueError(f"breakpoint {wk} is not a label")
-    skeleton = (vr_value(s.values[skel_idx], r) if len(skel_idx) > 1 else 0.0)
+    skeleton = (vr_value(vals[skel_idx], r) if len(skel_idx) > 1 else 0.0)
     blocks = 0.0
     for k in range(w.size - 1):
-        sel = (s.labels >= w[k]) & (s.labels < w[k + 1])
+        sel = (labels >= w[k]) & (labels < w[k + 1])
         if sel.sum() > 1:
-            blocks += vr_value(s.values[sel], r) ** 2
+            blocks += vr_value(vals[sel], r) ** 2
     rhs = skeleton + blocks ** 0.5
     return {"lhs": lhs, "rhs": float(rhs),
             "ratio": float(lhs / rhs) if rhs > 0 else

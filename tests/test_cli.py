@@ -216,6 +216,23 @@ def test_budget_refusal_exits_three(tmp_path, monkeypatch, capsys):
     assert "over budget" in err and "1000000000" in err
 
 
+def test_quadrature_failure_exits_three(tmp_path, capsys):
+    # The interval rule cannot reach 1e-17 within its node budget.
+    code = cli.main(["weyl-decay", "--points", "2", "--tol", "1e-17",
+                     "--out", str(tmp_path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "interval rule did not reach tol 1.0e-17" in err
+    assert "(estimate (" in err and "error bound " in err
+
+
+def test_kernel_of_the_wrong_dimension_exits_two(tmp_path, capsys):
+    # weyl-decay's kernel lives on R^1, so a k = 2 map is refused at once.
+    code = cli.main(["weyl-decay", "--k", "2", "--out", str(tmp_path)])
+    assert code == 2
+    assert "kernel on R^1, got points in R^2" in capsys.readouterr().err
+
+
 # -- precedence: defaults < config < environment < flags ----------------------
 
 def test_config_supplies_seed_and_params(tmp_path, capsys):

@@ -11,6 +11,7 @@ from scipy.special import j1, sici
 
 from radonlab import expsum as es
 from radonlab.errors import BudgetError, KernelError, QuadratureError
+from radonlab.operators import apply_truncation, delta_function
 from radonlab.polymap import canonical_mapping, lattice_points
 
 Q_LIN = canonical_mapping(1, 1)    # y
@@ -168,6 +169,10 @@ def test_rational_point_reduction():
     z = es.reduce_fraction((0,), 5)
     assert z.q == 1 and z.numerators == (0,)
     assert es.RationalPoint((0, 0), 1).reduced
+    # NumPy integers reduce to Python ints; a float is still refused.
+    assert es.reduce_fraction(np.array([4, 6]), np.int64(8)) == p
+    with pytest.raises(TypeError):
+        es.reduce_fraction((1.5, 2), 8)
 
 
 @pytest.mark.parametrize("numerators, q", [
@@ -374,6 +379,27 @@ def test_phi_body_mean_is_pinned_bitwise():
 def test_k3_is_refused_with_value_error(call):
     with pytest.raises(ValueError, match="only k <= 2"):
         call()
+
+
+# A k = 1 kernel along a k = 2 map: every path that evaluates the kernel
+# refuses the points' width.
+_Q2 = canonical_mapping(2, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda K: es.sing_multiplier(3, [0.1, 0.2, 0.3], _Q2, K),
+    lambda K: es.annulus_integral(0.5, 1.0, [0.1, 0.2, 0.3], _Q2, K),
+    lambda K: es.continuous_singular_multiplier(1.0, [0.1, 0.2, 0.3], _Q2,
+                                                K),
+    lambda K: es.major_arc_diff_check(
+        es.ArcWindow(N=64, L1=64.0, L2=1.0, L3=8.0), 32,
+        es.RationalPoint((0, 0, 0), 1), np.zeros(3), _Q2, K),
+    lambda K: apply_truncation(delta_function(3), _Q2, 2, K)],
+    ids=["sing-multiplier", "annulus", "singular-multiplier",
+         "major-arc-diff", "apply-truncation"])
+def test_kernel_of_the_wrong_dimension_is_refused(call):
+    with pytest.raises(ValueError, match="kernel on R\\^1"):
+        call(es.odd_power_kernel())
 
 
 def test_phi_decay_bounds():

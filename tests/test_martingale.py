@@ -9,13 +9,26 @@ from hypothesis import strategies as st
 
 from radonlab import martingale as mg
 from radonlab.experiments import EXPERIMENTS
-from radonlab.variation import jump_count_batch, vr_exact_batch, vr_value
+from radonlab.variation import (jump_count_batch, lp_norm, vr_exact_batch,
+                                vr_value)
 
 
 def random_field(rng, m=1, L=6):
     shape = (2 ** L,) * m
     return mg.DyadicField(m, L, rng.standard_normal(shape)
                           + 1j * rng.standard_normal(shape))
+
+
+def level_rows(f):
+    """E_0 f, ..., E_L f on the finest grid, one conditional expectation
+    each: the reference for the level stack."""
+    return [mg.conditional_expectation(f, k).values for k in range(f.L + 1)]
+
+
+def differences(f):
+    """D_k = E_k f - E_{k-1} f for k = 1..L, as fields."""
+    rows = level_rows(f)
+    return [mg.DyadicField(f.m, f.L, b - a) for a, b in zip(rows, rows[1:])]
 
 
 # fields and conditional expectations ----------------------------------------
@@ -93,7 +106,7 @@ def test_differences_telescope_exactly():
     vals = np.array([Fraction(i ** 2, 8) for i in range(16)], dtype=object)
     f = mg.DyadicField(1, 4, vals)
     total = mg.conditional_expectation(f, 0).values
-    for d in mg.martingale_differences(f):
+    for d in differences(f):
         total = total + d.values
     assert np.array_equal(total, f.values)
 
@@ -101,7 +114,7 @@ def test_differences_telescope_exactly():
 def test_differences_have_zero_parent_mean():
     rng = np.random.default_rng(1)
     f = random_field(rng, L=5)
-    for k, d in enumerate(mg.martingale_differences(f), start=1):
+    for k, d in enumerate(differences(f), start=1):
         coarse = mg.conditional_expectation(d, k - 1)
         assert np.max(np.abs(coarse.values)) < 1e-13
 
@@ -111,7 +124,7 @@ def test_orthogonality_identity():
     for f in (random_field(rng, m=1, L=6), random_field(rng, m=2, L=3)):
         lhs = f.norm(2) ** 2
         rhs = mg.conditional_expectation(f, 0).norm(2) ** 2 + sum(
-            d.norm(2) ** 2 for d in mg.martingale_differences(f))
+            d.norm(2) ** 2 for d in differences(f))
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -133,50 +146,58 @@ def test_square_norm_equals_mean_free_norm():
     f = random_field(rng, L=6)
     sub = mg.DyadicField(1, 6, f.values
                          - mg.conditional_expectation(f, 0).values)
-    assert mg.square_function(f).norm(2) == pytest.approx(sub.norm(2),
-                                                          abs=1e-10)
+    square = mg._square(mg._level_stack([f]))
+    assert lp_norm(square, 2, f.cell_measure) == pytest.approx(sub.norm(2),
+                                                               abs=1e-10)
 
 
 # square, maximal, jumps -------------------------------------------------------
 
+def test_level_stack_equals_the_conditional_expectations():
+    # Quarters average exactly in floats, so the float stack's columns
+    # are the exact rational expectations bit for bit.
+    rng = np.random.default_rng(7)
+    for m, L in ((1, 4), (2, 3)):
+        ints = rng.integers(-8, 9, size=(2 ** L,) * m)
+        vals = np.vectorize(lambda x: Fraction(int(x), 4),
+                            otypes=[object])(ints)
+        f = mg.DyadicField(m, L, vals)
+        want = np.stack([v.ravel() for v in level_rows(f)], axis=1)
+        got = mg._level_stack([mg.DyadicField(m, L, vals.astype(complex))])
+        assert np.array_equal(got, want.astype(complex))
+
+
 def test_constant_square_and_maximal():
-    c = mg.DyadicField(1, 4, np.full(16, -2.5 + 0j))
-    S, M = mg.square_function(c), mg.maximal_function(c)
-    assert np.all(S.values == 0.0)
-    assert np.all(M.values == 2.5)
+    stack = mg._level_stack([mg.DyadicField(1, 4, np.full(16, -2.5 + 0j))])
+    assert np.all(mg._square(stack) == 0.0)
+    assert np.all(np.abs(stack).max(axis=1) == 2.5)
 
 
 def test_haar_square_and_maximal():
-    h = mg.haar_field(5)
-    S, M = mg.square_function(h), mg.maximal_function(h)
-    assert np.all(S.values == 1.0)
-    assert np.all(M.values == 1.0)
+    stack = mg._level_stack([mg.haar_field(5)])
+    assert np.all(mg._square(stack) == 1.0)
+    assert np.all(np.abs(stack).max(axis=1) == 1.0)
 
 
 def test_jump_counts():
     c = mg.DyadicField(1, 3, np.full(8, 7.0 + 0j))
-    assert np.all(mg.martingale_jump(c, 0.5).values == 1.0)
+    assert np.all(jump_count_batch(mg._level_stack([c]), 0.5) == 0)
     h = mg.haar_field(5)
-    assert np.all(mg.martingale_jump(h, 0.5).values == 2.0)
+    jumps = jump_count_batch(mg._level_stack([h]), 0.5)
+    assert np.all(jumps == 1)
+    # One jump of size 1 everywhere: ||lambda N_lambda^{1/2}||_p = lambda.
+    assert lp_norm(0.5 * np.sqrt(jumps), 2, h.cell_measure) == 0.5
     with pytest.raises(ValueError):
-        mg.martingale_jump(h, -1.0)
-
-
-def test_jump_norm_haar():
-    # one jump of size 1 everywhere: ||lambda * sqrt(1)||_p = lambda
-    assert mg.jump_norm(mg.haar_field(4), 0.5, 2) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        mg.jump_norm(mg.haar_field(4), 0.0, 2)
+        jump_count_batch(mg._level_stack([h]), -1.0)
 
 
 def test_jump_dominated_by_variation_pointwise():
     rng = np.random.default_rng(5)
     f = random_field(rng, L=5)
-    levels = np.stack([e.values.ravel()
-                       for e in mg.martingale_levels(f)], axis=1)
+    levels = np.stack([v.ravel() for v in level_rows(f)], axis=1)
     for lam in (0.25, 0.5, 1.0):
         for r in (2.5, 3.0):
-            jumps = jump_count_batch(levels, lam) - 1
+            jumps = jump_count_batch(levels, lam)
             vr = vr_exact_batch(levels, r)
             assert np.all(jumps <= lam ** (-r) * vr ** r + 1e-12)
 
@@ -217,8 +238,7 @@ def test_ratio_sweep_reports_bounded_fit():
 
 def _per_cell_variation(f, r, memo):
     """V_r of every cell's level sequence by the scalar DP, one cell at a time."""
-    levels = np.stack([e.values.ravel() for e in mg.martingale_levels(f)],
-                      axis=1)
+    levels = np.stack([v.ravel() for v in level_rows(f)], axis=1)
     out = np.empty(len(levels))
     for c, seq in enumerate(levels):
         key = (r, seq.tobytes())
@@ -360,8 +380,8 @@ def test_jump_monotone_in_lambda(l1, l2):
     rng = np.random.default_rng(29)
     f = random_field(rng, L=4)
     lo, hi = sorted((l1, l2))
-    assert np.all(np.real(mg.martingale_jump(f, hi).values)
-                  <= np.real(mg.martingale_jump(f, lo).values))
+    stack = mg._level_stack([f])
+    assert np.all(jump_count_batch(stack, hi) <= jump_count_batch(stack, lo))
 
 
 @given(st.floats(min_value=0.1, max_value=8.0))

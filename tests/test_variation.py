@@ -47,9 +47,9 @@ def test_vr_long_dyadic_labels():
 
 
 def test_vr_long_short_two_point():
-    s = vr.SeqSample(np.array([0.0, 1.0]), np.array([2.0, 3.0]))
-    assert vr.vr_long(s, 2) == 0.0
-    assert vr.vr_short(s, 2) == pytest.approx(1.0)
+    a, labels = [0.0, 1.0], [2.0, 3.0]
+    assert vr.vr_long(a, 2, labels=labels) == 0.0
+    assert vr.vr_short(a, 2, labels=labels) == pytest.approx(1.0)
 
 
 def test_oscillation_examples():
@@ -63,16 +63,16 @@ def test_oscillation_bad_block_count():
 
 
 def test_jump_examples():
-    assert vr.jump_count([0, 1, 0, 1], 0.5) == 4
-    assert vr.jump_count([5, 5, 5], 2.0) == 1
-    assert vr.jump_count([0, 2, 0], 3.0) == 1
+    assert vr.jump_count([0, 1, 0, 1], 0.5) == 3
+    assert vr.jump_count([5, 5, 5], 2.0) == 0
+    assert vr.jump_count([0, 2, 0], 3.0) == 0
 
 
 def test_jump_needs_chain_dp_not_fixed_start_greedy():
     # the best chain does not contain the first element
     a = [2.5, 0.0, 5.0, 0.0, 5.0]
-    assert vr.jump_count(a, 4.9) == 4
-    assert vr.jump_count_bruteforce(a, 4.9) == 4
+    assert vr.jump_count(a, 4.9) == 3
+    assert vr.jump_count_bruteforce(a, 4.9) == 3
 
 
 def test_dyadic_level_square_bound_example():
@@ -231,12 +231,13 @@ def test_bruteforce_batch_at_the_limit():
                                    ([0, 2, 1, 3, 0, 2], 1.0), ([5, 5, 5], 0.0),
                                    ([4.0], 0.0), ([0, 1], 0.0), ([0, 1], 1.0)])
 def test_jump_bruteforce_is_the_explicit_enumeration(a, lam):
-    # Integer gaps equal to lambda must not count.
+    # Integer gaps equal to lambda must not count.  A chain of k points
+    # makes k - 1 jumps.
     longest = max(k for k in range(1, len(a) + 1)
                   for idx in itertools.combinations(range(len(a)), k)
                   if all(abs(a[j] - a[i]) > lam
                          for i, j in zip(idx, idx[1:])))
-    assert vr.jump_count_bruteforce(a, lam) == longest
+    assert vr.jump_count_bruteforce(a, lam) == longest - 1
 
 
 def test_bruteforce_budget():
@@ -327,7 +328,7 @@ def test_long_short_domination_contiguous(rng):
         a = rng.normal(size=n) + 1j * rng.normal(size=n)
         lab = np.arange(1, n + 1, dtype=float)
         r = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
-        full, lo, sh = vr.long_short_split(vr.SeqSample(a, lab), r)
+        full, lo, sh = vr.long_short_split(a, r, labels=lab)
         if lo + sh > 0:
             worst = max(worst, full / (lo + sh))
         else:
@@ -346,14 +347,14 @@ def test_jump_dp_matches_bruteforce(rng):
 def test_jump_ties_at_lambda_do_not_count():
     rows = np.array([[0, 1, 2, 3], [0, 1, 0, 1], [5, 5, 5, 5]],
                     dtype=complex)
-    assert vr.jump_count_batch(rows, 1.0).tolist() == [2, 1, 1]
-    assert vr.jump_count_batch(rows, 0.0).tolist() == [4, 4, 1]
+    assert vr.jump_count_batch(rows, 1.0).tolist() == [1, 0, 0]
+    assert vr.jump_count_batch(rows, 0.0).tolist() == [3, 3, 0]
     for lam in (0.0, 1.0):
         assert (vr.jump_count_batch(rows, lam).tolist()
                 == [vr.jump_count(row, lam) for row in rows])
-    assert vr.jump_count([4.0], 0.0) == 1
-    assert vr.jump_count_batch(rows[:, :1], 0.0).tolist() == [1, 1, 1]
-    # The check takes the block too: jumps are points minus one.
+    assert vr.jump_count([4.0], 0.0) == 0
+    assert vr.jump_count_batch(rows[:, :1], 0.0).tolist() == [0, 0, 0]
+    # The check takes the block too; its lhs is the jump count.
     lhs, rhs = vr.jump_variation_check(rows, 1.0, 2.0)
     assert lhs.tolist() == [1.0, 0.0, 0.0]
     assert rhs.tolist() == [vr.jump_variation_check(row, 1.0, 2.0)[1]
@@ -409,7 +410,7 @@ def test_mixed_variation_fitted_constant(rng):
         inner = sorted(rng.choice(np.arange(1, n - 1), size=n_break,
                                   replace=False)) if n_break else []
         w = labels[[0, *inner, n - 1]]
-        out = vr.mixed_variation_bound(vr.SeqSample(a, labels), w, 2.0)
+        out = vr.mixed_variation_bound(a, w, 2.0, labels=labels)
         if np.isfinite(out["ratio"]):
             worst = max(worst, out["ratio"])
     assert worst < np.sqrt(6.0) + 1e-9
@@ -518,3 +519,49 @@ def test_checks_on_a_block_keep_their_refusals():
                                              labels=[0, 1, 1, 2, 3])):
         with pytest.raises(ValueError):
             bad()
+
+
+# the one input form -----------------------------------------------------
+
+_BLOCK = np.ones((3, 5), dtype=complex)
+_ROW = np.arange(5.0)
+# Labels from 1, so that the long/short checks would accept them aligned.
+_BAD_LABELS = {"misaligned": [1, 2, 3], "tied": [1, 2, 2, 3, 4],
+               "decreasing": [1, 3, 2, 4, 5],
+               "2-d": np.arange(1.0, 11.0).reshape(2, 5)}
+_ONE_SEQUENCE = ((vr.vr_exact, (2.0,)), (vr.vr_bruteforce, (2.0,)),
+                 (vr.jump_count, (1.0,)), (vr.jump_count_bruteforce, (1.0,)),
+                 (vr.mixed_variation_bound, ((0, 4), 2.0)),
+                 (vr.partition_variation_bound, (0, 4, 2, 2.0, 2.0)))
+_REFUSALS = [
+    *(pytest.param(fn, (a, 2.0), {"labels": labels}, "labels",
+                   id=f"{fn.__name__}-labels-{name}")
+      for name, labels in _BAD_LABELS.items()
+      for fn, a in ((vr.vr_long, _BLOCK), (vr.vr_exact, _ROW))),
+    *(pytest.param(fn, (_BLOCK, *args), {}, "one sequence",
+                   id=f"{fn.__name__}-block")
+      for fn, args in _ONE_SEQUENCE),
+    *(pytest.param(fn, (a, -0.5), {}, "lambda",
+                   id=f"{fn.__name__}-negative-lambda")
+      for fn, a in ((vr.jump_count, _ROW), (vr.jump_count_bruteforce, _ROW),
+                    (vr.jump_count_batch, _BLOCK))),
+    pytest.param(vr.vr_exact, ([], 2.0), {}, "sequence", id="empty"),
+]
+
+
+@pytest.mark.parametrize("fn,args,kwargs,match", _REFUSALS)
+def test_one_input_form_refusals(fn, args, kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        fn(*args, **kwargs)
+
+
+def test_partition_bound_reads_indices_directly(rng):
+    # Indices u..v inside a longer sequence: V_r of the span, knots as
+    # indices, and indices past either end refused.
+    a = rng.normal(size=12) + 1j * rng.normal(size=12)
+    out = vr.partition_variation_bound(a, 3, 9, 3, 2.0, 2.0)
+    assert out["knots"] == (3, 5, 7, 9)
+    assert out["vr"] == vr.vr_value(a[3:10], 2.0)
+    for u, v in ((0, 12), (-1, 4)):
+        with pytest.raises(ValueError, match="cover"):
+            vr.partition_variation_bound(a, u, v, 2, 2.0, 2.0)
