@@ -205,12 +205,13 @@ def _run_weyl_decay(params, config, budgets) -> RunOutcome:
     Psi_N - Psi_{N/2} is a unit annulus integral at the scaled
     frequency, so the sweep probes exactly the decay in ||N^A xi||.
     """
-    k, deg = params["k"], params["deg"]
+    deg = params["deg"]
     points, u_min, u_max = params["points"], params["u_min"], params["u_max"]
     tol = params["tol"]
     if points < 2 or not (0 < u_min < u_max):
         raise ValueError("need points >= 2 and 0 < u_min < u_max")
-    Q = canonical_mapping(k, deg)
+    # The kernel 0.5/y lives on R^1, so the map has k = 1.
+    Q = canonical_mapping(1, deg)
     direction = np.ones(Q.d)
     kernel = odd_power_kernel()
     grid = np.geomspace(u_min, u_max, points)
@@ -723,8 +724,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         summary="Gauss sum magnitudes vs the classical square-root decay"),
     "weyl-decay": ExperimentSpec(
         _run_weyl_decay,
-        {"k": 1, "deg": 2, "points": 50, "u_min": 1.5, "u_max": 200.0,
-         "tol": 1e-7},
+        {"deg": 2, "points": 50, "u_min": 1.5, "u_max": 200.0, "tol": 1e-7},
         needs_seed=False,
         summary="log-log decay of the continuous multipliers"),
     "vr-suite": ExperimentSpec(

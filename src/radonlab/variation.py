@@ -6,10 +6,13 @@ N_lambda is the number of steps in a longest subsequence whose
 consecutive gaps exceed lambda.  Both are one longest-chain recursion
 over chain ends with two edge gains: |a_j - a_i|^r for V_r (the value is
 the 1/r-th power of the best total), and 1 on gaps > lambda, -inf
-otherwise, for jumps.  Subset-enumeration brute forces serve as
-independent oracles for short sequences: they total the chain of each of
-the 2^n subsets of each of m rows, m 2^n cells taken as n(n - 1)/2 slice
-adds per chunk of rows, with O(2^n) memory per row of the chunk.  The
+otherwise, for jumps.  The recursion pushes a batch of rows one
+predecessor at a time and a single row in tiles of predecessors, with
+the same bits on both paths (see `_longest_chain`).  Subset-enumeration
+brute forces serve as independent oracles for short sequences: they
+total the chain of each of the 2^n subsets of each of m rows, m 2^n
+cells taken as n(n - 1)/2 slice adds per chunk of rows, with O(2^n)
+memory per row of the chunk.  The
 rest of the module packages the bookkeeping inequalities used
 downstream: sup bounds, splitting, the l^2 domination, long/short dyadic
 splitting, oscillation sums, the jump inequality, block partitions, and
@@ -31,7 +34,9 @@ costs one engine run per part rather than one per sequence, and a
 block's row equals the one-sequence result to the last bit.  `vr_exact`,
 `vr_bruteforce`, `jump_count`, `jump_count_bruteforce`,
 `mixed_variation_bound` and `partition_variation_bound` take exactly one
-sequence.  `_block` reads and checks every sequence and its labels.
+sequence.  Every public entry point reads its input once, through
+`_block`, which refuses empty, 3-d and non-finite input; the checks hand
+the rows it read to the private engine entries `_vr` and `_jumps`.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from .errors import BudgetError
 
 BRUTEFORCE_LIMIT = 16
 _GAIN_BYTES = 128 * 1024
+_TILE = 16
 _CHAIN_BYTES = 1024 * 1024
 
 
@@ -62,24 +68,30 @@ def _check_r(r: float):
 def _block(a, labels=None) -> tuple[np.ndarray, np.ndarray, bool]:
     """(rows, labels, one) of a sequence (n,) or a block of rows (m, n).
 
-    The rows are (m, n) complex and share the labels; `one` marks a single
-    sequence, whose results the checks give as floats.  Given labels must
-    be 1-d, aligned with the rows and strictly increasing; without them
-    the labels are 0..n-1.
+    The rows are (m, n) complex, non-empty and finite, and share the
+    labels; `one` marks a single sequence, whose results the checks give
+    as floats.  Given labels must be 1-d, aligned with the rows and
+    strictly increasing; without them the labels are 0..n-1.
     """
     v = np.asarray(a, dtype=complex)
-    if v.ndim not in (1, 2) or v.shape[-1] == 0:
-        raise ValueError("need a sequence (n,) or a block of rows (m, n)")
-    n = v.shape[-1]
+    if v.ndim not in (1, 2) or v.size == 0:
+        raise ValueError("need a non-empty sequence (n,) or block of rows "
+                         "(m, n)")
+    n, one = v.shape[-1], v.ndim == 1
+    v = v.reshape(-1, n)
+    if not np.isfinite(v).all():
+        row, i = np.argwhere(~np.isfinite(v))[0]
+        raise ValueError(f"non-finite value {v[row, i]} in row {row} at "
+                         f"index {i}")
     if labels is None:
         labels = np.arange(n, dtype=float)
     else:
         labels = np.asarray(labels, dtype=float)
         if labels.shape != (n,):
             raise ValueError("labels must be 1-d and aligned")
-        if np.any(np.diff(labels) <= 0):
+        if not np.all(np.diff(labels) > 0):
             raise ValueError("labels must be strictly increasing")
-    return v.reshape(-1, n), labels, v.ndim == 1
+    return v, labels, one
 
 
 def _one(a, labels=None) -> tuple[np.ndarray, np.ndarray]:
@@ -93,27 +105,95 @@ def _one(a, labels=None) -> tuple[np.ndarray, np.ndarray]:
 def _longest_chain(v: np.ndarray, gain) -> np.ndarray:
     """The one chain recursion behind V_r and the jump counts.
 
-    v is (n,) for one sequence or (n, m) for m sequences in columns.  A
-    chain i_0 < ... < i_k earns gain(|v_{i_{t+1}} - v_{i_t}|) per step;
-    best[j] is the largest total over chains ending at j, floored at 0 so
-    any point may start a chain.  Once best[i] is final it is pushed to
-    every later j.  The gains of as many predecessors as fit in
-    `_GAIN_BYTES` of differences are taken in one array operation, so a
-    short sequence costs a few array operations per point and a long
-    batch one predecessor at a time.  Returns best.  O(m n^2) time,
-    O(m n) memory.
+    v holds m sequences as the rows of an (m, n) array, as `_block` reads
+    them.  A chain i_0 < ... < i_k earns gain(|v_{i_{t+1}} - v_{i_t}|) per
+    step; best[:, j] is the largest total over chains ending at j, floored
+    at 0 so any point may start a chain.  Once best[:, i] is final it is
+    pushed to every later j.  Returns best (m, n).  O(m n^2) time, O(m n)
+    memory.
+
+    A batch (m >= 2) pushes one predecessor at a time to all m rows, and
+    takes the gains of as many predecessors as fit in `_GAIN_BYTES` of
+    differences in one array operation.  One row would pay an array call
+    per predecessor for a push of at most n cells, so `_one_row_chain`
+    takes it in tiles instead.  On either path every candidate is the one
+    float add best[i] + gain(|v_j - v_i|), each gain is the same
+    elementwise array operation, and a max is exact, so a row's values are
+    the same bits on both.
     """
-    n = len(v)
-    best = np.zeros(v.shape)
-    rows = max(1, _GAIN_BYTES // (16 * v.size))
+    if len(v) == 1:
+        return _one_row_chain(v[0], gain)[None]
+    cols = np.ascontiguousarray(v.T)
+    n = len(cols)
+    best = np.zeros(cols.shape)
+    rows = max(1, _GAIN_BYTES // (16 * cols.size))
     for i0 in range(0, n - 1, rows):
         i1 = min(i0 + rows, n - 1)
         # g[a, b] is the gain from i0 + a to i0 + 1 + b.
-        g = gain(np.abs(v[i0 + 1:] - v[i0:i1, None]))
+        g = gain(np.abs(cols[i0 + 1:] - cols[i0:i1, None]))
         for i in range(i0, i1):
             later = best[i + 1:]
             np.maximum(later, best[i] + g[i - i0, i - i0:], out=later)
+    return best.T
+
+
+def _one_row_chain(v: np.ndarray, gain) -> np.ndarray:
+    """`_longest_chain` of one sequence v (n,), `_TILE` predecessors a step.
+
+    A tile's gains are taken against the points from its first on.  Inside
+    the tile the push runs on Python floats, a few hundred nanoseconds a
+    step where an array call costs microseconds; then one array operation
+    pushes the finished tile to every later point.  Python's > drops a NaN
+    that np.maximum would pass on, which `_block`'s refusal of non-finite
+    values rules out.
+
+    Past `_GAIN_BYTES` of differences a tile reuses two buffers made once
+    per call: fresh arrays that large come from the system each time
+    (glibc maps them), and near n = 1000 their page faults cost more than
+    the tiles save.  Below it, the buffers' views cost more than they
+    save.
+    """
+    n = len(v)
+    best = np.zeros(n)
+    if 16 * _TILE * n > _GAIN_BYTES:
+        diff, dist = np.empty(_TILE * n, dtype=complex), np.empty(_TILE * n)
+    else:
+        diff = dist = None
+    for t0 in range(0, n - 1, _TILE):
+        t1 = min(t0 + _TILE, n)
+        w = t1 - t0
+        # g[a, b] is the gain from t0 + a to t0 + b.
+        if diff is None:
+            g = gain(np.abs(v[t0:] - v[t0:t1, None]))
+        else:
+            size = w * (n - t0)
+            d = np.subtract(v[t0:], v[t0:t1, None],
+                            out=diff[:size].reshape(w, -1))
+            g = gain(np.abs(d, out=dist[:size].reshape(w, -1)))
+        tile = best[t0:t1].tolist()
+        for a, row in enumerate(g[:, :w].tolist()):
+            x = tile[a]
+            for b in range(a + 1, w):
+                y = x + row[b]
+                if y > tile[b]:
+                    tile[b] = y
+        best[t0:t1] = tile
+        if t1 < n:
+            later = g[:, w:]
+            later += best[t0:t1, None]
+            np.maximum(best[t1:], later.max(axis=0), out=best[t1:])
     return best
+
+
+def _vr(v: np.ndarray, r: float) -> np.ndarray:
+    """V_r of each row of v (m, n), rows as `_block` reads them."""
+    _check_r(r)
+    return _longest_chain(v, lambda d: d ** r).max(axis=1) ** (1.0 / r)
+
+
+def _jumps(v: np.ndarray, lam: float) -> np.ndarray:
+    """N_lam of each row of v (m, n), rows as `_block` reads them."""
+    return _longest_chain(v, _jump_gain(lam)).max(axis=1).astype(int)
 
 
 def vr_exact(a, r: float, labels=None) -> VariationResult:
@@ -124,7 +204,7 @@ def vr_exact(a, r: float, labels=None) -> VariationResult:
     """
     _check_r(r)
     v, labels = _one(a, labels)
-    best = _longest_chain(v, lambda d: d ** r)
+    best = _longest_chain(v[None], lambda d: d ** r)[0]
     chain = [int(np.argmax(best))]
     while best[chain[-1]] > 0:
         # The first predecessor attaining best[j].
@@ -142,10 +222,7 @@ def vr_value(a, r: float, labels=None) -> float:
 
 def vr_exact_batch(values: np.ndarray, r: float) -> np.ndarray:
     """Batched r-variation: values is (m, n); returns the m values."""
-    _check_r(r)
-    v = np.atleast_2d(np.asarray(values, dtype=complex))
-    best = _longest_chain(np.ascontiguousarray(v.T), lambda d: d ** r)
-    return best.max(axis=0) ** (1.0 / r)
+    return _vr(_block(values)[0], r)
 
 
 def _subset_chains(v: np.ndarray, gain) -> np.ndarray:
@@ -197,7 +274,7 @@ def vr_bruteforce_batch(values: np.ndarray, r: float) -> np.ndarray:
     O(2^n) per chunk row.
     """
     _check_r(r)
-    v = np.atleast_2d(np.asarray(values, dtype=complex))
+    v = _block(values)[0]
     m, n = v.shape
     rows = max(1, _CHAIN_BYTES // (8 << n))
     best = np.zeros(m)
@@ -270,30 +347,37 @@ def _require_integer_labels(lab: np.ndarray) -> np.ndarray:
 def vr_long(a, r: float, labels=None):
     """Variation along the powers of two present among the labels."""
     v, lab, one = _block(a, labels)
-    ilab = _require_integer_labels(lab)
+    return _out(one, _vr_long(v, _require_integer_labels(lab), r))
+
+
+def _vr_long(v: np.ndarray, ilab: np.ndarray, r: float) -> np.ndarray:
     dyadic = (ilab & (ilab - 1)) == 0  # powers of two (labels >= 1)
-    return _out(one, vr_exact_batch(v[:, dyadic], r) if dyadic.sum() > 1
-                else np.zeros(len(v)))
+    return _vr(v[:, dyadic], r) if dyadic.sum() > 1 else np.zeros(len(v))
 
 
 def vr_short(a, r: float, labels=None):
     """l^r sum over dyadic blocks [2^n, 2^{n+1}) of within-block variation."""
     _check_r(r)
     v, lab, one = _block(a, labels)
-    block = np.floor(np.log2(_require_integer_labels(lab))).astype(int)
+    return _out(one, _vr_short(v, _require_integer_labels(lab), r))
+
+
+def _vr_short(v: np.ndarray, ilab: np.ndarray, r: float) -> np.ndarray:
+    block = np.floor(np.log2(ilab)).astype(int)
     total = np.zeros(len(v))
     for b in np.unique(block):
         sel = block == b
         if sel.sum() > 1:
-            total += _pow(vr_exact_batch(v[:, sel], r), r)
-    return _out(one, _pow(total, 1.0 / r))
+            total += _pow(_vr(v[:, sel], r), r)
+    return _pow(total, 1.0 / r)
 
 
 def long_short_split(a, r: float, labels=None):
     """(V_r, V_r^long, V_r^short); V_r <= 2 (long + short) on full ranges."""
     v, lab, one = _block(a, labels)
-    return _out(one, vr_exact_batch(v, r), vr_long(v, r, lab),
-                vr_short(v, r, lab))
+    ilab = _require_integer_labels(lab)
+    return _out(one, _vr(v, r), _vr_long(v, ilab, r),
+                _vr_short(v, ilab, r))
 
 
 def sup_bound_check(a, r: float):
@@ -303,8 +387,7 @@ def sup_bound_check(a, r: float):
     """
     v, _, one = _block(a)
     mags = np.abs(v)
-    return _out(one, mags.max(axis=1),
-                2.0 * vr_exact_batch(v, r) + mags.min(axis=1))
+    return _out(one, mags.max(axis=1), 2.0 * _vr(v, r) + mags.min(axis=1))
 
 
 def split_bound_check(a, r: float, w_label: float, labels=None):
@@ -314,11 +397,11 @@ def split_bound_check(a, r: float, w_label: float, labels=None):
     """
     v, lab, one = _block(a, labels)
     left = lab < w_label
-    lhs = vr_exact_batch(v, r)
+    lhs = _vr(v, r)
     parts = np.zeros(len(v))
     for side in (left, ~left):
         if side.sum() > 1:
-            parts += vr_exact_batch(v[:, side], r)
+            parts += _vr(v[:, side], r)
     return _out(one, lhs, 2.0 * np.abs(v).max(axis=1) + parts)
 
 
@@ -327,8 +410,7 @@ def l2_bound_check(a, r: float):
     if r < 2:
         raise ValueError("the l^2 bound needs r >= 2")
     v, _, one = _block(a)
-    return _out(one, vr_exact_batch(v, r),
-                2.0 * np.sqrt((np.abs(v) ** 2).sum(axis=1)))
+    return _out(one, _vr(v, r), 2.0 * np.sqrt((np.abs(v) ** 2).sum(axis=1)))
 
 
 def oscillation(a, lacunary, J: int, labels=None):
@@ -338,6 +420,11 @@ def oscillation(a, lacunary, J: int, labels=None):
     are used, so J must not exceed len(lacunary) - 1.
     """
     v, lab, one = _block(a, labels)
+    return _out(one, _oscillation(v, lab, lacunary, J))
+
+
+def _oscillation(v: np.ndarray, lab: np.ndarray, lacunary,
+                 J: int) -> np.ndarray:
     lac = np.asarray(lacunary, dtype=float)
     if lac.ndim != 1 or lac.size < 2 or np.any(np.diff(lac) <= 0):
         raise ValueError("lacunary anchors must be strictly increasing")
@@ -355,7 +442,7 @@ def oscillation(a, lacunary, J: int, labels=None):
         if inside.any():
             total += _pow(np.abs(v[:, inside] - v[:, i:i + 1]).max(axis=1),
                           2)
-    return _out(one, _pow(total, 0.5))
+    return _pow(total, 0.5)
 
 
 def oscillation_holder_check(a, lacunary, J: int, r: float):
@@ -363,8 +450,8 @@ def oscillation_holder_check(a, lacunary, J: int, r: float):
     if r < 2:
         raise ValueError("the oscillation bound needs r >= 2")
     v, lab, one = _block(a)
-    return _out(one, oscillation(v, lacunary, J, lab),
-                J ** (0.5 - 1.0 / r) * vr_exact_batch(v, r))
+    return _out(one, _oscillation(v, lab, lacunary, J),
+                J ** (0.5 - 1.0 / r) * _vr(v, r))
 
 
 def _jump_gain(lam: float):
@@ -376,7 +463,7 @@ def _jump_gain(lam: float):
 
 def jump_count(a, lam: float) -> int:
     """N_lam: the jumps of a longest chain with gaps strictly above lam."""
-    return int(_longest_chain(_one(a)[0], _jump_gain(lam)).max())
+    return int(_jumps(_one(a)[0][None], lam)[0])
 
 
 def jump_count_bruteforce(a, lam: float) -> int:
@@ -386,10 +473,7 @@ def jump_count_bruteforce(a, lam: float) -> int:
 
 def jump_count_batch(values: np.ndarray, lam: float) -> np.ndarray:
     """Batched jump_count: values is (m, n); returns m jump counts."""
-    gain = _jump_gain(lam)
-    v = np.atleast_2d(np.asarray(values, dtype=complex))
-    best = _longest_chain(np.ascontiguousarray(v.T), gain)
-    return best.max(axis=0).astype(int)
+    return _jumps(_block(values)[0], lam)
 
 
 def jump_variation_check(a, lam: float, r: float):
@@ -398,8 +482,8 @@ def jump_variation_check(a, lam: float, r: float):
     if lam <= 0:
         raise ValueError("lambda must be positive")
     v, _, one = _block(a)
-    return _out(one, jump_count_batch(v, lam).astype(float),
-                lam ** (-r) * _pow(vr_exact_batch(v, r), r))
+    return _out(one, _jumps(v, lam).astype(float),
+                lam ** (-r) * _pow(_vr(v, r), r))
 
 
 def dyadic_level_square_bound(a, r: float):
@@ -421,7 +505,7 @@ def dyadic_level_square_bound(a, r: float):
         diffs = v[:, stride::stride] - v[:, :-stride:stride]
         rhs += np.sqrt((np.abs(diffs) ** 2).sum(axis=1))
         stride *= 2
-    return _out(one, vr_exact_batch(v, r), np.sqrt(2.0) * rhs)
+    return _out(one, _vr(v, r), np.sqrt(2.0) * rhs)
 
 
 def even_partition(u: int, v: int, h: int) -> tuple[int, ...]:
@@ -488,14 +572,14 @@ def family_variation_bound(fields: np.ndarray, p: float, r: float) -> dict:
     U_p = max_j ||f_j||_p and V_p = max_j ||f_{j+1} - f_j||_p.
     """
     _check_r(r)
-    F = np.atleast_2d(np.asarray(fields, dtype=complex))
+    F = _block(fields)[0]
     nf = F.shape[0]
     if nf < 2:
         raise ValueError("need at least two functions")
     U = max(lp_norm(F[j], p) for j in range(nf))
     V = max(lp_norm(F[j + 1] - F[j], p) for j in range(nf - 1))
     span = nf - 1
-    lhs = lp_norm(vr_exact_batch(F.T, r), p)
+    lhs = lp_norm(_vr(F.T, r), p)
     bound = max(U, span ** (1 / r) * U ** (1 - 1 / r) * V ** (1 / r))
     return {"lhs": lhs, "bound": float(bound), "U": U, "V": V,
             "suggested_h": int(np.ceil(span * V / (4 * U))) if U > 0 else 0}

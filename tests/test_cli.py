@@ -227,10 +227,11 @@ def test_quadrature_failure_exits_three(tmp_path, capsys):
 
 
 def test_kernel_of_the_wrong_dimension_exits_two(tmp_path, capsys):
-    # weyl-decay's kernel lives on R^1, so a k = 2 map is refused at once.
-    code = cli.main(["weyl-decay", "--k", "2", "--out", str(tmp_path)])
-    assert code == 2
-    assert "kernel on R^1, got points in R^2" in capsys.readouterr().err
+    # weyl-decay's kernel lives on R^1, so it takes no --k at all.
+    with pytest.raises(SystemExit) as info:
+        cli.main(["weyl-decay", "--k", "2", "--out", str(tmp_path)])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --k 2" in capsys.readouterr().err
 
 
 # -- precedence: defaults < config < environment < flags ----------------------

@@ -565,3 +565,87 @@ def test_partition_bound_reads_indices_directly(rng):
     for u, v in ((0, 12), (-1, 4)):
         with pytest.raises(ValueError, match="cover"):
             vr.partition_variation_bound(a, u, v, 2, 2.0, 2.0)
+
+
+_READERS = (
+    (vr.vr_exact, (2.0,)), (vr.vr_bruteforce, (2.0,)),
+    (vr.jump_count, (0.5,)), (vr.jump_count_bruteforce, (0.5,)),
+    (vr.vr_exact_batch, (2.0,)), (vr.vr_bruteforce_batch, (2.0,)),
+    (vr.jump_count_batch, (0.5,)), (vr.sup_bound_check, (2.0,)))
+_UNREADABLE = {"empty": (np.zeros((3, 0)), "non-empty"),
+               "3-d": (np.zeros((2, 3, 4)), "non-empty"),
+               "nan": ([[0.0, 1.0, 2.0, 3.0], [0.0, 1.0, np.nan, 1.0]],
+                       "nan.* row 1 at index 2"),
+               "inf": ([0.0, 1.0, 2.0, -np.inf], "inf.* row 0 at index 3")}
+
+
+@pytest.mark.parametrize("fn,args", _READERS,
+                         ids=[fn.__name__ for fn, _ in _READERS])
+@pytest.mark.parametrize("kind", list(_UNREADABLE))
+def test_every_reader_refuses_unreadable_input(fn, args, kind):
+    # One reader for every entry point: an empty or 3-d input is refused,
+    # not answered with zeros, and so is a non-finite value, named by its
+    # row and index, which the one-row path's Python > would drop without
+    # a sign.
+    a, match = _UNREADABLE[kind]
+    with pytest.raises(ValueError, match=match):
+        fn(a, *args)
+
+
+# the one-row path -------------------------------------------------------
+
+# 513 is the first length whose tiles reuse buffers.
+_TILE_EDGES = [1, 2, 15, 16, 17, 33, 65, 257, 513]
+
+
+def fast_path_rows(n):
+    """A random complex row, an integer-valued row (ties) and a row of
+    flat runs."""
+    rng = np.random.default_rng(n)
+    flat = np.repeat(rng.normal(size=n // 3 + 1), 3)[:n]
+    return {"complex": rng.normal(size=n) + 1j * rng.normal(size=n),
+            "integer": rng.integers(-3, 4, size=n).astype(complex),
+            "flat": flat + 0j}
+
+
+def assert_one_row_is_its_batch_row(a, gain):
+    # best at every chain end, alone (the tiled path) and as the first
+    # row of a two-row batch (the per-predecessor path), bit for bit.
+    one = vr._longest_chain(a[None], gain)
+    two = vr._longest_chain(np.stack([a, a[::-1]]), gain)
+    assert one.shape == (1, len(a))
+    assert one[0].tobytes() == two[0].tobytes()
+
+
+@pytest.mark.parametrize("n", _TILE_EDGES)
+@pytest.mark.parametrize("r", [1.0, 2.0, 2.5])
+def test_one_row_variation_is_its_batch_row(n, r):
+    for a in fast_path_rows(n).values():
+        assert_one_row_is_its_batch_row(a, lambda d: d ** r)
+        pair = np.stack([a, np.zeros(n)])
+        alone = vr.vr_exact_batch(a, r)
+        assert alone.tobytes() == vr.vr_exact_batch(pair, r)[:1].tobytes()
+        assert vr.vr_exact(a, r).value == alone[0]
+
+
+@pytest.mark.parametrize("n", _TILE_EDGES)
+def test_one_row_jumps_are_its_batch_row(n):
+    for a in fast_path_rows(n).values():
+        gap = float(abs(a[-1] - a[0]))
+        for lam in (0.0, 0.5, gap):
+            assert_one_row_is_its_batch_row(a, vr._jump_gain(lam))
+            pair = np.stack([a, np.zeros(n)])
+            alone = vr.jump_count_batch(a, lam)
+            assert (alone.tolist()
+                    == vr.jump_count_batch(pair, lam)[:1].tolist())
+            assert vr.jump_count(a, lam) == alone[0]
+
+
+@given(st.lists(finite_complex, min_size=1, max_size=40),
+       st.sampled_from([1.0, 2.0, 2.5]), st.integers(0, 39))
+def test_one_row_path_is_the_batch_path(a, r, k):
+    a = np.array(a, dtype=complex)
+    assert_one_row_is_its_batch_row(a, lambda d: d ** r)
+    # lambda is one of the sequence's own gaps, so ties at lambda occur.
+    assert_one_row_is_its_batch_row(
+        a, vr._jump_gain(float(abs(a[k % len(a)] - a[0]))))
