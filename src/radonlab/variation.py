@@ -34,9 +34,11 @@ costs one engine run per part rather than one per sequence, and a
 block's row equals the one-sequence result to the last bit.  `vr_exact`,
 `vr_bruteforce`, `jump_count`, `jump_count_bruteforce`,
 `mixed_variation_bound` and `partition_variation_bound` take exactly one
-sequence.  Every public entry point reads its input once, through
-`_block`, which refuses empty, 3-d and non-finite input; the checks hand
-the rows it read to the private engine entries `_vr` and `_jumps`.
+sequence.  Every public entry point reads its input through `_block`,
+which refuses empty, 3-d and non-finite input.  The checks hand the rows
+they read to the public `vr_exact_batch` and `jump_count_batch`, whose
+second pass through `_block` costs a finiteness scan of rows it has
+already seen.
 """
 
 from __future__ import annotations
@@ -112,18 +114,23 @@ def _longest_chain(v: np.ndarray, gain) -> np.ndarray:
     pushed to every later j.  Returns best (m, n).  O(m n^2) time, O(m n)
     memory.
 
-    A batch (m >= 2) pushes one predecessor at a time to all m rows, and
+    The loop below pushes one predecessor at a time to all m rows, and
     takes the gains of as many predecessors as fit in `_GAIN_BYTES` of
     differences in one array operation.  One row would pay an array call
-    per predecessor for a push of at most n cells, so `_one_row_chain`
-    takes it in tiles instead.  On either path every candidate is the one
-    float add best[i] + gain(|v_j - v_i|), each gain is the same
-    elementwise array operation, and a max is exact, so a row's values are
-    the same bits on both.
+    per predecessor for a push of at most n cells, so while a tile's
+    differences fit in `_GAIN_BYTES` (n <= 512) `_one_row_chain` takes it
+    in tiles instead.  A longer row's pushes pay for their calls, and its
+    tiles' temporaries would be fresh mappings from the allocator, whose
+    page faults made the tiled path 8-14% slower at n = 1025.  On either
+    path every candidate is the one float add best[i] + gain(|v_j - v_i|),
+    each gain is the same elementwise array operation, and a max is exact,
+    so a row's values are the same bits on both.
     """
-    if len(v) == 1:
+    if len(v) == 1 and 16 * _TILE * v.shape[1] <= _GAIN_BYTES:
         return _one_row_chain(v[0], gain)[None]
-    cols = np.ascontiguousarray(v.T)
+    # A long single row runs as a vector: with a trailing axis of length
+    # 1 its pushes are 5-10% slower (measured at n = 513 and 1025).
+    cols = np.ascontiguousarray(v[0] if len(v) == 1 else v.T)
     n = len(cols)
     best = np.zeros(cols.shape)
     rows = max(1, _GAIN_BYTES // (16 * cols.size))
@@ -134,7 +141,7 @@ def _longest_chain(v: np.ndarray, gain) -> np.ndarray:
         for i in range(i0, i1):
             later = best[i + 1:]
             np.maximum(later, best[i] + g[i - i0, i - i0:], out=later)
-    return best.T
+    return best.T.reshape(v.shape)
 
 
 def _one_row_chain(v: np.ndarray, gain) -> np.ndarray:
@@ -146,30 +153,14 @@ def _one_row_chain(v: np.ndarray, gain) -> np.ndarray:
     pushes the finished tile to every later point.  Python's > drops a NaN
     that np.maximum would pass on, which `_block`'s refusal of non-finite
     values rules out.
-
-    Past `_GAIN_BYTES` of differences a tile reuses two buffers made once
-    per call: fresh arrays that large come from the system each time
-    (glibc maps them), and near n = 1000 their page faults cost more than
-    the tiles save.  Below it, the buffers' views cost more than they
-    save.
     """
     n = len(v)
     best = np.zeros(n)
-    if 16 * _TILE * n > _GAIN_BYTES:
-        diff, dist = np.empty(_TILE * n, dtype=complex), np.empty(_TILE * n)
-    else:
-        diff = dist = None
     for t0 in range(0, n - 1, _TILE):
         t1 = min(t0 + _TILE, n)
         w = t1 - t0
         # g[a, b] is the gain from t0 + a to t0 + b.
-        if diff is None:
-            g = gain(np.abs(v[t0:] - v[t0:t1, None]))
-        else:
-            size = w * (n - t0)
-            d = np.subtract(v[t0:], v[t0:t1, None],
-                            out=diff[:size].reshape(w, -1))
-            g = gain(np.abs(d, out=dist[:size].reshape(w, -1)))
+        g = gain(np.abs(v[t0:] - v[t0:t1, None]))
         tile = best[t0:t1].tolist()
         for a, row in enumerate(g[:, :w].tolist()):
             x = tile[a]
@@ -183,17 +174,6 @@ def _one_row_chain(v: np.ndarray, gain) -> np.ndarray:
             later += best[t0:t1, None]
             np.maximum(best[t1:], later.max(axis=0), out=best[t1:])
     return best
-
-
-def _vr(v: np.ndarray, r: float) -> np.ndarray:
-    """V_r of each row of v (m, n), rows as `_block` reads them."""
-    _check_r(r)
-    return _longest_chain(v, lambda d: d ** r).max(axis=1) ** (1.0 / r)
-
-
-def _jumps(v: np.ndarray, lam: float) -> np.ndarray:
-    """N_lam of each row of v (m, n), rows as `_block` reads them."""
-    return _longest_chain(v, _jump_gain(lam)).max(axis=1).astype(int)
 
 
 def vr_exact(a, r: float, labels=None) -> VariationResult:
@@ -222,7 +202,9 @@ def vr_value(a, r: float, labels=None) -> float:
 
 def vr_exact_batch(values: np.ndarray, r: float) -> np.ndarray:
     """Batched r-variation: values is (m, n); returns the m values."""
-    return _vr(_block(values)[0], r)
+    _check_r(r)
+    best = _longest_chain(_block(values)[0], lambda d: d ** r)
+    return best.max(axis=1) ** (1.0 / r)
 
 
 def _subset_chains(v: np.ndarray, gain) -> np.ndarray:
@@ -347,37 +329,30 @@ def _require_integer_labels(lab: np.ndarray) -> np.ndarray:
 def vr_long(a, r: float, labels=None):
     """Variation along the powers of two present among the labels."""
     v, lab, one = _block(a, labels)
-    return _out(one, _vr_long(v, _require_integer_labels(lab), r))
-
-
-def _vr_long(v: np.ndarray, ilab: np.ndarray, r: float) -> np.ndarray:
+    ilab = _require_integer_labels(lab)
     dyadic = (ilab & (ilab - 1)) == 0  # powers of two (labels >= 1)
-    return _vr(v[:, dyadic], r) if dyadic.sum() > 1 else np.zeros(len(v))
+    return _out(one, vr_exact_batch(v[:, dyadic], r) if dyadic.sum() > 1
+                else np.zeros(len(v)))
 
 
 def vr_short(a, r: float, labels=None):
     """l^r sum over dyadic blocks [2^n, 2^{n+1}) of within-block variation."""
     _check_r(r)
     v, lab, one = _block(a, labels)
-    return _out(one, _vr_short(v, _require_integer_labels(lab), r))
-
-
-def _vr_short(v: np.ndarray, ilab: np.ndarray, r: float) -> np.ndarray:
-    block = np.floor(np.log2(ilab)).astype(int)
+    block = np.floor(np.log2(_require_integer_labels(lab))).astype(int)
     total = np.zeros(len(v))
     for b in np.unique(block):
         sel = block == b
         if sel.sum() > 1:
-            total += _pow(_vr(v[:, sel], r), r)
-    return _pow(total, 1.0 / r)
+            total += _pow(vr_exact_batch(v[:, sel], r), r)
+    return _out(one, _pow(total, 1.0 / r))
 
 
 def long_short_split(a, r: float, labels=None):
     """(V_r, V_r^long, V_r^short); V_r <= 2 (long + short) on full ranges."""
     v, lab, one = _block(a, labels)
-    ilab = _require_integer_labels(lab)
-    return _out(one, _vr(v, r), _vr_long(v, ilab, r),
-                _vr_short(v, ilab, r))
+    return _out(one, vr_exact_batch(v, r), vr_long(v, r, lab),
+                vr_short(v, r, lab))
 
 
 def sup_bound_check(a, r: float):
@@ -387,7 +362,8 @@ def sup_bound_check(a, r: float):
     """
     v, _, one = _block(a)
     mags = np.abs(v)
-    return _out(one, mags.max(axis=1), 2.0 * _vr(v, r) + mags.min(axis=1))
+    return _out(one, mags.max(axis=1),
+                2.0 * vr_exact_batch(v, r) + mags.min(axis=1))
 
 
 def split_bound_check(a, r: float, w_label: float, labels=None):
@@ -397,11 +373,11 @@ def split_bound_check(a, r: float, w_label: float, labels=None):
     """
     v, lab, one = _block(a, labels)
     left = lab < w_label
-    lhs = _vr(v, r)
+    lhs = vr_exact_batch(v, r)
     parts = np.zeros(len(v))
     for side in (left, ~left):
         if side.sum() > 1:
-            parts += _vr(v[:, side], r)
+            parts += vr_exact_batch(v[:, side], r)
     return _out(one, lhs, 2.0 * np.abs(v).max(axis=1) + parts)
 
 
@@ -410,7 +386,8 @@ def l2_bound_check(a, r: float):
     if r < 2:
         raise ValueError("the l^2 bound needs r >= 2")
     v, _, one = _block(a)
-    return _out(one, _vr(v, r), 2.0 * np.sqrt((np.abs(v) ** 2).sum(axis=1)))
+    return _out(one, vr_exact_batch(v, r),
+                2.0 * np.sqrt((np.abs(v) ** 2).sum(axis=1)))
 
 
 def oscillation(a, lacunary, J: int, labels=None):
@@ -420,11 +397,6 @@ def oscillation(a, lacunary, J: int, labels=None):
     are used, so J must not exceed len(lacunary) - 1.
     """
     v, lab, one = _block(a, labels)
-    return _out(one, _oscillation(v, lab, lacunary, J))
-
-
-def _oscillation(v: np.ndarray, lab: np.ndarray, lacunary,
-                 J: int) -> np.ndarray:
     lac = np.asarray(lacunary, dtype=float)
     if lac.ndim != 1 or lac.size < 2 or np.any(np.diff(lac) <= 0):
         raise ValueError("lacunary anchors must be strictly increasing")
@@ -442,7 +414,7 @@ def _oscillation(v: np.ndarray, lab: np.ndarray, lacunary,
         if inside.any():
             total += _pow(np.abs(v[:, inside] - v[:, i:i + 1]).max(axis=1),
                           2)
-    return _pow(total, 0.5)
+    return _out(one, _pow(total, 0.5))
 
 
 def oscillation_holder_check(a, lacunary, J: int, r: float):
@@ -450,8 +422,8 @@ def oscillation_holder_check(a, lacunary, J: int, r: float):
     if r < 2:
         raise ValueError("the oscillation bound needs r >= 2")
     v, lab, one = _block(a)
-    return _out(one, _oscillation(v, lab, lacunary, J),
-                J ** (0.5 - 1.0 / r) * _vr(v, r))
+    return _out(one, oscillation(v, lacunary, J, lab),
+                J ** (0.5 - 1.0 / r) * vr_exact_batch(v, r))
 
 
 def _jump_gain(lam: float):
@@ -463,7 +435,7 @@ def _jump_gain(lam: float):
 
 def jump_count(a, lam: float) -> int:
     """N_lam: the jumps of a longest chain with gaps strictly above lam."""
-    return int(_jumps(_one(a)[0][None], lam)[0])
+    return int(_longest_chain(_one(a)[0][None], _jump_gain(lam)).max())
 
 
 def jump_count_bruteforce(a, lam: float) -> int:
@@ -473,7 +445,8 @@ def jump_count_bruteforce(a, lam: float) -> int:
 
 def jump_count_batch(values: np.ndarray, lam: float) -> np.ndarray:
     """Batched jump_count: values is (m, n); returns m jump counts."""
-    return _jumps(_block(values)[0], lam)
+    best = _longest_chain(_block(values)[0], _jump_gain(lam))
+    return best.max(axis=1).astype(int)
 
 
 def jump_variation_check(a, lam: float, r: float):
@@ -482,8 +455,8 @@ def jump_variation_check(a, lam: float, r: float):
     if lam <= 0:
         raise ValueError("lambda must be positive")
     v, _, one = _block(a)
-    return _out(one, _jumps(v, lam).astype(float),
-                lam ** (-r) * _pow(_vr(v, r), r))
+    return _out(one, jump_count_batch(v, lam).astype(float),
+                lam ** (-r) * _pow(vr_exact_batch(v, r), r))
 
 
 def dyadic_level_square_bound(a, r: float):
@@ -505,7 +478,7 @@ def dyadic_level_square_bound(a, r: float):
         diffs = v[:, stride::stride] - v[:, :-stride:stride]
         rhs += np.sqrt((np.abs(diffs) ** 2).sum(axis=1))
         stride *= 2
-    return _out(one, _vr(v, r), np.sqrt(2.0) * rhs)
+    return _out(one, vr_exact_batch(v, r), np.sqrt(2.0) * rhs)
 
 
 def even_partition(u: int, v: int, h: int) -> tuple[int, ...]:
@@ -579,7 +552,7 @@ def family_variation_bound(fields: np.ndarray, p: float, r: float) -> dict:
     U = max(lp_norm(F[j], p) for j in range(nf))
     V = max(lp_norm(F[j + 1] - F[j], p) for j in range(nf - 1))
     span = nf - 1
-    lhs = lp_norm(_vr(F.T, r), p)
+    lhs = lp_norm(vr_exact_batch(F.T, r), p)
     bound = max(U, span ** (1 / r) * U ** (1 - 1 / r) * V ** (1 / r))
     return {"lhs": lhs, "bound": float(bound), "U": U, "V": V,
             "suggested_h": int(np.ceil(span * V / (4 * U))) if U > 0 else 0}

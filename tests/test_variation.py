@@ -594,8 +594,8 @@ def test_every_reader_refuses_unreadable_input(fn, args, kind):
 
 # the one-row path -------------------------------------------------------
 
-# 513 is the first length whose tiles reuse buffers.
-_TILE_EDGES = [1, 2, 15, 16, 17, 33, 65, 257, 513]
+# 512 is the longest row the tiled path takes; 513 takes the batch loop.
+_TILE_EDGES = [1, 2, 15, 16, 17, 33, 65, 257, 512, 513]
 
 
 def fast_path_rows(n):
