@@ -35,14 +35,22 @@ block's row equals the one-sequence result to the last bit.  `vr_exact`,
 `vr_bruteforce`, `jump_count`, `jump_count_bruteforce`,
 `mixed_variation_bound` and `partition_variation_bound` take exactly one
 sequence.  Every public entry point reads its input through `_block`,
-which refuses empty, 3-d and non-finite input.  The checks hand the rows
-they read to the public `vr_exact_batch` and `jump_count_batch`, whose
-second pass through `_block` costs a finiteness scan of rows it has
-already seen.
+which refuses empty, 3-d and non-finite input.
+
+The checks hand the rows they read to the public `vr_exact_batch` and
+`jump_count_batch`, and one sequence checked at one r meets the same row
+in each of them.  So both entries share an exact memo (`_chain_max`): the
+per-row maxima of the last `_MEMO_ENTRIES` distinct inputs of at most
+`_MEMO_INPUT_BYTES` each (64 KiB of input in all), keyed by V_r's r or
+the jump lambda, the input's shape and its bytes as complex.  Only input
+that passed `_block` is stored, so a hit skips the second pass through
+`_block` as well as the engine, and refused input is refused on every
+call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,6 +60,8 @@ from .errors import BudgetError
 
 BRUTEFORCE_LIMIT = 16
 _GAIN_BYTES = 128 * 1024
+_MEMO_ENTRIES = 32
+_MEMO_INPUT_BYTES = 2 * 1024
 _TILE = 16
 _CHAIN_BYTES = 1024 * 1024
 
@@ -200,11 +210,37 @@ def vr_value(a, r: float, labels=None) -> float:
     return vr_exact(a, r, labels).value
 
 
+def _chain_max(values, kind: str, x: float) -> np.ndarray:
+    """Per-row max of `_longest_chain` with V_r's gain (kind "vr", x = r)
+    or the jump gain (kind "jump", x = lambda), remembered when small.
+
+    An input of at most `_MEMO_INPUT_BYTES` as complex is looked up by its
+    shape and bytes before `_block` reads it.  A call that raises is not
+    remembered, so refused input, and a refused lambda, are refused on
+    every call.  The caller gets a copy.
+    """
+    a = np.asarray(values, dtype=complex)
+    if a.nbytes > _MEMO_INPUT_BYTES:
+        return _row_max(a, kind, x)
+    return _remembered_max(kind, x, a.shape, a.tobytes()).copy()
+
+
+@functools.lru_cache(maxsize=_MEMO_ENTRIES)
+def _remembered_max(kind: str, x: float, shape: tuple,
+                    data: bytes) -> np.ndarray:
+    return _row_max(np.frombuffer(data, dtype=complex).reshape(shape), kind,
+                    x)
+
+
+def _row_max(a: np.ndarray, kind: str, x: float) -> np.ndarray:
+    gain = (lambda d: d ** x) if kind == "vr" else _jump_gain(x)
+    return _longest_chain(_block(a)[0], gain).max(axis=1)
+
+
 def vr_exact_batch(values: np.ndarray, r: float) -> np.ndarray:
     """Batched r-variation: values is (m, n); returns the m values."""
     _check_r(r)
-    best = _longest_chain(_block(values)[0], lambda d: d ** r)
-    return best.max(axis=1) ** (1.0 / r)
+    return _chain_max(values, "vr", float(r)) ** (1.0 / r)
 
 
 def _subset_chains(v: np.ndarray, gain) -> np.ndarray:
@@ -329,30 +365,39 @@ def _require_integer_labels(lab: np.ndarray) -> np.ndarray:
 def vr_long(a, r: float, labels=None):
     """Variation along the powers of two present among the labels."""
     v, lab, one = _block(a, labels)
-    ilab = _require_integer_labels(lab)
+    return _out(one, _vr_long(v, _require_integer_labels(lab), r))
+
+
+def _vr_long(v: np.ndarray, ilab: np.ndarray, r: float) -> np.ndarray:
     dyadic = (ilab & (ilab - 1)) == 0  # powers of two (labels >= 1)
-    return _out(one, vr_exact_batch(v[:, dyadic], r) if dyadic.sum() > 1
-                else np.zeros(len(v)))
+    return (vr_exact_batch(v[:, dyadic], r) if dyadic.sum() > 1
+            else np.zeros(len(v)))
 
 
 def vr_short(a, r: float, labels=None):
     """l^r sum over dyadic blocks [2^n, 2^{n+1}) of within-block variation."""
     _check_r(r)
     v, lab, one = _block(a, labels)
-    block = np.floor(np.log2(_require_integer_labels(lab))).astype(int)
+    return _out(one, _vr_short(v, _require_integer_labels(lab), r))
+
+
+def _vr_short(v: np.ndarray, ilab: np.ndarray, r: float) -> np.ndarray:
+    # The labels increase, so each dyadic block is one index range.
+    block = np.floor(np.log2(ilab)).astype(int)
+    ends = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), len(block)]
     total = np.zeros(len(v))
-    for b in np.unique(block):
-        sel = block == b
-        if sel.sum() > 1:
-            total += _pow(vr_exact_batch(v[:, sel], r), r)
-    return _out(one, _pow(total, 1.0 / r))
+    for lo, hi in zip(ends, ends[1:]):
+        if hi - lo > 1:
+            total += _pow(vr_exact_batch(v[:, lo:hi], r), r)
+    return _pow(total, 1.0 / r)
 
 
 def long_short_split(a, r: float, labels=None):
     """(V_r, V_r^long, V_r^short); V_r <= 2 (long + short) on full ranges."""
     v, lab, one = _block(a, labels)
-    return _out(one, vr_exact_batch(v, r), vr_long(v, r, lab),
-                vr_short(v, r, lab))
+    full = vr_exact_batch(v, r)
+    ilab = _require_integer_labels(lab)
+    return _out(one, full, _vr_long(v, ilab, r), _vr_short(v, ilab, r))
 
 
 def sup_bound_check(a, r: float):
@@ -408,12 +453,18 @@ def oscillation(a, lacunary, J: int, labels=None):
     off = ~np.isclose(lab[at], lac[:J])
     if off.any():
         raise ValueError(f"anchor {lac[:J][off][0]} is not a label")
-    total = np.zeros(len(v))
-    for j, i in enumerate(at):
-        inside = (lab > lac[j]) & (lab <= lac[j + 1])
-        if inside.any():
-            total += _pow(np.abs(v[:, inside] - v[:, i:i + 1]).max(axis=1),
-                          2)
+    # Gap j holds the labels in (lac[j], lac[j + 1]], the index range
+    # edges[j]:edges[j + 1].  The ranges lie end to end, so one slice taken
+    # against each label's anchor and one reduceat give every live gap's
+    # sup.
+    edges = np.searchsorted(lab, lac[:J + 1], side="right")
+    size = np.diff(edges)
+    dist = np.abs(v[:, edges[0]:edges[-1]] - v[:, np.repeat(at, size)])
+    sups = np.maximum.reduceat(dist, edges[:-1][size > 0] - edges[0], axis=1)
+    squares = _pow(sups.ravel(), 2).reshape(sups.shape)
+    # A running sum adds the squares gap by gap, in order.
+    total = (np.add.accumulate(squares, axis=1)[:, -1] if squares.size
+             else np.zeros(len(v)))
     return _out(one, _pow(total, 0.5))
 
 
@@ -445,8 +496,7 @@ def jump_count_bruteforce(a, lam: float) -> int:
 
 def jump_count_batch(values: np.ndarray, lam: float) -> np.ndarray:
     """Batched jump_count: values is (m, n); returns m jump counts."""
-    best = _longest_chain(_block(values)[0], _jump_gain(lam))
-    return best.max(axis=1).astype(int)
+    return _chain_max(values, "jump", float(lam)).astype(int)
 
 
 def jump_variation_check(a, lam: float, r: float):

@@ -1,6 +1,9 @@
 import itertools
 import math
+import sys
 import tracemalloc
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -529,7 +532,8 @@ _ROW = np.arange(5.0)
 _BAD_LABELS = {"misaligned": [1, 2, 3], "tied": [1, 2, 2, 3, 4],
                "decreasing": [1, 3, 2, 4, 5],
                "2-d": np.arange(1.0, 11.0).reshape(2, 5)}
-_ONE_SEQUENCE = ((vr.vr_exact, (2.0,)), (vr.vr_bruteforce, (2.0,)),
+_ONE_SEQUENCE = ((vr.vr_exact, (2.0,)), (vr.vr_value, (2.0,)),
+                 (vr.vr_bruteforce, (2.0,)),
                  (vr.jump_count, (1.0,)), (vr.jump_count_bruteforce, (1.0,)),
                  (vr.mixed_variation_bound, ((0, 4), 2.0)),
                  (vr.partition_variation_bound, (0, 4, 2, 2.0, 2.0)))
@@ -537,7 +541,8 @@ _REFUSALS = [
     *(pytest.param(fn, (a, 2.0), {"labels": labels}, "labels",
                    id=f"{fn.__name__}-labels-{name}")
       for name, labels in _BAD_LABELS.items()
-      for fn, a in ((vr.vr_long, _BLOCK), (vr.vr_exact, _ROW))),
+      for fn, a in ((vr.vr_long, _BLOCK), (vr.vr_exact, _ROW),
+                    (vr.vr_value, _ROW))),
     *(pytest.param(fn, (_BLOCK, *args), {}, "one sequence",
                    id=f"{fn.__name__}-block")
       for fn, args in _ONE_SEQUENCE),
@@ -626,6 +631,13 @@ def test_one_row_variation_is_its_batch_row(n, r):
         alone = vr.vr_exact_batch(a, r)
         assert alone.tobytes() == vr.vr_exact_batch(pair, r)[:1].tobytes()
         assert vr.vr_exact(a, r).value == alone[0]
+        # vr_value has the batch entry's bits, real rows too, so it may
+        # skip the witness walk-back.
+        for row in (a, a.real):
+            value = vr.vr_value(row, r)
+            assert type(value) is float
+            assert (np.float64(value).tobytes()
+                    == vr.vr_exact_batch(row[None], r)[:1].tobytes())
 
 
 @pytest.mark.parametrize("n", _TILE_EDGES)
@@ -649,3 +661,258 @@ def test_one_row_path_is_the_batch_path(a, r, k):
     # lambda is one of the sequence's own gaps, so ties at lambda occur.
     assert_one_row_is_its_batch_row(
         a, vr._jump_gain(float(abs(a[k % len(a)] - a[0]))))
+
+
+# the chain memo ---------------------------------------------------------
+
+@pytest.fixture
+def cold_memo():
+    """An empty memo for one test, emptied again after it."""
+    vr._remembered_max.cache_clear()
+    yield
+    vr._remembered_max.cache_clear()
+
+
+def engine_runs(monkeypatch) -> list:
+    """Records (input, gain) of every `_longest_chain` run from now on."""
+    runs, engine = [], vr._longest_chain
+
+    def counting(v, gain):
+        runs.append((v.copy(), gain))
+        return engine(v, gain)
+    monkeypatch.setattr(vr, "_longest_chain", counting)
+    return runs
+
+
+def seven_checks(a, r: float) -> bytes:
+    """Every value of the seven explicit-constant checks on a 2^s + 1
+    point sequence, as bytes."""
+    n = len(a)
+    s = (n - 1).bit_length() - 1
+    anchors = [0] + [2 ** i for i in range(s + 1)]
+    values = (vr.sup_bound_check(a, r), vr.split_bound_check(a, r, n / 2),
+              vr.l2_bound_check(a, r),
+              vr.oscillation_holder_check(a, anchors, s + 1, r),
+              vr.dyadic_level_square_bound(a, r),
+              vr.long_short_split(a, r, labels=np.arange(1, n + 1)),
+              *(vr.jump_variation_check(a, lam, r) for lam in (0.25, 1.0)))
+    return np.array([x for pair in values for x in pair]).tobytes()
+
+
+def test_memo_hit_is_the_cold_run(cold_memo, monkeypatch, rng):
+    # Each block fits the input size the memo takes: 128 complex points.
+    blocks = [rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+              for m, n in ((3, 1), (3, 2), (3, 17), (1, 65), (2, 64))]
+    cases = [(vr.vr_exact_batch, b, r, lambda d, r=r: d ** r,
+              lambda best, r=r: best ** (1.0 / r))
+             for b in blocks for r in (1.0, 2.0, 2.5)]
+    cases += [(vr.jump_count_batch, b, lam, vr._jump_gain(lam),
+               lambda best: best.astype(int))
+              for b in blocks for lam in (0.0, 0.5, 1.0)]
+    # The engine's own values, before any memo is in the way.
+    want = [finish(vr._longest_chain(b, gain).max(axis=1)).tobytes()
+            for _, b, _, gain, finish in cases]
+    runs = engine_runs(monkeypatch)
+    for (entry, b, x, _, _), bits in zip(cases, want):
+        before = len(runs)
+        cold, hit = entry(b, x), entry(b, x)
+        assert cold.tobytes() == hit.tobytes() == bits
+        assert len(runs) == before + 1
+
+
+def test_memo_hands_out_copies(cold_memo):
+    a = np.array([0.0, 2.0, 1.0, 3.0, 0.5]) + 0j
+    first = vr._chain_max(a, "vr", 2.0)
+    want = first.tobytes()
+    first[:] = -1.0
+    second = vr._chain_max(a, "vr", 2.0)
+    assert second.tobytes() == want
+    second[:] = -2.0
+    assert vr._chain_max(a, "vr", 2.0).tobytes() == want
+    # The key is the input's bytes, so a changed input is a new key.
+    a[1] = 7.0
+    assert vr.vr_exact_batch(a, 2.0)[0] == vr.vr_exact(a, 2.0).value
+
+
+@pytest.mark.parametrize("fn,arg", [(vr.vr_exact_batch, 2.0),
+                                    (vr.jump_count_batch, 0.5)])
+@pytest.mark.parametrize("kind", list(_UNREADABLE))
+def test_memo_never_holds_refused_input(cold_memo, fn, arg, kind):
+    a, match = _UNREADABLE[kind]
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValueError, match=match) as err:
+            fn(a, arg)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert vr._remembered_max.cache_info().currsize == 0
+
+
+def test_memo_refuses_bad_r_and_lambda_every_time(cold_memo):
+    a = np.arange(4.0)
+    vr.vr_exact_batch(a, 2.0)
+    vr.jump_count_batch(a, 0.5)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="r >= 1"):
+            vr.vr_exact_batch(a, 0.5)
+        with pytest.raises(ValueError, match="lambda"):
+            vr.jump_count_batch(a, -0.5)
+
+
+def test_memo_passes_large_input_by(cold_memo, monkeypatch, rng):
+    # 128 complex points fill the input size the memo takes; 129 pass by.
+    runs = engine_runs(monkeypatch)
+    for n, stored in ((128, 1), (129, 0)):
+        a = rng.normal(size=n) + 1j * rng.normal(size=n)
+        before = len(runs)
+        assert vr.vr_exact_batch(a, 2.0)[0] == vr.vr_exact_batch(a, 2.0)[0]
+        assert len(runs) - before == 2 - stored
+    assert vr._remembered_max.cache_info().currsize == 1
+
+
+def test_memo_reads_a_row_as_a_one_row_block(cold_memo, rng):
+    for n in (1, 17, 65):
+        a = rng.normal(size=n) + 1j * rng.normal(size=n)
+        for r in (1.0, 2.5):
+            # Row first, then the block, then the other way round.
+            for first, second in ((a, a[None]), (a[None], a)):
+                want = vr.vr_exact_batch(first, r).tobytes()
+                assert vr.vr_exact_batch(second, r).tobytes() == want
+        for lam in (0.25, 1.0):
+            assert (vr.jump_count_batch(a, lam).tolist()
+                    == vr.jump_count_batch(a[None], lam).tolist())
+
+
+def test_memo_is_shared_safely_across_threads(cold_memo, rng):
+    block = rng.normal(size=(32, 33)) + 1j * rng.normal(size=(32, 33))
+    want = [seven_checks(a, 2.5) for a in block]
+    vr._remembered_max.cache_clear()
+    # More workers than cores, switching often; each checks every row, so
+    # it meets the others' entries and evictions.
+    orders = (block, block[::-1]) * 2
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(orders)) as pool:
+            futures = [pool.submit(lambda rows: [seven_checks(a, 2.5)
+                                                 for a in rows], rows)
+                       for rows in orders]
+            got = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want, want[::-1]] * 2
+
+
+def test_seven_checks_run_the_full_row_once_per_gain(cold_memo, monkeypatch):
+    a = [1, 1j] @ np.random.default_rng(65).normal(size=(2, 65))
+    runs = engine_runs(monkeypatch)
+    seven_checks(a, 2.5)
+    full = [gain for v, gain in runs if v.shape == (1, 65)]
+    assert all(np.array_equal(v[0], a) for v, _ in runs if v.shape == (1, 65))
+    # A gap of 0.5 tells the gains apart: V_r's 0.5^r, 1 above lambda =
+    # 0.25 and -inf below lambda = 1.
+    kinds = Counter({1.0: "jump-0.25", -math.inf: "jump-1.0"}.get(
+        float(gain(np.array([0.5]))[0]), "vr") for gain in full)
+    assert kinds == {"vr": 1, "jump-0.25": 1, "jump-1.0": 1}
+
+
+# oscillation ------------------------------------------------------------
+
+def oscillation_per_gap(a, lacunary, J, labels=None):
+    """The per-gap loop that `oscillation` replaced, kept as its reference:
+    a mask, a slice and a max for every gap."""
+    v, lab, one = vr._block(a, labels)
+    lac = np.asarray(lacunary, dtype=float)
+    if lac.ndim != 1 or lac.size < 2 or np.any(np.diff(lac) <= 0):
+        raise ValueError("lacunary anchors must be strictly increasing")
+    if J < 1 or J > lac.size - 1:
+        raise ValueError(f"J={J} exceeds available lacunary gaps")
+    if lac[0] < lab[0] or lac[J] > lab[-1]:
+        raise ValueError("lacunary anchors outside the label range")
+    at = np.searchsorted(lab, lac[:J])
+    off = ~np.isclose(lab[at], lac[:J])
+    if off.any():
+        raise ValueError(f"anchor {lac[:J][off][0]} is not a label")
+    total = np.zeros(len(v))
+    for j, i in enumerate(at):
+        inside = (lab > lac[j]) & (lab <= lac[j + 1])
+        if inside.any():
+            total += vr._pow(
+                np.abs(v[:, inside] - v[:, i:i + 1]).max(axis=1), 2)
+    return vr._out(one, vr._pow(total, 0.5))
+
+
+def assert_oscillation_is_per_gap(a, lacunary, J, labels=None):
+    """Both give the same bits, or both refuse with the same message."""
+    outcomes = []
+    for fn in (vr.oscillation, oscillation_per_gap):
+        try:
+            outcomes.append(np.asarray(fn(a, lacunary, J, labels)).tobytes())
+        except ValueError as err:
+            outcomes.append(str(err))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+def test_oscillation_is_the_per_gap_loop(rng):
+    for trial in range(300):
+        n = int(rng.integers(2, 40))
+        labels = np.cumsum(rng.choice([0.25, 1.0, 3.0], size=n)) - 2.0
+        a = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
+        k = int(rng.integers(2, min(n, 16) + 1))
+        lac = np.sort(rng.choice(labels, size=k, replace=False))
+        if trial % 3 == 0:
+            # A last anchor between labels, which may leave its gap empty.
+            lac[-1] = (lac[-1] + labels[labels < lac[-1]].max()) / 2
+        J = int(rng.integers(1, k))
+        assert_oscillation_is_per_gap(a, lac, J, labels)
+        assert_oscillation_is_per_gap(a[0], lac, J, labels)
+
+
+def test_oscillation_empty_gaps_are_the_per_gap_loop(rng):
+    a = rng.normal(size=(5, 6)) + 1j * rng.normal(size=(5, 6))
+    labels = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.5])
+    cases = (([0, 1 - 1e-9, 2, 4], 3),   # an empty first gap
+             ([0, 1, 2 - 1e-9, 5], 3),   # an empty middle gap
+             ([4, 5.2], 1),              # every gap empty
+             ([0, 2, 3, 4, 5.5], 2))     # J below len(lacunary) - 1
+    for lac, J in cases:
+        out = assert_oscillation_is_per_gap(a, lac, J, labels)
+        assert isinstance(out, bytes)
+    assert assert_oscillation_is_per_gap(a, [4, 5.2], 1, labels) == \
+        np.zeros(5).tobytes()
+
+
+def test_oscillation_anchor_tolerance_is_the_per_gap_loop():
+    a = np.array([0.0, 3.0, 1.0, 4.0, 1.0, 5.0])
+    exact = assert_oscillation_is_per_gap(a, [0, 2, 4], 2)
+    # Just below a label, within isclose's tolerance: accepted as it.
+    assert assert_oscillation_is_per_gap(a, [0, 2 - 1e-9, 4], 2) == exact
+    # Outside the tolerance, or just above a label: refused.
+    for anchor in (2 - 1e-3, 2 + 1e-9):
+        assert (assert_oscillation_is_per_gap(a, [0, anchor, 4], 2)
+                == f"anchor {anchor} is not a label")
+
+
+# long/short -------------------------------------------------------------
+
+def test_short_variation_is_the_per_block_mask_loop(rng):
+    # Increasing integer labels with gaps, some blocks empty or single.
+    for _ in range(60):
+        n = int(rng.integers(1, 30))
+        labels = np.cumsum(rng.integers(1, 6, size=n))
+        block = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+        for r in (1.0, 2.5):
+            ids = np.floor(np.log2(labels)).astype(int)
+            total = np.zeros(3)
+            for b in np.unique(ids):
+                if (ids == b).sum() > 1:
+                    total += vr._pow(vr.vr_exact_batch(block[:, ids == b],
+                                                       r), r)
+            want = vr._pow(total, 1.0 / r)
+            got = vr.long_short_split(block, r, labels=labels)
+            assert got[2].tobytes() == want.tobytes()
+            assert (vr.vr_short(block, r, labels=labels).tobytes()
+                    == want.tobytes())
+            assert (got[1].tobytes()
+                    == vr.vr_long(block, r, labels=labels).tobytes())
