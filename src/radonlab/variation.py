@@ -29,9 +29,13 @@ rows of an (m, n) array and return m values.  The checks
 `dyadic_level_square_bound`, and `vr_long`, `vr_short`, `oscillation`
 under them) take one sequence (n,), giving floats, or a block (m, n)
 sharing one set of labels, giving length-m arrays.  A check runs the
-engine once per (block, part, r), so checking many sequences at once
-costs one engine run per part rather than one per sequence, and a
-block's row equals the one-sequence result to the last bit.  `vr_exact`,
+engine once per (block, part family, r): the split halves, or the dyadic
+subsequence with every dyadic block, are one family, taken from one row
+in one segmented pass (`_vr_parts`).  So checking many sequences at once
+costs one engine run per part family rather than one per sequence, and a
+block's row equals the one-sequence result to the last bit.  What a
+check derives from the labels alone is built once per label set and
+kept, read-only, in a small cache.  `vr_exact`,
 `vr_bruteforce`, `jump_count`, `jump_count_bruteforce`,
 `mixed_variation_bound` and `partition_variation_bound` take exactly one
 sequence.  Every public entry point reads its input through `_block`,
@@ -50,6 +54,7 @@ call.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -62,6 +67,7 @@ BRUTEFORCE_LIMIT = 16
 _GAIN_BYTES = 128 * 1024
 _MEMO_ENTRIES = 32
 _MEMO_INPUT_BYTES = 2 * 1024
+_LAYOUT_ENTRIES = 16
 _TILE = 16
 _CHAIN_BYTES = 1024 * 1024
 
@@ -91,7 +97,7 @@ def _block(a, labels=None) -> tuple[np.ndarray, np.ndarray, bool]:
                          "(m, n)")
     n, one = v.shape[-1], v.ndim == 1
     v = v.reshape(-1, n)
-    if not np.isfinite(v).all():
+    if np.count_nonzero(np.isfinite(v)) < v.size:
         row, i = np.argwhere(~np.isfinite(v))[0]
         raise ValueError(f"non-finite value {v[row, i]} in row {row} at "
                          f"index {i}")
@@ -101,7 +107,7 @@ def _block(a, labels=None) -> tuple[np.ndarray, np.ndarray, bool]:
         labels = np.asarray(labels, dtype=float)
         if labels.shape != (n,):
             raise ValueError("labels must be 1-d and aligned")
-        if not np.all(np.diff(labels) > 0):
+        if not np.all(labels[1:] > labels[:-1]):
             raise ValueError("labels must be strictly increasing")
     return v, labels, one
 
@@ -136,7 +142,7 @@ def _longest_chain(v: np.ndarray, gain) -> np.ndarray:
     each gain is the same elementwise array operation, and a max is exact,
     so a row's values are the same bits on both.
     """
-    if len(v) == 1 and 16 * _TILE * v.shape[1] <= _GAIN_BYTES:
+    if _tiled(v):
         return _one_row_chain(v[0], gain)[None]
     # A long single row runs as a vector: with a trailing axis of length
     # 1 its pushes are 5-10% slower (measured at n = 513 and 1025).
@@ -154,7 +160,13 @@ def _longest_chain(v: np.ndarray, gain) -> np.ndarray:
     return best.T.reshape(v.shape)
 
 
-def _one_row_chain(v: np.ndarray, gain) -> np.ndarray:
+def _tiled(v: np.ndarray) -> bool:
+    """Whether rows v (m, n) take `_one_row_chain`: one row whose tile of
+    differences fits in `_GAIN_BYTES`, i.e. n <= 512."""
+    return len(v) == 1 and 16 * _TILE * v.shape[1] <= _GAIN_BYTES
+
+
+def _one_row_chain(v: np.ndarray, gain, seg=None) -> np.ndarray:
     """`_longest_chain` of one sequence v (n,), `_TILE` predecessors a step.
 
     A tile's gains are taken against the points from its first on.  Inside
@@ -163,14 +175,24 @@ def _one_row_chain(v: np.ndarray, gain) -> np.ndarray:
     pushes the finished tile to every later point.  Python's > drops a NaN
     that np.maximum would pass on, which `_block`'s refusal of non-finite
     values rules out.
+
+    With seg (n,), the segment of each point in nondecreasing order, the
+    gain between points of different segments is -inf, so no chain crosses
+    a segment boundary and best on each segment is that of the segment's
+    own run, bit for bit.  A tile's gains then stop at the end of its last
+    point's segment, and a tile inside one segment needs no mask.
     """
     n = len(v)
     best = np.zeros(n)
+    ids = None if seg is None else seg.tolist()
     for t0 in range(0, n - 1, _TILE):
         t1 = min(t0 + _TILE, n)
         w = t1 - t0
+        end = n if ids is None else bisect.bisect_right(ids, ids[t1 - 1])
         # g[a, b] is the gain from t0 + a to t0 + b.
-        g = gain(np.abs(v[t0:] - v[t0:t1, None]))
+        g = gain(np.abs(v[t0:end] - v[t0:t1, None]))
+        if ids is not None and ids[t0] != ids[t1 - 1]:
+            g[seg[t0:t1, None] != seg[t0:end]] = -np.inf
         tile = best[t0:t1].tolist()
         for a, row in enumerate(g[:, :w].tolist()):
             x = tile[a]
@@ -179,10 +201,10 @@ def _one_row_chain(v: np.ndarray, gain) -> np.ndarray:
                 if y > tile[b]:
                     tile[b] = y
         best[t0:t1] = tile
-        if t1 < n:
+        if t1 < end:
             later = g[:, w:]
             later += best[t0:t1, None]
-            np.maximum(best[t1:], later.max(axis=0), out=best[t1:])
+            np.maximum(best[t1:end], later.max(axis=0), out=best[t1:end])
     return best
 
 
@@ -241,6 +263,54 @@ def vr_exact_batch(values: np.ndarray, r: float) -> np.ndarray:
     """Batched r-variation: values is (m, n); returns the m values."""
     _check_r(r)
     return _chain_max(values, "vr", float(r)) ** (1.0 / r)
+
+
+def _vr_parts(v: np.ndarray, r: float, ends) -> np.ndarray:
+    """V_r of every part v[:, ends[k]:ends[k + 1]] of the rows v: (m, K).
+
+    The parts lie end to end; one of fewer than two points gets 0.  One
+    row that `_longest_chain` would tile takes one `_one_row_chain` pass
+    segmented by part, whose maxima per part come from one reduceat, so
+    one array call per tile serves every part.  A block, or a longer row,
+    runs `vr_exact_batch` per part: its per-predecessor loop then costs
+    sum n_k^2, less than a masked n^2 pass.  Both give each part the bits
+    of its own run.  The segmented pass bypasses the memo, since no
+    check asks for the same parts twice.
+    """
+    _check_r(r)
+    ends = np.asarray(ends)
+    if _tiled(v):
+        size = ends[1:] - ends[:-1]
+        best = _one_row_chain(v[0], lambda d: d ** float(r),
+                              np.repeat(np.arange(len(size)), size))
+        top = np.zeros((1, len(size)))
+        # reduceat takes each live part from its start to the next live
+        # start; an empty part has no maximum to take.
+        live = size > 0
+        top[0, live] = np.maximum.reduceat(best, ends[:-1][live])
+        return top ** (1.0 / r)
+    ends = ends.tolist()
+    return np.stack([vr_exact_batch(v[:, lo:hi], r) if hi - lo > 1
+                     else np.zeros(len(v)) for lo, hi in zip(ends, ends[1:])],
+                    axis=1)
+
+
+def _skeleton_and_blocks(skeleton, cuts) -> tuple[np.ndarray, np.ndarray]:
+    """(index, ends) for `_vr_parts` of a skeleton and its blocks.
+
+    The row v[:, index] holds the points at the indices `skeleton`, then
+    the points 0..cuts[-1] - 1; its part 0 is the skeleton, and part k >= 1
+    the block cuts[k - 1]:cuts[k] (cuts[0] = 0).
+    """
+    return (np.concatenate([skeleton, np.arange(cuts[-1])]),
+            np.concatenate([[0], len(skeleton) + np.asarray(cuts)]))
+
+
+def _frozen(*arrays) -> tuple:
+    """The arrays, made read-only, for a cache that hands them out."""
+    for x in arrays:
+        x.flags.writeable = False
+    return arrays
 
 
 def _subset_chains(v: np.ndarray, gain) -> np.ndarray:
@@ -304,19 +374,20 @@ def vr_bruteforce_batch(values: np.ndarray, r: float) -> np.ndarray:
 
 def _out(one: bool, *results):
     """A check's length-m results, as floats when it got one sequence."""
-    out = tuple(float(x[0]) if one else x for x in results)
-    return out if len(out) > 1 else out[0]
+    if one:
+        results = [float(x[0]) for x in results]
+    return results[0] if len(results) == 1 else tuple(results)
 
 
 def _pow(x: np.ndarray, e: float) -> np.ndarray:
-    """x ** e per element in Python floats.
+    """x ** e per element in Python floats, in the shape of x.
 
     NumPy's vectorized power may round differently from the scalar pow
     (on an AVX-512 machine it did for about 5% of random inputs at e = 3),
     so the checks raise to powers this way and a block stays
     bit-identical to its rows.
     """
-    return np.array([t ** e for t in x.tolist()])
+    return np.array([t ** e for t in x.ravel().tolist()]).reshape(x.shape)
 
 
 def lp_norm(v, p: float, measure: float = 1.0) -> float:
@@ -355,49 +426,52 @@ def growth_fit(r_grid, max_ratios) -> dict:
                                    default=0.0)}
 
 
-def _require_integer_labels(lab: np.ndarray) -> np.ndarray:
-    ilab = np.round(lab).astype(np.int64)
-    if np.any(np.abs(lab - ilab) > 0) or np.any(ilab < 1):
-        raise ValueError("long/short variation needs positive integer labels")
-    return ilab
-
-
 def vr_long(a, r: float, labels=None):
     """Variation along the powers of two present among the labels."""
     v, lab, one = _block(a, labels)
-    return _out(one, _vr_long(v, _require_integer_labels(lab), r))
-
-
-def _vr_long(v: np.ndarray, ilab: np.ndarray, r: float) -> np.ndarray:
-    dyadic = (ilab & (ilab - 1)) == 0  # powers of two (labels >= 1)
-    return (vr_exact_batch(v[:, dyadic], r) if dyadic.sum() > 1
-            else np.zeros(len(v)))
+    return _out(one, _long_short(v, lab, r)[0])
 
 
 def vr_short(a, r: float, labels=None):
     """l^r sum over dyadic blocks [2^n, 2^{n+1}) of within-block variation."""
     _check_r(r)
     v, lab, one = _block(a, labels)
-    return _out(one, _vr_short(v, _require_integer_labels(lab), r))
-
-
-def _vr_short(v: np.ndarray, ilab: np.ndarray, r: float) -> np.ndarray:
-    # The labels increase, so each dyadic block is one index range.
-    block = np.floor(np.log2(ilab)).astype(int)
-    ends = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), len(block)]
-    total = np.zeros(len(v))
-    for lo, hi in zip(ends, ends[1:]):
-        if hi - lo > 1:
-            total += _pow(vr_exact_batch(v[:, lo:hi], r), r)
-    return _pow(total, 1.0 / r)
+    return _out(one, _long_short(v, lab, r)[1])
 
 
 def long_short_split(a, r: float, labels=None):
     """(V_r, V_r^long, V_r^short); V_r <= 2 (long + short) on full ranges."""
     v, lab, one = _block(a, labels)
     full = vr_exact_batch(v, r)
-    ilab = _require_integer_labels(lab)
-    return _out(one, full, _vr_long(v, ilab, r), _vr_short(v, ilab, r))
+    return _out(one, full, *_long_short(v, lab, r))
+
+
+def _long_short(v: np.ndarray, lab: np.ndarray,
+                r: float) -> tuple[np.ndarray, np.ndarray]:
+    """(V_r^long, V_r^short) of the rows v, from one family of parts."""
+    index, ends = _dyadic_layout(lab.tobytes())
+    parts = _vr_parts(v[:, index], r, ends)
+    # A running sum adds the blocks' r-th powers block by block, in order.
+    short = np.add.accumulate(_pow(parts[:, 1:], r), axis=1)[:, -1]
+    return parts[:, 0], _pow(short, 1.0 / r)
+
+
+@functools.lru_cache(maxsize=_LAYOUT_ENTRIES)
+def _dyadic_layout(labels: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """(index, ends) of the long/short parts of one label set: the
+    skeleton at the powers of two, and the dyadic blocks [2^b, 2^{b+1})
+    present (see `_skeleton_and_blocks`)."""
+    lab = np.frombuffer(labels)
+    ilab = np.round(lab).astype(np.int64)
+    if np.any(np.abs(lab - ilab) > 0) or np.any(ilab < 1):
+        raise ValueError("long/short variation needs positive integer labels")
+    dyadic = np.flatnonzero((ilab & (ilab - 1)) == 0)
+    # frexp's exponent is exact; floor(log2) rounds 2^b - 1 up to b for
+    # b >= 49.  The labels increase, so each block is one index range.
+    block = np.frexp(lab)[1]
+    cuts = np.concatenate([[0], np.flatnonzero(np.diff(block)) + 1,
+                           [len(lab)]])
+    return _frozen(*_skeleton_and_blocks(dyadic, cuts))
 
 
 def sup_bound_check(a, r: float):
@@ -417,13 +491,11 @@ def split_bound_check(a, r: float, w_label: float, labels=None):
     Returns (lhs, rhs).
     """
     v, lab, one = _block(a, labels)
-    left = lab < w_label
     lhs = vr_exact_batch(v, r)
-    parts = np.zeros(len(v))
-    for side in (left, ~left):
-        if side.sum() > 1:
-            parts += vr_exact_batch(v[:, side], r)
-    return _out(one, lhs, 2.0 * np.abs(v).max(axis=1) + parts)
+    # The labels increase, so those below w are a prefix.
+    cut = np.searchsorted(lab, w_label)
+    left, right = _vr_parts(v, r, [0, cut, len(lab)]).T
+    return _out(one, lhs, 2.0 * np.abs(v).max(axis=1) + (left + right))
 
 
 def l2_bound_check(a, r: float):
@@ -442,7 +514,37 @@ def oscillation(a, lacunary, J: int, labels=None):
     are used, so J must not exceed len(lacunary) - 1.
     """
     v, lab, one = _block(a, labels)
+    return _out(one, _oscillation(v, lab, lacunary, J))
+
+
+def _oscillation(v: np.ndarray, lab: np.ndarray, lacunary,
+                 J: int) -> np.ndarray:
     lac = np.asarray(lacunary, dtype=float)
+    lo, hi, anchor, starts = _gap_layout(lab.tobytes(), lac.tobytes(),
+                                         lac.shape, J)
+    # One slice taken against each label's anchor and one reduceat give
+    # every live gap's sup.
+    dist = np.abs(v[:, lo:hi] - v[:, anchor])
+    squares = _pow(np.maximum.reduceat(dist, starts, axis=1), 2)
+    # A running sum adds the squares gap by gap, in order.
+    total = (np.add.accumulate(squares, axis=1)[:, -1] if squares.size
+             else np.zeros(len(v)))
+    return _pow(total, 0.5)
+
+
+# typed: a float J fails as an index where the equal int passes.
+@functools.lru_cache(maxsize=_LAYOUT_ENTRIES, typed=True)
+def _gap_layout(labels: bytes, lacunary: bytes, shape: tuple, J: int):
+    """(lo, hi, anchor, starts) of `oscillation`'s gaps, for one label set,
+    anchor set and J.
+
+    Gap j holds the labels in (lac[j], lac[j + 1]], the index range
+    edges[j]:edges[j + 1].  The ranges lie end to end over lo:hi; anchor
+    holds each of those labels' anchor index, and starts the offsets of
+    the live gaps in lo:hi.
+    """
+    lab = np.frombuffer(labels)
+    lac = np.frombuffer(lacunary).reshape(shape)
     if lac.ndim != 1 or lac.size < 2 or np.any(np.diff(lac) <= 0):
         raise ValueError("lacunary anchors must be strictly increasing")
     if J < 1 or J > lac.size - 1:
@@ -453,19 +555,10 @@ def oscillation(a, lacunary, J: int, labels=None):
     off = ~np.isclose(lab[at], lac[:J])
     if off.any():
         raise ValueError(f"anchor {lac[:J][off][0]} is not a label")
-    # Gap j holds the labels in (lac[j], lac[j + 1]], the index range
-    # edges[j]:edges[j + 1].  The ranges lie end to end, so one slice taken
-    # against each label's anchor and one reduceat give every live gap's
-    # sup.
     edges = np.searchsorted(lab, lac[:J + 1], side="right")
     size = np.diff(edges)
-    dist = np.abs(v[:, edges[0]:edges[-1]] - v[:, np.repeat(at, size)])
-    sups = np.maximum.reduceat(dist, edges[:-1][size > 0] - edges[0], axis=1)
-    squares = _pow(sups.ravel(), 2).reshape(sups.shape)
-    # A running sum adds the squares gap by gap, in order.
-    total = (np.add.accumulate(squares, axis=1)[:, -1] if squares.size
-             else np.zeros(len(v)))
-    return _out(one, _pow(total, 0.5))
+    return (int(edges[0]), int(edges[-1]),
+            *_frozen(np.repeat(at, size), edges[:-1][size > 0] - edges[0]))
 
 
 def oscillation_holder_check(a, lacunary, J: int, r: float):
@@ -473,7 +566,7 @@ def oscillation_holder_check(a, lacunary, J: int, r: float):
     if r < 2:
         raise ValueError("the oscillation bound needs r >= 2")
     v, lab, one = _block(a)
-    return _out(one, oscillation(v, lacunary, J, lab),
+    return _out(one, _oscillation(v, lab, lacunary, J),
                 J ** (0.5 - 1.0 / r) * vr_exact_batch(v, r))
 
 
@@ -519,16 +612,30 @@ def dyadic_level_square_bound(a, r: float):
     if r < 2:
         raise ValueError("the dyadic level bound needs r >= 2")
     v, _, one = _block(a)
-    n = v.shape[1] - 1
-    if n < 1 or n & (n - 1):
-        raise ValueError("length must be 2^s + 1")
-    rhs = np.zeros(len(v))
-    stride = 1
-    while stride <= n:
-        diffs = v[:, stride::stride] - v[:, :-stride:stride]
-        rhs += np.sqrt((np.abs(diffs) ** 2).sum(axis=1))
-        stride *= 2
+    ahead, behind, ends = _stride_layout(v.shape[1])
+    squares = np.abs(v[:, ahead] - v[:, behind]) ** 2
+    # One pairwise row sum per stride, as over that stride's own array: a
+    # sum over a strided view of a block may add in another order.
+    roots = np.sqrt([np.ascontiguousarray(squares[:, lo:hi]).sum(axis=1)
+                     for lo, hi in zip(ends, ends[1:])])
+    # A running sum adds the roots stride by stride, in order.
+    rhs = np.add.accumulate(roots)[-1]
     return _out(one, vr_exact_batch(v, r), np.sqrt(2.0) * rhs)
+
+
+@functools.lru_cache(maxsize=_LAYOUT_ENTRIES)
+def _stride_layout(n: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """(ahead, behind, ends) of the stride differences of n = 2^s + 1
+    points: stride 2^i takes a[ahead] - a[behind] over ends[i]:ends[i + 1].
+    """
+    s = n - 1
+    if s < 1 or s & (s - 1):
+        raise ValueError("length must be 2^s + 1")
+    strides = [1 << i for i in range(s.bit_length())]
+    ahead = np.concatenate([np.arange(k, n, k) for k in strides])
+    counts = [s // k for k in strides]
+    return (*_frozen(ahead, ahead - np.repeat(strides, counts)),
+            tuple(np.cumsum([0, *counts]).tolist()))
 
 
 def even_partition(u: int, v: int, h: int) -> tuple[int, ...]:
@@ -633,12 +740,13 @@ def mixed_variation_bound(a, w, r: float, labels=None) -> dict:
             skel_idx.append(i)
         else:
             raise ValueError(f"breakpoint {wk} is not a label")
-    skeleton = (vr_value(vals[skel_idx], r) if len(skel_idx) > 1 else 0.0)
+    # Block k holds the labels in [w_k, w_{k+1}), one index range; the
+    # first starts at index 0, since w_0 is at most the first label.
+    index, ends = _skeleton_and_blocks(skel_idx, np.searchsorted(labels, w))
+    skeleton, *parts = _vr_parts(vals[None, index], r, ends)[0].tolist()
     blocks = 0.0
-    for k in range(w.size - 1):
-        sel = (labels >= w[k]) & (labels < w[k + 1])
-        if sel.sum() > 1:
-            blocks += vr_value(vals[sel], r) ** 2
+    for x in parts:
+        blocks += x ** 2
     rhs = skeleton + blocks ** 0.5
     return {"lhs": lhs, "rhs": float(rhs),
             "ratio": float(lhs / rhs) if rhs > 0 else

@@ -55,6 +55,16 @@ def test_vr_long_short_two_point():
     assert vr.vr_short(a, 2, labels=labels) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("b", [49, 52])
+def test_short_variation_takes_exact_dyadic_blocks(b):
+    # 2^b - 2 and 2^b - 1 share block b - 1, and 2^b starts block b, so
+    # the one within-block step is 1; floor(log2) put 2^b - 1 in block b.
+    labels = [2 ** b - 2, 2 ** b - 1, 2 ** b]
+    assert vr.vr_short([0, 1, 5], 2, labels=labels) == 1.0
+    assert vr.long_short_split([[0, 1, 5]] * 2, 2, labels=labels)[2].tolist() \
+        == [1.0, 1.0]
+
+
 def test_oscillation_examples():
     assert vr.oscillation([0, 1, 0, 1, 0], (0, 2, 4), 2) == pytest.approx(np.sqrt(2))
     assert vr.oscillation([0, 3, 1], (0, 2), 1) == pytest.approx(3.0)
@@ -424,6 +434,36 @@ def test_mixed_variation_rejects_off_label_breakpoints():
         vr.mixed_variation_bound([0, 1, 0], (1, 1.7, 2), 2, labels=[1, 1.5, 2])
 
 
+def mixed_variation_per_block(a, w, r, labels=None) -> float:
+    """The rhs of the per-block loop that `mixed_variation_bound`'s one
+    segmented pass replaced, kept as its reference: a vr_value of the
+    skeleton, then a mask and a vr_value for every block."""
+    vals, labels = vr._one(a, labels)
+    w = np.asarray(w, dtype=float)
+    skel_idx = [int(np.searchsorted(labels, wk)) for wk in w]
+    skeleton = (vr.vr_value(vals[skel_idx], r) if len(skel_idx) > 1 else 0.0)
+    blocks = 0.0
+    for k in range(w.size - 1):
+        sel = (labels >= w[k]) & (labels < w[k + 1])
+        if sel.sum() > 1:
+            blocks += vr.vr_value(vals[sel], r) ** 2
+    return skeleton + blocks ** 0.5
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 65, 512, 600])
+@pytest.mark.parametrize("r", [1.0, 2.0, 2.5])
+def test_mixed_variation_is_the_per_block_loop(rng, n, r):
+    for a in fast_path_rows(n).values():
+        labels = np.cumsum(rng.uniform(0.1, 2.0, size=n))
+        inner = rng.choice(np.arange(1, max(n - 1, 1)),
+                           size=min(n - 2, 5), replace=False)
+        # Adjacent breakpoints leave blocks of one point.
+        w = labels[sorted({0, n - 1, *inner.tolist(), 1})]
+        out = vr.mixed_variation_bound(a, w, r, labels=labels)
+        assert out["rhs"] == mixed_variation_per_block(a, w, r, labels)
+        assert out["lhs"] == vr.vr_value(a, r)
+
+
 # blocks of sequences ----------------------------------------------------
 
 def assert_block_is_its_rows(check, block, *args, **kwargs):
@@ -448,7 +488,7 @@ def check_block(rng, n, m=12):
     return block
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 9, 33])
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 33, 65])
 @pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0])
 def test_checks_on_a_block_equal_their_rows(rng, n, r):
     block = check_block(rng, n)
@@ -469,6 +509,8 @@ def test_checks_on_a_block_equal_their_rows(rng, n, r):
         lac = [0, n // 2, n - 1] if n // 2 not in (0, n - 1) else [0, n - 1]
         assert_block_is_its_rows(vr.oscillation_holder_check, block, lac,
                                  len(lac) - 1, r)
+        assert_block_is_its_rows(vr.oscillation, block, np.add(lac, 1),
+                                 len(lac) - 1, labels=labels)
 
 
 @pytest.mark.parametrize("s", [0, 1, 3, 6])
@@ -665,22 +707,40 @@ def test_one_row_path_is_the_batch_path(a, r, k):
 
 # the chain memo ---------------------------------------------------------
 
+_LAYOUTS = (vr._dyadic_layout, vr._gap_layout, vr._stride_layout)
+_CACHES = (vr._remembered_max, *_LAYOUTS)
+
+
+def clear_caches():
+    for cache in _CACHES:
+        cache.cache_clear()
+
+
 @pytest.fixture
 def cold_memo():
-    """An empty memo for one test, emptied again after it."""
-    vr._remembered_max.cache_clear()
+    """An empty memo and empty layout caches for one test, emptied again
+    after it."""
+    clear_caches()
     yield
-    vr._remembered_max.cache_clear()
+    clear_caches()
 
 
 def engine_runs(monkeypatch) -> list:
-    """Records (input, gain) of every `_longest_chain` run from now on."""
-    runs, engine = [], vr._longest_chain
+    """Records (input, gain, seg) of every engine run from now on: each
+    `_longest_chain` run, with seg None, and each segmented
+    `_one_row_chain` pass, with its input as a one-row block."""
+    runs, engine, one_row = [], vr._longest_chain, vr._one_row_chain
 
     def counting(v, gain):
-        runs.append((v.copy(), gain))
+        runs.append((v.copy(), gain, None))
         return engine(v, gain)
+
+    def counting_segmented(v, gain, seg=None):
+        if seg is not None:
+            runs.append((v[None].copy(), gain, seg.copy()))
+        return one_row(v, gain, seg)
     monkeypatch.setattr(vr, "_longest_chain", counting)
+    monkeypatch.setattr(vr, "_one_row_chain", counting_segmented)
     return runs
 
 
@@ -786,7 +846,7 @@ def test_memo_reads_a_row_as_a_one_row_block(cold_memo, rng):
 def test_memo_is_shared_safely_across_threads(cold_memo, rng):
     block = rng.normal(size=(32, 33)) + 1j * rng.normal(size=(32, 33))
     want = [seven_checks(a, 2.5) for a in block]
-    vr._remembered_max.cache_clear()
+    clear_caches()
     # More workers than cores, switching often; each checks every row, so
     # it meets the others' entries and evictions.
     orders = (block, block[::-1]) * 2
@@ -807,13 +867,107 @@ def test_seven_checks_run_the_full_row_once_per_gain(cold_memo, monkeypatch):
     a = [1, 1j] @ np.random.default_rng(65).normal(size=(2, 65))
     runs = engine_runs(monkeypatch)
     seven_checks(a, 2.5)
-    full = [gain for v, gain in runs if v.shape == (1, 65)]
-    assert all(np.array_equal(v[0], a) for v, _ in runs if v.shape == (1, 65))
+    # Five engine runs in all: the full row once per gain, then one
+    # segmented pass each for the split halves and the long/short parts.
+    assert len(runs) == 5
+    plain = [(v, gain) for v, gain, seg in runs if seg is None]
+    assert all(v.shape == (1, 65) and np.array_equal(v[0], a)
+               for v, _ in plain)
     # A gap of 0.5 tells the gains apart: V_r's 0.5^r, 1 above lambda =
     # 0.25 and -inf below lambda = 1.
     kinds = Counter({1.0: "jump-0.25", -math.inf: "jump-1.0"}.get(
-        float(gain(np.array([0.5]))[0]), "vr") for gain in full)
+        float(gain(np.array([0.5]))[0]), "vr") for _, gain in plain)
     assert kinds == {"vr": 1, "jump-0.25": 1, "jump-1.0": 1}
+    (split, split_seg), (parts, parts_seg) = [
+        (v, seg) for v, _, seg in runs if seg is not None]
+    # The split at w = 32.5 of the labels 0..64: the full row, halved.
+    assert np.array_equal(split[0], a)
+    assert np.bincount(split_seg).tolist() == [33, 32]
+    # The labels 1..65: the 7 powers of two, then the 7 dyadic blocks.
+    assert np.array_equal(parts[0], np.concatenate([a[[0, 1, 3, 7, 15, 31,
+                                                        63]], a]))
+    assert np.bincount(parts_seg).tolist() == [7, 1, 2, 4, 8, 16, 32, 2]
+
+
+# segmented passes and label layouts -------------------------------------
+
+@pytest.mark.parametrize("n", _TILE_EDGES)
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 2.5, 3.0])
+def test_segmented_pass_is_a_run_per_part(n, r):
+    # Parts of one and two points, cuts on and off the tile edges, and
+    # empty parts, first, inside and last.
+    cut_sets = ([], [n // 2], [1, 3], [vr._TILE, 2 * vr._TILE],
+                [7, 23, 24, 40], [0, 0, 5, 5, n])
+    for a in fast_path_rows(n).values():
+        for cuts in cut_sets:
+            ends = [0, *sorted(min(c, n) for c in cuts), n]
+            want = np.array([[vr.vr_exact_batch(a[lo:hi], r)[0] if hi > lo
+                              else 0.0 for lo, hi in zip(ends, ends[1:])]])
+            assert vr._vr_parts(a[None], r, ends).tobytes() == want.tobytes()
+            pair = vr._vr_parts(np.stack([a, a[::-1]]), r, ends)
+            assert pair[:1].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("labels", [[3, 5, 6, 7], [3, 4, 5, 6], [2, 3], [5],
+                                    [4]])
+def test_long_short_with_an_empty_or_single_point_dyadic_part(labels):
+    # No power of two, or one: V_r^long is 0, and V_r^short is the
+    # variation of the last label's dyadic block, the only one of more
+    # than one point.
+    n = len(labels)
+    block = (np.arange(2 * n).reshape(2, n) % 3) * (1 + 1j)
+    top = 1 << (labels[-1].bit_length() - 1)
+    rest = [i for i, x in enumerate(labels) if x >= top]
+    for r in (1.0, 2.5):
+        short = vr.vr_exact_batch(block[:, rest], r)
+        for a, want in ((block, short), *zip(block, short)):
+            full, lng, sht = vr.long_short_split(a, r, labels=labels)
+            assert np.all(lng == 0.0)
+            assert np.array_equal(sht, want)
+            assert np.array_equal(full, vr.vr_exact_batch(a, r)[0]
+                                  if a.ndim == 1 else vr.vr_exact_batch(a, r))
+
+
+def test_layouts_refuse_bad_input_every_time(cold_memo):
+    a = np.arange(5.0)
+    refused = (
+        (vr.long_short_split, (a, 2.0), {"labels": [0, 1, 2, 3, 4]}),
+        (vr.vr_long, (a, 2.0), {"labels": [1, 1.5, 2, 3, 4]}),
+        (vr.vr_short, (a, 2.0), {"labels": [1, 2, 3, 4, 5.5]}),
+        (vr.oscillation, (a, [0, 2.5, 4], 2), {}),
+        (vr.oscillation, (a, [0, 2, 4], 3), {}),
+        (vr.oscillation, (a, [0, 2, 2, 4], 2), {}),
+        (vr.oscillation, (a, [[0, 2], [3, 4]], 1), {}),
+        (vr.oscillation_holder_check, (a, [0, 2, 9], 2, 2.0), {}),
+        (vr.dyadic_level_square_bound, (a[:4], 2.0), {}))
+    for fn, args, kwargs in refused:
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValueError) as err:
+                fn(*args, **kwargs)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+    assert all(cache.cache_info().currsize == 0 for cache in _LAYOUTS)
+
+
+def test_cached_layouts_are_read_only(cold_memo):
+    lab = np.arange(1.0, 18.0)
+    # Each check fills its layout; a second call hands out the same one.
+    vr.long_short_split(np.ones(17), 2.0, labels=lab)
+    vr.oscillation(np.ones(17), [1, 2, 5, 17], 3, labels=lab)
+    vr.dyadic_level_square_bound(np.ones(17), 2.0)
+    layouts = (vr._dyadic_layout(lab.tobytes()),
+               vr._gap_layout(lab.tobytes(), np.array([1.0, 2, 5, 17])
+                              .tobytes(), (4,), 3),
+               vr._stride_layout(17))
+    assert all(cache.cache_info().hits == 1 for cache in _LAYOUTS)
+    arrays = [x for layout in layouts for x in layout
+              if isinstance(x, np.ndarray)]
+    assert len(arrays) == 6
+    for x in arrays:
+        assert not x.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 0
 
 
 # oscillation ------------------------------------------------------------
@@ -916,3 +1070,7 @@ def test_short_variation_is_the_per_block_mask_loop(rng):
                     == want.tobytes())
             assert (got[1].tobytes()
                     == vr.vr_long(block, r, labels=labels).tobytes())
+            # Each row alone takes the segmented pass.
+            for i, row in enumerate(block):
+                assert (np.array(vr.long_short_split(row, r, labels=labels))
+                        .tobytes() == np.array([x[i] for x in got]).tobytes())
