@@ -665,16 +665,9 @@ def _run_multiplier_apply(params, config, budgets) -> RunOutcome:
     if any(a > b for a, b in zip(lo_pad, hi_pad)):
         raise ValueError(f"period {m} too small for truncation {n}")
 
-    if m ** Q.d <= 4096:
-        freq_idx = np.stack(np.meshgrid(
-            *[np.arange(m)] * Q.d, indexing="ij"), axis=-1).reshape(-1, Q.d)
-    else:
-        rng_freq = np.random.default_rng(config.seed)
-        freq_idx = rng_freq.integers(0, m,
-                                     size=(params["freq_points"], Q.d))
-    xis = freq_idx / float(m)
-    dev = float(np.abs(ker.multiplier_at(xis)
-                       - avg_multiplier(n, xis, Q)).max())
+    xis = torus_frequencies((m,) * Q.d)
+    symbol = avg_multiplier(n, xis, Q)
+    dev = float(np.abs(ker.multiplier_at(xis) - symbol).max())
     rows = [ResultRow(name, "kernel-dft", {"n": n, "m": m}, dev, 1e-10,
                       dev / 1e-10, dev <= 1e-10)]
 
@@ -685,7 +678,6 @@ def _run_multiplier_apply(params, config, budgets) -> RunOutcome:
     inputs = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
               for _ in range(trials)]
 
-    symbol = avg_multiplier(n, torus_frequencies((m,) * Q.d), Q)
     squared = symbol ** 2
 
     def agree(values) -> tuple[float, float]:
@@ -710,7 +702,7 @@ def _run_multiplier_apply(params, config, budgets) -> RunOutcome:
                           {"n": n, "m": m, "trials": trials}, worst_comp,
                           1e-10, worst_comp / 1e-10, worst_comp <= 1e-10))
     return RunOutcome(tuple(rows), (),
-                      {"n": n, "m": m, "frequencies": len(freq_idx)})
+                      {"n": n, "m": m, "frequencies": len(xis)})
 
 
 # -- registry ----------------------------------------------------------------------
@@ -777,8 +769,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         summary="distributional variation/square/maximal comparison"),
     "multiplier-apply": ExperimentSpec(
         _run_multiplier_apply,
-        {"k": 1, "deg": 2, "n": 4, "m": 64, "trials": 12,
-         "freq_points": 24},
+        {"k": 1, "deg": 2, "n": 4, "m": 64, "trials": 12},
         needs_seed=True,
         summary="Fourier-side realization against the direct operator"),
 }

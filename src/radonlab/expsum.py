@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -186,22 +186,20 @@ def gauss_scan_quadratic(q: int) -> np.ndarray:
 
 # -- lattice multipliers --------------------------------------------------
 
-def avg_multiplier(N: int, xi, Q: PolynomialMapping,
-                   budget: int = GAUSS_BUDGET):
+def avg_multiplier(N: int, xi, Q: PolynomialMapping):
     """m_N(xi) = |B_N|^{-1} sum_{y in B_N} e(<xi, Q(y)>).
 
     xi is one frequency (d,), giving a complex, or a batch (F, d), giving
     an (F,) array; either is torus-reduced first.
     """
-    pts = lattice_points(Q.k, N, budget=budget)
+    pts = lattice_points(Q.k, N, budget=GAUSS_BUDGET)
     return phase_sum(Q.eval_real(pts), torus_reduce(xi))
 
 
-def sing_multiplier(N: int, xi, Q: PolynomialMapping, kernel,
-                    budget: int = GAUSS_BUDGET):
+def sing_multiplier(N: int, xi, Q: PolynomialMapping, kernel):
     """sum_{y in B_N, y != 0} e(<xi, Q(y)>) K(y), not normalized; xi is
     one frequency (d,) or a batch (F, d), as in avg_multiplier."""
-    pts = lattice_points(Q.k, N, budget=budget)
+    pts = lattice_points(Q.k, N, budget=GAUSS_BUDGET)
     pts = pts[np.any(pts != 0, axis=1)]
     w = kernel.eval_many(pts)
     return phase_sum(Q.eval_real(pts), torus_reduce(xi), weights=w)
@@ -250,7 +248,6 @@ class CZKernelSpec:
     k: int
     evaluate: object
     name: str = "kernel"
-    certificate: dict = field(default_factory=dict, hash=False, compare=False)
 
     def __post_init__(self):
         if self.k not in (1, 2):
@@ -264,15 +261,15 @@ class CZKernelSpec:
                              f"got points in R^{pts.shape[-1]}")
         return np.asarray(self.evaluate(pts), dtype=float)
 
-    def size_certificate(self, radii=None, samples: int = 64) -> float:
-        """sup over sampled annuli of |y|^k |K| + |y|^{k+1} |grad K|."""
-        radii = radii if radii is not None else np.geomspace(0.5, 64, 25)
+    def size_certificate(self) -> float:
+        """sup of |y|^k |K| + |y|^{k+1} |grad K| over 25 radii from 1/2 to
+        64, at 64 angles each on R^2."""
         worst = 0.0
-        for rad in radii:
+        for rad in np.geomspace(0.5, 64, 25):
             if self.k == 1:
                 ys = np.array([[rad], [-rad]])
             else:
-                th = np.linspace(0, 2 * np.pi, samples, endpoint=False)
+                th = np.linspace(0, 2 * np.pi, 64, endpoint=False)
                 ys = rad * np.stack([np.cos(th), np.sin(th)], axis=1)
             h = 1e-6 * rad
             vals = np.abs(self.eval_many(ys))
@@ -297,11 +294,11 @@ class CZKernelSpec:
                 + self.eval_many(-y[:, None]), r1, r2, tol)))
         return float(abs(_disk_integral(self.eval_many, r1, r2, tol)))
 
-    def validate(self, tol: float = 1e-6):
-        """Raise KernelError if annular cancellation fails."""
+    def validate(self):
+        """Raise KernelError if an annular integral exceeds 1e-6."""
         for r1, r2 in ((0.5, 1.0), (1.0, 4.0), (0.25, 8.0)):
-            defect = self.cancellation_defect(r1, r2, tol=tol / 100)
-            if defect > tol:
+            defect = self.cancellation_defect(r1, r2, tol=1e-8)
+            if defect > 1e-6:
                 raise KernelError(
                     f"{self.name}: annular integral {defect:.2e} "
                     f"over ({r1}, {r2}] is not zero")
@@ -315,8 +312,7 @@ def odd_power_kernel(c: float = 0.5) -> CZKernelSpec:
         nz = y != 0
         out[nz] = c / y[nz]
         return out
-    return CZKernelSpec(1, ev, name=f"{c}/y",
-                        certificate={"size_bound": 2.0 * c})
+    return CZKernelSpec(1, ev, name=f"{c}/y")
 
 
 def plane_sign_kernel() -> CZKernelSpec:
@@ -431,18 +427,18 @@ def continuous_avg_multiplier(N: float, xi, Q: PolynomialMapping,
 
 
 def continuous_singular_multiplier(t: float, xi, Q: PolynomialMapping,
-                                   kernel: CZKernelSpec,
-                                   tol: float = 1e-10) -> complex:
+                                   kernel: CZKernelSpec) -> complex:
     """Psi_t(xi) = p.v. int_{B_t} e(<xi, Q(y)>) K(y) dy.
 
     Dyadic annular decomposition from the outside in; each annulus is a
     proper integral, and cancellation makes the inner annuli negligible:
-    summation stops once a term drops below tol.  Terms that grow for
-    several consecutive annuli signal a kernel without cancellation.
+    summation stops once a term drops below tol = 1e-10.  Terms that grow
+    for several consecutive annuli signal a kernel without cancellation.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    tol = 1e-10
     total = 0.0 + 0.0j
     prev_mag = None
     growth = 0

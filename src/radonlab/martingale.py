@@ -89,10 +89,11 @@ def cell_measure_exact(m: int, k: int) -> Fraction:
     return Fraction(1, 2 ** (m * k))
 
 
-def doubling_constant(m: int, depth: int = 10) -> int:
-    """Parent-to-child measure ratio; 2^m for standard dyadic cubes."""
+def doubling_constant(m: int) -> int:
+    """Parent-to-child measure ratio over the first ten levels; 2^m for
+    standard dyadic cubes."""
     ratios = {cell_measure_exact(m, k) / cell_measure_exact(m, k + 1)
-              for k in range(depth)}
+              for k in range(10)}
     if len(ratios) != 1:
         raise AssertionError("dyadic cube measures are not uniform")
     r = next(iter(ratios))
@@ -335,12 +336,11 @@ class FieldEnsembleSpec:
     L: int
     size: int
     seed: int
-    kinds: tuple[str, ...] = ("spike", "bump", "rademacher")
 
 
 def field_ensemble(spec: FieldEnsembleSpec):
     n = 2 ** spec.L
     centers = (np.arange(n) + 0.5) / n
-    for vals in random_arrays(spec.kinds, spec.size, spec.seed, centers,
+    for vals in random_arrays(spec.size, spec.seed, centers,
                               spec.m, (0.25, 0.75), (0.05, 0.25)):
         yield DyadicField(spec.m, spec.L, vals)

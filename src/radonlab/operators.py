@@ -31,6 +31,7 @@ from .polymap import PolynomialMapping, lattice_points
 from .variation import lp_norm, vr_exact_batch
 
 MEMORY_BUDGET_ELEMENTS = 80_000_000
+_KINDS = ("spike", "bump", "rademacher")  # the random ensembles' cycle
 
 
 @dataclass
@@ -78,10 +79,9 @@ class GridFunction:
         return lp_norm(self.values, p)
 
 
-def delta_function(ndim: int, at=None) -> GridFunction:
-    at = tuple(int(c) for c in at) if at is not None else (0,) * ndim
-    box = tuple((c, c) for c in at)
-    return GridFunction(box, np.ones((1,) * ndim))
+def delta_function(ndim: int) -> GridFunction:
+    """The unit mass at the origin of Z^ndim."""
+    return GridFunction(((0, 0),) * ndim, np.ones((1,) * ndim))
 
 
 def embed(f: GridFunction, box) -> GridFunction:
@@ -110,10 +110,10 @@ def grid_difference(a: GridFunction, b: GridFunction) -> float:
     return float(np.abs(embed(a, u).values - embed(b, u).values).max())
 
 
-def _check_elements(n: int, budget: int = MEMORY_BUDGET_ELEMENTS):
-    if n > budget:
+def _check_elements(n: int):
+    if n > MEMORY_BUDGET_ELEMENTS:
         raise BudgetError(f"output grid would hold {n} elements "
-                          f"(budget {budget})", estimate=n)
+                          f"(budget {MEMORY_BUDGET_ELEMENTS})", estimate=n)
 
 
 # -- pushforward kernel --------------------------------------------------------
@@ -160,13 +160,12 @@ def _ball_images(P: PolynomialMapping, N: int, kernel: CZKernelSpec | None):
 
 
 def pushforward_kernel(P: PolynomialMapping, N: int,
-                       kernel: CZKernelSpec | None = None,
-                       budget: int = MEMORY_BUDGET_ELEMENTS) -> PushforwardKernel:
+                       kernel: CZKernelSpec | None = None) -> PushforwardKernel:
     images, weights = _ball_images(P, N, kernel)
     los = images.min(axis=0)
     his = images.max(axis=0)
     shape = tuple(int(h - l + 1) for l, h in zip(los, his))
-    _check_elements(math.prod(shape), budget)
+    _check_elements(math.prod(shape))
     vals = np.zeros(shape)
     np.add.at(vals,
               tuple((images[:, j] - los[j]).astype(np.intp)
@@ -313,13 +312,13 @@ class EnsembleSpec:
     halfwidth: int
     size: int
     seed: int
-    kinds: tuple[str, ...] = ("spike", "bump", "rademacher")
 
 
-def random_arrays(kinds, size: int, seed: int, axis, ndim: int,
+def random_arrays(size: int, seed: int, axis, ndim: int,
                   centers: tuple[float, float],
                   widths: tuple[float, float]):
-    """`size` complex arrays on the grid axis^ndim, cycling through kinds.
+    """`size` complex arrays on the grid axis^ndim, cycling through
+    `_KINDS`.
 
     spike: 1 at a uniformly drawn grid point.  bump: exp(-|x - c|^2 / 2w^2)
     with every coordinate of c uniform on `centers` and w uniform on
@@ -331,7 +330,7 @@ def random_arrays(kinds, size: int, seed: int, axis, ndim: int,
     shape = (axis.size,) * ndim
     grid = np.stack(np.meshgrid(*[axis] * ndim, indexing="ij"), axis=-1)
     for i in range(size):
-        kind = kinds[i % len(kinds)]
+        kind = _KINDS[i % len(_KINDS)]
         if kind == "spike":
             vals = np.zeros(shape, dtype=complex)
             at = tuple(int(rng.integers(0, axis.size)) for _ in shape)
@@ -341,17 +340,15 @@ def random_arrays(kinds, size: int, seed: int, axis, ndim: int,
             width = rng.uniform(*widths)
             d2 = ((grid - center) ** 2).sum(axis=-1)
             vals = np.exp(-d2 / (2 * width ** 2)).astype(complex)
-        elif kind == "rademacher":
+        else:  # rademacher
             vals = rng.choice([-1.0, 1.0], size=shape).astype(complex)
-        else:
-            raise ValueError(f"unknown ensemble kind {kind!r}")
         yield vals
 
 
 def ensemble(spec: EnsembleSpec):
     hw = spec.halfwidth
     box = ((-hw, hw),) * spec.ndim
-    for vals in random_arrays(spec.kinds, spec.size, spec.seed,
+    for vals in random_arrays(spec.size, spec.seed,
                               np.arange(-hw, hw + 1), spec.ndim,
                               (-hw / 2, hw / 2), (1.0, max(2.0, hw / 3))):
         yield GridFunction(box, vals)

@@ -6,9 +6,10 @@ N_lambda is the number of steps in a longest subsequence whose
 consecutive gaps exceed lambda.  Both are one longest-chain recursion
 over chain ends with two edge gains: |a_j - a_i|^r for V_r (the value is
 the 1/r-th power of the best total), and 1 on gaps > lambda, -inf
-otherwise, for jumps.  The recursion pushes a batch of rows one
+otherwise, for jumps.  The recursion pushes a block of rows one
 predecessor at a time and a single row in tiles of predecessors, with
-the same bits on both paths (see `_longest_chain`).  Subset-enumeration
+the same bits on both paths, and either may be cut into segments that no
+chain crosses (see `_longest_chain`).  Subset-enumeration
 brute forces serve as independent oracles for short sequences: they
 total the chain of each of the 2^n subsets of each of m rows, m 2^n
 cells taken as n(n - 1)/2 slice adds per chunk of rows, with O(2^n)
@@ -26,12 +27,11 @@ Shapes: `vr_exact_batch` and `jump_count_batch` take m sequences as the
 rows of an (m, n) array and return m values.  The checks
 (`sup_bound_check`, `split_bound_check`, `l2_bound_check`,
 `oscillation_holder_check`, `long_short_split`, `jump_variation_check`,
-`dyadic_level_square_bound`, and `vr_long`, `vr_short`, `oscillation`
-under them) take one sequence (n,), giving floats, or a block (m, n)
-sharing one set of labels, giving length-m arrays.  A check runs the
-engine once per (block, part family, r): the split halves, or the dyadic
-subsequence with every dyadic block, are one family, taken from one row
-in one segmented pass (`_vr_parts`).  So checking many sequences at once
+`dyadic_level_square_bound`) take one sequence (n,), giving floats, or a
+block (m, n) sharing one set of labels, giving length-m arrays.  A check
+runs the engine once per (block, part family, r): the split halves, or
+the dyadic subsequence with every dyadic block, are one family, taken in
+one segmented run (`_vr_parts`).  So checking many sequences at once
 costs one engine run per part family rather than one per sequence, and a
 block's row equals the one-sequence result to the last bit.  What a
 check derives from the labels alone is built once per label set and
@@ -54,7 +54,6 @@ call.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -120,7 +119,7 @@ def _one(a, labels=None) -> tuple[np.ndarray, np.ndarray]:
     return v[0], labels
 
 
-def _longest_chain(v: np.ndarray, gain) -> np.ndarray:
+def _longest_chain(v: np.ndarray, gain, seg=None) -> np.ndarray:
     """The one chain recursion behind V_r and the jump counts.
 
     v holds m sequences as the rows of an (m, n) array, as `_block` reads
@@ -130,69 +129,64 @@ def _longest_chain(v: np.ndarray, gain) -> np.ndarray:
     pushed to every later j.  Returns best (m, n).  O(m n^2) time, O(m n)
     memory.
 
-    The loop below pushes one predecessor at a time to all m rows, and
-    takes the gains of as many predecessors as fit in `_GAIN_BYTES` of
-    differences in one array operation.  One row would pay an array call
-    per predecessor for a push of at most n cells, so while a tile's
-    differences fit in `_GAIN_BYTES` (n <= 512) `_one_row_chain` takes it
-    in tiles instead.  A longer row's pushes pay for their calls, and its
-    tiles' temporaries would be fresh mappings from the allocator, whose
-    page faults made the tiled path 8-14% slower at n = 1025.  On either
-    path every candidate is the one float add best[i] + gain(|v_j - v_i|),
-    each gain is the same elementwise array operation, and a max is exact,
-    so a row's values are the same bits on both.
+    With seg (n,), each point's segment end (nondecreasing: the segment of
+    point i is i's run of equal ends, up to seg[i] exclusive), best[:, i]
+    is pushed only to the later points of its own segment.  No chain then
+    crosses a segment boundary, and best on each segment is that of the
+    segment's own run, bit for bit.
+
+    The number of rows alone picks the schedule.  One row goes to
+    `_one_row_chain`, which takes its predecessors in tiles, since a push
+    of at most n cells would pay an array call per predecessor.  A block
+    (m >= 2) pushes one predecessor at a time to all m rows, and takes the
+    gains of as many predecessors as fit in `_GAIN_BYTES` of differences
+    in one array operation, up to the segment end of the last of them.
+    On either schedule every candidate is the one float add
+    best[i] + gain(|v_j - v_i|), each gain is the same elementwise array
+    operation, and a max is exact, so a row's values are the same bits on
+    both.
     """
-    if _tiled(v):
-        return _one_row_chain(v[0], gain)[None]
-    # A long single row runs as a vector: with a trailing axis of length
-    # 1 its pushes are 5-10% slower (measured at n = 513 and 1025).
-    cols = np.ascontiguousarray(v[0] if len(v) == 1 else v.T)
+    if len(v) == 1:
+        return _one_row_chain(v[0], gain, seg)[None]
+    cols = np.ascontiguousarray(v.T)
     n = len(cols)
+    end = [n] * n if seg is None else seg.tolist()
     best = np.zeros(cols.shape)
     rows = max(1, _GAIN_BYTES // (16 * cols.size))
     for i0 in range(0, n - 1, rows):
         i1 = min(i0 + rows, n - 1)
         # g[a, b] is the gain from i0 + a to i0 + 1 + b.
-        g = gain(np.abs(cols[i0 + 1:] - cols[i0:i1, None]))
+        g = gain(np.abs(cols[i0 + 1:end[i1 - 1]] - cols[i0:i1, None]))
         for i in range(i0, i1):
-            later = best[i + 1:]
-            np.maximum(later, best[i] + g[i - i0, i - i0:], out=later)
+            later = best[i + 1:end[i]]
+            np.maximum(later, best[i] + g[i - i0, i - i0:end[i] - i0 - 1],
+                       out=later)
     return best.T.reshape(v.shape)
-
-
-def _tiled(v: np.ndarray) -> bool:
-    """Whether rows v (m, n) take `_one_row_chain`: one row whose tile of
-    differences fits in `_GAIN_BYTES`, i.e. n <= 512."""
-    return len(v) == 1 and 16 * _TILE * v.shape[1] <= _GAIN_BYTES
 
 
 def _one_row_chain(v: np.ndarray, gain, seg=None) -> np.ndarray:
     """`_longest_chain` of one sequence v (n,), `_TILE` predecessors a step.
 
-    A tile's gains are taken against the points from its first on.  Inside
-    the tile the push runs on Python floats, a few hundred nanoseconds a
-    step where an array call costs microseconds; then one array operation
-    pushes the finished tile to every later point.  Python's > drops a NaN
-    that np.maximum would pass on, which `_block`'s refusal of non-finite
-    values rules out.
-
-    With seg (n,), the segment of each point in nondecreasing order, the
-    gain between points of different segments is -inf, so no chain crosses
-    a segment boundary and best on each segment is that of the segment's
-    own run, bit for bit.  A tile's gains then stop at the end of its last
-    point's segment, and a tile inside one segment needs no mask.
+    A tile's gains are taken against the points from its first on, up to
+    the segment end of its last point.  Inside the tile the push runs on
+    Python floats, a few hundred nanoseconds a step where an array call
+    costs microseconds; then one array operation pushes the finished tile
+    to the later points.  Python's > drops a NaN that np.maximum would
+    pass on, which `_block`'s refusal of non-finite values rules out.
+    A tile that spans segments sets the gain between points of different
+    segments to -inf, so no chain crosses a boundary; a tile inside one
+    segment needs no mask.
     """
     n = len(v)
     best = np.zeros(n)
-    ids = None if seg is None else seg.tolist()
+    end = [n] * n if seg is None else seg.tolist()
     for t0 in range(0, n - 1, _TILE):
         t1 = min(t0 + _TILE, n)
-        w = t1 - t0
-        end = n if ids is None else bisect.bisect_right(ids, ids[t1 - 1])
+        w, stop = t1 - t0, end[t1 - 1]
         # g[a, b] is the gain from t0 + a to t0 + b.
-        g = gain(np.abs(v[t0:end] - v[t0:t1, None]))
-        if ids is not None and ids[t0] != ids[t1 - 1]:
-            g[seg[t0:t1, None] != seg[t0:end]] = -np.inf
+        g = gain(np.abs(v[t0:stop] - v[t0:t1, None]))
+        if end[t0] != stop:
+            g[seg[t0:t1, None] != seg[t0:stop]] = -np.inf
         tile = best[t0:t1].tolist()
         for a, row in enumerate(g[:, :w].tolist()):
             x = tile[a]
@@ -201,10 +195,10 @@ def _one_row_chain(v: np.ndarray, gain, seg=None) -> np.ndarray:
                 if y > tile[b]:
                     tile[b] = y
         best[t0:t1] = tile
-        if t1 < end:
+        if t1 < stop:
             later = g[:, w:]
             later += best[t0:t1, None]
-            np.maximum(best[t1:end], later.max(axis=0), out=best[t1:end])
+            np.maximum(best[t1:stop], later.max(axis=0), out=best[t1:stop])
     return best
 
 
@@ -228,8 +222,8 @@ def vr_exact(a, r: float, labels=None) -> VariationResult:
                            tuple(float(labels[i]) for i in chain[::-1]))
 
 
-def vr_value(a, r: float, labels=None) -> float:
-    return vr_exact(a, r, labels).value
+def vr_value(a, r: float) -> float:
+    return vr_exact(a, r).value
 
 
 def _chain_max(values, kind: str, x: float) -> np.ndarray:
@@ -269,30 +263,22 @@ def _vr_parts(v: np.ndarray, r: float, ends) -> np.ndarray:
     """V_r of every part v[:, ends[k]:ends[k + 1]] of the rows v: (m, K).
 
     The parts lie end to end; one of fewer than two points gets 0.  One
-    row that `_longest_chain` would tile takes one `_one_row_chain` pass
-    segmented by part, whose maxima per part come from one reduceat, so
-    one array call per tile serves every part.  A block, or a longer row,
-    runs `vr_exact_batch` per part: its per-predecessor loop then costs
-    sum n_k^2, less than a masked n^2 pass.  Both give each part the bits
-    of its own run.  The segmented pass bypasses the memo, since no
-    check asks for the same parts twice.
+    `_longest_chain` run segmented by part, a row or a block alike, gives
+    each part the bits of its own run, and one reduceat takes the maxima
+    of every part.  The segmented run bypasses the memo, since no check
+    asks for the same parts twice.
     """
     _check_r(r)
     ends = np.asarray(ends)
-    if _tiled(v):
-        size = ends[1:] - ends[:-1]
-        best = _one_row_chain(v[0], lambda d: d ** float(r),
-                              np.repeat(np.arange(len(size)), size))
-        top = np.zeros((1, len(size)))
-        # reduceat takes each live part from its start to the next live
-        # start; an empty part has no maximum to take.
-        live = size > 0
-        top[0, live] = np.maximum.reduceat(best, ends[:-1][live])
-        return top ** (1.0 / r)
-    ends = ends.tolist()
-    return np.stack([vr_exact_batch(v[:, lo:hi], r) if hi - lo > 1
-                     else np.zeros(len(v)) for lo, hi in zip(ends, ends[1:])],
-                    axis=1)
+    size = ends[1:] - ends[:-1]
+    best = _longest_chain(v, lambda d: d ** float(r),
+                          np.repeat(ends[1:], size))
+    top = np.zeros((len(v), len(size)))
+    # reduceat takes each live part from its start to the next live start;
+    # an empty part has no maximum to take.
+    live = size > 0
+    top[:, live] = np.maximum.reduceat(best, ends[:-1][live], axis=1)
+    return top ** (1.0 / r)
 
 
 def _skeleton_and_blocks(skeleton, cuts) -> tuple[np.ndarray, np.ndarray]:
@@ -336,14 +322,14 @@ def _subset_chains(v: np.ndarray, gain) -> np.ndarray:
     return chain
 
 
-def vr_bruteforce(a, r: float, labels=None) -> VariationResult:
+def vr_bruteforce(a, r: float) -> VariationResult:
     """Oracle: enumerate every subsequence (n <= 16).
 
-    The witness is the first mask attaining the best total, or the first
-    label when the best is 0.
+    The witness is the indices of the first mask attaining the best total,
+    or index 0 when the best is 0.
     """
     _check_r(r)
-    v, labels = _one(a, labels)
+    v, labels = _one(a)
     chain = _subset_chains(v[None], lambda d: d ** r)[0]
     # argmax is 0, the empty mask, exactly when the best total is 0.
     mask = int(chain.argmax()) or 1
@@ -426,34 +412,21 @@ def growth_fit(r_grid, max_ratios) -> dict:
                                    default=0.0)}
 
 
-def vr_long(a, r: float, labels=None):
-    """Variation along the powers of two present among the labels."""
-    v, lab, one = _block(a, labels)
-    return _out(one, _long_short(v, lab, r)[0])
-
-
-def vr_short(a, r: float, labels=None):
-    """l^r sum over dyadic blocks [2^n, 2^{n+1}) of within-block variation."""
-    _check_r(r)
-    v, lab, one = _block(a, labels)
-    return _out(one, _long_short(v, lab, r)[1])
-
-
 def long_short_split(a, r: float, labels=None):
-    """(V_r, V_r^long, V_r^short); V_r <= 2 (long + short) on full ranges."""
+    """(V_r, V_r^long, V_r^short); V_r <= 2 (long + short) on full ranges.
+
+    V_r^long is the variation along the powers of two present among the
+    labels, and V_r^short the l^r sum over the dyadic blocks
+    [2^b, 2^{b+1}) of the variation within each block; both come from one
+    family of parts.
+    """
     v, lab, one = _block(a, labels)
     full = vr_exact_batch(v, r)
-    return _out(one, full, *_long_short(v, lab, r))
-
-
-def _long_short(v: np.ndarray, lab: np.ndarray,
-                r: float) -> tuple[np.ndarray, np.ndarray]:
-    """(V_r^long, V_r^short) of the rows v, from one family of parts."""
     index, ends = _dyadic_layout(lab.tobytes())
     parts = _vr_parts(v[:, index], r, ends)
     # A running sum adds the blocks' r-th powers block by block, in order.
     short = np.add.accumulate(_pow(parts[:, 1:], r), axis=1)[:, -1]
-    return parts[:, 0], _pow(short, 1.0 / r)
+    return _out(one, full, parts[:, 0], _pow(short, 1.0 / r))
 
 
 @functools.lru_cache(maxsize=_LAYOUT_ENTRIES)
@@ -507,36 +480,11 @@ def l2_bound_check(a, r: float):
                 2.0 * np.sqrt((np.abs(v) ** 2).sum(axis=1)))
 
 
-def oscillation(a, lacunary, J: int, labels=None):
-    """O_J = (sum_{j<=J} sup_{n_j < n <= n_{j+1}} |a_n - a_{n_j}|^2)^{1/2}.
-
-    `lacunary` lists the anchor labels n_1 < n_2 < ...; J consecutive gaps
-    are used, so J must not exceed len(lacunary) - 1.
-    """
-    v, lab, one = _block(a, labels)
-    return _out(one, _oscillation(v, lab, lacunary, J))
-
-
-def _oscillation(v: np.ndarray, lab: np.ndarray, lacunary,
-                 J: int) -> np.ndarray:
-    lac = np.asarray(lacunary, dtype=float)
-    lo, hi, anchor, starts = _gap_layout(lab.tobytes(), lac.tobytes(),
-                                         lac.shape, J)
-    # One slice taken against each label's anchor and one reduceat give
-    # every live gap's sup.
-    dist = np.abs(v[:, lo:hi] - v[:, anchor])
-    squares = _pow(np.maximum.reduceat(dist, starts, axis=1), 2)
-    # A running sum adds the squares gap by gap, in order.
-    total = (np.add.accumulate(squares, axis=1)[:, -1] if squares.size
-             else np.zeros(len(v)))
-    return _pow(total, 0.5)
-
-
 # typed: a float J fails as an index where the equal int passes.
 @functools.lru_cache(maxsize=_LAYOUT_ENTRIES, typed=True)
 def _gap_layout(labels: bytes, lacunary: bytes, shape: tuple, J: int):
-    """(lo, hi, anchor, starts) of `oscillation`'s gaps, for one label set,
-    anchor set and J.
+    """(lo, hi, anchor, starts) of `oscillation_holder_check`'s gaps, for
+    one label set, anchor set and J.
 
     Gap j holds the labels in (lac[j], lac[j + 1]], the index range
     edges[j]:edges[j + 1].  The ranges lie end to end over lo:hi; anchor
@@ -562,11 +510,26 @@ def _gap_layout(labels: bytes, lacunary: bytes, shape: tuple, J: int):
 
 
 def oscillation_holder_check(a, lacunary, J: int, r: float):
-    """O_J <= J^{1/2 - 1/r} V_r for r >= 2.  Returns (lhs, rhs)."""
+    """O_J <= J^{1/2 - 1/r} V_r for r >= 2.  Returns (lhs, rhs).
+
+    O_J = (sum_{j<=J} sup_{n_j < n <= n_{j+1}} |a_n - a_{n_j}|^2)^{1/2},
+    where `lacunary` lists the anchor indices n_1 < n_2 < ...; J
+    consecutive gaps are used, so J must not exceed len(lacunary) - 1.
+    """
     if r < 2:
         raise ValueError("the oscillation bound needs r >= 2")
     v, lab, one = _block(a)
-    return _out(one, _oscillation(v, lab, lacunary, J),
+    lac = np.asarray(lacunary, dtype=float)
+    lo, hi, anchor, starts = _gap_layout(lab.tobytes(), lac.tobytes(),
+                                         lac.shape, J)
+    # One slice taken against each index's anchor and one reduceat give
+    # every live gap's sup.
+    dist = np.abs(v[:, lo:hi] - v[:, anchor])
+    squares = _pow(np.maximum.reduceat(dist, starts, axis=1), 2)
+    # A running sum adds the squares gap by gap, in order.
+    total = (np.add.accumulate(squares, axis=1)[:, -1] if squares.size
+             else np.zeros(len(v)))
+    return _out(one, _pow(total, 0.5),
                 J ** (0.5 - 1.0 / r) * vr_exact_batch(v, r))
 
 

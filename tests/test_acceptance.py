@@ -227,8 +227,8 @@ def test_periodic_multiplier_consistency():
 
 
 def test_multiplier_apply_evaluates_the_symbol_once(monkeypatch):
-    # One call for the kernel-dft row and one for the torus symbol table
-    # that every trial reads, whatever the trial count.
+    # One call for the torus symbol table, which the kernel-dft row and
+    # every trial read, whatever the trial count.
     started = time.perf_counter()
     calls = []
 
@@ -245,7 +245,7 @@ def test_multiplier_apply_evaluates_the_symbol_once(monkeypatch):
         counts[trials] = len(calls)
         assert all(r.passed for r in flags(outcome))
     verdict(f"multiplier-apply evaluates avg_multiplier {counts} times",
-            counts == {4: 2, 12: 2}, time.perf_counter() - started)
+            counts == {4: 1, 12: 1}, time.perf_counter() - started)
 
 
 def test_denominator_set_sweep():
@@ -311,11 +311,10 @@ def test_thread_count_determinism(tmp_path, capsys):
         ["vr-suite", "--seed", "3", "--n-max", "8", "--trials", "20"],
         ["lepingle", "--seed", "3", "--fields", "40"],
         ["good-lambda", "--seed", "3", "--fields", "20"],
-        ["multiplier-apply", "--seed", "3", "--trials", "4",
-         "--freq-points", "8"],
-        # m^d = 20^3 > 4096: the kernel-dft row samples its frequencies
+        ["multiplier-apply", "--seed", "3", "--trials", "4"],
+        # a three-dimensional torus of 20^3 frequencies
         ["multiplier-apply", "--seed", "3", "--deg", "3", "--n", "2",
-         "--m", "20", "--trials", "2", "--freq-points", "8"],
+         "--m", "20", "--trials", "2"],
         # one batched Gauss-sum call per q on the deg >= 3 branch
         ["gauss-scan", "--deg", "3", "--q-max", "40"],
         # one per-field check per thread, both families

@@ -46,13 +46,14 @@ def test_witness_reproduces_value():
 
 def test_vr_long_dyadic_labels():
     a = np.arange(1.0, 9.0)
-    assert vr.vr_long(a, 2, labels=a) == pytest.approx(7.0)
+    assert vr.long_short_split(a, 2, labels=a)[1] == pytest.approx(7.0)
 
 
 def test_vr_long_short_two_point():
     a, labels = [0.0, 1.0], [2.0, 3.0]
-    assert vr.vr_long(a, 2, labels=labels) == 0.0
-    assert vr.vr_short(a, 2, labels=labels) == pytest.approx(1.0)
+    _, lng, sht = vr.long_short_split(a, 2, labels=labels)
+    assert lng == 0.0
+    assert sht == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("b", [49, 52])
@@ -60,19 +61,20 @@ def test_short_variation_takes_exact_dyadic_blocks(b):
     # 2^b - 2 and 2^b - 1 share block b - 1, and 2^b starts block b, so
     # the one within-block step is 1; floor(log2) put 2^b - 1 in block b.
     labels = [2 ** b - 2, 2 ** b - 1, 2 ** b]
-    assert vr.vr_short([0, 1, 5], 2, labels=labels) == 1.0
+    assert vr.long_short_split([0, 1, 5], 2, labels=labels)[2] == 1.0
     assert vr.long_short_split([[0, 1, 5]] * 2, 2, labels=labels)[2].tolist() \
         == [1.0, 1.0]
 
 
 def test_oscillation_examples():
-    assert vr.oscillation([0, 1, 0, 1, 0], (0, 2, 4), 2) == pytest.approx(np.sqrt(2))
-    assert vr.oscillation([0, 3, 1], (0, 2), 1) == pytest.approx(3.0)
+    check = vr.oscillation_holder_check
+    assert check([0, 1, 0, 1, 0], (0, 2, 4), 2, 2.0)[0] == pytest.approx(np.sqrt(2))
+    assert check([0, 3, 1], (0, 2), 1, 2.0)[0] == pytest.approx(3.0)
 
 
 def test_oscillation_bad_block_count():
     with pytest.raises(ValueError):
-        vr.oscillation([0, 1, 0], (0, 2), 2)
+        vr.oscillation_holder_check([0, 1, 0], (0, 2), 2, 2.0)
 
 
 def test_jump_examples():
@@ -499,8 +501,6 @@ def test_checks_on_a_block_equal_their_rows(rng, n, r):
         assert_block_is_its_rows(vr.split_bound_check, block, r, w,
                                  labels=labels)
     assert_block_is_its_rows(vr.long_short_split, block, r, labels=labels)
-    assert_block_is_its_rows(vr.vr_long, block, r, labels=labels)
-    assert_block_is_its_rows(vr.vr_short, block, r, labels=labels)
     for lam in (0.25, 1.0):
         assert_block_is_its_rows(vr.jump_variation_check, block, lam, r)
     if r >= 2:
@@ -509,8 +509,6 @@ def test_checks_on_a_block_equal_their_rows(rng, n, r):
         lac = [0, n // 2, n - 1] if n // 2 not in (0, n - 1) else [0, n - 1]
         assert_block_is_its_rows(vr.oscillation_holder_check, block, lac,
                                  len(lac) - 1, r)
-        assert_block_is_its_rows(vr.oscillation, block, np.add(lac, 1),
-                                 len(lac) - 1, labels=labels)
 
 
 @pytest.mark.parametrize("s", [0, 1, 3, 6])
@@ -527,7 +525,7 @@ def test_checks_round_as_their_scalar_formulas(rng):
     n, r, lam = 17, 3.0, 0.5
     block = check_block(rng, n, m=40)
     labels = np.arange(1, n + 1)
-    short = vr.vr_short(block, r, labels=labels)
+    short = vr.long_short_split(block, r, labels=labels)[2]
     _, jump_rhs = vr.jump_variation_check(block, lam, r)
     osc, _ = vr.oscillation_holder_check(block, [0, 4, 16], 2, r)
     _, l2_rhs = vr.l2_bound_check(block, r)
@@ -583,8 +581,7 @@ _REFUSALS = [
     *(pytest.param(fn, (a, 2.0), {"labels": labels}, "labels",
                    id=f"{fn.__name__}-labels-{name}")
       for name, labels in _BAD_LABELS.items()
-      for fn, a in ((vr.vr_long, _BLOCK), (vr.vr_exact, _ROW),
-                    (vr.vr_value, _ROW))),
+      for fn, a in ((vr.long_short_split, _BLOCK), (vr.vr_exact, _ROW))),
     *(pytest.param(fn, (_BLOCK, *args), {}, "one sequence",
                    id=f"{fn.__name__}-block")
       for fn, args in _ONE_SEQUENCE),
@@ -641,8 +638,9 @@ def test_every_reader_refuses_unreadable_input(fn, args, kind):
 
 # the one-row path -------------------------------------------------------
 
-# 512 is the longest row the tiled path takes; 513 takes the batch loop.
-_TILE_EDGES = [1, 2, 15, 16, 17, 33, 65, 257, 512, 513]
+# Lengths at and around the tile edges, and single rows whose tiles' gains
+# outgrow `_GAIN_BYTES`, the block loop's gain chunk.
+_TILE_EDGES = [1, 2, 15, 16, 17, 33, 65, 257, 512, 513, 1025]
 
 
 def fast_path_rows(n):
@@ -726,21 +724,14 @@ def cold_memo():
 
 
 def engine_runs(monkeypatch) -> list:
-    """Records (input, gain, seg) of every engine run from now on: each
-    `_longest_chain` run, with seg None, and each segmented
-    `_one_row_chain` pass, with its input as a one-row block."""
-    runs, engine, one_row = [], vr._longest_chain, vr._one_row_chain
+    """Records (input, gain, seg) of every `_longest_chain` run from now
+    on; seg is None on an unsegmented run."""
+    runs, engine = [], vr._longest_chain
 
-    def counting(v, gain):
-        runs.append((v.copy(), gain, None))
-        return engine(v, gain)
-
-    def counting_segmented(v, gain, seg=None):
-        if seg is not None:
-            runs.append((v[None].copy(), gain, seg.copy()))
-        return one_row(v, gain, seg)
+    def counting(v, gain, seg=None):
+        runs.append((v.copy(), gain, None if seg is None else seg.copy()))
+        return engine(v, gain, seg)
     monkeypatch.setattr(vr, "_longest_chain", counting)
-    monkeypatch.setattr(vr, "_one_row_chain", counting_segmented)
     return runs
 
 
@@ -868,7 +859,7 @@ def test_seven_checks_run_the_full_row_once_per_gain(cold_memo, monkeypatch):
     runs = engine_runs(monkeypatch)
     seven_checks(a, 2.5)
     # Five engine runs in all: the full row once per gain, then one
-    # segmented pass each for the split halves and the long/short parts.
+    # segmented run each for the split halves and the long/short parts.
     assert len(runs) == 5
     plain = [(v, gain) for v, gain, seg in runs if seg is None]
     assert all(v.shape == (1, 65) and np.array_equal(v[0], a)
@@ -882,11 +873,12 @@ def test_seven_checks_run_the_full_row_once_per_gain(cold_memo, monkeypatch):
         (v, seg) for v, _, seg in runs if seg is not None]
     # The split at w = 32.5 of the labels 0..64: the full row, halved.
     assert np.array_equal(split[0], a)
-    assert np.bincount(split_seg).tolist() == [33, 32]
+    assert np.unique(split_seg, return_counts=True)[1].tolist() == [33, 32]
     # The labels 1..65: the 7 powers of two, then the 7 dyadic blocks.
     assert np.array_equal(parts[0], np.concatenate([a[[0, 1, 3, 7, 15, 31,
                                                         63]], a]))
-    assert np.bincount(parts_seg).tolist() == [7, 1, 2, 4, 8, 16, 32, 2]
+    assert (np.unique(parts_seg, return_counts=True)[1].tolist()
+            == [7, 1, 2, 4, 8, 16, 32, 2])
 
 
 # segmented passes and label layouts -------------------------------------
@@ -906,6 +898,18 @@ def test_segmented_pass_is_a_run_per_part(n, r):
             assert vr._vr_parts(a[None], r, ends).tobytes() == want.tobytes()
             pair = vr._vr_parts(np.stack([a, a[::-1]]), r, ends)
             assert pair[:1].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("r", [1.0, 2.5])
+def test_segmented_block_is_a_run_per_part(rng, r):
+    # 300 rows of 65 points: each gain chunk of the block loop is one
+    # predecessor, and stops at that predecessor's segment end.
+    block = rng.normal(size=(300, 65)) + 1j * rng.normal(size=(300, 65))
+    for ends in ([0, 65], [0, 1, 3, 16, 17, 40, 65], [0, 0, 32, 32, 65]):
+        want = np.stack([vr.vr_exact_batch(block[:, lo:hi], r) if hi > lo
+                         else np.zeros(300) for lo, hi in zip(ends, ends[1:])],
+                        axis=1)
+        assert vr._vr_parts(block, r, ends).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("labels", [[3, 5, 6, 7], [3, 4, 5, 6], [2, 3], [5],
@@ -932,12 +936,12 @@ def test_layouts_refuse_bad_input_every_time(cold_memo):
     a = np.arange(5.0)
     refused = (
         (vr.long_short_split, (a, 2.0), {"labels": [0, 1, 2, 3, 4]}),
-        (vr.vr_long, (a, 2.0), {"labels": [1, 1.5, 2, 3, 4]}),
-        (vr.vr_short, (a, 2.0), {"labels": [1, 2, 3, 4, 5.5]}),
-        (vr.oscillation, (a, [0, 2.5, 4], 2), {}),
-        (vr.oscillation, (a, [0, 2, 4], 3), {}),
-        (vr.oscillation, (a, [0, 2, 2, 4], 2), {}),
-        (vr.oscillation, (a, [[0, 2], [3, 4]], 1), {}),
+        (vr.long_short_split, (a, 2.0), {"labels": [1, 1.5, 2, 3, 4]}),
+        (vr.long_short_split, (a, 2.0), {"labels": [1, 2, 3, 4, 5.5]}),
+        (vr.oscillation_holder_check, (a, [0, 2.5, 4], 2, 2.0), {}),
+        (vr.oscillation_holder_check, (a, [0, 2, 4], 3, 2.0), {}),
+        (vr.oscillation_holder_check, (a, [0, 2, 2, 4], 2, 2.0), {}),
+        (vr.oscillation_holder_check, (a, [[0, 2], [3, 4]], 1, 2.0), {}),
         (vr.oscillation_holder_check, (a, [0, 2, 9], 2, 2.0), {}),
         (vr.dyadic_level_square_bound, (a[:4], 2.0), {}))
     for fn, args, kwargs in refused:
@@ -954,10 +958,10 @@ def test_cached_layouts_are_read_only(cold_memo):
     lab = np.arange(1.0, 18.0)
     # Each check fills its layout; a second call hands out the same one.
     vr.long_short_split(np.ones(17), 2.0, labels=lab)
-    vr.oscillation(np.ones(17), [1, 2, 5, 17], 3, labels=lab)
+    vr.oscillation_holder_check(np.ones(17), [0, 1, 4, 16], 3, 2.0)
     vr.dyadic_level_square_bound(np.ones(17), 2.0)
     layouts = (vr._dyadic_layout(lab.tobytes()),
-               vr._gap_layout(lab.tobytes(), np.array([1.0, 2, 5, 17])
+               vr._gap_layout((lab - 1).tobytes(), np.array([0.0, 1, 4, 16])
                               .tobytes(), (4,), 3),
                vr._stride_layout(17))
     assert all(cache.cache_info().hits == 1 for cache in _LAYOUTS)
@@ -972,10 +976,10 @@ def test_cached_layouts_are_read_only(cold_memo):
 
 # oscillation ------------------------------------------------------------
 
-def oscillation_per_gap(a, lacunary, J, labels=None):
-    """The per-gap loop that `oscillation` replaced, kept as its reference:
-    a mask, a slice and a max for every gap."""
-    v, lab, one = vr._block(a, labels)
+def oscillation_per_gap(a, lacunary, J):
+    """The per-gap loop that the one-pass oscillation replaced, kept as
+    its reference: a mask, a slice and a max for every gap."""
+    v, lab, one = vr._block(a)
     lac = np.asarray(lacunary, dtype=float)
     if lac.ndim != 1 or lac.size < 2 or np.any(np.diff(lac) <= 0):
         raise ValueError("lacunary anchors must be strictly increasing")
@@ -996,12 +1000,14 @@ def oscillation_per_gap(a, lacunary, J, labels=None):
     return vr._out(one, vr._pow(total, 0.5))
 
 
-def assert_oscillation_is_per_gap(a, lacunary, J, labels=None):
-    """Both give the same bits, or both refuse with the same message."""
+def assert_oscillation_is_per_gap(a, lacunary, J):
+    """`oscillation_holder_check`'s lhs and the per-gap loop give the same
+    bits, or both refuse with the same message."""
     outcomes = []
-    for fn in (vr.oscillation, oscillation_per_gap):
+    for fn in (lambda: vr.oscillation_holder_check(a, lacunary, J, 2.0)[0],
+               lambda: oscillation_per_gap(a, lacunary, J)):
         try:
-            outcomes.append(np.asarray(fn(a, lacunary, J, labels)).tobytes())
+            outcomes.append(np.asarray(fn()).tobytes())
         except ValueError as err:
             outcomes.append(str(err))
     assert outcomes[0] == outcomes[1]
@@ -1011,38 +1017,36 @@ def assert_oscillation_is_per_gap(a, lacunary, J, labels=None):
 def test_oscillation_is_the_per_gap_loop(rng):
     for trial in range(300):
         n = int(rng.integers(2, 40))
-        labels = np.cumsum(rng.choice([0.25, 1.0, 3.0], size=n)) - 2.0
         a = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
         k = int(rng.integers(2, min(n, 16) + 1))
-        lac = np.sort(rng.choice(labels, size=k, replace=False))
+        lac = np.sort(rng.choice(n, size=k, replace=False)).astype(float)
         if trial % 3 == 0:
-            # A last anchor between labels, which may leave its gap empty.
-            lac[-1] = (lac[-1] + labels[labels < lac[-1]].max()) / 2
+            # A last anchor between indices, which may leave its gap empty.
+            lac[-1] -= 0.5
         J = int(rng.integers(1, k))
-        assert_oscillation_is_per_gap(a, lac, J, labels)
-        assert_oscillation_is_per_gap(a[0], lac, J, labels)
+        assert_oscillation_is_per_gap(a, lac, J)
+        assert_oscillation_is_per_gap(a[0], lac, J)
 
 
 def test_oscillation_empty_gaps_are_the_per_gap_loop(rng):
     a = rng.normal(size=(5, 6)) + 1j * rng.normal(size=(5, 6))
-    labels = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.5])
     cases = (([0, 1 - 1e-9, 2, 4], 3),   # an empty first gap
              ([0, 1, 2 - 1e-9, 5], 3),   # an empty middle gap
-             ([4, 5.2], 1),              # every gap empty
+             ([4, 4.5], 1),              # every gap empty
              ([0, 2, 3, 4, 5.5], 2))     # J below len(lacunary) - 1
     for lac, J in cases:
-        out = assert_oscillation_is_per_gap(a, lac, J, labels)
+        out = assert_oscillation_is_per_gap(a, lac, J)
         assert isinstance(out, bytes)
-    assert assert_oscillation_is_per_gap(a, [4, 5.2], 1, labels) == \
+    assert assert_oscillation_is_per_gap(a, [4, 4.5], 1) == \
         np.zeros(5).tobytes()
 
 
 def test_oscillation_anchor_tolerance_is_the_per_gap_loop():
     a = np.array([0.0, 3.0, 1.0, 4.0, 1.0, 5.0])
     exact = assert_oscillation_is_per_gap(a, [0, 2, 4], 2)
-    # Just below a label, within isclose's tolerance: accepted as it.
+    # Just below an index, within isclose's tolerance: accepted as it.
     assert assert_oscillation_is_per_gap(a, [0, 2 - 1e-9, 4], 2) == exact
-    # Outside the tolerance, or just above a label: refused.
+    # Outside the tolerance, or just above an index: refused.
     for anchor in (2 - 1e-3, 2 + 1e-9):
         assert (assert_oscillation_is_per_gap(a, [0, anchor, 4], 2)
                 == f"anchor {anchor} is not a label")
@@ -1066,11 +1070,7 @@ def test_short_variation_is_the_per_block_mask_loop(rng):
             want = vr._pow(total, 1.0 / r)
             got = vr.long_short_split(block, r, labels=labels)
             assert got[2].tobytes() == want.tobytes()
-            assert (vr.vr_short(block, r, labels=labels).tobytes()
-                    == want.tobytes())
-            assert (got[1].tobytes()
-                    == vr.vr_long(block, r, labels=labels).tobytes())
-            # Each row alone takes the segmented pass.
+            # Each row alone takes the one-row segmented run.
             for i, row in enumerate(block):
                 assert (np.array(vr.long_short_split(row, r, labels=labels))
                         .tobytes() == np.array([x[i] for x in got]).tobytes())
