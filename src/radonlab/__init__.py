@@ -1,6 +1,7 @@
 """radonlab: a numerical laboratory for discrete polynomial averaging
-operators, truncated singular sums, r-variation seminorms, circle-method
-multiplier decompositions, and dyadic martingale inequalities.
+operators, truncated singular sums, r-variation seminorms, Gauss sums and
+the major-arc approximation, Ionescu-Wainger denominator sets, and dyadic
+martingale inequalities.
 
 Everything is desk-scale and exact where exactness is cheap: lattice
 arithmetic uses Python integers, rational frequencies keep exact phases,

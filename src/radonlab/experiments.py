@@ -318,7 +318,7 @@ def _rational_probes(params, d):
             if len(a) != d:
                 raise ValueError(f"fraction {entry} has {len(a)} "
                                  f"numerators, mapping needs {d}")
-            frac = reduce_fraction(tuple(int(x) for x in a), int(q))
+            frac = reduce_fraction(a, q)
             if frac.q > math.sqrt(N):
                 raise ValueError(f"denominator {frac.q} too large for "
                                  f"N = {N}")
@@ -335,6 +335,7 @@ def _run_prop_fit(params, config, budgets, which: str) -> RunOutcome:
     q/N term of the bound, reported as error * N / q.
     """
     Q = canonical_mapping(1, params["deg"])
+    probes = _rational_probes(params, Q.d)
     rng = np.random.default_rng(config.seed)
     draws = _random_windows(rng, params, Q.degrees, Q.d)
     kernel = odd_power_kernel(params["kernel_c"]) if which == "diff" \
@@ -361,8 +362,6 @@ def _run_prop_fit(params, config, budgets, which: str) -> RunOutcome:
     fitted = max(res["ratio"] for res in results)
     rows.append(ResultRow(name, "ratio-fit", {"trials": params["trials"]},
                           fitted, None, None, None))
-
-    probes = _rational_probes(params, Q.d)
 
     def rational(item) -> float:
         res = approx(item["window"], item["frac"], np.zeros(Q.d))

@@ -77,25 +77,24 @@ class RationalPoint:
 
 def reduce_fraction(numerators, q: int) -> RationalPoint:
     """Canonical joint-reduced representative of a/q on the torus; a and q
-    may be integers of any type, NumPy's included."""
-    q = operator.index(q)
-    nums = [operator.index(a) % q for a in numerators]
+    may be integers of any type, NumPy's included.  Any other a or q, or
+    q < 1, is refused with a ValueError that names the fraction."""
+    nums = list(numerators)
+    name = f"({', '.join(map(str, nums))})/{q}"
+    try:
+        q = operator.index(q)
+        nums = [operator.index(a) for a in nums]
+    except TypeError:
+        raise ValueError(f"fraction {name}: numerators and denominator "
+                         f"must be integers") from None
+    if q < 1:
+        raise ValueError(f"fraction {name}: need a denominator q >= 1")
+    nums = [a % q for a in nums]
     g = 0
     for a in nums:
         g = math.gcd(g, a)
     g = math.gcd(g, q)
     return RationalPoint(tuple(a // g for a in nums), q // g)
-
-
-def residue_classes(q: int, d: int) -> np.ndarray:
-    """All a in {0..q-1}^d with gcd(q, gcd(a)) = 1, lexicographic, (n, d)."""
-    axes = [np.arange(q, dtype=np.int64)] * d
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    g = np.zeros(grid.shape[0], dtype=np.int64)
-    for j in range(d):
-        g = np.gcd(g, grid[:, j])
-    keep = np.gcd(g, q) == 1
-    return grid[keep]
 
 
 def gauss_sum(q: int, a, Q: PolynomialMapping, budget: int = GAUSS_BUDGET):

@@ -3,9 +3,8 @@
 One type, `PolynomialMapping`, covers every map P: R^k -> R^d with
 P(0) = 0, stored by its coefficients against the monomial basis indexed
 by multi-indices.  The canonical mapping of degree N0 is the special case
-with one component y^gamma per non-zero gamma, 0 <= gamma_j <= N0; any
-P of degree <= N0 factors exactly as an integer matrix L applied to it,
-and its dilations t^A scale component gamma by t^{|gamma|}.
+with one component y^gamma per non-zero gamma, 0 <= gamma_j <= N0; its
+dilations t^A scale component gamma by t^{|gamma|}.
 
 Coefficients are Python ints, checked once at construction.  The
 lattice paths (`__call__`, `eval_many`) compute exactly with Python
@@ -76,13 +75,6 @@ class PolynomialMapping:
                 if not any(g) and c != 0:
                     raise ValueError("constant term: P(0) != 0")
 
-    @property
-    def degree(self) -> int:
-        degs = [sum(g) for comp in self.coeffs for g, c in comp.items() if c]
-        if not degs:
-            raise ValueError("zero mapping has no degree")
-        return max(degs)
-
     @functools.cached_property
     def gamma(self) -> tuple[tuple[int, ...], ...]:
         """The index set of a canonical mapping, one monomial per component;
@@ -129,30 +121,6 @@ def canonical_mapping(k: int, max_degree: int) -> PolynomialMapping:
     """The mapping y -> (y^gamma)_{gamma in build_gamma(k, max_degree)}."""
     gamma = build_gamma(k, max_degree)
     return PolynomialMapping(k, len(gamma), tuple({g: 1} for g in gamma))
-
-
-def lift(P: PolynomialMapping) -> tuple[PolynomialMapping, np.ndarray]:
-    """Factor P = L o Q through the canonical mapping of P's degree.
-
-    Returns (Q, L) with L an integer (P.d, Q.d) matrix acting by
-    (L v)_j = sum_gamma L[j, gamma] v_gamma.  Gamma is never pruned to the
-    support of L: downstream dilations are indexed by the full canonical
-    set, and a sparse L costs nothing.
-    """
-    Q = canonical_mapping(P.k, P.degree)
-    index = {g: i for i, g in enumerate(Q.gamma)}
-    L = np.zeros((P.d, Q.d), dtype=object)
-    for j, comp in enumerate(P.coeffs):
-        for g, c in comp.items():
-            if c:
-                L[j, index[g]] = c
-    return Q, L
-
-
-def apply_lift(L: np.ndarray, v) -> tuple:
-    """Apply the lifting matrix to a canonical value vector, exactly."""
-    return tuple(sum(int(L[j, i]) * int(v[i]) for i in range(L.shape[1]))
-                 for j in range(L.shape[0]))
 
 
 def lattice_points(k: int, t: float,

@@ -14,12 +14,12 @@ brute forces serve as independent oracles for short sequences: they
 total the chain of each of the 2^n subsets of each of m rows, m 2^n
 cells taken as n(n - 1)/2 slice adds per chunk of rows, with O(2^n)
 memory per row of the chunk.  The
-rest of the module packages the bookkeeping inequalities used
-downstream: sup bounds, splitting, the l^2 domination, long/short dyadic
-splitting, oscillation sums, the jump inequality, block partitions, and
-the norm bound for families of functions.  Two helpers serve every norm
-and every fit downstream: `lp_norm`, the one l^p (or L^p on equal
-cells) norm, and `growth_fit`, the r/(r - 2) scaling of a ratio sweep.
+rest of the module packages the seminorm inequalities with explicit
+constants: sup bounds, splitting, the l^2 domination, long/short dyadic
+splitting, oscillation sums, the jump inequality and the dyadic-level
+square bound.  Two helpers serve every norm and every fit downstream:
+`lp_norm`, the one l^p (or L^p on equal cells) norm, and `growth_fit`,
+the r/(r - 2) scaling of a ratio sweep.
 
 Jump counts count jumps: a constant sequence or a single point has none.
 
@@ -35,9 +35,8 @@ one segmented run (`_vr_parts`).  So checking many sequences at once
 costs one engine run per part family rather than one per sequence, and a
 block's row equals the one-sequence result to the last bit.  What a
 check derives from the labels alone is built once per label set and
-kept, read-only, in a small cache.  `vr_exact`,
-`vr_bruteforce`, `jump_count`, `jump_count_bruteforce`,
-`mixed_variation_bound` and `partition_variation_bound` take exactly one
+kept, read-only, in a small cache.  `vr_exact`, `vr_value`,
+`vr_bruteforce`, `jump_count` and `jump_count_bruteforce` take exactly one
 sequence.  Every public entry point reads its input through `_block`,
 which refuses empty, 3-d and non-finite input.
 
@@ -111,12 +110,12 @@ def _block(a, labels=None) -> tuple[np.ndarray, np.ndarray, bool]:
     return v, labels, one
 
 
-def _one(a, labels=None) -> tuple[np.ndarray, np.ndarray]:
-    """(values (n,), labels) of exactly one sequence; a block is refused."""
-    v, labels, one = _block(a, labels)
+def _one(a) -> np.ndarray:
+    """The values (n,) of exactly one sequence; a block is refused."""
+    v, _, one = _block(a)
     if not one:
         raise ValueError("need one sequence (n,), not a block")
-    return v[0], labels
+    return v[0]
 
 
 def _longest_chain(v: np.ndarray, gain, seg=None) -> np.ndarray:
@@ -202,14 +201,14 @@ def _one_row_chain(v: np.ndarray, gain, seg=None) -> np.ndarray:
     return best
 
 
-def vr_exact(a, r: float, labels=None) -> VariationResult:
-    """Exact r-variation with a maximizing chain of labels.
+def vr_exact(a, r: float) -> VariationResult:
+    """Exact r-variation with a maximizing chain of indices.
 
     B[j] = max(0, max_{i<j} B[i] + |a_j - a_i|^r), answer
     (max_j B[j])^{1/r}.  O(n^2).  The witness re-evaluates to the value.
     """
     _check_r(r)
-    v, labels = _one(a, labels)
+    v = _one(a)
     best = _longest_chain(v[None], lambda d: d ** r)[0]
     chain = [int(np.argmax(best))]
     while best[chain[-1]] > 0:
@@ -219,7 +218,7 @@ def vr_exact(a, r: float, labels=None) -> VariationResult:
     # The root as an array operation, exactly as in vr_exact_batch.
     value = best.max(keepdims=True) ** (1.0 / r)
     return VariationResult(float(value[0]),
-                           tuple(float(labels[i]) for i in chain[::-1]))
+                           tuple(float(i) for i in chain[::-1]))
 
 
 def vr_value(a, r: float) -> float:
@@ -281,17 +280,6 @@ def _vr_parts(v: np.ndarray, r: float, ends) -> np.ndarray:
     return top ** (1.0 / r)
 
 
-def _skeleton_and_blocks(skeleton, cuts) -> tuple[np.ndarray, np.ndarray]:
-    """(index, ends) for `_vr_parts` of a skeleton and its blocks.
-
-    The row v[:, index] holds the points at the indices `skeleton`, then
-    the points 0..cuts[-1] - 1; its part 0 is the skeleton, and part k >= 1
-    the block cuts[k - 1]:cuts[k] (cuts[0] = 0).
-    """
-    return (np.concatenate([skeleton, np.arange(cuts[-1])]),
-            np.concatenate([[0], len(skeleton) + np.asarray(cuts)]))
-
-
 def _frozen(*arrays) -> tuple:
     """The arrays, made read-only, for a cache that hands them out."""
     for x in arrays:
@@ -329,14 +317,14 @@ def vr_bruteforce(a, r: float) -> VariationResult:
     or index 0 when the best is 0.
     """
     _check_r(r)
-    v, labels = _one(a)
+    v = _one(a)
     chain = _subset_chains(v[None], lambda d: d ** r)[0]
     # argmax is 0, the empty mask, exactly when the best total is 0.
     mask = int(chain.argmax()) or 1
     # The root as an array operation, exactly as in vr_exact.
     value = chain[mask:mask + 1] ** (1.0 / r)
     return VariationResult(float(value[0]),
-                           tuple(float(x) for i, x in enumerate(labels)
+                           tuple(float(i) for i in range(len(v))
                                  if mask >> i & 1))
 
 
@@ -431,9 +419,13 @@ def long_short_split(a, r: float, labels=None):
 
 @functools.lru_cache(maxsize=_LAYOUT_ENTRIES)
 def _dyadic_layout(labels: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """(index, ends) of the long/short parts of one label set: the
-    skeleton at the powers of two, and the dyadic blocks [2^b, 2^{b+1})
-    present (see `_skeleton_and_blocks`)."""
+    """(index, ends) for `_vr_parts` of the long/short parts of one label
+    set.
+
+    The row v[:, index] holds the points at the powers of two, then every
+    point; its part 0 is that skeleton, and part k >= 1 the k-th dyadic
+    block [2^b, 2^{b+1}) present, cuts[k - 1]:cuts[k] (cuts[0] = 0).
+    """
     lab = np.frombuffer(labels)
     ilab = np.round(lab).astype(np.int64)
     if np.any(np.abs(lab - ilab) > 0) or np.any(ilab < 1):
@@ -444,7 +436,8 @@ def _dyadic_layout(labels: bytes) -> tuple[np.ndarray, np.ndarray]:
     block = np.frexp(lab)[1]
     cuts = np.concatenate([[0], np.flatnonzero(np.diff(block)) + 1,
                            [len(lab)]])
-    return _frozen(*_skeleton_and_blocks(dyadic, cuts))
+    return _frozen(np.concatenate([dyadic, np.arange(len(lab))]),
+                   np.concatenate([[0], len(dyadic) + cuts]))
 
 
 def sup_bound_check(a, r: float):
@@ -458,12 +451,13 @@ def sup_bound_check(a, r: float):
                 2.0 * vr_exact_batch(v, r) + mags.min(axis=1))
 
 
-def split_bound_check(a, r: float, w_label: float, labels=None):
-    """V_r(all) <= 2 sup|a| + V_r(labels < w) + V_r(labels >= w).
+def split_bound_check(a, r: float, w_label: float):
+    """V_r(all) <= 2 sup|a| + V_r(labels < w) + V_r(labels >= w), with
+    the labels 0..n-1.
 
     Returns (lhs, rhs).
     """
-    v, lab, one = _block(a, labels)
+    v, lab, one = _block(a)
     lhs = vr_exact_batch(v, r)
     # The labels increase, so those below w are a prefix.
     cut = np.searchsorted(lab, w_label)
@@ -542,12 +536,12 @@ def _jump_gain(lam: float):
 
 def jump_count(a, lam: float) -> int:
     """N_lam: the jumps of a longest chain with gaps strictly above lam."""
-    return int(_longest_chain(_one(a)[0][None], _jump_gain(lam)).max())
+    return int(_longest_chain(_one(a)[None], _jump_gain(lam)).max())
 
 
 def jump_count_bruteforce(a, lam: float) -> int:
     """Oracle: most jumps of a valid chain by subset enumeration (n <= 16)."""
-    return int(_subset_chains(_one(a)[0][None], _jump_gain(lam)).max())
+    return int(_subset_chains(_one(a)[None], _jump_gain(lam)).max())
 
 
 def jump_count_batch(values: np.ndarray, lam: float) -> np.ndarray:
@@ -599,118 +593,3 @@ def _stride_layout(n: int) -> tuple[np.ndarray, np.ndarray, tuple]:
     counts = [s // k for k in strides]
     return (*_frozen(ahead, ahead - np.repeat(strides, counts)),
             tuple(np.cumsum([0, *counts]).tolist()))
-
-
-def even_partition(u: int, v: int, h: int) -> tuple[int, ...]:
-    """h+1 integer knots from u to v with near-equal gaps.
-
-    t_j = u + round(j (v-u) / h), rounding half up; consecutive gaps take
-    only the values floor((v-u)/h) and ceil((v-u)/h).
-    """
-    if not (isinstance(u, int) and isinstance(v, int) and isinstance(h, int)):
-        raise ValueError("u, v, h must be integers")
-    if v <= u or h < 1 or h > v - u:
-        raise ValueError("need u < v and 1 <= h <= v - u")
-    span = v - u
-    # round-half-up via floor(x + 1/2), done in exact integer arithmetic
-    return tuple(u + (2 * j * span + h) // (2 * h) for j in range(h + 1))
-
-
-def partition_variation_bound(a, u: int, v: int, h: int, r: float,
-                              p: float) -> dict:
-    """Both partition bounds for a sequence on the indices u..v, plus V_r.
-
-    knots: the even partition t_0..t_h.
-    block_bound: (sum_j |a_{t_j}|^r)^{1/r}
-                 + (sum_j (sum_{k in block j} |a_{k+1}-a_k|)^r)^{1/r}.
-    holder_bound: h^{1/r-1/p} (sum_j |a_{t_j}|^p)^{1/p}
-                  + h^{1/r-1} (v-u)^{1-1/p} (sum_k |a_{k+1}-a_k|^p)^{1/p}.
-    The block bound dominates V_r up to an absolute factor; the ratio is
-    reported, not asserted against an unquantified constant.
-    """
-    _check_r(r)
-    if p < 1:
-        raise ValueError("need p >= 1")
-    vals, _ = _one(a)
-    knots = even_partition(u, v, h)
-    if u < 0 or v >= vals.size:
-        raise ValueError(f"the sequence must cover indices {u}..{v}")
-    at_knots = vals[list(knots)]
-    # A scalar abs per step: NumPy's vectorized abs of complex values may
-    # round some of them differently in the last bit.
-    steps = np.array([abs(vals[k + 1] - vals[k]) for k in range(u, v)])
-    block_l1 = np.array([
-        steps[knots[j] - u: knots[j + 1] - u].sum() for j in range(h)])
-    block_bound = ((np.abs(at_knots) ** r).sum() ** (1 / r)
-                   + (block_l1 ** r).sum() ** (1 / r))
-    holder_bound = (h ** (1 / r - 1 / p)
-                    * (np.abs(at_knots) ** p).sum() ** (1 / p)
-                    + h ** (1 / r - 1) * (v - u) ** (1 - 1 / p)
-                    * (steps ** p).sum() ** (1 / p))
-    return {
-        "knots": knots,
-        "vr": vr_value(vals[u:v + 1], r),
-        "block_bound": float(block_bound),
-        "holder_bound": float(holder_bound),
-    }
-
-
-def family_variation_bound(fields: np.ndarray, p: float, r: float) -> dict:
-    """Norm bound for the variation of a finite family of functions.
-
-    `fields` is (n_funcs, n_points): function f_j sampled on a common
-    (counting-measure) grid, j = u..v in order.  Computes
-    lhs  = || V_r(f_j(x) : j) ||_p over x,
-    bound = max(U_p, (v-u)^{1/r} U_p^{1-1/r} V_p^{1/r}) with
-    U_p = max_j ||f_j||_p and V_p = max_j ||f_{j+1} - f_j||_p.
-    """
-    _check_r(r)
-    F = _block(fields)[0]
-    nf = F.shape[0]
-    if nf < 2:
-        raise ValueError("need at least two functions")
-    U = max(lp_norm(F[j], p) for j in range(nf))
-    V = max(lp_norm(F[j + 1] - F[j], p) for j in range(nf - 1))
-    span = nf - 1
-    lhs = lp_norm(vr_exact_batch(F.T, r), p)
-    bound = max(U, span ** (1 / r) * U ** (1 - 1 / r) * V ** (1 / r))
-    return {"lhs": lhs, "bound": float(bound), "U": U, "V": V,
-            "suggested_h": int(np.ceil(span * V / (4 * U))) if U > 0 else 0}
-
-
-def mixed_variation_bound(a, w, r: float, labels=None) -> dict:
-    """Real-label variation against breakpoint skeleton plus block l^2.
-
-    rhs = V_r(a at breakpoints) +
-          (sum_k V_r(a restricted to [w_k, w_{k+1}))^2)^{1/2},
-    all blocks half-open (the last label is covered by the skeleton).
-    Each breakpoint must itself be a label (the skeleton evaluates the
-    sequence there), and the breakpoints must span the label range.  The
-    constant in lhs <= C rhs is fitted, never asserted.
-    """
-    _check_r(r)
-    vals, labels = _one(a, labels)
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 1 or w.size < 2 or np.any(np.diff(w) <= 0):
-        raise ValueError("breakpoints must be strictly increasing")
-    if w[0] > labels[0] or w[-1] < labels[-1]:
-        raise ValueError("breakpoints must cover the label range")
-    lhs = vr_value(vals, r)
-    skel_idx = []
-    for wk in w:
-        i = np.searchsorted(labels, wk)
-        if i < len(labels) and np.isclose(labels[i], wk):
-            skel_idx.append(i)
-        else:
-            raise ValueError(f"breakpoint {wk} is not a label")
-    # Block k holds the labels in [w_k, w_{k+1}), one index range; the
-    # first starts at index 0, since w_0 is at most the first label.
-    index, ends = _skeleton_and_blocks(skel_idx, np.searchsorted(labels, w))
-    skeleton, *parts = _vr_parts(vals[None, index], r, ends)[0].tolist()
-    blocks = 0.0
-    for x in parts:
-        blocks += x ** 2
-    rhs = skeleton + blocks ** 0.5
-    return {"lhs": lhs, "rhs": float(rhs),
-            "ratio": float(lhs / rhs) if rhs > 0 else
-            (0.0 if lhs == 0 else float("inf"))}

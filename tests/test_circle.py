@@ -4,22 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from radonlab import circle as ci
 from radonlab.errors import BudgetError, NotRepresentableError
-from radonlab.expsum import annulus_integral, avg_multiplier, odd_power_kernel
+from radonlab.expsum import avg_multiplier
 from radonlab.operators import (GridFunction, apply_truncation,
                                 grid_difference)
 from radonlab.polymap import canonical_mapping
 
 Q_1D = canonical_mapping(1, 1)     # y
 Q_PAIR = canonical_mapping(1, 2)   # (y, y^2)
-KERNEL = odd_power_kernel(1.0)
-
-# Shared desk-scale configuration: n=2, l=1, rho=1, chi=0.1 on (y, y^2)
-# gives 64 reduced fractions with pairwise disjoint scaled bump supports.
-ARC = dict(l=1, rho=1.0, chi=0.1)
 
 
 # Ionescu-Wainger denominator sets ------------------------------------------
@@ -172,254 +166,6 @@ def test_factor_exhaustive_roundtrip():
             assert Q * w == q and q0 % Q == 0 and w in rough
 
 
-# fraction lattices ----------------------------------------------------------
-
-def test_fraction_set_examples():
-    assert ci.fraction_set([1], 1).as_array().tolist() == [[0.0]]
-    assert ci.fraction_set([2], 1).as_array().tolist() == [[0.5]]
-    got = sorted(x for (x,) in ci.fraction_set([1, 2, 3], 1).as_array())
-    assert got == pytest.approx([0.0, 1 / 3, 1 / 2, 2 / 3])
-
-
-def test_fraction_set_dedup_is_exact():
-    # 2/4 never appears: A_4 holds only reduced representatives, so the
-    # point 1/2 enters once, with denominator 2
-    fs = ci.fraction_set([1, 2, 4], 1)
-    keys = fs.keys()
-    assert ((1,), 2) in keys and ((2,), 4) not in keys
-    assert len(fs) == len({tuple(row) for row in fs.as_array()})
-
-
-def test_fraction_set_budget():
-    with pytest.raises(BudgetError):
-        ci.fraction_set([10 ** 4], 2)
-
-
-def test_unit_lattice_nesting_and_empty_base():
-    assert len(ci.unit_fraction_lattice(0, 1, 1.0, 2)) == 0
-    u1 = ci.unit_fraction_lattice(1, 1, 1.0, 2)
-    u2 = ci.unit_fraction_lattice(2, 1, 1.0, 2)
-    u3 = ci.unit_fraction_lattice(3, 1, 1.0, 2, cap=100)
-    assert u1.keys() <= u2.keys() <= u3.keys()
-
-
-def test_shells_partition_unit_lattice():
-    whole = ci.unit_fraction_lattice(3, 1, 1.0, 1, cap=100)
-    pieces = [ci.shell_fractions(s, 1, 1.0, 1, cap=100) for s in range(3)]
-    union: set = set()
-    for piece in pieces:
-        ks = piece.keys()
-        assert not (union & ks)
-        union |= ks
-    assert union == whole.keys()
-
-
-# the smooth cutoff ----------------------------------------------------------
-
-def test_bump_plateau_and_support():
-    for d in (1, 2, 3):
-        eta = ci.BumpFunction(d)
-        assert eta(np.zeros(d)) == 1.0
-        e1 = np.zeros(d)
-        e1[0] = 1.0
-        assert eta(e1 / (4 * d)) == 0.0
-        assert eta.profile(eta.plateau_radius) == 1.0
-        assert eta.profile(eta.support_radius) == 0.0
-
-
-def test_bump_profile_monotone_and_bounded():
-    eta = ci.BumpFunction(2)
-    r = np.linspace(0.0, 0.1, 400)
-    v = eta.profile(r)
-    assert np.all(np.diff(v) <= 0.0)
-    assert v.min() >= 0.0 and v.max() <= 1.0
-
-
-def test_bump_midpoint():
-    # symmetric mollifier: the profile passes through 1/2 exactly at the
-    # indicator radius
-    for d in (1, 2, 3):
-        eta = ci.BumpFunction(d)
-        assert eta.profile(eta.indicator_radius) == pytest.approx(0.5,
-                                                                  abs=1e-12)
-
-
-def test_bump_profile_reflects_about_indicator_radius():
-    # an even mollifier gives profile(R - x) + profile(R + x) = 1 across
-    # the whole transition band
-    for d in (1, 2, 3):
-        eta = ci.BumpFunction(d)
-        R = eta.indicator_radius
-        x = np.linspace(0.0, eta.mollifier_radius, 257)
-        defect = eta.profile(R - x) + eta.profile(R + x) - 1.0
-        assert np.abs(defect).max() <= 1e-12
-
-
-def test_bump_profile_matches_adaptive_quadrature():
-    # independent oracle: the normalized tail mass of the bump from
-    # adaptive quadrature; unlike the midpoint and reflection checks this
-    # sees a wrong normalizer
-    def tail(a):
-        return quad(ci._bump_profile, a, 1.0, epsabs=1e-16, epsrel=1e-13)[0]
-
-    total = tail(-1.0)
-    for d in (1, 2, 3):
-        eta = ci.BumpFunction(d)
-        R, eps = eta.indicator_radius, eta.mollifier_radius
-        # cached grid radii, so linear interpolation adds no error
-        for r in eta._radii[::64]:
-            assert eta.profile(r) == pytest.approx(
-                tail((r - R) / eps) / total, abs=1e-12)
-
-
-def test_bump_validates_dimension():
-    with pytest.raises(ValueError):
-        ci.BumpFunction(0)
-    with pytest.raises(ValueError):
-        ci.BumpFunction(2)(np.zeros(3))
-
-
-# arc projections ------------------------------------------------------------
-
-def test_projection_plateau_at_centers():
-    xi = ci.arc_projection(2, Q=Q_PAIR, **ARC)
-    assert len(xi.centers) == 64
-    assert xi.separation["disjoint"] is True
-    assert np.allclose(xi(xi.centers), 1.0)
-
-
-def test_projection_partition_bound(rng):
-    # disjoint supports of [0,1]-valued bumps keep the sum within 1
-    xi = ci.arc_projection(2, Q=Q_PAIR, **ARC)
-    sample = rng.uniform(-0.5, 0.5, size=(500, 2))
-    vals = xi(sample).real
-    assert vals.min() >= 0.0
-    assert vals.max() <= 1.0 + 1e-9
-
-
-def test_projection_vanishes_far_from_fractions():
-    xi = ci.arc_projection(2, Q=Q_PAIR, **ARC)
-    assert xi(np.array([0.437, 0.261])) == 0j
-
-
-def test_arc_multiplier_batch_equals_single(rng):
-    # rows near the centers land on the bump slopes; rows with zero
-    # components and the zero frequency ride along
-    for arc in (ci.arc_projection(2, Q=Q_PAIR, level_j=1, **ARC),
-                ci.singular_arc_multiplier(2, Q=Q_PAIR, kernel=KERNEL,
-                                           **ARC)):
-        offsets = rng.uniform(-1.0, 1.0, (8, 2)) * [2.0 ** -8, 2.0 ** -10]
-        xis = arc.centers[:8] + offsets
-        xis = np.vstack([xis, [[0.0, 0.0], [0.0, 0.01], [0.004, 0.0]]])
-        batch = arc(xis)
-        assert batch.shape == (11,)
-        assert np.count_nonzero(batch) >= 3
-        assert np.array_equal(batch, [arc(x) for x in xis])
-        for bad in (np.zeros(3), np.zeros((2, 3)), np.zeros((1, 1, 2))):
-            with pytest.raises(ValueError):
-                arc(bad)
-
-
-def test_projection_overlap_reported_not_hidden():
-    # chi = 0.5 at l = 2 crowds 216 fractions past their support radius
-    xi = ci.arc_projection(2, 2, 1.0, 0.5, Q_1D)
-    assert len(xi.centers) == 216
-    assert xi.separation["disjoint"] is False
-    assert xi.separation["min_scaled_distance"] < xi.separation["threshold"]
-
-
-def test_projection_regime_flags():
-    model = ci.arc_projection(2, Q=Q_PAIR, **ARC)
-    assert model.regime == {"asymptotic": False, "coupling_ok": False,
-                            "dilation_ok": False}
-    # 10 * rho * l = 1 with a feasible dilation at n = 2
-    coupled = ci.arc_projection(2, 1, 0.1, 0.1, Q_1D, cap=4)
-    assert coupled.regime["coupling_ok"] and coupled.regime["dilation_ok"]
-    assert coupled.regime["asymptotic"] is True
-
-
-def test_projection_level_variant_scales_differ():
-    base = ci.arc_projection(2, Q=Q_PAIR, **ARC)
-    lev = ci.arc_projection(2, Q=Q_PAIR, level_j=3, **ARC)
-    assert lev.label != base.label
-    # much larger dilation shrinks every support: a point near a center
-    # keeps the base projection at 1 but falls off the level bump
-    probe = base.centers[1] + np.array([0.0, 2.0 ** -10])
-    assert base(probe) == 1.0 + 0j
-    assert lev(probe) == 0j
-
-
-def test_shell_difference_validates_index():
-    with pytest.raises(ValueError):
-        ci.projection_shell_difference(2, 2, 0, Q=Q_PAIR, **ARC)
-    with pytest.raises(ValueError):
-        ci.projection_shell_difference(2, -1, 0, Q=Q_PAIR, **ARC)
-
-
-def test_level_telescope_is_exact_here(rng):
-    # the coarse shell cutoffs are 1 on the fine differences at these
-    # scales, so the telescope closes with zero defect
-    xis = rng.uniform(-0.5, 0.5, size=(60, 2))
-    rep = ci.telescope_defect(2, 0, Q=Q_PAIR, xis=xis, **ARC)
-    assert rep["points"] == 60
-    assert rep["max_defect"] <= 1e-12
-
-
-# singular arc multipliers ----------------------------------------------------
-
-def test_singular_vanishes_at_centers():
-    nu = ci.singular_arc_multiplier(2, Q=Q_PAIR, kernel=KERNEL, **ARC)
-    assert nu.separation["disjoint"] is True
-    # at each center the oscillatory factor is the annulus sum of the
-    # odd kernel at frequency zero, which cancels
-    vals = nu(nu.centers)
-    assert np.max(np.abs(vals)) == 0.0
-
-
-def test_singular_matches_manual_term():
-    nu = ci.singular_arc_multiplier(2, Q=Q_PAIR, kernel=KERNEL, **ARC)
-    xi = np.array([0.005, 0.001])
-    # inside the plateau of the center at 0, so the cutoff is exactly 1
-    want = annulus_integral(2.0, 4.0, xi, Q_PAIR, KERNEL)
-    assert nu(xi) == pytest.approx(want, abs=1e-14)
-    assert nu(xi) != 0
-
-
-def test_singular_conjugate_symmetry():
-    nu = ci.singular_arc_multiplier(2, Q=Q_PAIR, kernel=KERNEL, **ARC)
-    for xi in (np.array([0.005, 0.001]), np.array([0.013, -0.002])):
-        assert nu(-xi) == pytest.approx(np.conj(nu(xi)), abs=1e-14)
-
-
-def test_singular_validates_indices():
-    with pytest.raises(ValueError):
-        ci.singular_arc_multiplier(0, Q=Q_PAIR, kernel=KERNEL, **ARC)
-    with pytest.raises(ValueError):
-        ci.singular_arc_multiplier(2, Q=Q_PAIR, kernel=KERNEL, shell_s=2,
-                                   **ARC)
-
-
-def test_shell_partition_within_tail_bound(rng):
-    # the shells reuse nu's weights under coarser cutoffs; the observed
-    # disagreement stays below the 2^{-chi j / d} tail reference
-    xis = rng.uniform(-0.5, 0.5, size=(40, 2))
-    rep = ci.shell_partition_defect(2, Q=Q_PAIR, kernel=KERNEL, xis=xis,
-                                    **ARC)
-    assert rep["reference"] == pytest.approx(2.0 ** (-0.1 * 2 / 2))
-    assert rep["ratio"] < 1.0
-    assert rep["max_defect"] > 0.0  # honest: the partition is not exact
-
-
-def test_shell_centers_partition_nu_centers():
-    nu = ci.singular_arc_multiplier(2, Q=Q_PAIR, kernel=KERNEL, **ARC)
-    shell_counts = []
-    for s in range(2):
-        piece = ci.singular_arc_multiplier(2, Q=Q_PAIR, kernel=KERNEL,
-                                           shell_s=s, **ARC)
-        shell_counts.append(len(piece.centers))
-    assert sum(shell_counts) == len(nu.centers)
-
-
 # periodic application ---------------------------------------------------------
 
 def _padded_field(rng, ndim, M, pad):
@@ -499,14 +245,6 @@ def test_factor_roundtrip_or_refusal(q):
         assert q not in members
     else:
         assert Q * w == q and q in members
-
-
-@given(st.floats(min_value=0.0, max_value=0.2),
-       st.floats(min_value=0.0, max_value=0.2))
-def test_bump_profile_monotone_property(r1, r2):
-    eta = ci.BumpFunction(2)
-    lo, hi = sorted((r1, r2))
-    assert eta.profile(lo) >= eta.profile(hi)
 
 
 @given(st.integers(min_value=0, max_value=15),

@@ -105,6 +105,19 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert "sed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment", ["prop0-fit", "prop2-fit"])
+@pytest.mark.parametrize("frac", [[1, 1, 0], [1, 1, 1.5]],
+                         ids=["zero-q", "float-q"])
+def test_bad_rational_fraction_is_a_usage_error(tmp_path, capsys,
+                                                experiment, frac):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"params": {"rational_fracs": [frac]}}))
+    code = cli.main([experiment, "--seed", "1", "--config", str(cfg),
+                     "--out", str(tmp_path)])
+    assert code == 2
+    assert f"fraction (1, 1)/{frac[-1]}" in capsys.readouterr().err
+
+
 def test_missing_config_file(tmp_path, capsys):
     code = cli.main(["iw-build", "--config", str(tmp_path / "nope.json")])
     assert code == 2

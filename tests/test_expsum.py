@@ -169,10 +169,12 @@ def test_rational_point_reduction():
     z = es.reduce_fraction((0,), 5)
     assert z.q == 1 and z.numerators == (0,)
     assert es.RationalPoint((0, 0), 1).reduced
-    # NumPy integers reduce to Python ints; a float is still refused.
+    # NumPy integers reduce to Python ints; a float or a q < 1 is refused
+    # by name.
     assert es.reduce_fraction(np.array([4, 6]), np.int64(8)) == p
-    with pytest.raises(TypeError):
-        es.reduce_fraction((1.5, 2), 8)
+    for a, q in (((1.5, 2), 8), ((1, 2), 8.0), ((1, 2), 0), ((1,), -3)):
+        with pytest.raises(ValueError, match=r"fraction \("):
+            es.reduce_fraction(a, q)
 
 
 @pytest.mark.parametrize("numerators, q", [
@@ -181,12 +183,6 @@ def test_rational_point_reduction():
 def test_rational_point_refuses_numerators_outside_range(numerators, q):
     with pytest.raises(ValueError):
         es.RationalPoint(numerators, q)
-
-
-def test_residue_classes_match_definition():
-    cls = es.residue_classes(2, 2)
-    assert {tuple(c) for c in cls} == {(0, 1), (1, 0), (1, 1)}
-    assert len(es.residue_classes(1, 1)) == 1
 
 
 # lattice multipliers ------------------------------------------------------

@@ -28,39 +28,6 @@ def test_gamma_cardinality():
             assert len(pm.build_gamma(k, n0)) == (n0 + 1) ** k - 1
 
 
-def test_lift_univariate_example():
-    # 3x^2 + 2x lifts through (x, x^2) with matrix (2, 3)
-    P = pm.PolynomialMapping(1, 1, ({(1,): 2, (2,): 3},))
-    Q, L = pm.lift(P)
-    assert Q.gamma == ((1,), (2,))
-    assert L.tolist() == [[2, 3]]
-
-
-@given(st.lists(st.integers(-9, 9), min_size=1, max_size=3),
-       st.integers(-50, 50))
-def test_lift_identity_on_random_univariate(coeffs, y):
-    by_deg = {i + 1: c for i, c in enumerate(coeffs)}
-    if not any(by_deg.values()):
-        by_deg[1] = 1
-    P = pm.PolynomialMapping(1, 1, ({(d,): c for d, c in by_deg.items()},))
-    Q, L = pm.lift(P)
-    assert pm.apply_lift(L, Q((y,))) == P((y,))
-
-
-def test_lift_identity_bivariate():
-    # P(y1, y2) = (y1 y2 + 3 y2^2, y1^3 - y2)
-    P = pm.PolynomialMapping(2, 2, (
-        {(1, 1): 1, (0, 2): 3},
-        {(3, 0): 1, (0, 1): -1},
-    ))
-    Q, L = pm.lift(P)
-    assert Q.d == (P.degree + 1) ** 2 - 1
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        y = tuple(int(v) for v in rng.integers(-20, 20, size=2))
-        assert pm.apply_lift(L, Q(y)) == P(y)
-
-
 @pytest.mark.parametrize("coeffs", [
     {(0,): 1, (1,): 2}, {(1, 0): 1}, {(1,): 0.5, (2,): -1.25},
     {(1,): 2.0}, {(1,): np.int64(2)}],

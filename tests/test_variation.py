@@ -101,37 +101,6 @@ def test_dyadic_level_requires_power_of_two_plus_one():
         vr.dyadic_level_square_bound(np.arange(4.0), 2)
 
 
-def test_even_partition_examples():
-    assert vr.even_partition(0, 8, 4) == (0, 2, 4, 6, 8)
-    assert vr.even_partition(0, 7, 3) == (0, 2, 5, 7)
-
-
-def test_even_partition_rejects_h_above_span():
-    with pytest.raises(ValueError):
-        vr.even_partition(0, 3, 5)
-
-
-@given(st.integers(-40, 40), st.integers(1, 80), st.integers(1, 80))
-def test_even_partition_gap_law(u, span, h):
-    if h > span:
-        h = span
-    v = u + span
-    knots = vr.even_partition(u, v, h)
-    assert knots[0] == u and knots[-1] == v
-    gaps = {b - a for a, b in zip(knots, knots[1:])}
-    assert gaps <= {span // h, -(-span // h)}
-
-
-def test_family_variation_bound_spikes():
-    # f_j = j * delta_0: U_2 = 4, V_2 = 1, bound = 4, lhs = V_2(0..4) = 4
-    F = np.arange(5.0)[:, None]
-    out = vr.family_variation_bound(F, 2, 2)
-    assert out["U"] == pytest.approx(4.0)
-    assert out["V"] == pytest.approx(1.0)
-    assert out["bound"] == pytest.approx(4.0)
-    assert out["lhs"] == pytest.approx(4.0)
-
-
 def test_lp_norm_is_the_compensated_sum():
     rng = np.random.default_rng(8)
     for shape in ((7,), (3, 5), (2, 2, 2)):
@@ -143,13 +112,6 @@ def test_lp_norm_is_the_compensated_sum():
         assert vr.lp_norm(v, math.inf) == np.abs(v).max()
     with pytest.raises(ValueError):
         vr.lp_norm(v, 0.5)
-
-
-def test_mixed_variation_example():
-    out = vr.mixed_variation_bound([0, 1, 0], (1, 2), 2, labels=[1, 1.5, 2])
-    assert out["lhs"] == pytest.approx(np.sqrt(2))
-    assert out["rhs"] == pytest.approx(1.0)
-    assert out["ratio"] == pytest.approx(np.sqrt(2))
 
 
 # oracle equivalence and properties --------------------------------------
@@ -403,69 +365,6 @@ def test_dyadic_level_bound_random(rng):
                 assert lhs <= rhs + 1e-9
 
 
-def test_partition_variation_bound_reports(rng):
-    a = rng.normal(size=17) + 1j * rng.normal(size=17)
-    out = vr.partition_variation_bound(a, 0, 16, 4, 2, 2)
-    assert out["knots"] == (0, 4, 8, 12, 16)
-    assert out["vr"] >= 0 and out["block_bound"] >= 0
-    # the block bound dominates up to a modest absolute factor
-    assert out["vr"] <= 4.0 * out["block_bound"] + 1e-9
-
-
-def test_mixed_variation_fitted_constant(rng):
-    # fitted constant over random real-label samples stays modest
-    # (the splitting argument gives sqrt(6) ~ 2.45 for r = 2)
-    worst = 0.0
-    for _ in range(200):
-        n = int(rng.integers(3, 25))
-        labels = np.sort(rng.uniform(0.5, 10.0, size=n))
-        labels += np.arange(n) * 1e-6  # enforce strict increase
-        a = rng.normal(size=n) + 1j * rng.normal(size=n)
-        n_break = int(rng.integers(0, min(4, n - 1)))
-        inner = sorted(rng.choice(np.arange(1, n - 1), size=n_break,
-                                  replace=False)) if n_break else []
-        w = labels[[0, *inner, n - 1]]
-        out = vr.mixed_variation_bound(a, w, 2.0, labels=labels)
-        if np.isfinite(out["ratio"]):
-            worst = max(worst, out["ratio"])
-    assert worst < np.sqrt(6.0) + 1e-9
-
-
-def test_mixed_variation_rejects_off_label_breakpoints():
-    with pytest.raises(ValueError):
-        vr.mixed_variation_bound([0, 1, 0], (1, 1.7, 2), 2, labels=[1, 1.5, 2])
-
-
-def mixed_variation_per_block(a, w, r, labels=None) -> float:
-    """The rhs of the per-block loop that `mixed_variation_bound`'s one
-    segmented pass replaced, kept as its reference: a vr_value of the
-    skeleton, then a mask and a vr_value for every block."""
-    vals, labels = vr._one(a, labels)
-    w = np.asarray(w, dtype=float)
-    skel_idx = [int(np.searchsorted(labels, wk)) for wk in w]
-    skeleton = (vr.vr_value(vals[skel_idx], r) if len(skel_idx) > 1 else 0.0)
-    blocks = 0.0
-    for k in range(w.size - 1):
-        sel = (labels >= w[k]) & (labels < w[k + 1])
-        if sel.sum() > 1:
-            blocks += vr.vr_value(vals[sel], r) ** 2
-    return skeleton + blocks ** 0.5
-
-
-@pytest.mark.parametrize("n", [2, 3, 17, 65, 512, 600])
-@pytest.mark.parametrize("r", [1.0, 2.0, 2.5])
-def test_mixed_variation_is_the_per_block_loop(rng, n, r):
-    for a in fast_path_rows(n).values():
-        labels = np.cumsum(rng.uniform(0.1, 2.0, size=n))
-        inner = rng.choice(np.arange(1, max(n - 1, 1)),
-                           size=min(n - 2, 5), replace=False)
-        # Adjacent breakpoints leave blocks of one point.
-        w = labels[sorted({0, n - 1, *inner.tolist(), 1})]
-        out = vr.mixed_variation_bound(a, w, r, labels=labels)
-        assert out["rhs"] == mixed_variation_per_block(a, w, r, labels)
-        assert out["lhs"] == vr.vr_value(a, r)
-
-
 # blocks of sequences ----------------------------------------------------
 
 def assert_block_is_its_rows(check, block, *args, **kwargs):
@@ -496,10 +395,10 @@ def test_checks_on_a_block_equal_their_rows(rng, n, r):
     block = check_block(rng, n)
     labels = np.arange(1, n + 1)
     assert_block_is_its_rows(vr.sup_bound_check, block, r)
-    # w = n / 2 splits; w = 0 and w = n + 1 leave one side empty.
-    for w in (n / 2, 0.0, n + 1.0):
-        assert_block_is_its_rows(vr.split_bound_check, block, r, w,
-                                 labels=labels)
+    # On the labels 0..n-1, w = n / 2 splits; w = 0 and w = n leave one
+    # side empty.
+    for w in (n / 2, 0.0, float(n)):
+        assert_block_is_its_rows(vr.split_bound_check, block, r, w)
     assert_block_is_its_rows(vr.long_short_split, block, r, labels=labels)
     for lam in (0.25, 1.0):
         assert_block_is_its_rows(vr.jump_variation_check, block, lam, r)
@@ -558,8 +457,7 @@ def test_checks_on_a_block_keep_their_refusals():
                 lambda: vr.sup_bound_check(block, 0.5),
                 lambda: vr.sup_bound_check(block[None], 2.0),
                 lambda: vr.long_short_split(block, 2.0, labels=np.arange(5)),
-                lambda: vr.split_bound_check(block, 2.0, 1.0,
-                                             labels=[0, 1, 1, 2, 3])):
+                lambda: vr.split_bound_check(block, 0.5, 1.0)):
         with pytest.raises(ValueError):
             bad()
 
@@ -574,14 +472,11 @@ _BAD_LABELS = {"misaligned": [1, 2, 3], "tied": [1, 2, 2, 3, 4],
                "2-d": np.arange(1.0, 11.0).reshape(2, 5)}
 _ONE_SEQUENCE = ((vr.vr_exact, (2.0,)), (vr.vr_value, (2.0,)),
                  (vr.vr_bruteforce, (2.0,)),
-                 (vr.jump_count, (1.0,)), (vr.jump_count_bruteforce, (1.0,)),
-                 (vr.mixed_variation_bound, ((0, 4), 2.0)),
-                 (vr.partition_variation_bound, (0, 4, 2, 2.0, 2.0)))
+                 (vr.jump_count, (1.0,)), (vr.jump_count_bruteforce, (1.0,)))
 _REFUSALS = [
-    *(pytest.param(fn, (a, 2.0), {"labels": labels}, "labels",
-                   id=f"{fn.__name__}-labels-{name}")
-      for name, labels in _BAD_LABELS.items()
-      for fn, a in ((vr.long_short_split, _BLOCK), (vr.vr_exact, _ROW))),
+    *(pytest.param(vr.long_short_split, (_BLOCK, 2.0), {"labels": labels},
+                   "labels", id=f"long_short_split-labels-{name}")
+      for name, labels in _BAD_LABELS.items()),
     *(pytest.param(fn, (_BLOCK, *args), {}, "one sequence",
                    id=f"{fn.__name__}-block")
       for fn, args in _ONE_SEQUENCE),
@@ -597,18 +492,6 @@ _REFUSALS = [
 def test_one_input_form_refusals(fn, args, kwargs, match):
     with pytest.raises(ValueError, match=match):
         fn(*args, **kwargs)
-
-
-def test_partition_bound_reads_indices_directly(rng):
-    # Indices u..v inside a longer sequence: V_r of the span, knots as
-    # indices, and indices past either end refused.
-    a = rng.normal(size=12) + 1j * rng.normal(size=12)
-    out = vr.partition_variation_bound(a, 3, 9, 3, 2.0, 2.0)
-    assert out["knots"] == (3, 5, 7, 9)
-    assert out["vr"] == vr.vr_value(a[3:10], 2.0)
-    for u, v in ((0, 12), (-1, 4)):
-        with pytest.raises(ValueError, match="cover"):
-            vr.partition_variation_bound(a, u, v, 2, 2.0, 2.0)
 
 
 _READERS = (
