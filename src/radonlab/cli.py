@@ -1,53 +1,31 @@
 """Command-line entry point: run experiments, compare runs.
 
 One subcommand per experiment, plus `report` for run-over-run diffs.
-Option precedence is defaults, then the config file, then environment
-(LAB_OUT, LAB_THREADS), then explicit flags.  Result tables carry no
-timing or host information; wall time goes to a .meta.json sidecar so
-the CSV/JSON pair is byte-identical for equal seeds at any thread
-count.  The exit status is 1 when an exact-inequality pass flag fails,
-2 on a usage error, and 3 when a budget or quadrature guard stops a run.
+Settings come from the defaults, then the config file, then flags; the
+environment is never read.  This module checks only the output directory
+and table format; `experiments.run` checks every other value.  Result
+tables carry no timing or host information; wall time goes to a
+.meta.json sidecar so the CSV/JSON pair is byte-identical for equal
+seeds at any thread count.  The exit status is 1 when an exact-inequality
+pass flag fails, 2 on a usage error, and 3 when a budget or quadrature
+guard stops a run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
 
 from .errors import BudgetError, QuadratureError
-from .experiments import EXPERIMENTS, RunConfig, run
+from .experiments import EXPERIMENTS, RunConfig, param_shape, run
 from .reporting import (compare_runs, emit_plotdata, make_document,
                         read_json, render_comparison, write_csv, write_json)
 
-CONFIG_KEYS = {"seed", "out", "threads", "format", "budgets", "params"}
-
-
-def _flag_parser(default):
-    """An argparse type matching the default value's shape."""
-    if isinstance(default, bool):
-        raise TypeError("boolean experiment parameters are not supported")
-    if isinstance(default, int):
-        return int
-    if isinstance(default, float):
-        return float
-    if isinstance(default, str):
-        return str
-    if isinstance(default, tuple) and default \
-            and all(isinstance(x, (int, float)) for x in default):
-        cell = int if all(isinstance(x, int) for x in default) else float
-
-        def parse_list(text: str) -> tuple:
-            try:
-                return tuple(cell(tok) for tok in text.split(",") if tok)
-            except ValueError as err:
-                raise argparse.ArgumentTypeError(str(err)) from None
-        parse_list.__name__ = f"{cell.__name__}-list"
-        return parse_list
-    return None
+CONFIG_KEYS = {"seed", "out", "threads", "format", "params"}
+FORMATS = ("csv", "json", "both")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,13 +41,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, metavar="U64",
                        help="random seed (required for randomized runs)")
         p.add_argument("--out", metavar="DIR",
-                       help="output directory (default ., env LAB_OUT)")
+                       help="output directory (default .)")
         p.add_argument("--threads", type=int, metavar="N",
-                       help="worker threads (default 1, env LAB_THREADS)")
-        p.add_argument("--format", choices=("csv", "json", "both"),
+                       help="worker threads (default 1)")
+        p.add_argument("--format", choices=FORMATS,
                        help="table format (default both)")
         for key, default in spec.defaults.items():
-            kind = _flag_parser(default) if default is not None else int
+            _, kind = param_shape(default)
             if kind is None:
                 continue
             p.add_argument("--" + key.replace("_", "-"),
@@ -103,46 +81,29 @@ def _load_config(path: str | None) -> dict:
     if unknown:
         raise ValueError(f"config {path}: unknown key(s) "
                          f"{', '.join(sorted(unknown))}")
-    for key in ("budgets", "params"):
-        if key in data and not isinstance(data[key], dict):
-            raise ValueError(f"config {path}: {key} must be an object")
+    if not isinstance(data.get("params", {}), dict):
+        raise ValueError(f"config {path}: params must be an object")
     return data
-
-
-def _positive_int(label: str, value) -> int:
-    try:
-        value = int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{label} must be an integer, got {value!r}") \
-            from None
-    if value < 1:
-        raise ValueError(f"{label} must be >= 1, got {value}")
-    return value
 
 
 def _resolve(args) -> tuple[RunConfig, Path, str]:
     file_cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else file_cfg.get("seed")
-    if seed is not None:
-        seed = int(seed)
-        if not 0 <= seed < 2 ** 64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-    out = args.out or os.environ.get("LAB_OUT") or file_cfg.get("out") \
-        or "."
-    threads = args.threads if args.threads is not None \
-        else os.environ.get("LAB_THREADS", file_cfg.get("threads", 1))
-    threads = _positive_int("threads", threads)
-    fmt = args.format or file_cfg.get("format") or "both"
-    if fmt not in ("csv", "json", "both"):
+
+    def pick(key: str, default):
+        flag = getattr(args, key)
+        return file_cfg.get(key, default) if flag is None else flag
+
+    out, fmt = pick("out", "."), pick("format", "both")
+    if not isinstance(out, str):
+        raise ValueError(f"out must be a directory path, got {out!r}")
+    if fmt not in FORMATS:
         raise ValueError(f"format must be csv, json, or both, got {fmt!r}")
-    params = dict(file_cfg.get("params", {}))
-    for key in EXPERIMENTS[args.command].defaults:
-        flag_value = getattr(args, "param_" + key, None)
-        if flag_value is not None:
-            params[key] = flag_value
-    budgets = dict(file_cfg.get("budgets", {}))
-    config = RunConfig(experiment=args.command, seed=seed,
-                       threads=threads, params=params, budgets=budgets)
+    flags = {key.removeprefix("param_"): value
+             for key, value in vars(args).items()
+             if key.startswith("param_") and value is not None}
+    params = {**file_cfg.get("params", {}), **flags}
+    config = RunConfig(experiment=args.command, seed=pick("seed", None),
+                       threads=pick("threads", 1), params=params)
     return config, Path(out), fmt
 
 
@@ -153,10 +114,7 @@ def _run_command(args) -> int:
     elapsed = time.perf_counter() - started
 
     name = config.experiment
-    document = make_document(name, outcome.rows,
-                             meta={"seed": config.seed,
-                                   "params": config.params,
-                                   **outcome.meta})
+    document = make_document(name, outcome.rows, meta=outcome.meta)
     written = []
     if fmt in ("csv", "both"):
         written.append(write_csv(outcome.rows, out_dir / f"{name}.csv"))

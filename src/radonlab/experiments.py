@@ -9,6 +9,11 @@ runs reproducible byte for byte:
   * work items then go through an order-preserving map, so the thread
     count changes wall time and nothing else.
 
+`run` is the one entry point.  It checks every setting, the seed, the
+thread count and each parameter override, against the shape of its
+default (`param_shape`, which also gives the CLI its flag types), so
+every caller gets the same refusals.
+
 Rows carry a pass flag only for exact-inequality checks with explicit
 constants.  Fitted constants, slopes, and feasibility reports always
 ship with `passed=None`; they are data, not gates.
@@ -17,8 +22,9 @@ ship with `passed=None`; they are data, not gates.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,25 +32,23 @@ from .circle import (SET_BUDGET, apply_periodic_multiplier,
                      containment_report, denominator_set,
                      factor_smooth_rough, torus_frequencies)
 from .errors import BudgetError, NotRepresentableError
-from .expsum import (GAUSS_BUDGET, ArcWindow, _prime_divisors,
-                     annulus_integral, avg_multiplier,
-                     continuous_avg_multiplier, decay_slope,
+from .expsum import (ArcWindow, _prime_divisors, annulus_integral,
+                     avg_multiplier, continuous_avg_multiplier, decay_slope,
                      gauss_scan_quadratic, gauss_sum, major_arc_approx_check,
                      major_arc_diff_check, odd_power_kernel, reduce_fraction,
                      scale_norm)
-from .martingale import (FieldEnsembleSpec, doubling_constant,
-                         field_ensemble, good_lambda_check, haar_field,
-                         jump_bound_defect, lepingle_ratio,
-                         orthogonality_defect, ratio_sweep, tower_defect)
-from .operators import (EnsembleSpec, GridFunction, apply_truncation, embed,
-                        ensemble, ergodic_truncation, grid_difference,
+from .martingale import (doubling_constant, field_ensemble,
+                         good_lambda_check, haar_field, jump_bound_defect,
+                         lepingle_ratio, orthogonality_defect, ratio_sweep,
+                         tower_defect)
+from .operators import (GridFunction, apply_truncation, embed, ensemble,
+                        ergodic_truncation, grid_difference,
                         pushforward_kernel, union_box, variation_curves)
 from .polymap import canonical_mapping
 from .reporting import ResultRow
 from .variation import growth_fit, vr_bruteforce_batch, vr_exact_batch
 
-DEFAULT_BUDGETS = {"lattice_points": GAUSS_BUDGET,
-                   "set_cardinality": SET_BUDGET}
+VR_TOLERANCE = 1e-12  # vr-suite's DP-vs-oracle pass gate, never loosened
 
 
 @dataclass(frozen=True)
@@ -55,11 +59,12 @@ class RunConfig:
     seed: int | None = None
     threads: int = 1
     params: dict = field(default_factory=dict)
-    budgets: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class RunOutcome:
+    """`run` puts the checked seed and parameter overrides in `meta`."""
+
     rows: tuple[ResultRow, ...]
     figures: tuple[dict, ...]
     meta: dict
@@ -82,53 +87,101 @@ def _ordered_map(fn, items, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _merged_params(name: str, overrides: dict) -> dict:
-    defaults = EXPERIMENTS[name].defaults
-    unknown = set(overrides) - set(defaults)
-    if unknown:
-        raise ValueError(f"unknown parameter(s) for {name}: "
-                         f"{', '.join(sorted(unknown))}")
-    merged = dict(defaults)
-    for key, value in overrides.items():
-        if isinstance(value, list):
-            value = tuple(value)
-        merged[key] = value
-    return merged
+# Each scalar cell kind: the values it admits (bools never) and its name.
+_CELLS = {int: (numbers.Integral, "an integer"),
+          float: (numbers.Real, "a number"), str: (str, "a string")}
 
 
-def _budgets(config: RunConfig) -> dict:
-    budgets = dict(DEFAULT_BUDGETS)
-    unknown = set(config.budgets) - set(budgets)
-    if unknown:
-        raise ValueError(f"unknown budget key(s): "
-                         f"{', '.join(sorted(unknown))}")
-    budgets.update(config.budgets)
-    for key, value in budgets.items():
-        if not isinstance(value, int) or value <= 0:
-            raise ValueError(f"budget {key} must be a positive integer, "
-                             f"got {value!r}")
-    return budgets
+def _cell(kind, value, shape: str):
+    if isinstance(value, bool) or not isinstance(value, _CELLS[kind][0]):
+        raise TypeError(shape)
+    return kind(value)
+
+
+def _sequence(value, shape: str):
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(shape)
+    return value
+
+
+def param_shape(default):
+    """The one rule for what a setting with this default may be set to.
+
+    Returns (check, flag): `check(value)` gives the value a run stores
+    or raises TypeError naming the wanted shape; `flag` is the argparse
+    type of the setting's flag, None when no flag spells it.  An int
+    default takes an int; a float default an int or a float, stored as
+    float; a str default a str; a tuple of numbers a list of that cell
+    type (int when every default cell is), stored as a tuple, and its
+    flag a comma list; None takes None or an int; a tuple of tuples a
+    list of lists, whose entries the runner checks, and no flag.  Any
+    other default raises TypeError.
+    """
+    if default is None:
+        return (lambda v: None if v is None
+                else _cell(int, v, "null or an integer")), int
+    if type(default) in _CELLS:
+        kind = type(default)
+        return (lambda v: _cell(kind, v, _CELLS[kind][1])), kind
+    if isinstance(default, tuple) and default:
+        if all(isinstance(x, tuple) for x in default):
+            shape = "a list of lists"
+            return (lambda v: tuple(tuple(_sequence(e, shape))
+                                    for e in _sequence(v, shape))), None
+        if all(type(x) in (int, float) for x in default):
+            kind = int if all(type(x) is int for x in default) else float
+            shape = f"a list of {'integers' if kind is int else 'numbers'}"
+
+            def parse_list(text: str) -> tuple:
+                return tuple(kind(tok) for tok in text.split(",") if tok)
+            parse_list.__name__ = f"{kind.__name__}-list"
+            return (lambda v: tuple(_cell(kind, x, shape)
+                                    for x in _sequence(v, shape))), \
+                parse_list
+    raise TypeError(f"no parameter shape for default {default!r}")
 
 
 def run(config: RunConfig) -> RunOutcome:
-    """Dispatch one experiment; the only entry point the CLI uses."""
-    if config.experiment not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment {config.experiment!r}")
-    spec = EXPERIMENTS[config.experiment]
-    if spec.needs_seed and config.seed is None:
-        raise ValueError(f"{config.experiment} draws random inputs; "
-                         "a seed is required")
-    if config.threads < 1:
-        raise ValueError("thread count must be >= 1")
-    params = _merged_params(config.experiment, config.params)
-    budgets = _budgets(config)
-    return spec.runner(params, config, budgets)
+    """Check every setting, then dispatch one experiment.
+
+    The seed (None or an integer in [0, 2^64)), the thread count (an
+    integer >= 1) and each parameter override go through `param_shape`;
+    a refusal is a ValueError naming the experiment, setting and value.
+    """
+    name = config.experiment
+    if name not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment {name!r}")
+    spec = EXPERIMENTS[name]
+    unknown = set(config.params) - set(spec.defaults)
+    if unknown:
+        raise ValueError(f"unknown parameter(s) for {name}: "
+                         f"{', '.join(sorted(unknown))}")
+    checked = {}
+    for key, default, value in (
+            ("seed", None, config.seed), ("threads", 1, config.threads),
+            *((k, spec.defaults[k], v) for k, v in config.params.items())):
+        try:
+            checked[key] = param_shape(default)[0](value)
+        except TypeError as err:
+            raise ValueError(f"{name}: {key} must be {err}, "
+                             f"got {value!r}") from None
+    seed, threads = checked.pop("seed"), checked.pop("threads")
+    if seed is not None and not 0 <= seed < 2 ** 64:
+        raise ValueError(f"{name}: seed must be in [0, 2^64), got {seed}")
+    if threads < 1:
+        raise ValueError(f"{name}: threads must be >= 1, got {threads}")
+    if spec.needs_seed and seed is None:
+        raise ValueError(f"{name} draws random inputs; a seed is required")
+    config = RunConfig(name, seed, threads, checked)
+    outcome = spec.runner({**spec.defaults, **checked}, config)
+    return replace(outcome, meta={"seed": seed, "params": checked,
+                                  **outcome.meta})
 
 
 # -- gauss-scan --------------------------------------------------------------------
 
 
-def _run_gauss_scan(params, config, budgets) -> RunOutcome:
+def _run_gauss_scan(params, config) -> RunOutcome:
     """Gauss sum magnitudes against the classical square-root decay.
 
     The quadratic case scans every reduced class via the 2-D DFT table;
@@ -155,7 +208,7 @@ def _run_gauss_scan(params, config, budgets) -> RunOutcome:
             tops = [a for a in range(1, q) if math.gcd(a, q) == 1]
             vecs = np.zeros((len(tops), Q.d), dtype=np.int64)
             vecs[:, -1] = tops
-            sums = gauss_sum(q, vecs, Q, budgets["lattice_points"])
+            sums = gauss_sum(q, vecs, Q)
             best = max(map(abs, sums.tolist()))
             dev = math.nan
         return {"q": q, "max": best, "classical_dev": dev}
@@ -197,7 +250,7 @@ def _run_gauss_scan(params, config, budgets) -> RunOutcome:
 # -- weyl-decay --------------------------------------------------------------------
 
 
-def _run_weyl_decay(params, config, budgets) -> RunOutcome:
+def _run_weyl_decay(params, config) -> RunOutcome:
     """Log-log decay of the continuous multipliers.
 
     Sweeps the dilation parameter u along a fixed frequency direction;
@@ -258,10 +311,9 @@ def _run_weyl_decay(params, config, budgets) -> RunOutcome:
 # -- vr-suite ----------------------------------------------------------------------
 
 
-def _run_vr_suite(params, config, budgets) -> RunOutcome:
+def _run_vr_suite(params, config) -> RunOutcome:
     """Dynamic-programming variation against the subset-enumeration oracle."""
-    n_max, trials = params["n_max"], params["trials"]
-    r_grid, tolerance = params["r_grid"], params["tolerance"]
+    n_max, trials, r_grid = params["n_max"], params["trials"], params["r_grid"]
     if n_max < 2 or trials < 1:
         raise ValueError("need n_max >= 2 and trials >= 1")
     rng = np.random.default_rng(config.seed)
@@ -279,8 +331,8 @@ def _run_vr_suite(params, config, budgets) -> RunOutcome:
 
     items = [(n, r) for n in range(2, n_max + 1) for r in r_grid]
     errors = _ordered_map(check, items, config.threads)
-    rows = [ResultRow(name, "check", {"n": n, "r": r}, err, tolerance,
-                      err / tolerance, err <= tolerance)
+    rows = [ResultRow(name, "check", {"n": n, "r": r}, err, VR_TOLERANCE,
+                      err / VR_TOLERANCE, err <= VR_TOLERANCE)
             for (n, r), err in zip(items, errors)]
     figures = ({"name": "error", "case": "check", "x": "params:n",
                 "y": "observed", "xlabel": "n",
@@ -327,7 +379,7 @@ def _rational_probes(params, d):
     return probes
 
 
-def _run_prop_fit(params, config, budgets, which: str) -> RunOutcome:
+def _run_prop_fit(params, config, which: str) -> RunOutcome:
     """Major-arc approximation error against its explicit bound.
 
     Random admissible windows give error/bound ratios (one fitted
@@ -384,18 +436,18 @@ def _run_prop_fit(params, config, budgets, which: str) -> RunOutcome:
                        "rational_fit": max(scaled)})
 
 
-def _run_prop0_fit(params, config, budgets) -> RunOutcome:
-    return _run_prop_fit(params, config, budgets, "avg")
+def _run_prop0_fit(params, config) -> RunOutcome:
+    return _run_prop_fit(params, config, "avg")
 
 
-def _run_prop2_fit(params, config, budgets) -> RunOutcome:
-    return _run_prop_fit(params, config, budgets, "diff")
+def _run_prop2_fit(params, config) -> RunOutcome:
+    return _run_prop_fit(params, config, "diff")
 
 
 # -- iw-build ----------------------------------------------------------------------
 
 
-def _run_iw_build(params, config, budgets) -> RunOutcome:
+def _run_iw_build(params, config) -> RunOutcome:
     """Build one denominator set and check everything checkable exactly.
 
     The lower containment {1..N} in P_N, the factorization uniqueness,
@@ -405,18 +457,17 @@ def _run_iw_build(params, config, budgets) -> RunOutcome:
     feasibility report, not a failure.
     """
     rho, n, cap = params["rho"], params["n"], params["cap"]
-    budget = budgets["set_cardinality"]
     name = config.experiment
     rows = []
     try:
-        dset = denominator_set(n, rho, cap=cap, budget=budget)
+        dset = denominator_set(n, rho, cap=cap)
     except BudgetError as err:
         rows.append(ResultRow(name, "truncated",
                               {"estimate": int(err.estimate)},
-                              float(err.estimate), float(budget), None,
+                              float(err.estimate), float(SET_BUDGET), None,
                               None))
         cap = params["fallback_cap"]
-        dset = denominator_set(n, rho, cap=cap, budget=budget)
+        dset = denominator_set(n, rho, cap=cap)
     members = dset.members
     rows.append(ResultRow(name, "cardinality", {"n": n, "rho": rho},
                           float(len(members)), float(dset.cardinality),
@@ -448,8 +499,7 @@ def _run_iw_build(params, config, budgets) -> RunOutcome:
     rows.append(ResultRow(name, "factor-roundtrip",
                           {"members": len(members)}, None, None, None, ok))
 
-    prev = denominator_set(n - 1, rho, cap=dset.cap, budget=budget) \
-        if n >= 1 else None
+    prev = denominator_set(n - 1, rho, cap=dset.cap) if n >= 1 else None
     if prev is not None:
         nested = set(prev.members) <= set(members)
         rows.append(ResultRow(name, "nesting", {"from": n - 1, "to": n},
@@ -466,7 +516,7 @@ def _run_iw_build(params, config, budgets) -> RunOutcome:
 # -- operator-norm -----------------------------------------------------------------
 
 
-def _run_operator_norm(params, config, budgets) -> RunOutcome:
+def _run_operator_norm(params, config) -> RunOutcome:
     """Backend agreement, structural identities, and empirical norms.
 
     The kernel picks the family: M_N for `which` = average, T_N for
@@ -489,9 +539,8 @@ def _run_operator_norm(params, config, budgets) -> RunOutcome:
     if len(set(n_set)) != len(n_set):
         raise ValueError("duplicate truncation radii")
     name = config.experiment
-    fields = list(ensemble(EnsembleSpec(
-        ndim=Q.d, halfwidth=params["halfwidth"], size=params["size"],
-        seed=config.seed)))
+    fields = list(ensemble(Q.d, params["halfwidth"], params["size"],
+                           config.seed))
     p, r_grid = params["p"], params["r_grid"]
     by_n = sorted(range(len(n_set)), key=n_set.__getitem__)
 
@@ -566,11 +615,10 @@ def _run_operator_norm(params, config, budgets) -> RunOutcome:
 # -- lepingle ----------------------------------------------------------------------
 
 
-def _run_lepingle(params, config, budgets) -> RunOutcome:
+def _run_lepingle(params, config) -> RunOutcome:
     """Martingale identities with flags, the variation sweep as data."""
     m, L = params["m"], params["L"]
-    fields = list(field_ensemble(FieldEnsembleSpec(
-        m=m, L=L, size=params["fields"], seed=config.seed)))
+    fields = list(field_ensemble(m, L, params["fields"], config.seed))
     name = config.experiment
     rows = []
 
@@ -620,11 +668,10 @@ def _run_lepingle(params, config, budgets) -> RunOutcome:
 # -- good-lambda -------------------------------------------------------------------
 
 
-def _run_good_lambda(params, config, budgets) -> RunOutcome:
+def _run_good_lambda(params, config) -> RunOutcome:
     """Distributional comparison rows; finiteness is the exact check."""
-    fields = list(field_ensemble(FieldEnsembleSpec(
-        m=params["m"], L=params["L"], size=params["fields"],
-        seed=config.seed)))
+    fields = list(field_ensemble(params["m"], params["L"], params["fields"],
+                                 config.seed))
     q, r = params["q"], params["r"]
     name = config.experiment
     lams = [float(lam) for lam in params["lam_grid"]]
@@ -646,7 +693,7 @@ def _run_good_lambda(params, config, budgets) -> RunOutcome:
 # -- multiplier-apply --------------------------------------------------------------
 
 
-def _run_multiplier_apply(params, config, budgets) -> RunOutcome:
+def _run_multiplier_apply(params, config) -> RunOutcome:
     """Fourier-side and space-side realizations of M_N must agree.
 
     Test inputs are supported well inside one period so the periodic
@@ -721,7 +768,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
     "vr-suite": ExperimentSpec(
         _run_vr_suite,
         {"n_max": 12, "trials": 500,
-         "r_grid": (1.0, 1.5, 2.0, 3.0, 10.0), "tolerance": 1e-12},
+         "r_grid": (1.0, 1.5, 2.0, 3.0, 10.0)},
         needs_seed=True,
         summary="variation DP against the subset-enumeration oracle"),
     "prop0-fit": ExperimentSpec(

@@ -328,19 +328,11 @@ def good_lambda_check(f: DyadicField, lams, q: float,
 
 # -- random field ensembles ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class FieldEnsembleSpec:
-    """Random dyadic fields cycling spikes, bumps, and sign fields."""
-
-    m: int
-    L: int
-    size: int
-    seed: int
-
-
-def field_ensemble(spec: FieldEnsembleSpec):
-    n = 2 ** spec.L
+def field_ensemble(m: int, L: int, size: int, seed: int):
+    """`size` random dyadic fields on [0, 1)^m at level L, cycling
+    spikes, bumps, and sign fields."""
+    n = 2 ** L
     centers = (np.arange(n) + 0.5) / n
-    for vals in random_arrays(spec.size, spec.seed, centers,
-                              spec.m, (0.25, 0.75), (0.05, 0.25)):
-        yield DyadicField(spec.m, spec.L, vals)
+    for vals in random_arrays(size, seed, centers, m, (0.25, 0.75),
+                              (0.05, 0.25)):
+        yield DyadicField(m, L, vals)

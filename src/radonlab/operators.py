@@ -303,17 +303,6 @@ def variation_curves(f: GridFunction, outs, r_grid, p: float) -> list[dict]:
 
 # -- random ensembles ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """Random test inputs cycling through delta spikes, Gaussian-profile
-    bumps, and Rademacher sign fields on a centered box."""
-
-    ndim: int
-    halfwidth: int
-    size: int
-    seed: int
-
-
 def random_arrays(size: int, seed: int, axis, ndim: int,
                   centers: tuple[float, float],
                   widths: tuple[float, float]):
@@ -345,10 +334,12 @@ def random_arrays(size: int, seed: int, axis, ndim: int,
         yield vals
 
 
-def ensemble(spec: EnsembleSpec):
-    hw = spec.halfwidth
-    box = ((-hw, hw),) * spec.ndim
-    for vals in random_arrays(spec.size, spec.seed,
-                              np.arange(-hw, hw + 1), spec.ndim,
+def ensemble(ndim: int, halfwidth: int, size: int, seed: int):
+    """`size` random test inputs on the centered box [-halfwidth,
+    halfwidth]^ndim, cycling through delta spikes, Gaussian-profile bumps,
+    and Rademacher sign fields."""
+    hw = halfwidth
+    box = ((-hw, hw),) * ndim
+    for vals in random_arrays(size, seed, np.arange(-hw, hw + 1), ndim,
                               (-hw / 2, hw / 2), (1.0, max(2.0, hw / 3))):
         yield GridFunction(box, vals)

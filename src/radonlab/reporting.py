@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -186,9 +187,11 @@ def compare_runs(previous, current, drift_tolerance: float = 0.05) -> dict:
     """Diff two result sets (documents or row lists).
 
     Fitted/observed values drifting by more than `drift_tolerance`
-    (relative) are flagged, as is any flip of an exact pass flag.  Rows
-    appearing only on one side are listed.  Identical runs give
-    {"identical": True} with empty lists.
+    (relative) are flagged, as is any change between a finite value and
+    NaN, an infinity or None (its relative change is None), and any flip
+    of an exact pass flag.  NaN against NaN is no change.  Rows appearing
+    only on one side are listed.  Identical runs give {"identical": True}
+    with empty lists.
     """
     prev = _ensure_rows(previous)
     curr = _ensure_rows(current)
@@ -199,15 +202,10 @@ def compare_runs(previous, current, drift_tolerance: float = 0.05) -> dict:
     drift, flips = [], []
     for k in sorted(set(prev_map) & set(curr_map)):
         a, b = prev_map[k], curr_map[k]
-        if a.observed is not None and b.observed is not None:
-            scale = max(abs(a.observed), abs(b.observed))
-            if scale > 0:
-                rel = abs(a.observed - b.observed) / scale
-                if rel > drift_tolerance:
-                    drift.append({"row": _key_label(k),
-                                  "previous": a.observed,
-                                  "current": b.observed,
-                                  "relative_change": rel})
+        rel = _relative_change(a.observed, b.observed)
+        if rel is None or rel > drift_tolerance:
+            drift.append({"row": _key_label(k), "previous": a.observed,
+                          "current": b.observed, "relative_change": rel})
         if a.passed != b.passed and (a.passed is not None
                                      or b.passed is not None):
             flips.append({"row": _key_label(k),
@@ -219,6 +217,17 @@ def compare_runs(previous, current, drift_tolerance: float = 0.05) -> dict:
             "drift": drift,
             "flips": flips,
             "drift_tolerance": drift_tolerance}
+
+
+def _relative_change(x, y) -> float | None:
+    """|x - y| / max(|x|, |y|) between finite values; otherwise 0 for the
+    same value (NaN and NaN included) and None for any change."""
+    if x is None or y is None or not (math.isfinite(x)
+                                      and math.isfinite(y)):
+        # NaN is the one value unequal to itself.
+        return 0.0 if x == y or (x != x and y != y) else None
+    scale = max(abs(x), abs(y))
+    return abs(x - y) / scale if scale else 0.0
 
 
 def _ensure_rows(obj) -> list[ResultRow]:
@@ -250,9 +259,10 @@ def render_comparison(diff: dict) -> str:
         lines.append(f"## observed-value drift beyond {tol:.0%}")
         lines.append("")
         for d in diff["drift"]:
+            rel = d["relative_change"]
+            change = "not comparable" if rel is None else f"{rel:.2%}"
             lines.append(f"- {d['row']}: {d['previous']!r} -> "
-                         f"{d['current']!r} "
-                         f"({d['relative_change']:.2%})")
+                         f"{d['current']!r} ({change})")
         lines.append("")
     if diff["added"]:
         lines.append("## added rows")

@@ -17,9 +17,8 @@ from radonlab import circle as ci
 from radonlab import cli, experiments, variation
 from radonlab.experiments import RunConfig, run
 from radonlab.expsum import avg_multiplier, odd_power_kernel
-from radonlab.operators import (EnsembleSpec, GridFunction,
-                                apply_truncation, embed, ensemble,
-                                ergodic_truncation, union_box)
+from radonlab.operators import (GridFunction, apply_truncation, embed,
+                                ensemble, ergodic_truncation, union_box)
 from radonlab.polymap import PolynomialMapping, canonical_mapping
 from radonlab.variation import (dyadic_level_square_bound,
                                 jump_variation_check, l2_bound_check,
@@ -171,8 +170,7 @@ def test_operator_backend_equivalence():
     count = 0
     ergodic_ok = True
     for j, (Q, N, h) in enumerate(configs):
-        fields = list(ensemble(EnsembleSpec(ndim=Q.d, halfwidth=h,
-                                            size=20, seed=7000 + j)))
+        fields = list(ensemble(Q.d, h, 20, seed=7000 + j))
         for i, f in enumerate(fields):
             count += 1
             direct = apply_truncation(f, Q, N, backend="direct")

@@ -1,11 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from radonlab import cli
 from radonlab.errors import BudgetError
 from radonlab.experiments import (EXPERIMENTS, ExperimentSpec, RunConfig,
-                                  RunOutcome, run)
+                                  RunOutcome, param_shape, run)
 from radonlab.reporting import ResultRow, read_csv, read_json
 
 EXPERIMENT_NAMES = ("gauss-scan", "weyl-decay", "vr-suite", "prop0-fit",
@@ -13,14 +14,8 @@ EXPERIMENT_NAMES = ("gauss-scan", "weyl-decay", "vr-suite", "prop0-fit",
                     "good-lambda", "multiplier-apply")
 
 
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv("LAB_OUT", raising=False)
-    monkeypatch.delenv("LAB_THREADS", raising=False)
-
-
 def stub_spec(rows=(), error=None):
-    def runner(params, config, budgets):
+    def runner(params, config):
         if error is not None:
             raise error
         return RunOutcome(tuple(rows), (), {})
@@ -58,12 +53,68 @@ def test_run_requires_seed_for_random_draws():
         run(RunConfig(experiment="vr-suite"))
 
 
-def test_run_rejects_bad_budget():
-    with pytest.raises(ValueError, match="budget"):
-        run(RunConfig(experiment="iw-build",
-                      budgets={"set_cardinality": -5}))
-    with pytest.raises(ValueError, match="unknown budget"):
-        run(RunConfig(experiment="iw-build", budgets={"fuel": 10}))
+@pytest.mark.parametrize("seed", [7.9, True, "7", -1, 2 ** 64])
+def test_run_refuses_a_seed_that_is_not_a_u64(seed):
+    with pytest.raises(ValueError, match=f"vr-suite: seed .*{seed!r}"):
+        run(RunConfig("vr-suite", seed=seed, params={"n_max": 3}))
+
+
+@pytest.mark.parametrize("threads", [2.5, True, "2", 0])
+def test_run_refuses_a_thread_count_that_is_not_positive(threads):
+    with pytest.raises(ValueError, match=f"iw-build: threads .*{threads!r}"):
+        run(RunConfig("iw-build", threads=threads))
+
+
+def test_run_takes_numpy_integers_and_stores_checked_values():
+    config = RunConfig("vr-suite", seed=np.uint64(2 ** 64 - 1),
+                       threads=np.int64(2),
+                       params={"n_max": np.int32(3), "trials": 2,
+                               "r_grid": [2, 3.5]})
+    meta = run(config).meta
+    assert meta["seed"] == 2 ** 64 - 1 and type(meta["seed"]) is int
+    assert meta["params"] == {"n_max": 3, "trials": 2, "r_grid": (2.0, 3.5)}
+    assert type(meta["params"]["n_max"]) is int
+    assert type(meta["params"]["r_grid"][0]) is float
+
+
+# -- the shape rule over every experiment's defaults --------------------------
+
+def _wrong_values(default):
+    """Values of another shape than the default's."""
+    return ([5] if isinstance(default, str) else ["x"]) + [True, {"a": 1}]
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENT_NAMES)
+def test_every_default_passes_its_own_shape_check(experiment):
+    # param_shape raises on a default whose shape it does not know.
+    for default in EXPERIMENTS[experiment].defaults.values():
+        check, _ = param_shape(default)
+        value = check(default)
+        assert value == default and type(value) is type(default)
+
+
+@pytest.mark.parametrize("default", [True, {}, (), ("a", "b"), [1, 2],
+                                     ((1,), 2), (1, None)])
+def test_param_shape_refuses_unknown_default_shapes(default):
+    with pytest.raises(TypeError, match="no parameter shape"):
+        param_shape(default)
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENT_NAMES)
+def test_a_wrongly_shaped_parameter_exits_two(tmp_path, capsys, experiment):
+    for key, default in EXPERIMENTS[experiment].defaults.items():
+        wrong, *others = _wrong_values(default)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"seed": 1, "params": {key: wrong}}))
+        code = cli.main([experiment, "--config", str(cfg),
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert f"error: {experiment}: {key} must be " \
+            in capsys.readouterr().err
+        for value in others:
+            with pytest.raises(ValueError, match=f"{experiment}: {key} "):
+                run(RunConfig(experiment, seed=1, params={key: value}))
+    assert not list(tmp_path.glob(f"{experiment}*"))
 
 
 # -- parser and config --------------------------------------------------------
@@ -116,6 +167,65 @@ def test_bad_rational_fraction_is_a_usage_error(tmp_path, capsys,
                      "--out", str(tmp_path)])
     assert code == 2
     assert f"fraction (1, 1)/{frac[-1]}" in capsys.readouterr().err
+
+
+def test_config_budgets_is_an_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"budgets": {"set_cardinality": 10}}')
+    code = cli.main(["iw-build", "--config", str(cfg),
+                     "--out", str(tmp_path)])
+    assert code == 2
+    assert "unknown key(s) budgets" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", [{"seed": 7.9}, {"threads": 2.5}])
+def test_config_seed_and_threads_must_be_integers(tmp_path, capsys,
+                                                   setting):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({**setting, "params": {"n_max": 3}}))
+    argv = ["vr-suite", "--config", str(cfg), "--out", str(tmp_path)]
+    if "seed" not in setting:
+        argv += ["--seed", "1"]
+    assert cli.main(argv) == 2
+    (key, value), = setting.items()
+    err = capsys.readouterr().err
+    assert f"vr-suite: {key} must be " in err and f"got {value!r}" in err
+    assert not (tmp_path / "vr-suite.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [("trials", "5"), ("n_max", 4.5)])
+def test_mistyped_config_parameter_is_a_usage_error(tmp_path, capsys, key,
+                                                     value):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"params": {key: value}}))
+    code = cli.main(["vr-suite", "--seed", "1", "--config", str(cfg),
+                     "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: vr-suite: {key} must be an integer, " \
+        f"got {value!r}\n"
+
+
+@pytest.mark.parametrize("out", [5, None, ["a"]])
+def test_config_out_must_be_a_path(tmp_path, capsys, out):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"out": out}))
+    assert cli.main(["iw-build", "--config", str(cfg)]) == 2
+    assert "out must be a directory path" in capsys.readouterr().err
+
+
+def test_vr_suite_tolerance_is_not_a_setting(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["vr-suite", "--seed", "1", "--tolerance", "1",
+                  "--out", str(tmp_path)])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --tolerance 1" in capsys.readouterr().err
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"params": {"tolerance": 1}}')
+    assert cli.main(["vr-suite", "--seed", "1", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+    assert "unknown parameter(s) for vr-suite: tolerance" \
+        in capsys.readouterr().err
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -247,7 +357,7 @@ def test_kernel_of_the_wrong_dimension_exits_two(tmp_path, capsys):
     assert "unrecognized arguments: --k 2" in capsys.readouterr().err
 
 
-# -- precedence: defaults < config < environment < flags ----------------------
+# -- precedence: defaults < config < flags -----------------------------------
 
 def test_config_supplies_seed_and_params(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -278,20 +388,14 @@ def test_flags_override_config(tmp_path, capsys):
     assert doc["meta"]["params"]["trials"] == 8
 
 
-def test_environment_sits_between_config_and_flags(tmp_path, monkeypatch,
-                                                   capsys):
+def test_config_and_flags_set_out_and_threads(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"out": str(tmp_path / "from_config"),
-                               "threads": 4}))
-    env_dir = tmp_path / "from_env"
-    monkeypatch.setenv("LAB_OUT", str(env_dir))
-    monkeypatch.setenv("LAB_THREADS", "2")
+    config_dir = tmp_path / "from_config"
+    cfg.write_text(json.dumps({"out": str(config_dir), "threads": 4}))
     code = cli.main(["iw-build", "--config", str(cfg)])
     assert code == 0
     capsys.readouterr()
-    assert (env_dir / "iw-build.csv").exists()
-    assert not (tmp_path / "from_config").exists()
-    assert read_json(env_dir / "iw-build.meta.json")["threads"] == 2
+    assert read_json(config_dir / "iw-build.meta.json")["threads"] == 4
 
     flag_dir = tmp_path / "from_flag"
     code = cli.main(["iw-build", "--config", str(cfg), "--out",
@@ -300,6 +404,41 @@ def test_environment_sits_between_config_and_flags(tmp_path, monkeypatch,
     capsys.readouterr()
     assert (flag_dir / "iw-build.csv").exists()
     assert read_json(flag_dir / "iw-build.meta.json")["threads"] == 3
+
+
+def test_environment_does_not_steer_a_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("LAB_OUT", str(tmp_path / "from_env"))
+    monkeypatch.setenv("LAB_THREADS", "2")
+    assert cli.main(["iw-build"]) == 0
+    capsys.readouterr()
+    assert not (tmp_path / "from_env").exists()
+    assert read_json(tmp_path / "iw-build.meta.json")["threads"] == 1
+    monkeypatch.setenv("LAB_THREADS", "0")
+    assert cli.main(["iw-build"]) == 0
+    capsys.readouterr()
+
+
+def test_config_value_and_flag_write_the_same_bytes(tmp_path, capsys):
+    # A config integer for a float parameter is stored as the float the
+    # flag parses, in the rows and in meta.params alike.
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"params": {"p": 2, "r_grid": [3, 4]}}))
+    base = ["operator-norm", "--seed", "3", "--size", "4",
+            "--halfwidth", "8"]
+    assert cli.main([*base, "--config", str(cfg),
+                     "--out", str(tmp_path / "a")]) == 0
+    assert cli.main([*base, "--p", "2", "--r-grid", "3,4",
+                     "--out", str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+    for name in ("operator-norm.csv", "operator-norm.json"):
+        assert (tmp_path / "a" / name).read_bytes() \
+            == (tmp_path / "b" / name).read_bytes()
+    doc = read_json(tmp_path / "a" / "operator-norm.json")
+    assert doc["meta"]["params"]["p"] == 2.0
+    fit, = (r for r in read_csv(tmp_path / "a" / "operator-norm.csv")
+            if r.case == "growth-fit")
+    assert type(fit.params["p"]) is float
 
 
 # -- determinism --------------------------------------------------------------

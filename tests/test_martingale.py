@@ -225,7 +225,7 @@ def test_lepingle_regime_guard():
 
 
 def test_ratio_sweep_reports_bounded_fit():
-    fields = list(mg.field_ensemble(mg.FieldEnsembleSpec(1, 5, 12, seed=7)))
+    fields = list(mg.field_ensemble(1, 5, 12, seed=7))
     out, = mg.ratio_sweep(fields, [2.0], [2.05, 2.5, 3.0, 4.0])
     assert math.isfinite(out["fitted_constant"])
     assert out["fitted_constant"] > 0
@@ -279,7 +279,7 @@ def test_ratio_sweep_bitwise_across_chunk_boundaries():
 
 def test_good_lambda_grid_equals_one_lambda_calls():
     lams = (0.25, 0.5, 1.0, 2.0)
-    for f in mg.field_ensemble(mg.FieldEnsembleSpec(1, 6, 6, seed=19)):
+    for f in mg.field_ensemble(1, 6, 6, seed=19):
         grid = mg.good_lambda_check(f, lams, 2.0, 2.5)
         assert [rec["lam"] for rec in grid] == list(lams)
         for lam, rec in zip(lams, grid):
@@ -299,8 +299,8 @@ def test_sweeps_hold_one_chunk_at_a_time():
     # Unchunked, the sweep peaks at 34 MB and the 50-field jump block at
     # 8.7 MB; chunked, both stay under 1 MB.
     params = EXPERIMENTS["lepingle"].defaults
-    fields = list(mg.field_ensemble(mg.FieldEnsembleSpec(
-        1, 8, params["fields"], seed=1)))
+    fields = list(mg.field_ensemble(
+        1, 8, params["fields"], seed=1))
     assert _peak_bytes(lambda: mg.ratio_sweep(
         fields, params["p_grid"], params["r_grid"])) < 8 << 20
     assert _peak_bytes(lambda: mg.jump_bound_defect(
@@ -324,7 +324,7 @@ def test_good_lambda_validation_and_trivial_cases():
 
 
 def test_good_lambda_finite_on_random_fields():
-    for f in mg.field_ensemble(mg.FieldEnsembleSpec(1, 5, 9, seed=11)):
+    for f in mg.field_ensemble(1, 5, 9, seed=11):
         for lam in (0.25, 1.0):
             rep, = mg.good_lambda_check(f, [lam], 2.5, 2.5)
             assert math.isfinite(rep["ratio"])
@@ -337,17 +337,15 @@ def test_doubling_constant():
 
 
 def test_field_ensemble_deterministic():
-    spec = mg.FieldEnsembleSpec(1, 4, 6, seed=13)
-    a = [f.values for f in mg.field_ensemble(spec)]
-    b = [f.values for f in mg.field_ensemble(spec)]
+    a = [f.values for f in mg.field_ensemble(1, 4, 6, seed=13)]
+    b = [f.values for f in mg.field_ensemble(1, 4, 6, seed=13)]
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     assert len(a) == 6
 
 
 def test_field_ensemble_draws_are_pinned():
     # The first fields of fixed seeds; any change to the draw order fails.
-    spec = mg.FieldEnsembleSpec(1, 3, 4, seed=2024)
-    first = [f.values for f in mg.field_ensemble(spec)]
+    first = [f.values for f in mg.field_ensemble(1, 3, 4, seed=2024)]
     assert all(np.all(v.imag == 0) for v in first)
     assert first[0].real.tolist() == [0, 1, 0, 0, 0, 0, 0, 0]
     assert first[1].real.tolist() == [
@@ -356,8 +354,7 @@ def test_field_ensemble_draws_are_pinned():
         0.0002534283641450456, 1.4401504912363341e-06]
     assert first[2].real.tolist() == [1, 1, 1, 1, 1, -1, -1, 1]
     assert first[3].real.tolist() == [1, 0, 0, 0, 0, 0, 0, 0]
-    spec = mg.FieldEnsembleSpec(2, 2, 4, seed=5)
-    plane = [f.values.real for f in mg.field_ensemble(spec)]
+    plane = [f.values.real for f in mg.field_ensemble(2, 2, 4, seed=5)]
     assert plane[0][2, 3] == plane[3][1, 1] == 1.0
     assert plane[1].max() == 0.5293938828293052
     assert plane[2].tolist() == [[1, -1, -1, -1], [1, -1, -1, -1],

@@ -11,11 +11,10 @@ from radonlab import experiments
 from radonlab.experiments import RunConfig, run
 from radonlab.expsum import (avg_multiplier, odd_power_kernel, phase_sum,
                             sing_multiplier)
-from radonlab.operators import (EnsembleSpec, GridFunction,
-                                apply_truncation, delta_function, embed,
-                                ensemble, ergodic_truncation,
-                                grid_difference, pushforward_kernel,
-                                variation_curves)
+from radonlab.operators import (GridFunction, apply_truncation,
+                                delta_function, embed, ensemble,
+                                ergodic_truncation, grid_difference,
+                                pushforward_kernel, variation_curves)
 from radonlab.polymap import PolynomialMapping, canonical_mapping
 from radonlab.variation import growth_fit
 
@@ -348,9 +347,8 @@ def test_variation_singular_curve_runs(rng):
 # -- ensembles and empirical norms ------------------------------------------------------
 
 def test_ensemble_deterministic_and_typed():
-    spec = EnsembleSpec(ndim=1, halfwidth=8, size=6, seed=11)
-    first = [g.values.copy() for g in ensemble(spec)]
-    second = [g.values.copy() for g in ensemble(spec)]
+    first = [g.values.copy() for g in ensemble(1, 8, 6, seed=11)]
+    second = [g.values.copy() for g in ensemble(1, 8, 6, seed=11)]
     assert len(first) == 6
     for a, b in zip(first, second):
         assert np.array_equal(a, b)
@@ -362,7 +360,7 @@ def test_ensemble_deterministic_and_typed():
 
 def test_ensemble_draws_are_pinned():
     # The first fields of fixed seeds; any change to the draw order fails.
-    first = [g.values for g in ensemble(EnsembleSpec(1, 3, 4, seed=2024))]
+    first = [g.values for g in ensemble(1, 3, 4, seed=2024)]
     assert all(np.all(v.imag == 0) for v in first)
     assert first[0].real.tolist() == [0, 1, 0, 0, 0, 0, 0]
     assert first[1].real.tolist() == [
@@ -371,7 +369,7 @@ def test_ensemble_draws_are_pinned():
         0.013061662830690364]
     assert first[2].real.tolist() == [1, 1, 1, 1, 1, -1, -1]
     assert first[3].real.tolist() == [0, 0, 0, 0, 0, 0, 1]
-    plane = [g.values.real for g in ensemble(EnsembleSpec(2, 2, 4, seed=5))]
+    plane = [g.values.real for g in ensemble(2, 2, 4, seed=5)]
     assert plane[0][3, 4] == plane[3][1, 3] == 1.0
     assert np.unravel_index(plane[1].argmax(), (5, 5)) == (3, 2)
     assert plane[1].max() == 0.9560868863524238
@@ -388,20 +386,18 @@ def test_growth_fit_reports_the_ensemble_max():
     out = run(RunConfig("operator-norm", seed=3, params=params))
     rows = [r for r in out.rows if r.case == "growth"]
     Q = canonical_mapping(1, 2)
-    spec = EnsembleSpec(ndim=Q.d, halfwidth=8, size=6, seed=3)
     for j, row in enumerate(rows):
         ratios = [curves(f, Q, params["r_grid"], params["n_set"], 2.0)[j]
-                  ["ratio"] for f in ensemble(spec)]
+                  ["ratio"] for f in ensemble(Q.d, 8, 6, seed=3)]
         assert row.params["r"] == params["r_grid"][j]
         assert row.observed == max(ratios)
         assert 0 < row.observed < 10
 
 
 def test_growth_fit_scaled_constant_bounded():
-    spec = EnsembleSpec(ndim=1, halfwidth=12, size=4, seed=5)
     r_grid = [2.1, 2.5, 3.0]
     ratios = [[c["ratio"] for c in curves(f, P_SQ, r_grid, [1, 2, 4, 8],
-                                          2.0)] for f in ensemble(spec)]
+                                          2.0)] for f in ensemble(1, 12, 4, 5)]
     fit = growth_fit(r_grid, [max(col) for col in zip(*ratios)])
     assert 0 < fit["fitted_constant"] < 10
     assert all(row["scaled"] <= fit["fitted_constant"] + 1e-15

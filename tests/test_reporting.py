@@ -143,6 +143,28 @@ def test_compare_runs_flags_drift_beyond_tolerance():
     assert compare_runs(base, far, drift_tolerance=0.5)["identical"]
 
 
+@pytest.mark.parametrize("before, after", [
+    (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf), (1.0, None),
+    (None, 2.0), (math.nan, 1.0), (math.inf, -math.inf), (math.nan, None)])
+def test_compare_runs_flags_changes_to_and_from_non_finite(before, after):
+    diff = compare_runs([ResultRow("demo", "fit", {}, before)],
+                        [ResultRow("demo", "fit", {}, after)],
+                        drift_tolerance=10.0)
+    assert not diff["identical"]
+    change, = diff["drift"]
+    assert change["relative_change"] is None
+    assert json.loads(json.dumps(diff))["drift"][0]["relative_change"] \
+        is None
+    text = render_comparison(diff)
+    assert f"{before!r} -> {after!r} (not comparable)" in text
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, None, 0.0])
+def test_compare_runs_same_non_finite_value_is_no_change(value):
+    rows = [ResultRow("demo", "fit", {}, value)]
+    assert compare_runs(rows, rows, drift_tolerance=0.0)["identical"]
+
+
 def test_compare_runs_flags_pass_flips():
     before = [ResultRow("demo", "check", {}, 1.0, 2.0, 0.5, True),
               ResultRow("demo", "fit", {}, 1.0)]
