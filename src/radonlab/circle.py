@@ -16,7 +16,6 @@ values there.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -73,10 +72,6 @@ class IWParams:
     @property
     def D(self) -> int:
         return int(math.floor(2 / self.rho + 1e-9)) + 1
-
-    @property
-    def Q0(self) -> int:
-        return math.factorial(self.N0) ** self.D
 
     @property
     def window_primes(self) -> tuple[int, ...]:
@@ -148,7 +143,8 @@ def pn_cardinality(params: IWParams) -> int:
 class DenominatorSet:
     """P_N, possibly restricted to the segment [1, cap].
 
-    `cardinality` is the exact full-set size regardless of capping.
+    `members` ascend; `cardinality` is the exact full-set size
+    regardless of capping.
     """
 
     params: IWParams
@@ -157,25 +153,21 @@ class DenominatorSet:
     cardinality: int
     truncated: bool
 
-    def __contains__(self, q: int) -> bool:
-        if self.cap is not None and q > self.cap:
-            raise ValueError("membership undecidable beyond the cap")
-        i = bisect.bisect_left(self.members, q)
-        return i < len(self.members) and self.members[i] == q
 
-
-def denominator_set(N: int, rho: float, cap: int | None = None,
-                    budget: int = SET_BUDGET) -> DenominatorSet:
+def denominator_set(N: int, rho: float,
+                    cap: int | None = None) -> DenominatorSet:
     """P_N = {Q * w: Q | Q0, w in Pi union {1}}.
 
-    N = 0 gives the empty set.
+    N = 0 gives the empty set.  A set, or a capped segment, of more than
+    SET_BUDGET members is refused with a BudgetError.
     """
     params = IWParams(rho, N)
     if N == 0:
         return DenominatorSet(params, (), cap, 0, False)
     card = pn_cardinality(params)
-    if cap is None and card > budget:
-        raise BudgetError(f"P_{N} holds {card} members (budget {budget}); "
+    if cap is None and card > SET_BUDGET:
+        raise BudgetError(f"P_{N} holds {card} members "
+                          f"(budget {SET_BUDGET}); "
                           f"pass a cap to work on a segment",
                           estimate=card)
     smooth = smooth_divisors(params, cap)
@@ -187,9 +179,9 @@ def denominator_set(N: int, rho: float, cap: int | None = None,
             if cap is not None and v > cap:
                 break
             members.add(v)
-    if len(members) > budget:
+    if len(members) > SET_BUDGET:
         raise BudgetError(f"capped segment still holds {len(members)} "
-                          f"members (budget {budget})",
+                          f"members (budget {SET_BUDGET})",
                           estimate=len(members))
     ordered = tuple(sorted(members))
     return DenominatorSet(params, ordered, cap, card,

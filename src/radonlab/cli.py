@@ -21,8 +21,9 @@ from pathlib import Path
 
 from .errors import BudgetError, QuadratureError
 from .experiments import EXPERIMENTS, RunConfig, param_shape, run
-from .reporting import (compare_runs, emit_plotdata, make_document,
-                        read_json, render_comparison, write_csv, write_json)
+from .reporting import (compare_runs, emit_plotdata, json_text,
+                        make_document, read_json, render_comparison,
+                        write_csv, write_json)
 
 CONFIG_KEYS = {"seed", "out", "threads", "format", "params"}
 FORMATS = ("csv", "json", "both")
@@ -144,7 +145,7 @@ def _report_command(args) -> int:
     current = read_json(args.current)
     diff = compare_runs(previous, current, drift_tolerance=args.drift)
     if args.format == "json":
-        print(json.dumps(diff, sort_keys=True, indent=2))
+        print(json_text(diff))
     else:
         print(render_comparison(diff), end="")
     return 0

@@ -9,8 +9,8 @@ numerical failure.
 class BudgetError(RuntimeError):
     """A requested computation exceeds an explicit size budget.
 
-    Carries the estimated cost so the caller can decide whether to retry
-    with a larger budget.
+    Carries the estimated cost, so the refusal says how far over the
+    budget the request was.
     """
 
     def __init__(self, message, estimate=None):

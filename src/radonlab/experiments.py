@@ -11,7 +11,8 @@ runs reproducible byte for byte:
 
 `run` is the one entry point.  It checks every setting, the seed, the
 thread count and each parameter override, against the shape of its
-default (`param_shape`, which also gives the CLI its flag types), so
+default (`param_shape`, which also gives the CLI its flag types), and
+each count against the least value its experiment can run with, so
 every caller gets the same refusals.
 
 Rows carry a pass flag only for exact-inequality checks with explicit
@@ -39,8 +40,7 @@ from .expsum import (ArcWindow, _prime_divisors, annulus_integral,
                      scale_norm)
 from .martingale import (doubling_constant, field_ensemble,
                          good_lambda_check, haar_field, jump_bound_defect,
-                         lepingle_ratio, orthogonality_defect, ratio_sweep,
-                         tower_defect)
+                         orthogonality_defect, ratio_sweep, tower_defect)
 from .operators import (GridFunction, apply_truncation, embed, ensemble,
                         ergodic_truncation, grid_difference,
                         pushforward_kernel, union_box, variation_curves)
@@ -49,6 +49,10 @@ from .reporting import ResultRow
 from .variation import growth_fit, vr_bruteforce_batch, vr_exact_batch
 
 VR_TOLERANCE = 1e-12  # vr-suite's DP-vs-oracle pass gate, never loosened
+# iw-build: the segment [1, cap] built when the full set is over budget,
+# and the largest set whose members its meta lists.
+IW_FALLBACK_CAP = 100_000
+IW_MEMBERS_LISTED = 5000
 
 
 @dataclass(frozen=True)
@@ -76,6 +80,15 @@ class ExperimentSpec:
     defaults: dict
     needs_seed: bool
     summary: str
+    # count setting -> the least value a run of the experiment can use
+    minimums: dict = field(default_factory=dict)
+
+
+def _bound_row(name: str, case: str, params: dict, observed: float,
+               bound: float) -> ResultRow:
+    """The row of an exact check `observed <= bound`."""
+    return ResultRow(name, case, params, observed, bound, observed / bound,
+                     observed <= bound)
 
 
 def _ordered_map(fn, items, threads: int) -> list:
@@ -145,8 +158,9 @@ def run(config: RunConfig) -> RunOutcome:
     """Check every setting, then dispatch one experiment.
 
     The seed (None or an integer in [0, 2^64)), the thread count (an
-    integer >= 1) and each parameter override go through `param_shape`;
-    a refusal is a ValueError naming the experiment, setting and value.
+    integer >= 1) and each parameter override go through `param_shape`,
+    and each count setting must reach its spec's minimum; a refusal is a
+    ValueError naming the experiment, setting and value.
     """
     name = config.experiment
     if name not in EXPERIMENTS:
@@ -172,8 +186,13 @@ def run(config: RunConfig) -> RunOutcome:
         raise ValueError(f"{name}: threads must be >= 1, got {threads}")
     if spec.needs_seed and seed is None:
         raise ValueError(f"{name} draws random inputs; a seed is required")
+    params = {**spec.defaults, **checked}
+    for key, low in spec.minimums.items():
+        if params[key] < low:
+            raise ValueError(f"{name}: {key} must be >= {low}, "
+                             f"got {params[key]}")
     config = RunConfig(name, seed, threads, checked)
-    outcome = spec.runner({**spec.defaults, **checked}, config)
+    outcome = spec.runner(params, config)
     return replace(outcome, meta={"seed": seed, "params": checked,
                                   **outcome.meta})
 
@@ -191,8 +210,6 @@ def _run_gauss_scan(params, config) -> RunOutcome:
     outliers (the classical even-q obstruction) do not gate anything.
     """
     k, deg, q_max = params["k"], params["deg"], params["q_max"]
-    if q_max < 2:
-        raise ValueError("need q_max >= 2")
     Q = canonical_mapping(k, deg)
     name = config.experiment
     quadratic = (k, deg) == (1, 2)
@@ -261,8 +278,8 @@ def _run_weyl_decay(params, config) -> RunOutcome:
     deg = params["deg"]
     points, u_min, u_max = params["points"], params["u_min"], params["u_max"]
     tol = params["tol"]
-    if points < 2 or not (0 < u_min < u_max):
-        raise ValueError("need points >= 2 and 0 < u_min < u_max")
+    if not 0 < u_min < u_max:
+        raise ValueError("need 0 < u_min < u_max")
     # The kernel 0.5/y lives on R^1, so the map has k = 1.
     Q = canonical_mapping(1, deg)
     direction = np.ones(Q.d)
@@ -314,8 +331,6 @@ def _run_weyl_decay(params, config) -> RunOutcome:
 def _run_vr_suite(params, config) -> RunOutcome:
     """Dynamic-programming variation against the subset-enumeration oracle."""
     n_max, trials, r_grid = params["n_max"], params["trials"], params["r_grid"]
-    if n_max < 2 or trials < 1:
-        raise ValueError("need n_max >= 2 and trials >= 1")
     rng = np.random.default_rng(config.seed)
     seqs = {n: rng.standard_normal((trials, n))
             + 1j * rng.standard_normal((trials, n))
@@ -331,8 +346,7 @@ def _run_vr_suite(params, config) -> RunOutcome:
 
     items = [(n, r) for n in range(2, n_max + 1) for r in r_grid]
     errors = _ordered_map(check, items, config.threads)
-    rows = [ResultRow(name, "check", {"n": n, "r": r}, err, VR_TOLERANCE,
-                      err / VR_TOLERANCE, err <= VR_TOLERANCE)
+    rows = [_bound_row(name, "check", {"n": n, "r": r}, err, VR_TOLERANCE)
             for (n, r), err in zip(items, errors)]
     figures = ({"name": "error", "case": "check", "x": "params:n",
                 "y": "observed", "xlabel": "n",
@@ -466,8 +480,7 @@ def _run_iw_build(params, config) -> RunOutcome:
                               {"estimate": int(err.estimate)},
                               float(err.estimate), float(SET_BUDGET), None,
                               None))
-        cap = params["fallback_cap"]
-        dset = denominator_set(n, rho, cap=cap)
+        dset = denominator_set(n, rho, cap=IW_FALLBACK_CAP)
     members = dset.members
     rows.append(ResultRow(name, "cardinality", {"n": n, "rho": rho},
                           float(len(members)), float(dset.cardinality),
@@ -508,7 +521,7 @@ def _run_iw_build(params, config) -> RunOutcome:
     meta = {"n": n, "rho": rho, "N0": dset.params.N0, "D": dset.params.D,
             "cardinality": dset.cardinality, "cap": dset.cap,
             "truncated": dset.truncated}
-    if len(members) <= params["max_members_listed"]:
+    if len(members) <= IW_MEMBERS_LISTED:
         meta["members"] = list(members)
     return RunOutcome(tuple(rows), (), meta)
 
@@ -569,18 +582,16 @@ def _run_operator_norm(params, config) -> RunOutcome:
                             for a, _ in pairs) / max(1.0, abs(total)),
                 "ergodic": i >= 4 or all(
                     realized(f, N, a) for N, (a, _) in zip(n_set, pairs)),
-                "ratios": [c["ratio"] for c in variation_curves(
-                    f, [pairs[j][1] for j in by_n], r_grid, p)],
+                "ratios": variation_curves(
+                    f, [pairs[j][1] for j in by_n], r_grid, p),
                 "direct": [a for a, _ in pairs] if i < 2 else None}
 
     recs = _ordered_map(check, enumerate(fields), config.threads)
-    rows = [ResultRow(name, "backend", {"i": i}, rec["backend"], 1e-10,
-                      rec["backend"] / 1e-10, rec["backend"] <= 1e-10)
+    rows = [_bound_row(name, "backend", {"i": i}, rec["backend"], 1e-10)
             for i, rec in enumerate(recs)]
     if kernel is None:
-        worst = max(rec["mass"] for rec in recs)
-        rows.append(ResultRow(name, "mass", {"n_set": list(n_set)}, worst,
-                              1e-12, worst / 1e-12, worst <= 1e-12))
+        rows.append(_bound_row(name, "mass", {"n_set": list(n_set)},
+                               max(rec["mass"] for rec in recs), 1e-12))
 
     a1, a2 = 0.7 - 0.2j, -1.3 + 0.4j
     f, g = fields[0], fields[1]
@@ -590,8 +601,8 @@ def _run_operator_norm(params, config) -> RunOutcome:
         lhs = apply_truncation(combo, Q, N, kernel)
         worst = max(worst, gap(lhs, GridFunction(
             fa.box, a1 * fa.values + a2 * ga.values)))
-    rows.append(ResultRow(name, "linearity", {"n_set": list(n_set)}, worst,
-                          1e-12, worst / 1e-12, worst <= 1e-12))
+    rows.append(_bound_row(name, "linearity", {"n_set": list(n_set)}, worst,
+                           1e-12))
     rows.append(ResultRow(name, "ergodic", {"n_set": list(n_set)}, None,
                           None, None, all(rec["ergodic"] for rec in recs)))
 
@@ -622,16 +633,14 @@ def _run_lepingle(params, config) -> RunOutcome:
     name = config.experiment
     rows = []
 
-    worst = tower_defect(fields[:24])
-    rows.append(ResultRow(name, "tower", {"fields": min(len(fields), 24)},
-                          worst, 1e-10, worst / 1e-10, worst <= 1e-10))
-    worst = orthogonality_defect(fields)
-    rows.append(ResultRow(name, "orthogonality", {"fields": len(fields)},
-                          worst, 1e-10, worst / 1e-10, worst <= 1e-10))
+    rows.append(_bound_row(name, "tower", {"fields": min(len(fields), 24)},
+                           tower_defect(fields[:24]), 1e-10))
+    rows.append(_bound_row(name, "orthogonality", {"fields": len(fields)},
+                           orthogonality_defect(fields), 1e-10))
 
-    haar = haar_field(L)
-    dev = max(abs(lepingle_ratio(haar, p, r) - 1.0)
-              for p in params["p_grid"] for r in params["r_grid"])
+    dev = max(abs(rec["max_ratio"] - 1.0) for sweep in ratio_sweep(
+        [haar_field(L)], params["p_grid"], params["r_grid"])
+        for rec in sweep["rows"])
     rows.append(ResultRow(name, "haar", {"L": L}, dev, 0.0, None,
                           dev == 0.0))
 
@@ -714,8 +723,7 @@ def _run_multiplier_apply(params, config) -> RunOutcome:
     xis = torus_frequencies((m,) * Q.d)
     symbol = avg_multiplier(n, xis, Q)
     dev = float(np.abs(ker.multiplier_at(xis) - symbol).max())
-    rows = [ResultRow(name, "kernel-dft", {"n": n, "m": m}, dev, 1e-10,
-                      dev / 1e-10, dev <= 1e-10)]
+    rows = [_bound_row(name, "kernel-dft", {"n": n, "m": m}, dev, 1e-10)]
 
     rng = np.random.default_rng(config.seed)
     period_box = tuple((0, m - 1) for _ in range(Q.d))
@@ -739,14 +747,9 @@ def _run_multiplier_apply(params, config) -> RunOutcome:
         return dev_apply, dev_comp
 
     agreements = _ordered_map(agree, inputs, config.threads)
-    worst_apply = max(a for a, _ in agreements)
-    worst_comp = max(b for _, b in agreements)
-    rows.append(ResultRow(name, "apply", {"n": n, "m": m, "trials": trials},
-                          worst_apply, 1e-10, worst_apply / 1e-10,
-                          worst_apply <= 1e-10))
-    rows.append(ResultRow(name, "composition",
-                          {"n": n, "m": m, "trials": trials}, worst_comp,
-                          1e-10, worst_comp / 1e-10, worst_comp <= 1e-10))
+    for case, devs in zip(("apply", "composition"), zip(*agreements)):
+        rows.append(_bound_row(name, case, {"n": n, "m": m, "trials": trials},
+                               max(devs), 1e-10))
     return RunOutcome(tuple(rows), (),
                       {"n": n, "m": m, "frequencies": len(xis)})
 
@@ -759,18 +762,21 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         _run_gauss_scan,
         {"k": 1, "deg": 2, "q_max": 199},
         needs_seed=False,
-        summary="Gauss sum magnitudes vs the classical square-root decay"),
+        summary="Gauss sum magnitudes vs the classical square-root decay",
+        minimums={"q_max": 2}),
     "weyl-decay": ExperimentSpec(
         _run_weyl_decay,
         {"deg": 2, "points": 50, "u_min": 1.5, "u_max": 200.0, "tol": 1e-7},
         needs_seed=False,
-        summary="log-log decay of the continuous multipliers"),
+        summary="log-log decay of the continuous multipliers",
+        minimums={"points": 2}),
     "vr-suite": ExperimentSpec(
         _run_vr_suite,
         {"n_max": 12, "trials": 500,
          "r_grid": (1.0, 1.5, 2.0, 3.0, 10.0)},
         needs_seed=True,
-        summary="variation DP against the subset-enumeration oracle"),
+        summary="variation DP against the subset-enumeration oracle",
+        minimums={"n_max": 2, "trials": 1}),
     "prop0-fit": ExperimentSpec(
         _run_prop0_fit,
         {"trials": 200, "n_min": 64, "n_max": 4096, "deg": 2,
@@ -778,7 +784,8 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
          "rational_fracs": ((0, 1, 3), (1, 1, 4), (1, 2, 5)),
          "tol": 1e-8},
         needs_seed=True,
-        summary="averaging multiplier major-arc approximation"),
+        summary="averaging multiplier major-arc approximation",
+        minimums={"trials": 1}),
     "prop2-fit": ExperimentSpec(
         _run_prop2_fit,
         {"trials": 200, "n_min": 64, "n_max": 4096, "deg": 2,
@@ -786,11 +793,11 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
          "rational_fracs": ((0, 1, 3), (1, 1, 4), (1, 2, 5)),
          "m_factor": 0.5, "kernel_c": 0.5, "tol": 1e-8},
         needs_seed=True,
-        summary="singular truncation-difference major-arc approximation"),
+        summary="singular truncation-difference major-arc approximation",
+        minimums={"trials": 1}),
     "iw-build": ExperimentSpec(
         _run_iw_build,
-        {"rho": 1.0, "n": 4, "cap": None, "fallback_cap": 100_000,
-         "max_members_listed": 5000},
+        {"rho": 1.0, "n": 4, "cap": None},
         needs_seed=False,
         summary="denominator set construction and containment checks"),
     "operator-norm": ExperimentSpec(
@@ -799,23 +806,27 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
          "n_set": (1, 2, 3, 4), "p": 2.0, "r_grid": (2.5, 3.0, 4.0),
          "which": "average", "kernel_c": 0.5},
         needs_seed=True,
-        summary="operator backends, identities, and empirical norms"),
+        summary="operator backends, identities, and empirical norms",
+        minimums={"size": 2}),  # the linearity check reads two fields
     "lepingle": ExperimentSpec(
         _run_lepingle,
         {"m": 1, "L": 8, "fields": 200, "p_grid": (1.5, 2.0, 3.0),
          "r_grid": (2.05, 2.2, 2.5, 3.0, 4.0),
          "lam_grid": (0.25, 0.5, 1.0), "jump_r": 2.5},
         needs_seed=True,
-        summary="martingale identities and the variation-ratio sweep"),
+        summary="martingale identities and the variation-ratio sweep",
+        minimums={"fields": 1}),
     "good-lambda": ExperimentSpec(
         _run_good_lambda,
         {"m": 1, "L": 8, "fields": 100,
          "lam_grid": (0.25, 0.5, 1.0, 2.0), "q": 2.0, "r": 2.5},
         needs_seed=True,
-        summary="distributional variation/square/maximal comparison"),
+        summary="distributional variation/square/maximal comparison",
+        minimums={"fields": 1}),
     "multiplier-apply": ExperimentSpec(
         _run_multiplier_apply,
         {"k": 1, "deg": 2, "n": 4, "m": 64, "trials": 12},
         needs_seed=True,
-        summary="Fourier-side realization against the direct operator"),
+        summary="Fourier-side realization against the direct operator",
+        minimums={"trials": 1}),
 }

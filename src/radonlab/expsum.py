@@ -49,9 +49,9 @@ def torus_reduce(x) -> np.ndarray:
 class RationalPoint:
     """A point a/q on the rational torus, componentwise a_gamma/q.
 
-    Stored with 0 <= a_gamma < q.  `reduced` means the joint gcd condition
-    gcd(q, gcd_gamma(a_gamma)) == 1 holds: the zero vector belongs to q = 1
-    only.
+    Stored with 0 <= a_gamma < q.  `reduce_fraction` gives the
+    representative with gcd(q, gcd_gamma(a_gamma)) == 1, on which the
+    zero vector belongs to q = 1 only.
     """
 
     numerators: tuple[int, ...]
@@ -63,13 +63,6 @@ class RationalPoint:
         if any(not isinstance(a, int) or not 0 <= a < self.q
                for a in self.numerators):
             raise ValueError("numerators must satisfy 0 <= a < q")
-
-    @property
-    def reduced(self) -> bool:
-        g = 0
-        for a in self.numerators:
-            g = math.gcd(g, a)
-        return math.gcd(self.q, g) == 1
 
     def as_floats(self) -> np.ndarray:
         return torus_reduce(np.array(self.numerators, dtype=float) / self.q)
@@ -97,7 +90,7 @@ def reduce_fraction(numerators, q: int) -> RationalPoint:
     return RationalPoint(tuple(a // g for a in nums), q // g)
 
 
-def gauss_sum(q: int, a, Q: PolynomialMapping, budget: int = GAUSS_BUDGET):
+def gauss_sum(q: int, a, Q: PolynomialMapping):
     """Normalized complete sum q^{-k} sum_{y in {1..q}^k} e(<a/q, Q(y)>).
 
     a is one numerator vector (d,), giving a complex, or a block (m, d),
@@ -105,7 +98,8 @@ def gauss_sum(q: int, a, Q: PolynomialMapping, budget: int = GAUSS_BUDGET):
     for bit.  The monomial residues y^gamma mod q and the root table
     e(r/q) are built once per call and shared by every row; rows go in
     chunks of at most _PHASE_CHUNK products a_i y^gamma_i (or one row), so
-    memory stays flat in m.  The budget bounds each sum's q^k terms.
+    memory stays flat in m.  A sum of more than GAUSS_BUDGET terms q^k is
+    refused with a BudgetError.
 
     The phase <a, Q(y)> mod q is exact int64 arithmetic: numerators are
     reduced mod q before the int64 cast, so any Python int is admitted;
@@ -119,7 +113,7 @@ def gauss_sum(q: int, a, Q: PolynomialMapping, budget: int = GAUSS_BUDGET):
     if a.ndim not in (1, 2) or a.shape[-1] != Q.d:
         raise ValueError("numerator vector does not match the index set")
     terms = q ** Q.k
-    if terms > budget:
+    if terms > GAUSS_BUDGET:
         raise BudgetError(f"complete sum has {terms} terms", estimate=terms)
     if q > _INT64_MODULUS_MAX:
         raise BudgetError(f"modulus {q} squared overflows int64",
@@ -191,14 +185,14 @@ def avg_multiplier(N: int, xi, Q: PolynomialMapping):
     xi is one frequency (d,), giving a complex, or a batch (F, d), giving
     an (F,) array; either is torus-reduced first.
     """
-    pts = lattice_points(Q.k, N, budget=GAUSS_BUDGET)
+    pts = lattice_points(Q.k, N)
     return phase_sum(Q.eval_real(pts), torus_reduce(xi))
 
 
 def sing_multiplier(N: int, xi, Q: PolynomialMapping, kernel):
     """sum_{y in B_N, y != 0} e(<xi, Q(y)>) K(y), not normalized; xi is
     one frequency (d,) or a batch (F, d), as in avg_multiplier."""
-    pts = lattice_points(Q.k, N, budget=GAUSS_BUDGET)
+    pts = lattice_points(Q.k, N)
     pts = pts[np.any(pts != 0, axis=1)]
     w = kernel.eval_many(pts)
     return phase_sum(Q.eval_real(pts), torus_reduce(xi), weights=w)

@@ -243,26 +243,16 @@ def orthogonality_defect(fields) -> float:
     return worst
 
 
-def lepingle_ratio(f: DyadicField, p: float, r: float) -> float:
-    """||V_r(E_k f : k)||_p / ||f||_p; the Lepingle regime needs r > 2."""
-    if r <= 2:
-        raise ValueError("Lepingle regime needs r > 2")
-    denom = f.norm(p)
-    if denom == 0.0:
-        return 0.0
-    return lp_norm(vr_exact_batch(_level_stack([f]), r), p,
-                   f.cell_measure) / denom
-
-
 def ratio_sweep(fields, p_grid, r_grid) -> list[dict]:
     """Max Lepingle ratio per (p, r), with the r/(r - 2) growth factored out.
 
-    fields is a set of same-shape fields.  Their level stack is built
-    once per chunk, the engine runs once per (chunk, r), and every p
-    reads that one V_r array; the values equal those of
-    `lepingle_ratio` field by field.  Returns one sweep per p, in p_grid
-    order: {"p"} plus the `growth_fit` of its worst ratios, rows running
-    over r in decreasing order.
+    The Lepingle ratio of a field f is ||V_r(E_k f : k)||_p / ||f||_p,
+    0 for f = 0; the regime needs r > 2, and `growth_fit` refuses any
+    other r.  fields is a set of same-shape fields.  Their level stack
+    is built once per chunk, the engine runs once per (chunk, r), and
+    every p reads that one V_r array.  Returns one sweep per p, in
+    p_grid order: {"p"} plus the `growth_fit` of its worst ratios, rows
+    running over r in decreasing order.
     """
     p_grid = list(p_grid)
     r_grid = sorted((float(r) for r in r_grid), reverse=True)

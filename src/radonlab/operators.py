@@ -15,7 +15,8 @@ shift-system realization (composed single-axis translations), is an
 independent oracle: it performs the identical sequence of float
 operations as the direct backend and therefore matches it bitwise.
 
-`variation_curves` turns the outputs of one family into V_r curves.
+`variation_curves` turns the outputs of one family into the ratios
+||V_r||_p / ||f||_p, one float per r.
 """
 
 from __future__ import annotations
@@ -54,25 +55,6 @@ class GridFunction:
     @property
     def ndim(self) -> int:
         return len(self.box)
-
-    def __getitem__(self, point) -> complex:
-        if np.isscalar(point):
-            point = (point,)
-        idx = []
-        for (lo, hi), c in zip(self.box, point):
-            if not lo <= c <= hi:
-                return 0j
-            idx.append(int(c) - lo)
-        return complex(self.values[tuple(idx)])
-
-    def translate(self, delta) -> GridFunction:
-        """(T_z f)(x) = f(x - z): pure relabeling of the box."""
-        new_box = tuple((lo + int(d), hi + int(d))
-                        for (lo, hi), d in zip(self.box, delta))
-        return GridFunction(new_box, self.values.copy())
-
-    def mass(self) -> complex:
-        return complex(self.values.sum())
 
     def norm(self, p: float) -> float:
         """l^p norm against counting measure (`lp_norm`)."""
@@ -129,8 +111,6 @@ class PushforwardKernel:
 
     box: tuple[tuple[int, int], ...]
     values: np.ndarray
-    N: int
-    lattice_size: int
 
     def multiplier_at(self, xi):
         """Fourier transform sum_z kappa(z) e(z . xi) over the support:
@@ -172,8 +152,7 @@ def pushforward_kernel(P: PolynomialMapping, N: int,
                     for j in range(P.d)),
               weights)
     return PushforwardKernel(tuple((int(l), int(h))
-                                   for l, h in zip(los, his)),
-                             vals, N, len(images))
+                                   for l, h in zip(los, his)), vals)
 
 
 # -- the two backends ----------------------------------------------------------
@@ -273,32 +252,22 @@ def ergodic_truncation(f: GridFunction, P: PolynomialMapping, N: int,
 
 # -- variation curves across truncations -----------------------------------------
 
-def variation_curves(f: GridFunction, outs, r_grid, p: float) -> list[dict]:
-    """Pointwise V_r across a truncation family, then the l^p norm.
+def variation_curves(f: GridFunction, outs, r_grid, p: float) -> list[float]:
+    """||V_r||_p / ||f||_p across a truncation family, one float per r.
 
     outs are the family's outputs on f (`apply_truncation`) in
-    increasing N.  One (cells, len(outs)) stack serves every r of r_grid,
-    and the result has one record per r, in grid order.  A single output
-    gives the zero field.  The ratio ||V_r||_p / ||f||_p is the quantity
-    the boundedness statements control for r > 2 (recorded in
-    `lepingle_regime`).
+    increasing N.  V_r is taken pointwise across them; one (cells,
+    len(outs)) stack serves every r of r_grid, in grid order.  A single
+    output gives the zero field, and a zero f the ratio inf.  The ratio
+    is the quantity the boundedness statements control for r > 2.
     """
     if not outs:
         raise ValueError("need at least one truncation")
     u = union_box(*outs)
-    shape = tuple(hi - lo + 1 for lo, hi in u)
     stack = np.stack([embed(o, u).values.ravel() for o in outs], axis=1)
     den = f.norm(p)
-    curves = []
-    for r in r_grid:
-        var_grid = GridFunction(
-            u, vr_exact_batch(stack, r).reshape(shape).astype(complex))
-        num = var_grid.norm(p)
-        curves.append({"variation": var_grid, "norm": num,
-                       "input_norm": den,
-                       "ratio": num / den if den > 0 else float("inf"),
-                       "lepingle_regime": r > 2})
-    return curves
+    return [lp_norm(vr_exact_batch(stack, r), p) / den if den > 0
+            else math.inf for r in r_grid]
 
 
 # -- random ensembles ------------------------------------------------------------

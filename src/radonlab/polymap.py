@@ -7,8 +7,8 @@ with one component y^gamma per non-zero gamma, 0 <= gamma_j <= N0; its
 dilations t^A scale component gamma by t^{|gamma|}.
 
 Coefficients are Python ints, checked once at construction.  The
-lattice paths (`__call__`, `eval_many`) compute exactly with Python
-integers, so overflow is impossible rather than detected; `eval_real`
+lattice path `eval_many` computes exactly with Python integers, so
+overflow is impossible rather than detected; `eval_real`
 evaluates the same map on float points, for phases and quadrature
 nodes.  Every operator averages over the closed lattice ball
 B_t = {y in Z^k : |y| <= t} that `lattice_points` enumerates.
@@ -26,7 +26,7 @@ import numpy as np
 from .errors import BudgetError
 
 # Refuse lattice enumerations beyond this many candidate points.
-DEFAULT_LATTICE_BUDGET = 50_000_000
+LATTICE_BUDGET = 50_000_000
 
 
 def build_gamma(k: int, max_degree: int) -> tuple[tuple[int, ...], ...]:
@@ -89,17 +89,12 @@ class PolynomialMapping:
         """|gamma| for each component, the dilation exponents."""
         return tuple(sum(g) for g in self.gamma)
 
-    def _exact(self, y: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(sum(c * monomial(y, g) for g, c in comp.items() if c)
-                     for comp in self.coeffs)
-
-    def __call__(self, y) -> tuple[int, ...]:
-        return self._exact(tuple(int(c) for c in y))
-
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         """(n, k) integer points -> (n, d) object array, exact."""
         pts = [tuple(int(c) for c in row) for row in np.atleast_2d(points)]
-        return np.array([list(self._exact(p)) for p in pts], dtype=object)
+        return np.array([[sum(c * monomial(y, g) for g, c in comp.items()
+                              if c) for comp in self.coeffs] for y in pts],
+                        dtype=object)
 
     def eval_real(self, y: np.ndarray) -> np.ndarray:
         """Evaluate on real points, shape (..., k) -> (..., d), float64."""
@@ -123,18 +118,18 @@ def canonical_mapping(k: int, max_degree: int) -> PolynomialMapping:
     return PolynomialMapping(k, len(gamma), tuple({g: 1} for g in gamma))
 
 
-def lattice_points(k: int, t: float,
-                   budget: int = DEFAULT_LATTICE_BUDGET) -> np.ndarray:
+def lattice_points(k: int, t: float) -> np.ndarray:
     """The lattice ball B_t = {y in Z^k : |y| <= t}, lexicographically ordered.
 
     Returns an (n, k) int64 array.  The candidate cube has
-    (2 floor(t) + 1)^k points; enumeration beyond `budget` is refused.
+    (2 floor(t) + 1)^k points; enumeration beyond LATTICE_BUDGET
+    of them is refused with a BudgetError.
     """
     if t < 0:
         raise ValueError("negative dilation")
     r = math.floor(t + 1e-9)
     side = 2 * r + 1
-    if side ** k > budget:
+    if side ** k > LATTICE_BUDGET:
         raise BudgetError(
             f"lattice enumeration would scan {side ** k} candidates",
             estimate=side ** k)

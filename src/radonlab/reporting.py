@@ -3,9 +3,11 @@
 Everything written here is reproducible byte for byte: floats are
 serialized with repr (shortest round-trip form), JSON keys are sorted,
 CSV rows keep construction order, and files land via write-to-temp plus
-rename so a crash never leaves a half-written table.  Wall-clock timing
-is deliberately excluded from the tables; the runner stores it in a
-separate .meta.json sidecar.
+rename so a crash never leaves a half-written table.  JSON is standard
+JSON: a non-finite float is written as the string "NaN", "Infinity" or
+"-Infinity", and `document_rows` reads a row's numbers back from them.
+Wall-clock timing is deliberately excluded from the tables; the runner
+stores it in a separate .meta.json sidecar.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 SCHEMA_VERSION = 1
+_NON_FINITE = {"NaN": math.nan, "Infinity": math.inf,
+               "-Infinity": -math.inf}
 
 CSV_COLUMNS = ("schema_version", "experiment", "case", "params",
                "observed", "reference", "ratio", "passed")
@@ -144,9 +148,26 @@ def make_document(experiment: str, rows, meta: dict | None = None) -> dict:
             "rows": [row.record() for row in rows]}
 
 
+def _spelled(obj):
+    """obj with each non-finite float, at any depth, as its string."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+    if isinstance(obj, dict):
+        return {key: _spelled(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_spelled(value) for value in obj]
+    return obj
+
+
+def json_text(obj) -> str:
+    """Standard JSON, keys sorted, indented by 2, non-finite floats as
+    strings."""
+    return json.dumps(_spelled(obj), sort_keys=True, indent=2,
+                      allow_nan=False)
+
+
 def write_json(document: dict, path) -> Path:
-    text = json.dumps(document, sort_keys=True, indent=2) + "\n"
-    return atomic_write_text(path, text)
+    return atomic_write_text(path, json_text(document) + "\n")
 
 
 def read_json(path) -> dict:
@@ -163,19 +184,26 @@ def document_rows(document: dict) -> list[ResultRow]:
                          f"expected {SCHEMA_VERSION}")
     rows = []
     for rec in document["rows"]:
+        where = f"row {experiment}/{rec.get('case')}"
         extra = set(rec) - {"case", "params", "observed", "reference",
                             "ratio", "passed"}
         missing = {"case", "params"} - set(rec)
         if extra or missing:
             raise ValueError(
-                f"schema mismatch in row {experiment}/{rec.get('case')}: "
+                f"schema mismatch in {where}: "
                 f"unexpected fields {sorted(extra)}, "
                 f"missing {sorted(missing)}")
+        numbers = {}
+        for key in ("observed", "reference", "ratio"):
+            value = rec.get(key)
+            if isinstance(value, str):
+                if value not in _NON_FINITE:
+                    raise ValueError(f"{where}: {key} {value!r} is not "
+                                     f"a number")
+                value = _NON_FINITE[value]
+            numbers[key] = value
         rows.append(ResultRow(experiment=experiment, case=rec["case"],
-                              params=rec["params"],
-                              observed=rec.get("observed"),
-                              reference=rec.get("reference"),
-                              ratio=rec.get("ratio"),
+                              params=rec["params"], **numbers,
                               passed=rec.get("passed")))
     return rows
 

@@ -313,8 +313,15 @@ def test_thread_count_determinism(tmp_path, capsys):
         # a three-dimensional torus of 20^3 frequencies
         ["multiplier-apply", "--seed", "3", "--deg", "3", "--n", "2",
          "--m", "20", "--trials", "2"],
-        # one batched Gauss-sum call per q on the deg >= 3 branch
+        # one batched Gauss-sum call per q on the deg >= 3 branch, and
+        # one DFT table per q on the quadratic branch
         ["gauss-scan", "--deg", "3", "--q-max", "40"],
+        ["gauss-scan", "--q-max", "40"],
+        # one quadrature probe per point, one window or rational probe
+        # per trial
+        ["weyl-decay", "--points", "6"],
+        ["prop0-fit", "--seed", "3", "--trials", "8"],
+        ["prop2-fit", "--seed", "3", "--trials", "8"],
         # one per-field check per thread, both families
         ["operator-norm", "--seed", "3", "--size", "5"],
         ["operator-norm", "--seed", "3", "--size", "5",

@@ -117,6 +117,32 @@ def test_a_wrongly_shaped_parameter_exits_two(tmp_path, capsys, experiment):
     assert not list(tmp_path.glob(f"{experiment}*"))
 
 
+@pytest.mark.parametrize("command, setting", [
+    ("operator-norm --size 1", "size"),
+    ("operator-norm --size 0", "size"),
+    ("multiplier-apply --trials 0", "trials"),
+    ("good-lambda --fields 0", "fields"),
+    ("lepingle --fields 0", "fields"),
+    ("prop0-fit --trials 0", "trials"),
+    ("prop2-fit --trials 0", "trials"),
+    ("vr-suite --trials 0", "trials"),
+    ("vr-suite --n-max 1", "n_max"),
+    ("gauss-scan --q-max 1", "q_max"),
+    ("weyl-decay --points 1", "points"),
+])
+def test_too_small_a_count_is_refused_by_name(tmp_path, capsys, command,
+                                              setting):
+    # A refusal up front, not an IndexError or an empty max() mid-run.
+    argv = command.split()
+    code = cli.main(argv + ["--seed", "1", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {argv[0]}: {setting} must be >= "
+                   f"{EXPERIMENTS[argv[0]].minimums[setting]}, "
+                   f"got {argv[-1]}\n")
+    assert not list(tmp_path.iterdir())
+
+
 # -- parser and config --------------------------------------------------------
 
 def test_parser_lists_every_subcommand():

@@ -67,11 +67,12 @@ def test_gauss_budget():
         es.gauss_sum(10**9, (0, 1), Q_QUAD)
 
 
-def test_gauss_modulus_whose_square_overflows_int64_is_refused():
-    # a caller budget admits the q terms, but q^2 would not fit in int64
+def test_gauss_modulus_whose_square_overflows_int64_is_refused(monkeypatch):
+    # a larger budget admits the q terms, but q^2 would not fit in int64
+    monkeypatch.setattr(es, "GAUSS_BUDGET", 10 ** 19)
     q = math.isqrt(2 ** 63 - 1) + 1
     with pytest.raises(BudgetError):
-        es.gauss_sum(q, (1,), Q_LIN, budget=10 ** 19)
+        es.gauss_sum(q, (1,), Q_LIN)
 
 
 @pytest.mark.parametrize("Q", [Q_QUAD, canonical_mapping(1, 3),
@@ -134,12 +135,14 @@ def test_gauss_block_of_wrong_width_is_refused():
     (10 ** 9, Q_QUAD, es.GAUSS_BUDGET),
     (math.isqrt(2 ** 63 - 1) + 1, Q_LIN, 10 ** 19),
 ])
-def test_gauss_block_guards_refuse_before_allocating(q, Q, budget):
+def test_gauss_block_guards_refuse_before_allocating(q, Q, budget,
+                                                     monkeypatch):
+    monkeypatch.setattr(es, "GAUSS_BUDGET", budget)
     block = np.ones((100_000, Q.d), dtype=np.int64)  # 0.8-1.6 MB
     tracemalloc.start()
     try:
         with pytest.raises(BudgetError):
-            es.gauss_sum(q, block, Q, budget=budget)
+            es.gauss_sum(q, block, Q)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -165,10 +168,10 @@ def test_gauss_scan_prime_divisor_mask_matches_gcd_mask():
 
 def test_rational_point_reduction():
     p = es.reduce_fraction((4, 6), 8)
-    assert p.numerators == (2, 3) and p.q == 4 and p.reduced
+    assert p.numerators == (2, 3) and p.q == 4
     z = es.reduce_fraction((0,), 5)
     assert z.q == 1 and z.numerators == (0,)
-    assert es.RationalPoint((0, 0), 1).reduced
+    assert es.reduce_fraction((0, 0), 7) == es.RationalPoint((0, 0), 1)
     # NumPy integers reduce to Python ints; a float or a q < 1 is refused
     # by name.
     assert es.reduce_fraction(np.array([4, 6]), np.int64(8)) == p

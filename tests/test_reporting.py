@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from radonlab import cli
 from radonlab.reporting import (CSV_COLUMNS, ResultRow, atomic_write_text,
                                 compare_runs, document_rows, emit_plotdata,
                                 make_document, params_json, read_csv,
@@ -83,6 +84,35 @@ def test_json_is_sorted_and_newline_terminated(tmp_path):
     assert text.endswith("\n")
     assert text == json.dumps(json.loads(text), sort_keys=True,
                               indent=2) + "\n"
+
+
+def _no_constant(token):
+    raise AssertionError(f"non-standard JSON token {token}")
+
+
+def test_json_is_standard_and_round_trips_non_finite(tmp_path, capsys):
+    # NaN and the infinities are written as strings, which document_rows
+    # reads back, so the drift rules still see the non-finite values.
+    nan_row = ResultRow("demo", "fit", {}, math.nan, math.inf, -math.inf)
+    doc = make_document("demo", [nan_row], meta={"worst": [math.inf]})
+    path = write_json(doc, tmp_path / "nan.json")
+    loaded = json.loads(path.read_text(), parse_constant=_no_constant)
+    assert loaded["meta"] == {"worst": ["Infinity"]}
+    row, = document_rows(loaded)
+    assert math.isnan(row.observed)
+    assert (row.reference, row.ratio) == (math.inf, -math.inf)
+    assert compare_runs(loaded, loaded)["identical"]
+    finite = write_json(make_document("demo", [ResultRow("demo", "fit", {},
+                                                         1.0)]),
+                        tmp_path / "one.json")
+    assert cli.main(["report", str(finite), str(path),
+                     "--format", "json"]) == 0
+    diff = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+    assert diff["drift"] == [{"row": "demo/fit {}", "previous": 1.0,
+                              "current": "NaN", "relative_change": None}]
+    doc["rows"][0]["observed"] = "nan"
+    with pytest.raises(ValueError, match="demo/fit: observed 'nan'"):
+        document_rows(doc)
 
 
 def test_document_rows_rejects_wrong_version():
