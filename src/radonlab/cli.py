@@ -14,6 +14,7 @@ guard stops a run.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -29,7 +30,13 @@ CONFIG_KEYS = {"seed", "out", "threads", "format", "params"}
 FORMATS = ("csv", "json", "both")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use.
+
+    Parsing leaves a parser as it was (each parse fills a new namespace),
+    so every `main` call shares it.
+    """
     parser = argparse.ArgumentParser(
         prog="radonlab",
         description="discrete Radon averaging laboratory")

@@ -11,9 +11,10 @@ runs reproducible byte for byte:
 
 `run` is the one entry point.  It checks every setting, the seed, the
 thread count and each parameter override, against the shape of its
-default (`param_shape`, which also gives the CLI its flag types), and
-each count against the least value its experiment can run with, so
-every caller gets the same refusals.
+default (`param_shape`, which also gives the CLI its flag types), each
+count against the least value its experiment can run with, each list
+for at least one entry, and each growth-fit r grid for r > 2, so every
+caller gets the same refusals before any work.
 
 Rows carry a pass flag only for exact-inequality checks with explicit
 constants.  Fitted constants, slopes, and feasibility reports always
@@ -82,6 +83,8 @@ class ExperimentSpec:
     summary: str
     # count setting -> the least value a run of the experiment can use
     minimums: dict = field(default_factory=dict)
+    # list setting -> the value every entry must exceed
+    exceeds: dict = field(default_factory=dict)
 
 
 def _bound_row(name: str, case: str, params: dict, observed: float,
@@ -158,9 +161,11 @@ def run(config: RunConfig) -> RunOutcome:
     """Check every setting, then dispatch one experiment.
 
     The seed (None or an integer in [0, 2^64)), the thread count (an
-    integer >= 1) and each parameter override go through `param_shape`,
-    and each count setting must reach its spec's minimum; a refusal is a
-    ValueError naming the experiment, setting and value.
+    integer >= 1) and each parameter override go through `param_shape`;
+    each count setting must reach its spec's minimum, each list setting
+    must hold an entry, and every entry of an `exceeds` list must exceed
+    its bound.  A refusal is a ValueError naming the experiment, setting
+    and value.
     """
     name = config.experiment
     if name not in EXPERIMENTS:
@@ -191,6 +196,14 @@ def run(config: RunConfig) -> RunOutcome:
         if params[key] < low:
             raise ValueError(f"{name}: {key} must be >= {low}, "
                              f"got {params[key]}")
+    for key, value in params.items():
+        if value == ():
+            raise ValueError(f"{name}: {key} must not be empty")
+    for key, low in spec.exceeds.items():
+        for x in params[key]:
+            if not x > low:
+                raise ValueError(f"{name}: every {key} entry must be > "
+                                 f"{low}, got {x}")
     config = RunConfig(name, seed, threads, checked)
     outcome = spec.runner(params, config)
     return replace(outcome, meta={"seed": seed, "params": checked,
@@ -547,8 +560,6 @@ def _run_operator_norm(params, config) -> RunOutcome:
     if which == "singular" and Q.k != 1:
         raise ValueError("the bundled kernel is one-dimensional")
     n_set = tuple(int(n) for n in params["n_set"])
-    if not n_set:
-        raise ValueError("need at least one truncation")
     if len(set(n_set)) != len(n_set):
         raise ValueError("duplicate truncation radii")
     name = config.experiment
@@ -684,8 +695,7 @@ def _run_good_lambda(params, config) -> RunOutcome:
     q, r = params["q"], params["r"]
     name = config.experiment
     lams = [float(lam) for lam in params["lam_grid"]]
-    checks = _ordered_map(lambda f: good_lambda_check(f, lams, q, r),
-                          fields, config.threads)
+    checks = good_lambda_check(fields, lams, q, r)
     rows = [ResultRow(name, "check", {"i": i, "lam": rec["lam"]},
                       rec["ratio"], None, None, math.isfinite(rec["ratio"]))
             for i, records in enumerate(checks) for rec in records]
@@ -807,7 +817,8 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
          "which": "average", "kernel_c": 0.5},
         needs_seed=True,
         summary="operator backends, identities, and empirical norms",
-        minimums={"size": 2}),  # the linearity check reads two fields
+        minimums={"size": 2},  # the linearity check reads two fields
+        exceeds={"r_grid": 2.0}),  # the growth fit's regime
     "lepingle": ExperimentSpec(
         _run_lepingle,
         {"m": 1, "L": 8, "fields": 200, "p_grid": (1.5, 2.0, 3.0),
@@ -815,7 +826,8 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
          "lam_grid": (0.25, 0.5, 1.0), "jump_r": 2.5},
         needs_seed=True,
         summary="martingale identities and the variation-ratio sweep",
-        minimums={"fields": 1}),
+        minimums={"fields": 1},
+        exceeds={"r_grid": 2.0}),  # the growth fit's regime
     "good-lambda": ExperimentSpec(
         _run_good_lambda,
         {"m": 1, "L": 8, "fields": 100,

@@ -10,10 +10,15 @@ integral norms with the cell measure 2^{-mL}.
 The pointwise functionals of the filtration (V_r, jump counts, the
 square and maximal functions) all read one level stack: the per-cell
 sequences E_0 f, ..., E_L f of a set of same-shape fields, one row per
-cell.  The sweeps build that stack once per chunk of at most
-_ENGINE_COLUMNS rows and hand it to the variation engine once per r (or
-lambda), sharing the result across every p and lambda.  The engine's
-columns are independent, so chunking never changes a value.
+cell.  The sweeps stream the fields in groups, a chunk of at most
+_ENGINE_COLUMNS rows each, and build one stack per chunk, so a sweep's
+working set does not grow with the field count.  A stack whose
+imaginary parts are all 0 goes to the variation engine as real rows,
+which take its turning-point cut, and V_r at every r of a sweep is one
+engine call per chunk (jump counts one per lambda); every p and lambda
+shares the result, and each L^p norm is one power per chunk and one
+fsum per field.  The engine's rows are independent, so chunking never
+changes a value.
 `conditional_expectation` builds one level of one field, exactly for
 rationals, and is the reference the stack is tested against.
 
@@ -32,14 +37,14 @@ from fractions import Fraction
 import numpy as np
 
 from .operators import random_arrays
-from .variation import growth_fit, jump_count_batch, lp_norm, vr_exact_batch
+from .variation import (growth_fit, jump_count_batch, lp_norm, lp_norms,
+                        vr_exact_batch)
 
-# Rows of one level stack handed to the variation engine: 4 fields at
-# m = 1, L = 8.  Bounds a sweep's working set whatever the field count.
-# Larger chunks are no faster but leave a larger heap behind: peak RSS
-# of a fresh process after the default lepingle run is 40.3 MB one field
-# at a time, 41.0 MB at 1024 rows, 41.7 MB at 2048 and 43.6 MB at 4096.
-_ENGINE_COLUMNS = 1024
+# Rows of one level stack handed to the variation engine: 32 fields at
+# m = 1, L = 8.  Bounds a sweep's working set whatever the field count,
+# and is large enough that the engine's per-call and per-width-group
+# costs are spread over many rows.
+_ENGINE_COLUMNS = 8192
 
 
 @dataclass(frozen=True)
@@ -164,9 +169,18 @@ def _level_stack(fields) -> np.ndarray:
     fields = list(fields)
     m, L = fields[0].m, fields[0].L
     v = np.stack([f.values for f in fields])
-    levels = [_expand(_block_average(v, m, 2 ** (L - k)), m,
-                      2 ** (L - k)).reshape(-1) for k in range(L + 1)]
-    return np.stack(levels, axis=1).astype(complex, copy=False)
+    stack = np.empty((v.size, L + 1), dtype=complex)
+    for k in range(L + 1):
+        stack[:, k] = _expand(_block_average(v, m, 2 ** (L - k)), m,
+                              2 ** (L - k)).reshape(-1)
+    return stack
+
+
+def _engine_rows(stack: np.ndarray) -> np.ndarray:
+    """The stack as the engine should read it: a copy of its real part
+    when every imaginary part is 0, since real rows take the engine's cut
+    path, and the complex stack need not outlive the copy."""
+    return stack if stack.imag.any() else stack.real.copy()
 
 
 def _chunks(fields):
@@ -198,7 +212,7 @@ def jump_bound_defect(fields, lams, r: float) -> float:
     """
     defect = -math.inf
     for chunk in _chunks(fields):
-        stack = _level_stack(chunk)
+        stack = _engine_rows(_level_stack(chunk))
         vr_r = vr_exact_batch(stack, r) ** r
         for lam in lams:
             jumps = jump_count_batch(stack, lam)
@@ -249,8 +263,9 @@ def ratio_sweep(fields, p_grid, r_grid) -> list[dict]:
     The Lepingle ratio of a field f is ||V_r(E_k f : k)||_p / ||f||_p,
     0 for f = 0; the regime needs r > 2, and `growth_fit` refuses any
     other r.  fields is a set of same-shape fields.  Their level stack
-    is built once per chunk, the engine runs once per (chunk, r), and
-    every p reads that one V_r array.  Returns one sweep per p, in
+    is built once per chunk, and one engine call per chunk takes V_r at
+    every r; each (r, p) then costs one power of the chunk's V_r block
+    and one fsum per field (`lp_norms`).  Returns one sweep per p, in
     p_grid order: {"p"} plus the `growth_fit` of its worst ratios, rows
     running over r in decreasing order.
     """
@@ -258,31 +273,34 @@ def ratio_sweep(fields, p_grid, r_grid) -> list[dict]:
     r_grid = sorted((float(r) for r in r_grid), reverse=True)
     ratios = {(p, r): [] for p in p_grid for r in r_grid}
     for chunk in _chunks(fields):
-        stack = _level_stack(chunk)
-        denoms = {p: [f.norm(p) for f in chunk] for p in p_grid}
-        for r in r_grid:
-            vr = vr_exact_batch(stack, r).reshape(len(chunk), -1)
-            for p in p_grid:
-                ratios[p, r] += [
-                    lp_norm(v, p, f.cell_measure) / d if d else 0.0
-                    for v, f, d in zip(vr, chunk, denoms[p])]
+        measure = chunk[0].cell_measure
+        values = np.stack([f.values.reshape(-1) for f in chunk]).astype(
+            complex, copy=False)
+        vr = vr_exact_batch(_engine_rows(_level_stack(chunk)),
+                            r_grid).reshape(len(r_grid), len(chunk), -1)
+        for p in p_grid:
+            denoms = lp_norms(values, p, measure)
+            for r, block in zip(r_grid, vr):
+                ratios[p, r] += [norm / d if d else 0.0 for norm, d in
+                                 zip(lp_norms(block, p, measure), denoms)]
     return [{"p": p, **growth_fit(r_grid, [max(ratios[p, r])
                                            for r in r_grid])}
             for p in p_grid]
 
 
-def good_lambda_check(f: DyadicField, lams, q: float,
-                      r: float) -> list[dict]:
-    """Both sides of the variation/square-function set comparison, per lambda.
+def good_lambda_check(fields, lams, q: float, r: float) -> list[list[dict]]:
+    """Both sides of the variation/square-function set comparison, per
+    field and lambda.
 
     lhs: measure of {V_r(E_k f) > lambda and Mf < lambda / 2}.
     rhs: measure of {Sf > lambda} plus
          lambda^{-q} (r - 2)^{-q/2} * integral of Sf^q over {Sf <= lambda}.
-    V_r, Sf and Mf do not depend on lambda: they are computed once, from
-    one level stack, and shared by the whole grid.  Returns one record
-    per lambda of lams, in order.  The comparison constant is implicit;
-    the ratio is reported and only finiteness is asserted by the
-    experiment suite.
+    V_r, Sf and Mf do not depend on lambda: they are computed once per
+    chunk of fields, from one level stack, and shared by the whole grid.
+    fields is a set of same-shape fields.  Returns, per field in order,
+    one record per lambda of lams, in order.  The comparison constant is
+    implicit; the ratio is reported and only finiteness is asserted by
+    the experiment suite.
     """
     lams = list(lams)
     if any(lam <= 0 for lam in lams):
@@ -291,17 +309,29 @@ def good_lambda_check(f: DyadicField, lams, q: float,
         raise ValueError("need q >= 2")
     if r <= 2:
         raise ValueError("need r > 2")
-    stack = _level_stack([f])
-    shape = f.values.shape
-    vr = vr_exact_batch(stack, r).reshape(shape)
-    s = _square(stack).reshape(shape)
-    mx = np.abs(stack).max(axis=1).reshape(shape)
+    out = []
+    for chunk in _chunks(fields):
+        stack = _engine_rows(_level_stack(chunk))
+        cells = (len(chunk), -1)
+        sets = zip(vr_exact_batch(stack, r).reshape(cells),
+                   _square(stack).reshape(cells),
+                   np.abs(stack).max(axis=1).reshape(cells))
+        out += [_good_lambda_records(f.cell_measure, *per_cell, lams, q, r)
+                for f, per_cell in zip(chunk, sets)]
+    return out
+
+
+def _good_lambda_records(measure: float, vr: np.ndarray, s: np.ndarray,
+                         mx: np.ndarray, lams, q: float,
+                         r: float) -> list[dict]:
+    """One field's `good_lambda_check` records from its per-cell V_r,
+    square function s and maximal function mx."""
     records = []
     for lam in lams:
-        lhs = f.cell_measure * int(np.sum((vr > lam) & (mx < lam / 2)))
-        exceed = f.cell_measure * int(np.sum(s > lam))
+        lhs = measure * int(np.sum((vr > lam) & (mx < lam / 2)))
+        exceed = measure * int(np.sum(s > lam))
         below = s[s <= lam]
-        integral = float(f.cell_measure * math.fsum(below ** q))
+        integral = float(measure * math.fsum(below ** q))
         tail = lam ** (-q) * (r - 2) ** (-q / 2) * integral
         rhs = exceed + tail
         if lhs == 0.0:

@@ -9,22 +9,31 @@ the 1/r-th power of the best total), and 1 on gaps > lambda, -inf
 otherwise, for jumps.  The recursion pushes a block of rows one
 predecessor at a time and a single row in tiles of predecessors, with
 the same bits on both paths, and either may be cut into segments that no
-chain crosses (see `_longest_chain`).  Subset-enumeration
+chain crosses (see `_longest_chain`).  Real input stays real (float64),
+and for r > 1 V_r runs the recursion on each real row's cut: its first
+point, the start of every run of equal values where the direction
+turns, and the start of its last run, which is all an optimal chain
+needs (`_turning_points`).  Rows are grouped by cut width, and one cut
+serves every r of a call.  Complex rows, r = 1, jump counts (0, 1, 2
+has two jumps above 1/2, its cut 0, 2 one) and segmented runs take the
+uncut recursion.  Subset-enumeration
 brute forces serve as independent oracles for short sequences: they
 total the chain of each of the 2^n subsets of each of m rows, m 2^n
-cells taken as n(n - 1)/2 slice adds per chunk of rows, with O(2^n)
-memory per row of the chunk.  The
+cells taken as n(n - 1)/2 block adds per chunk of rows, masks-major,
+with O(2^n) memory per row of the chunk.  The
 rest of the module packages the seminorm inequalities with explicit
 constants: sup bounds, splitting, the l^2 domination, long/short dyadic
 splitting, oscillation sums, the jump inequality and the dyadic-level
 square bound.  Two helpers serve every norm and every fit downstream:
-`lp_norm`, the one l^p (or L^p on equal cells) norm, and `growth_fit`,
-the r/(r - 2) scaling of a ratio sweep.
+`lp_norm`, the one l^p (or L^p on equal cells) norm, with `lp_norms`
+taking it row by row over a block, and `growth_fit`, the r/(r - 2)
+scaling of a ratio sweep.
 
 Jump counts count jumps: a constant sequence or a single point has none.
 
 Shapes: `vr_exact_batch` and `jump_count_batch` take m sequences as the
-rows of an (m, n) array and return m values.  The checks
+rows of an (m, n) array and return m values; `vr_exact_batch` given a
+sequence of r returns one row of m values per r.  The checks
 (`sup_bound_check`, `split_bound_check`, `l2_bound_check`,
 `oscillation_holder_check`, `long_short_split`, `jump_variation_check`,
 `dyadic_level_square_bound`) take one sequence (n,), giving floats, or a
@@ -44,11 +53,11 @@ The checks hand the rows they read to the public `vr_exact_batch` and
 `jump_count_batch`, and one sequence checked at one r meets the same row
 in each of them.  So both entries share an exact memo (`_chain_max`): the
 per-row maxima of the last `_MEMO_ENTRIES` distinct inputs of at most
-`_MEMO_INPUT_BYTES` each (64 KiB of input in all), keyed by V_r's r or
-the jump lambda, the input's shape and its bytes as complex.  Only input
-that passed `_block` is stored, so a hit skips the second pass through
-`_block` as well as the engine, and refused input is refused on every
-call.
+`_MEMO_INPUT_BYTES` each (64 KiB of input in all), keyed by V_r's r
+values or the jump lambda, and the input's dtype, shape and bytes.  Only
+input that passed `_block` is stored, so a hit skips the second pass
+through `_block` as well as the engine, and refused input is refused on
+every call.
 """
 
 from __future__ import annotations
@@ -81,15 +90,22 @@ def _check_r(r: float):
         raise ValueError(f"need r >= 1, got {r}")
 
 
+def _values(a) -> np.ndarray:
+    """a as float64 when its values are real numbers, else as complex."""
+    v = np.asarray(a)
+    return v.astype(float if v.dtype.kind in "biuf" else complex, copy=False)
+
+
 def _block(a, labels=None) -> tuple[np.ndarray, np.ndarray, bool]:
     """(rows, labels, one) of a sequence (n,) or a block of rows (m, n).
 
-    The rows are (m, n) complex, non-empty and finite, and share the
-    labels; `one` marks a single sequence, whose results the checks give
-    as floats.  Given labels must be 1-d, aligned with the rows and
-    strictly increasing; without them the labels are 0..n-1.
+    The rows are (m, n), float64 for real input and complex otherwise,
+    non-empty and finite, and share the labels; `one` marks a single
+    sequence, whose results the checks give as floats.  Given labels
+    must be 1-d, aligned with the rows and strictly increasing; without
+    them the labels are 0..n-1.
     """
-    v = np.asarray(a, dtype=complex)
+    v = _values(a)
     if v.ndim not in (1, 2) or v.size == 0:
         raise ValueError("need a non-empty sequence (n,) or block of rows "
                          "(m, n)")
@@ -151,7 +167,7 @@ def _longest_chain(v: np.ndarray, gain, seg=None) -> np.ndarray:
     n = len(cols)
     end = [n] * n if seg is None else seg.tolist()
     best = np.zeros(cols.shape)
-    rows = max(1, _GAIN_BYTES // (16 * cols.size))
+    rows = max(1, _GAIN_BYTES // cols.nbytes)
     for i0 in range(0, n - 1, rows):
         i1 = min(i0 + rows, n - 1)
         # g[a, b] is the gain from i0 + a to i0 + 1 + b.
@@ -225,37 +241,114 @@ def vr_value(a, r: float) -> float:
     return vr_exact(a, r).value
 
 
-def _chain_max(values, kind: str, x: float) -> np.ndarray:
-    """Per-row max of `_longest_chain` with V_r's gain (kind "vr", x = r)
-    or the jump gain (kind "jump", x = lambda), remembered when small.
+def _chain_max(values, kind: str, x) -> np.ndarray:
+    """Per-row max of `_longest_chain` with V_r's gain (kind "vr", x = r,
+    or a tuple of r giving one row of maxima per r) or the jump gain
+    (kind "jump", x = lambda), remembered when small.
 
-    An input of at most `_MEMO_INPUT_BYTES` as complex is looked up by its
+    An input of at most `_MEMO_INPUT_BYTES` is looked up by its dtype,
     shape and bytes before `_block` reads it.  A call that raises is not
     remembered, so refused input, and a refused lambda, are refused on
     every call.  The caller gets a copy.
     """
-    a = np.asarray(values, dtype=complex)
+    a = _values(values)
     if a.nbytes > _MEMO_INPUT_BYTES:
         return _row_max(a, kind, x)
-    return _remembered_max(kind, x, a.shape, a.tobytes()).copy()
+    return _remembered_max(kind, x, a.dtype.char, a.shape,
+                           a.tobytes()).copy()
 
 
 @functools.lru_cache(maxsize=_MEMO_ENTRIES)
-def _remembered_max(kind: str, x: float, shape: tuple,
+def _remembered_max(kind: str, x, dtype: str, shape: tuple,
                     data: bytes) -> np.ndarray:
-    return _row_max(np.frombuffer(data, dtype=complex).reshape(shape), kind,
+    return _row_max(np.frombuffer(data, dtype=dtype).reshape(shape), kind,
                     x)
 
 
-def _row_max(a: np.ndarray, kind: str, x: float) -> np.ndarray:
-    gain = (lambda d: d ** x) if kind == "vr" else _jump_gain(x)
-    return _longest_chain(_block(a)[0], gain).max(axis=1)
+def _row_max(a: np.ndarray, kind: str, x) -> np.ndarray:
+    if kind == "jump":
+        gain = _jump_gain(x)
+        return _longest_chain(_block(a)[0], gain).max(axis=1)
+    v = _block(a)[0]
+    rs = x if isinstance(x, tuple) else (x,)
+    # Complex rows, and r = 1, where monotone chains tie exactly, run
+    # uncut.
+    cut = [k for k, r in enumerate(rs) if r > 1 and v.dtype.kind == "f"]
+    best = np.empty((len(rs), len(v)))
+    if cut:
+        best[cut] = _cut_chain_max(v, [rs[k] for k in cut])
+    for k, r in enumerate(rs):
+        if k not in cut:
+            best[k] = _longest_chain(v, lambda d: d ** r).max(axis=1)
+    return best if isinstance(x, tuple) else best[0]
 
 
-def vr_exact_batch(values: np.ndarray, r: float) -> np.ndarray:
-    """Batched r-variation: values is (m, n); returns the m values."""
-    _check_r(r)
-    return _chain_max(values, "vr", float(r)) ** (1.0 / r)
+def _turning_points(v: np.ndarray) -> np.ndarray:
+    """The cut of real rows v (m, n), as a mask (m, n).
+
+    A row keeps its first point, the start of every run of equal values
+    where the direction turns, and the start of its last run.  For r > 1
+    some optimal chain uses only those points (Butkus & Norvaiša, Lith.
+    Math. J. 58, 2018): |a - c|^r > |a - b|^r + |b - c|^r for b strictly
+    between a and c, and the points of a run of equal values are
+    interchangeable in a chain.
+    """
+    keep = np.ones(v.shape, dtype=bool)
+    # Right to left, ahead holds each row's first move from point j on, 0
+    # past the last; point j >= 1 starts a run when its own move is not 0,
+    # and is kept when the next move differs from it.
+    ahead = np.zeros(len(v))
+    for j in range(v.shape[1] - 1, 0, -1):
+        move = np.sign(v[:, j] - v[:, j - 1])
+        keep[:, j] = (move != 0) & (move != ahead)
+        np.copyto(ahead, move, where=move != 0)
+    return keep
+
+
+def _cut_chain_max(v: np.ndarray, rs) -> np.ndarray:
+    """`_row_max` of real rows v (m, n) at each r > 1: (len(rs), m).
+
+    Every row is cut to its `_turning_points`, and the rows are grouped
+    by cut width: each group runs `_longest_chain` once per r, on its
+    cut rows only.  The cut drops no chain that an optimal one needs, so
+    a row's maximum is that of its uncut run; the tests hold the two to
+    the same bits.  A row with one point in its cut has no step and
+    gets 0.
+    """
+    keep = _turning_points(v)
+    widths = np.count_nonzero(keep, axis=1)
+    # bincount and a stable argsort group the rows; np.unique would
+    # import numpy.ma.
+    order = np.argsort(widths, kind="stable")
+    best = np.zeros((len(rs), len(v)))
+    start = 0
+    for w, count in enumerate(np.bincount(widths).tolist()):
+        rows = order[start:start + count]
+        start += count
+        if w < 2 or not count:
+            continue
+        cut = v[rows][keep[rows]].reshape(count, w)
+        for k, r in enumerate(rs):
+            best[k, rows] = _longest_chain(cut, lambda d: d ** r).max(axis=1)
+    return best
+
+
+def vr_exact_batch(values: np.ndarray, r) -> np.ndarray:
+    """Batched r-variation: values is (m, n); returns the m values.
+
+    r may also be a sequence of r (a list, tuple or 1-d array): the
+    result is then (len(r), m), row k the bits of the call at r[k]
+    alone, and real rows are cut once for every r.
+    """
+    if not isinstance(r, (list, tuple)) and getattr(r, "ndim", 0) == 0:
+        _check_r(r)
+        return _chain_max(values, "vr", float(r)) ** (1.0 / r)
+    for x in r:
+        _check_r(x)
+    best = _chain_max(values, "vr", tuple(float(x) for x in r))
+    for k, x in enumerate(r):
+        best[k] = best[k] ** (1.0 / x)
+    return best
 
 
 def _vr_parts(v: np.ndarray, r: float, ends) -> np.ndarray:
@@ -290,23 +383,26 @@ def _frozen(*arrays) -> tuple:
 def _subset_chains(v: np.ndarray, gain) -> np.ndarray:
     """Every subset's chain total: the oracle counterpart of _longest_chain.
 
-    v is (m, n) with n <= BRUTEFORCE_LIMIT.  Returns chain (m, 2^n), where
-    chain[:, mask] is the total gain(|v_j - v_i|) over consecutive indices
-    i < j of mask (0 for masks of at most one bit).  A mask with top bit h
-    extends the mask without h, and the masks whose rest has top bit t
-    form the slice [2^h + 2^t, 2^h + 2^{t+1}), so each pair t < h is one
-    array add: n(n - 1)/2 adds for m 2^n cells, O(m 2^n) memory.
+    v is (m, n) with n <= BRUTEFORCE_LIMIT.  Returns chain (2^n, m),
+    masks-major, where chain[mask] is the total gain(|v_j - v_i|) over
+    consecutive indices i < j of mask (0 for masks of at most one bit).
+    A mask with top bit h extends the mask without h, and the masks whose
+    rest has top bit t form the slice [2^h + 2^t, 2^h + 2^{t+1}), so each
+    pair t < h is one add of a contiguous block, the pair's gain
+    broadcast across the rows: n(n - 1)/2 adds for m 2^n cells, O(m 2^n)
+    memory.
     """
     m, n = v.shape
     if n > BRUTEFORCE_LIMIT:
         raise BudgetError(f"brute force limited to n <= {BRUTEFORCE_LIMIT}",
                           estimate=2 ** n)
-    pd = gain(np.abs(v[:, :, None] - v[:, None, :]))
-    chain = np.zeros((m, 1 << n))
+    cols = v.T
+    pd = gain(np.abs(cols[:, None] - cols[None, :]))
+    chain = np.zeros((1 << n, m))
     for h in range(1, n):
         for t in range(h):
-            np.add(chain[:, 1 << t:2 << t], pd[:, t, h, None],
-                   out=chain[:, (1 << h) + (1 << t):(1 << h) + (2 << t)])
+            np.add(chain[1 << t:2 << t], pd[t, h],
+                   out=chain[(1 << h) + (1 << t):(1 << h) + (2 << t)])
     return chain
 
 
@@ -318,7 +414,7 @@ def vr_bruteforce(a, r: float) -> VariationResult:
     """
     _check_r(r)
     v = _one(a)
-    chain = _subset_chains(v[None], lambda d: d ** r)[0]
+    chain = _subset_chains(v[None], lambda d: d ** r)[:, 0]
     # argmax is 0, the empty mask, exactly when the best total is 0.
     mask = int(chain.argmax()) or 1
     # The root as an array operation, exactly as in vr_exact.
@@ -342,7 +438,7 @@ def vr_bruteforce_batch(values: np.ndarray, r: float) -> np.ndarray:
     best = np.zeros(m)
     for i in range(0, m, rows):
         best[i:i + rows] = _subset_chains(v[i:i + rows],
-                                          lambda d: d ** r).max(axis=1)
+                                          lambda d: d ** r).max(axis=0)
     return best ** (1.0 / r)
 
 
@@ -368,17 +464,27 @@ def lp_norm(v, p: float, measure: float = 1.0) -> float:
     """(measure * sum |v|^p)^{1/p} over every entry of v; p = inf: max |v|.
 
     measure is the mass of one entry: 1 for counting measure, the cell
-    measure for cell-constant functions.  fsum is exactly rounded, so the
-    form of its input cannot change the value; a memoryview hands it
-    Python floats without boxing each element as a NumPy scalar, which
-    is twice as fast.
+    measure for cell-constant functions.  The one-row case of `lp_norms`.
     """
-    v = np.abs(np.ravel(v))
+    return lp_norms(np.ravel(v)[None], p, measure)[0]
+
+
+def lp_norms(rows, p: float, measure: float = 1.0) -> list[float]:
+    """`lp_norm` of every row of rows (k, n), as floats.
+
+    One power for the whole block, then one fsum per row.  fsum is
+    exactly rounded, so the form of its input cannot change the value,
+    and the power is elementwise, so a row's norm has the bits of its own
+    call; a memoryview hands fsum Python floats without boxing each
+    element as a NumPy scalar, which is twice as fast.
+    """
+    v = np.abs(rows)
     if p == math.inf:
-        return float(v.max())
+        return v.max(axis=1).tolist()
     if p < 1:
         raise ValueError("need p >= 1")
-    return float((measure * math.fsum(memoryview(v ** p))) ** (1.0 / p))
+    return [float((measure * math.fsum(memoryview(x))) ** (1.0 / p))
+            for x in v ** p]
 
 
 def growth_fit(r_grid, max_ratios) -> dict:

@@ -1,4 +1,9 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,7 +148,78 @@ def test_too_small_a_count_is_refused_by_name(tmp_path, capsys, command,
     assert not list(tmp_path.iterdir())
 
 
+def refuse_to_run(monkeypatch, name):
+    """Make the experiment's runner fail the test if a run reaches it."""
+    def runner(params, config):
+        raise AssertionError(f"{name} ran")
+    monkeypatch.setitem(EXPERIMENTS, name, dataclasses.replace(
+        EXPERIMENTS[name], runner=runner))
+
+
+@pytest.mark.parametrize("command, setting", [
+    ("lepingle --p-grid ,", "p_grid"),
+    ("good-lambda --lam-grid ,", "lam_grid"),
+    ("prop0-fit --rational-n-grid ,", "rational_n_grid"),
+])
+def test_an_empty_list_setting_is_refused_by_name(tmp_path, capsys,
+                                                  monkeypatch, command,
+                                                  setting):
+    argv = command.split()
+    refuse_to_run(monkeypatch, argv[0])
+    code = cli.main(argv + ["--seed", "1", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == (f"error: {argv[0]}: {setting} must "
+                                       f"not be empty\n")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, value", [
+    ("lepingle --r-grid 1.5,3", "1.5"),
+    ("operator-norm --r-grid 2.0,3.0", "2.0"),
+])
+def test_a_growth_fit_r_of_at_most_two_is_refused_by_name(
+        tmp_path, capsys, monkeypatch, command, value):
+    argv = command.split()
+    refuse_to_run(monkeypatch, argv[0])
+    code = cli.main(argv + ["--seed", "1", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == (f"error: {argv[0]}: every r_grid "
+                                       f"entry must be > 2.0, got {value}\n")
+    assert not list(tmp_path.iterdir())
+
+
+_MARTINGALE_RUNS = """
+import sys
+from radonlab import cli
+for argv in (["lepingle", "--fields", "8"], ["good-lambda", "--fields", "4"]):
+    assert cli.main(argv + ["--seed", "1", "--out", sys.argv[1]]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_a_martingale_run_never_imports_numpy_ma(tmp_path):
+    # numpy.ma costs 13 ms and 0.9 MB of RSS to import; np.unique is one
+    # way in.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-c", _MARTINGALE_RUNS, str(tmp_path)], env=env,
+        capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 # -- parser and config --------------------------------------------------------
+
+def test_the_shared_parser_leaks_nothing_between_calls(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.main(["iw-build", "--n", "3", "--out", str(tmp_path / "a")]) \
+        == 0
+    assert cli.main(["iw-build", "--out", str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+    assert read_json(tmp_path / "a" / "iw-build.json")["meta"]["n"] == 3
+    assert read_json(tmp_path / "b" / "iw-build.json")["meta"]["n"] == 4
+
 
 def test_parser_lists_every_subcommand():
     text = cli.build_parser().format_help()

@@ -248,9 +248,11 @@ def _per_cell_variation(f, r, memo):
     return out
 
 
-def test_ratio_sweep_bitwise_across_chunk_boundaries():
-    # 37 fields of 256 cells: several full chunks and a partial last one,
-    # which holds a spike, the largest ratio for p < 3.
+def test_ratio_sweep_bitwise_across_chunk_boundaries(monkeypatch):
+    # 37 fields of 256 cells in chunks of 4 fields: several full chunks
+    # and a partial last one, which holds a spike, the largest ratio for
+    # p < 3.
+    monkeypatch.setattr(mg, "_ENGINE_COLUMNS", 1024)
     rng = np.random.default_rng(4)
     fields = [mg.DyadicField(1, 8, rng.choice([-1.0, 1.0], size=256))
               for _ in range(36)]
@@ -277,11 +279,13 @@ def test_ratio_sweep_bitwise_across_chunk_boundaries():
 
 def test_good_lambda_grid_equals_one_lambda_calls():
     lams = (0.25, 0.5, 1.0, 2.0)
-    for f in mg.field_ensemble(1, 6, 6, seed=19):
-        grid = mg.good_lambda_check(f, lams, 2.0, 2.5)
+    fields = list(mg.field_ensemble(1, 6, 6, seed=19))
+    grids = mg.good_lambda_check(fields, lams, 2.0, 2.5)
+    assert len(grids) == len(fields)
+    for f, grid in zip(fields, grids):
         assert [rec["lam"] for rec in grid] == list(lams)
         for lam, rec in zip(lams, grid):
-            assert rec == mg.good_lambda_check(f, [lam], 2.0, 2.5)[0]
+            assert rec == mg.good_lambda_check([f], [lam], 2.0, 2.5)[0][0]
 
 
 def _peak_bytes(fn):
@@ -295,7 +299,7 @@ def _peak_bytes(fn):
 
 def test_sweeps_hold_one_chunk_at_a_time():
     # Unchunked, the sweep peaks at 34 MB and the 50-field jump block at
-    # 8.7 MB; chunked, both stay under 1 MB.
+    # 8.7 MB; in chunks of 8192 rows, at 2.3 MB and 3.3 MB.
     params = EXPERIMENTS["lepingle"].defaults
     fields = list(mg.field_ensemble(
         1, 8, params["fields"], seed=1))
@@ -308,24 +312,23 @@ def test_sweeps_hold_one_chunk_at_a_time():
 def test_good_lambda_validation_and_trivial_cases():
     h = mg.haar_field(4)
     with pytest.raises(ValueError):
-        mg.good_lambda_check(h, [0.0], 2.0, 3.0)
+        mg.good_lambda_check([h], [0.0], 2.0, 3.0)
     with pytest.raises(ValueError):
-        mg.good_lambda_check(h, [1.0], 1.5, 3.0)
+        mg.good_lambda_check([h], [1.0], 1.5, 3.0)
     with pytest.raises(ValueError):
-        mg.good_lambda_check(h, [1.0], 2.0, 2.0)
+        mg.good_lambda_check([h], [1.0], 2.0, 2.0)
     # V_r = 1 < 2 everywhere: the left set is empty
-    rep, = mg.good_lambda_check(h, [2.0], 2.0, 3.0)
+    [rep], = mg.good_lambda_check([h], [2.0], 2.0, 3.0)
     assert rep["lhs_measure"] == 0.0 and rep["ratio"] == 0.0
     c = mg.DyadicField(1, 4, np.full(16, 9.0 + 0j))
-    rep, = mg.good_lambda_check(c, [1.0], 2.0, 3.0)
+    [rep], = mg.good_lambda_check([c], [1.0], 2.0, 3.0)
     assert rep["lhs_measure"] == 0.0 and rep["rhs_measure"] == 0.0
 
 
 def test_good_lambda_finite_on_random_fields():
-    for f in mg.field_ensemble(1, 5, 9, seed=11):
-        for lam in (0.25, 1.0):
-            rep, = mg.good_lambda_check(f, [lam], 2.5, 2.5)
-            assert math.isfinite(rep["ratio"])
+    fields = list(mg.field_ensemble(1, 5, 9, seed=11))
+    for records in mg.good_lambda_check(fields, (0.25, 1.0), 2.5, 2.5):
+        assert all(math.isfinite(rep["ratio"]) for rep in records)
 
 
 def test_doubling_constant():
@@ -357,6 +360,31 @@ def test_field_ensemble_draws_are_pinned():
     assert plane[1].max() == 0.5293938828293052
     assert plane[2].tolist() == [[1, -1, -1, -1], [1, -1, -1, -1],
                                  [-1, -1, -1, 1], [-1, 1, 1, -1]]
+
+
+@pytest.mark.parametrize("seed", [1, 3, 7, 42])
+def test_cut_real_stacks_are_the_uncut_complex_ones(seed):
+    # The experiments' own stacks at their defaults: every chunk is real,
+    # and V_r of its real part, all r in one call, has the bits of the
+    # uncut engine on the complex stack, one r at a time.
+    for name in ("lepingle", "good-lambda"):
+        params = EXPERIMENTS[name].defaults
+        grid = sorted({*params.get("r_grid", ()),
+                       params.get("jump_r", params.get("r"))})
+        fields = list(mg.field_ensemble(params["m"], params["L"],
+                                        params["fields"], seed))
+        for chunk in mg._chunks(fields):
+            stack = mg._level_stack(chunk)
+            rows = mg._engine_rows(stack)
+            assert rows.dtype == float
+            for r, got in zip(grid, vr_exact_batch(rows, grid)):
+                assert got.tobytes() == vr_exact_batch(stack, r).tobytes()
+
+
+def test_complex_stacks_stay_complex():
+    f = random_field(np.random.default_rng(3))
+    stack = mg._level_stack([f])
+    assert mg._engine_rows(stack) is stack
 
 
 # properties ---------------------------------------------------------------------

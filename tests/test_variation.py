@@ -586,6 +586,122 @@ def test_one_row_path_is_the_batch_path(a, r, k):
         a, vr._jump_gain(float(abs(a[k % len(a)] - a[0]))))
 
 
+# the real-row cut -------------------------------------------------------
+
+# r = 1 is included: real rows keep the uncut run there.
+_CUT_R = (1.0, 1.5, 2.0, 2.5, 3.0, 10.0)
+
+
+def cut_edge_rows(n):
+    """Real rows of length n: ties, flat runs, plateaus at the extrema,
+    both monotone directions, a constant row and a random row."""
+    rng = np.random.default_rng(n)
+    plateaus = np.repeat([0.0, 3.0, 3.0, 1.0, 1.0, 4.0, -2.0], 3)
+    return np.stack([rng.integers(-2, 3, size=n).astype(float),
+                     np.repeat(rng.normal(size=n), 2)[:n],
+                     np.resize(plateaus, n), np.arange(n, dtype=float),
+                     -np.arange(n, dtype=float) ** 2, np.full(n, 1.5),
+                     rng.normal(size=n)])
+
+
+def test_turning_points_cut_a_row():
+    keep = vr._turning_points(np.array([
+        [0.0, 1.0, 2.0, 1.0, 1.0, 0.0, 0.0, 3.0],
+        [2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0],
+        [5.0, 5.0, 4.0, 3.0, 3.0, 3.0, 1.0, 1.0]]))
+    # The first point, each turn (a plateau by its start) and the start of
+    # the last run.
+    assert [np.flatnonzero(row).tolist() for row in keep] == [
+        [0, 2, 5, 7], [0], [0, 6]]
+    assert vr._turning_points(np.zeros((3, 1))).tolist() == [[True]] * 3
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 17, 64])
+def test_cut_real_rows_are_the_uncut_complex_rows(cold_memo, n):
+    block = cut_edge_rows(n)
+    for r in _CUT_R:
+        want = vr.vr_exact_batch(block + 0j, r)
+        assert vr.vr_exact_batch(block, r).tobytes() == want.tobytes()
+        for row, bits in zip(block, want):
+            assert vr.vr_exact_batch(row, r).tobytes() == bits.tobytes()
+            assert vr.vr_exact_batch(row + 0j, r)[0] == bits
+
+
+def test_real_rows_run_the_engine_on_their_cuts(cold_memo, monkeypatch):
+    runs = engine_runs(monkeypatch)
+    block = np.array([[0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 2.0, 1.0, 3.0, 2.0],
+                      [1.0, 1.0, 1.0, 1.0, 1.0], [4.0, 3.0, 3.0, 5.0, 6.0]])
+    vr.vr_exact_batch(block, 2.5)
+    # Grouped by cut width: the monotone row cut to 2 points, the row
+    # turning once to 3, the zigzag uncut; the constant row needs none.
+    assert [v.tolist() for v, _, _ in runs] == [
+        [[0.0, 4.0]], [[4.0, 3.0, 6.0]], [[0.0, 2.0, 1.0, 3.0, 2.0]]]
+    runs.clear()
+    vr.vr_exact_batch(block, 1.0)
+    vr.vr_exact_batch(block + 0j, 2.5)
+    assert [v.shape for v, _, _ in runs] == [(4, 5), (4, 5)]
+
+
+@pytest.mark.parametrize("complex_rows", [False, True])
+def test_a_sequence_of_r_is_the_scalar_calls(cold_memo, rng, complex_rows):
+    block = rng.normal(size=(40, 9))
+    block[::3] = np.round(block[::3])
+    if complex_rows:
+        block = block + 1j * rng.normal(size=block.shape)
+    grid = (4.0, 1.0, 2.05, 2.5, 10.0)
+    got = vr.vr_exact_batch(block, grid)
+    assert got.shape == (len(grid), len(block))
+    for r, row in zip(grid, got):
+        assert row.tobytes() == vr.vr_exact_batch(block, r).tobytes()
+    assert vr.vr_exact_batch(block[0], grid).shape == (len(grid), 1)
+    with pytest.raises(ValueError, match="r >= 1"):
+        vr.vr_exact_batch(block, (2.0, 0.5))
+
+
+def test_turning_points_do_not_serve_jump_counts():
+    # At lambda = 0.5, 0 -> 1 -> 2 makes two jumps, but its cut 0 -> 2
+    # makes one: jump counts keep the uncut run.
+    assert vr._turning_points(np.array([[0.0, 1.0, 2.0]])).tolist() == [
+        [True, False, True]]
+    assert vr.jump_count([0.0, 1.0, 2.0], 0.5) == 2
+    assert vr.jump_count([0.0, 2.0], 0.5) == 1
+    assert vr.jump_count_batch(np.array([[0.0, 1.0, 2.0]]), 0.5)[0] == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 17])
+def test_real_jump_counts_are_the_complex_ones(cold_memo, n):
+    block = cut_edge_rows(n)
+    for lam in (0.0, 0.5, 1.0, 2.0):
+        want = vr.jump_count_batch(block + 0j, lam).tolist()
+        assert vr.jump_count_batch(block, lam).tolist() == want
+        assert [vr.jump_count(row, lam) for row in block] == want
+
+
+def subset_chains_rows_major(v, gain):
+    """The oracle's totals in the rows-major layout the masks-major one
+    replaced, kept as its reference: chain[:, mask], one strided slice
+    add per pair."""
+    m, n = v.shape
+    pd = gain(np.abs(v[:, :, None] - v[:, None, :]))
+    chain = np.zeros((m, 1 << n))
+    for h in range(1, n):
+        for t in range(h):
+            np.add(chain[:, 1 << t:2 << t], pd[:, t, h, None],
+                   out=chain[:, (1 << h) + (1 << t):(1 << h) + (2 << t)])
+    return chain
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 12])
+def test_masks_major_oracle_totals_are_the_rows_major_ones(rng, n):
+    block = rng.normal(size=(30, n)) + 1j * rng.normal(size=(30, n))
+    for v in (block, block.real, np.round(block.real)):
+        for gain in (lambda d: d ** 2.5, vr._jump_gain(0.5)):
+            got = vr._subset_chains(v, gain)
+            assert got.shape == (1 << n, len(v))
+            assert np.ascontiguousarray(got.T).tobytes() == \
+                subset_chains_rows_major(v, gain).tobytes()
+
+
 # the chain memo ---------------------------------------------------------
 
 _LAYOUTS = (vr._dyadic_layout, vr._gap_layout, vr._stride_layout)
