@@ -13,8 +13,9 @@ runs reproducible byte for byte:
 thread count and each parameter override, against the shape of its
 default (`param_shape`, which also gives the CLI its flag types), each
 count against the least value its experiment can run with, each list
-for at least one entry, and each growth-fit r grid for r > 2, so every
-caller gets the same refusals before any work.
+for at least one entry, each growth-fit r grid for r > 2 and each set
+of truncation radii for N >= 1, so every caller gets the same refusals
+before any work.
 
 Rows carry a pass flag only for exact-inequality checks with explicit
 constants.  Fitted constants, slopes, and feasibility reports always
@@ -42,8 +43,8 @@ from .expsum import (ArcWindow, _prime_divisors, annulus_integral,
 from .martingale import (doubling_constant, field_ensemble,
                          good_lambda_check, haar_field, jump_bound_defect,
                          orthogonality_defect, ratio_sweep, tower_defect)
-from .operators import (GridFunction, apply_truncation, embed, ensemble,
-                        ergodic_truncation, grid_difference,
+from .operators import (GridFunction, Truncation, apply_truncation, embed,
+                        ensemble, ergodic_truncation, grid_difference,
                         pushforward_kernel, union_box, variation_curves)
 from .polymap import canonical_mapping
 from .reporting import ResultRow
@@ -546,10 +547,12 @@ def _run_operator_norm(params, config) -> RunOutcome:
     """Backend agreement, structural identities, and empirical norms.
 
     The kernel picks the family: M_N for `which` = average, T_N for
-    singular.  Each field's direct and fft outputs are built once per N,
-    and every check reads them; only linearity applies the operator to a
-    further input, and the ergodic check realizes its own orbits.  The
-    growth rows read the fft outputs in increasing N.
+    singular.  Each N's `Truncation` (ball, kernel grid and spectrum) is
+    built once, before the fields are mapped, and every field reads it.
+    Each field's direct and fft outputs are built once per N, and every
+    check reads them; only linearity applies the operator to a further
+    input, and the ergodic check realizes its own orbits.  The growth
+    rows read the fft outputs in increasing N.
     """
     which = params["which"]
     if which not in ("average", "singular"):
@@ -567,13 +570,15 @@ def _run_operator_norm(params, config) -> RunOutcome:
                            config.seed))
     p, r_grid = params["p"], params["r_grid"]
     by_n = sorted(range(len(n_set)), key=n_set.__getitem__)
+    family = [Truncation(pushforward_kernel(Q, N, kernel),
+                         fields[0].values.shape) for N in n_set]
 
     def gap(a: GridFunction, b: GridFunction) -> float:
         return grid_difference(a, b) / max(float(np.abs(a.values).max()),
                                            1e-300)
 
-    def realized(f, N, direct) -> bool:
-        orbit = ergodic_truncation(f, Q, N, kernel)
+    def realized(f, T, direct) -> bool:
+        orbit = ergodic_truncation(f, T)
         u = union_box(direct, orbit)
         return np.array_equal(embed(direct, u).values,
                               embed(orbit, u).values)
@@ -581,21 +586,23 @@ def _run_operator_norm(params, config) -> RunOutcome:
     def check(item) -> dict:
         """Every per-field check, read from one (direct, fft) pair per N.
 
-        Only the first two fields keep their outputs (for linearity), so
-        the ensemble's outputs are never all held at once.
+        The fft outputs and their variation come first, so the variation
+        engine never runs beside the direct outputs.  Only the first two
+        fields keep their outputs (for linearity), so the ensemble's
+        outputs are never all held at once.
         """
         i, f = item
-        pairs = [tuple(apply_truncation(f, Q, N, kernel, backend=b)
-                       for b in ("direct", "fft")) for N in n_set]
+        ffts = [apply_truncation(f, T, backend="fft") for T in family]
+        ratios = variation_curves(f, [ffts[j] for j in by_n], r_grid, p)
+        directs = [apply_truncation(f, T) for T in family]
         total = complex(f.values.sum())
-        return {"backend": max(gap(a, b) for a, b in pairs),
+        return {"backend": max(gap(a, b) for a, b in zip(directs, ffts)),
                 "mass": max(abs(complex(a.values.sum()) - total)
-                            for a, _ in pairs) / max(1.0, abs(total)),
+                            for a in directs) / max(1.0, abs(total)),
                 "ergodic": i >= 4 or all(
-                    realized(f, N, a) for N, (a, _) in zip(n_set, pairs)),
-                "ratios": variation_curves(
-                    f, [pairs[j][1] for j in by_n], r_grid, p),
-                "direct": [a for a, _ in pairs] if i < 2 else None}
+                    realized(f, T, a) for T, a in zip(family, directs)),
+                "ratios": ratios,
+                "direct": directs if i < 2 else None}
 
     recs = _ordered_map(check, enumerate(fields), config.threads)
     rows = [_bound_row(name, "backend", {"i": i}, rec["backend"], 1e-10)
@@ -608,8 +615,8 @@ def _run_operator_norm(params, config) -> RunOutcome:
     f, g = fields[0], fields[1]
     combo = GridFunction(f.box, a1 * f.values + a2 * g.values)
     worst = 0.0
-    for N, fa, ga in zip(n_set, recs[0]["direct"], recs[1]["direct"]):
-        lhs = apply_truncation(combo, Q, N, kernel)
+    for T, fa, ga in zip(family, recs[0]["direct"], recs[1]["direct"]):
+        lhs = apply_truncation(combo, T)
         worst = max(worst, gap(lhs, GridFunction(
             fa.box, a1 * fa.values + a2 * ga.values)))
     rows.append(_bound_row(name, "linearity", {"n_set": list(n_set)}, worst,
@@ -717,6 +724,7 @@ def _run_multiplier_apply(params, config) -> RunOutcome:
 
     Test inputs are supported well inside one period so the periodic
     convolution never wraps and equals the free-space operator exactly.
+    The truncation is built once, and every trial reads it.
     """
     Q = canonical_mapping(params["k"], params["deg"])
     n, m, trials = params["n"], params["m"], params["trials"]
@@ -741,12 +749,13 @@ def _run_multiplier_apply(params, config) -> RunOutcome:
     shape = tuple(b - a + 1 for a, b in support_box)
     inputs = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
               for _ in range(trials)]
+    T = Truncation(ker, shape)
 
     squared = symbol ** 2
 
     def agree(values) -> tuple[float, float]:
         f = embed(GridFunction(support_box, values), period_box)
-        direct = apply_truncation(GridFunction(support_box, values), Q, n)
+        direct = apply_truncation(GridFunction(support_box, values), T)
         spectral = apply_periodic_multiplier(f, symbol)
         scale = max(float(np.abs(direct.values).max()), 1e-300)
         dev_apply = grid_difference(embed(direct, period_box),
@@ -817,8 +826,10 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
          "which": "average", "kernel_c": 0.5},
         needs_seed=True,
         summary="operator backends, identities, and empirical norms",
-        minimums={"size": 2},  # the linearity check reads two fields
-        exceeds={"r_grid": 2.0}),  # the growth fit's regime
+        # the linearity check reads two fields
+        minimums={"size": 2, "halfwidth": 0},
+        # the growth fit's regime, and truncation radii N >= 1
+        exceeds={"r_grid": 2.0, "n_set": 0}),
     "lepingle": ExperimentSpec(
         _run_lepingle,
         {"m": 1, "L": 8, "fields": 200, "p_grid": (1.5, 2.0, 3.0),
@@ -840,5 +851,5 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         {"k": 1, "deg": 2, "n": 4, "m": 64, "trials": 12},
         needs_seed=True,
         summary="Fourier-side realization against the direct operator",
-        minimums={"trials": 1}),
+        minimums={"trials": 1, "n": 1}),
 }

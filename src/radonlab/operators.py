@@ -7,10 +7,21 @@ without a kernel it applies M_N f(x) = |B_N|^{-1} sum f(x - P(y)), with a
 kernel K it applies T_N f(x) = sum_{y != 0} f(x - P(y)) K(y).  Both are
 convolutions with the pushforward of the lattice ball under the mapping.
 
+What does not depend on f is built once per (run, N), before a run maps
+over its inputs, and read by every input and thread: a `Truncation`
+holds the `pushforward_kernel` (the ball's images and weights, and the
+kernel grid they histogram into) and the grid's spectrum at the padded
+FFT shape of the run's input shape.  A run owns its truncations; nothing
+is cached across runs.
+
 Two backends: "direct" accumulates weighted translates of f, one lattice
-point at a time in lexicographic order; "fft" histograms the pushforward
-kernel and convolves with zero padding to the full linear size, so the
-cyclic product is exactly the linear one.  `ergodic_truncation`, the
+point at a time in lexicographic order; "fft" multiplies f's transform
+by the kernel's spectrum.  Its padded shape takes each axis's linear
+size (input plus kernel, minus one) up to the least length whose prime
+factors are all <= 7 (`_smooth_length`): at or beyond the linear size
+the cyclic product cannot wrap, so it is exactly the linear one, and
+the output is cropped to the same box as the direct backend's.  The two
+backends agree to roundoff, not bitwise.  `ergodic_truncation`, the
 shift-system realization (composed single-axis translations), is an
 independent oracle: it performs the identical sequence of float
 operations as the direct backend and therefore matches it bitwise.
@@ -22,14 +33,14 @@ operations as the direct backend and therefore matches it bitwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BudgetError
 from .expsum import CZKernelSpec, phase_sum
 from .polymap import PolynomialMapping, lattice_points
-from .variation import lp_norm, vr_exact_batch
+from .variation import lp_norm, lp_norms, vr_exact_batch
 
 MEMORY_BUDGET_ELEMENTS = 80_000_000
 _KINDS = ("spike", "bump", "rademacher")  # the random ensembles' cycle
@@ -102,15 +113,21 @@ def _check_elements(n: int):
 
 @dataclass(frozen=True)
 class PushforwardKernel:
-    """Convolution kernel kappa(z) = total weight of {y in B_N: P(y) = z}.
+    """Convolution kernel kappa(z) = total weight of {y in B_N: P(y) = z},
+    with the lattice ball it is built from.
 
     For the average the weight is 1/|B_N| per point; for the singular
     version it is K(y) with the origin removed.  Collisions between
-    lattice points accumulate, matching the defining sum.
+    lattice points accumulate, matching the defining sum.  Row i of
+    offsets is the image P(y_i) of the i-th ball point, in
+    lexicographic order, less the box's lower corner, and weights[i] is
+    its weight: the direct backend and the orbit realization walk them.
     """
 
     box: tuple[tuple[int, int], ...]
     values: np.ndarray
+    offsets: np.ndarray
+    weights: np.ndarray
 
     def multiplier_at(self, xi):
         """Fourier transform sum_z kappa(z) e(z . xi) over the support:
@@ -126,87 +143,127 @@ def _ball_images(P: PolynomialMapping, N: int, kernel: CZKernelSpec | None):
     pts = lattice_points(P.k, N)
     if kernel is not None:
         pts = pts[np.any(pts != 0, axis=1)]
-        if len(pts) == 0:
-            raise ValueError("truncation ball holds only the origin")
         weights = np.asarray(kernel.eval_many(pts), dtype=float)
     else:
-        if len(pts) == 0:
-            raise ValueError("empty truncation ball")
         weights = np.full(len(pts), 1.0 / len(pts))
     # Object dtype: exact Python-int images, so the memory-budget check
-    # below sees true extents even when they overflow fixed-width ints.
-    images = P.eval_many(pts)
-    return images, weights
+    # sees true extents even when they overflow fixed-width ints.
+    return P.eval_many(pts), weights
 
 
 def pushforward_kernel(P: PolynomialMapping, N: int,
                        kernel: CZKernelSpec | None = None) -> PushforwardKernel:
+    """The kernel of M_N (no kernel) or T_N (kernel K) along P, N >= 1."""
+    if N < 1:
+        raise ValueError("need N >= 1")
     images, weights = _ball_images(P, N, kernel)
     los = images.min(axis=0)
     his = images.max(axis=0)
     shape = tuple(int(h - l + 1) for l, h in zip(los, his))
     _check_elements(math.prod(shape))
+    offsets = (images - los).astype(np.intp)
     vals = np.zeros(shape)
-    np.add.at(vals,
-              tuple((images[:, j] - los[j]).astype(np.intp)
-                    for j in range(P.d)),
-              weights)
+    np.add.at(vals, tuple(offsets.T), weights)
     return PushforwardKernel(tuple((int(l), int(h))
-                                   for l, h in zip(los, his)), vals)
+                                   for l, h in zip(los, his)),
+                             vals, offsets, weights)
+
+
+def _smooth_length(n: int) -> int:
+    """The least length >= n whose prime factors are all <= 7.
+
+    pocketfft runs such lengths by radix passes; a length with a larger
+    prime factor, such as a prime linear size, takes Bluestein's
+    algorithm, several times slower.
+    """
+    while True:
+        rest = n
+        for p in (2, 3, 5, 7):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
+@dataclass(frozen=True)
+class Truncation:
+    """One member of the truncation family, for inputs of one shape.
+
+    It holds the pushforward kernel (with its lattice ball) and the
+    kernel's spectrum at the padded FFT shape: each axis of the linear
+    size, input plus kernel minus one, padded to `_smooth_length`.  A
+    run builds one per N before it maps over its fields, and the
+    threads share it read-only.
+    """
+
+    kernel: PushforwardKernel
+    shape: tuple[int, ...]
+    spectrum: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        padded = tuple(_smooth_length(fs + ks - 1) for fs, ks in
+                       zip(self.shape, self.kernel.values.shape))
+        # The spectrum, and each input's transform, which takes the
+        # product and its inverse in place.
+        _check_elements(2 * math.prod(padded))
+        spectrum = np.fft.fftn(self.kernel.values, s=padded,
+                               axes=tuple(range(len(padded))))
+        spectrum.flags.writeable = False
+        object.__setattr__(self, "spectrum", spectrum)
 
 
 # -- the two backends ----------------------------------------------------------
 
-def _output_grid(f: GridFunction, images):
-    """The box of f translated by every row of images, its zero grid, and
-    the images' lower corner."""
-    los = images.min(axis=0)
-    his = images.max(axis=0)
-    out_box = tuple((flo + int(lo), fhi + int(hi))
-                    for (flo, fhi), lo, hi in zip(f.box, los, his))
+def _output_grid(f: GridFunction, ker: PushforwardKernel):
+    """The box of f translated by every image of the kernel's ball, and
+    its zero grid."""
+    out_box = tuple((flo + klo, fhi + khi)
+                    for (flo, fhi), (klo, khi) in zip(f.box, ker.box))
     shape = tuple(hi - lo + 1 for lo, hi in out_box)
     _check_elements(math.prod(shape))
-    return out_box, np.zeros(shape, dtype=complex), los
+    return out_box, np.zeros(shape, dtype=complex)
 
 
-def _accumulate_translates(f: GridFunction, images, weights) -> GridFunction:
-    """out += w_i * (f translated by images[i]), in the given row order."""
-    out_box, out, los = _output_grid(f, images)
+def _accumulate_translates(f: GridFunction,
+                           ker: PushforwardKernel) -> GridFunction:
+    """out += w_i * (f translated by image i), in the ball's order."""
+    out_box, out = _output_grid(f, ker)
     f_shape = f.values.shape
-    for i in range(len(images)):
-        sl = tuple(slice(int(images[i, j] - los[j]),
-                         int(images[i, j] - los[j]) + f_shape[j])
-                   for j in range(len(f_shape)))
-        out[sl] += weights[i] * f.values
+    for at, w in zip(ker.offsets.tolist(), ker.weights):
+        out[tuple(slice(a, a + s) for a, s in zip(at, f_shape))] += \
+            w * f.values
     return GridFunction(out_box, out)
 
 
-def _convolve_fft(f: GridFunction, ker: PushforwardKernel) -> GridFunction:
+def _convolve_fft(f: GridFunction, T: Truncation) -> GridFunction:
+    """The linear convolution of f with T's kernel, taken cyclically at
+    T's padded shape, which is at least the linear size on every axis,
+    so nothing wraps; the linear part is cropped out."""
+    if f.values.shape != T.shape:
+        raise ValueError(f"input shape {f.values.shape} is not the "
+                         f"truncation's {T.shape}")
     out_box = tuple((flo + klo, fhi + khi)
-                    for (flo, fhi), (klo, khi) in zip(f.box, ker.box))
-    full = tuple(fs + ks - 1
-                 for fs, ks in zip(f.values.shape, ker.values.shape))
-    _check_elements(2 * math.prod(full))
-    axes = tuple(range(len(full)))
-    F = np.fft.fftn(f.values, s=full, axes=axes)
-    G = np.fft.fftn(ker.values, s=full, axes=axes)
-    return GridFunction(out_box, np.fft.ifftn(F * G, axes=axes))
+                    for (flo, fhi), (klo, khi) in zip(f.box, T.kernel.box))
+    axes = tuple(range(f.ndim))
+    F = np.fft.fftn(f.values, s=T.spectrum.shape, axes=axes)
+    F *= T.spectrum
+    out = np.fft.ifftn(F, axes=axes, out=F)
+    return GridFunction(out_box, out[tuple(slice(0, hi - lo + 1)
+                                           for lo, hi in out_box)])
 
 
-def apply_truncation(f: GridFunction, P: PolynomialMapping, N: int,
-                     kernel: CZKernelSpec | None = None,
+def apply_truncation(f: GridFunction, T: Truncation,
                      backend: str = "direct") -> GridFunction:
-    """One member of the truncation family, chosen by the kernel.
+    """One member of the truncation family, as T was built.
 
     Without a kernel, M_N f(x) = |B_N|^{-1} sum_{y in B_N} f(x - P(y));
     with one, T_N f(x) = sum_{y in B_N, y != 0} f(x - P(y)) K(y).
     """
-    if N < 1:
-        raise ValueError("need N >= 1")
     if backend == "direct":
-        return _accumulate_translates(f, *_ball_images(P, N, kernel))
+        return _accumulate_translates(f, T.kernel)
     if backend == "fft":
-        return _convolve_fft(f, pushforward_kernel(P, N, kernel=kernel))
+        return _convolve_fft(f, T)
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -219,35 +276,28 @@ def _shift_axis(f: GridFunction, axis: int, amount: int) -> GridFunction:
     return GridFunction(new_box, f.values)
 
 
-def _orbit_accumulate(f: GridFunction, images, weights) -> GridFunction:
-    """Weighted sum of f over the orbit of composed shifts.
-
-    Walks the lattice points in the same order as the direct backend and
-    performs the same multiply-and-add per point, so the output is
-    bitwise equal to it; the translate is realized by composing
-    single-axis shifts rather than by index arithmetic.
-    """
-    out_box, out, _ = _output_grid(f, images)
-    for i in range(len(images)):
-        shifted = f
-        for axis in range(f.ndim):
-            shifted = _shift_axis(shifted, axis, int(images[i, axis]))
-        sl = tuple(slice(blo - olo, blo - olo + (bhi - blo + 1))
-                   for (blo, bhi), (olo, _) in zip(shifted.box, out_box))
-        out[sl] += weights[i] * shifted.values
-    return GridFunction(out_box, out)
-
-
-def ergodic_truncation(f: GridFunction, P: PolynomialMapping, N: int,
-                       kernel: CZKernelSpec | None = None) -> GridFunction:
+def ergodic_truncation(f: GridFunction, T: Truncation) -> GridFunction:
     """The truncation family on the shift system X = Z^d.
 
     With commuting coordinate shifts S_j, the orbit sum
     sum_{y in B_N} w(y) f(S_1^{P_1(y)} ... S_d^{P_d(y)} x), with the
     weights of `apply_truncation` (1/|B_N|, or K(y) off the origin), is
     the lattice operator itself; built literally from composed shifts.
+    It walks the ball in the direct backend's order and performs the
+    same multiply-and-add per point, so the output is bitwise equal to
+    it; the translate is realized by composing single-axis shifts
+    rather than by index arithmetic.
     """
-    return _orbit_accumulate(f, *_ball_images(P, N, kernel))
+    ker = T.kernel
+    out_box, out = _output_grid(f, ker)
+    for at, w in zip(ker.offsets.tolist(), ker.weights):
+        shifted = f
+        for axis, ((lo, _), a) in enumerate(zip(ker.box, at)):
+            shifted = _shift_axis(shifted, axis, lo + a)
+        sl = tuple(slice(blo - olo, blo - olo + (bhi - blo + 1))
+                   for (blo, bhi), (olo, _) in zip(shifted.box, out_box))
+        out[sl] += w * shifted.values
+    return GridFunction(out_box, out)
 
 
 # -- variation curves across truncations -----------------------------------------
@@ -256,18 +306,22 @@ def variation_curves(f: GridFunction, outs, r_grid, p: float) -> list[float]:
     """||V_r||_p / ||f||_p across a truncation family, one float per r.
 
     outs are the family's outputs on f (`apply_truncation`) in
-    increasing N.  V_r is taken pointwise across them; one (cells,
-    len(outs)) stack serves every r of r_grid, in grid order.  A single
-    output gives the zero field, and a zero f the ratio inf.  The ratio
-    is the quantity the boundedness statements control for r > 2.
+    increasing N.  V_r is taken pointwise across them: one (cells,
+    len(outs)) stack goes to one `vr_exact_batch` call with every r of
+    r_grid, and one `lp_norms` call takes the norms, in grid order.  A
+    single output gives the zero field, and a zero f the ratio inf.  The
+    ratio is the quantity the boundedness statements control for r > 2.
     """
     if not outs:
         raise ValueError("need at least one truncation")
-    u = union_box(*outs)
-    stack = np.stack([embed(o, u).values.ravel() for o in outs], axis=1)
     den = f.norm(p)
-    return [lp_norm(vr_exact_batch(stack, r), p) / den if den > 0
-            else math.inf for r in r_grid]
+    if not den > 0:
+        return [math.inf] * len(r_grid)
+    u = union_box(*outs)
+    # Stacked N-major and read transposed: the engine's column layout is
+    # the stack itself, not a copy.
+    stack = np.stack([embed(o, u).values.ravel() for o in outs])
+    return [x / den for x in lp_norms(vr_exact_batch(stack.T, r_grid), p)]
 
 
 # -- random ensembles ------------------------------------------------------------

@@ -16,7 +16,9 @@ turns, and the start of its last run, which is all an optimal chain
 needs (`_turning_points`).  Rows are grouped by cut width, and one cut
 serves every r of a call.  Complex rows, r = 1, jump counts (0, 1, 2
 has two jumps above 1/2, its cut 0, 2 one) and segmented runs take the
-uncut recursion.  Subset-enumeration
+uncut recursion.  One recursion run takes several gains at once: each
+chunk of predecessors takes its differences |a_j - a_i| once, and every
+r of a call applies its own gain to them.  Subset-enumeration
 brute forces serve as independent oracles for short sequences: they
 total the chain of each of the 2^n subsets of each of m rows, m 2^n
 cells taken as n(n - 1)/2 block adds per chunk of rows, masks-major,
@@ -134,18 +136,21 @@ def _one(a) -> np.ndarray:
     return v[0]
 
 
-def _longest_chain(v: np.ndarray, gain, seg=None) -> np.ndarray:
+def _longest_chain(v: np.ndarray, gains, seg=None) -> np.ndarray:
     """The one chain recursion behind V_r and the jump counts.
 
     v holds m sequences as the rows of an (m, n) array, as `_block` reads
-    them.  A chain i_0 < ... < i_k earns gain(|v_{i_{t+1}} - v_{i_t}|) per
-    step; best[:, j] is the largest total over chains ending at j, floored
-    at 0 so any point may start a chain.  Once best[:, i] is final it is
-    pushed to every later j.  Returns best (m, n).  O(m n^2) time, O(m n)
-    memory.
+    them, and gains is a sequence of K edge gains.  Under a gain, a chain
+    i_0 < ... < i_k earns gain(|v_{i_{t+1}} - v_{i_t}|) per step;
+    best[k, :, j] is the largest total under gains[k] over chains ending
+    at j, floored at 0 so any point may start a chain.  Once best[k, :, i]
+    is final it is pushed to every later j.  Returns best (K, m, n).
+    O(K m n^2) time, O(K m n) memory.  Every gain reads the same |v_j -
+    v_i|, taken once per chunk of predecessors, and pushes on its own, so
+    best[k] is the bits of a run with gains[k] alone.
 
     With seg (n,), each point's segment end (nondecreasing: the segment of
-    point i is i's run of equal ends, up to seg[i] exclusive), best[:, i]
+    point i is i's run of equal ends, up to seg[i] exclusive), best[k, :, i]
     is pushed only to the later points of its own segment.  No chain then
     crosses a segment boundary, and best on each segment is that of the
     segment's own run, bit for bit.
@@ -154,66 +159,78 @@ def _longest_chain(v: np.ndarray, gain, seg=None) -> np.ndarray:
     `_one_row_chain`, which takes its predecessors in tiles, since a push
     of at most n cells would pay an array call per predecessor.  A block
     (m >= 2) pushes one predecessor at a time to all m rows, and takes the
-    gains of as many predecessors as fit in `_GAIN_BYTES` of differences
-    in one array operation, up to the segment end of the last of them.
+    differences of as many predecessors as fit in `_GAIN_BYTES` in one
+    array operation, up to the segment end of the last of them.
     On either schedule every candidate is the one float add
     best[i] + gain(|v_j - v_i|), each gain is the same elementwise array
     operation, and a max is exact, so a row's values are the same bits on
     both.
     """
     if len(v) == 1:
-        return _one_row_chain(v[0], gain, seg)[None]
+        return _one_row_chain(v[0], gains, seg)[:, None]
     cols = np.ascontiguousarray(v.T)
     n = len(cols)
     end = [n] * n if seg is None else seg.tolist()
-    best = np.zeros(cols.shape)
+    best = np.zeros((len(gains),) + cols.shape)
     rows = max(1, _GAIN_BYTES // cols.nbytes)
     for i0 in range(0, n - 1, rows):
         i1 = min(i0 + rows, n - 1)
-        # g[a, b] is the gain from i0 + a to i0 + 1 + b.
-        g = gain(np.abs(cols[i0 + 1:end[i1 - 1]] - cols[i0:i1, None]))
-        for i in range(i0, i1):
-            later = best[i + 1:end[i]]
-            np.maximum(later, best[i] + g[i - i0, i - i0:end[i] - i0 - 1],
-                       out=later)
-    return best.T.reshape(v.shape)
+        # d[a, b] is |v_j - v_i| from i = i0 + a to j = i0 + 1 + b.
+        d = np.abs(cols[i0 + 1:end[i1 - 1]] - cols[i0:i1, None])
+        for gain, top in zip(gains, best):
+            g = gain(d)
+            for i in range(i0, i1):
+                later = top[i + 1:end[i]]
+                step = g[i - i0, i - i0:end[i] - i0 - 1]
+                step += top[i]
+                np.maximum(later, step, out=later)
+        # Drop this chunk's arrays before the next chunk's differences.
+        del d, g
+    return best.transpose(0, 2, 1)
 
 
-def _one_row_chain(v: np.ndarray, gain, seg=None) -> np.ndarray:
-    """`_longest_chain` of one sequence v (n,), `_TILE` predecessors a step.
+def _one_row_chain(v: np.ndarray, gains, seg=None) -> np.ndarray:
+    """`_longest_chain` of one sequence v (n,), `_TILE` predecessors a step:
+    best (K, n).
 
-    A tile's gains are taken against the points from its first on, up to
-    the segment end of its last point.  Inside the tile the push runs on
-    Python floats, a few hundred nanoseconds a step where an array call
-    costs microseconds; then one array operation pushes the finished tile
-    to the later points.  Python's > drops a NaN that np.maximum would
-    pass on, which `_block`'s refusal of non-finite values rules out.
-    A tile that spans segments sets the gain between points of different
-    segments to -inf, so no chain crosses a boundary; a tile inside one
-    segment needs no mask.
+    A tile's differences are taken against the points from its first on,
+    up to the segment end of its last point, and every gain reads them.
+    Inside the tile the push runs on Python floats, a few hundred
+    nanoseconds a step where an array call costs microseconds; then one
+    array operation pushes the finished tile to the later points.
+    Python's > drops a NaN that np.maximum would pass on, which
+    `_block`'s refusal of non-finite values rules out.  A tile that
+    spans segments sets the gain between points of different segments
+    to -inf, so no chain crosses a boundary; a tile inside one segment
+    needs no mask.
     """
     n = len(v)
-    best = np.zeros(n)
+    best = np.zeros((len(gains), n))
+    tops = list(zip(gains, best))
     end = [n] * n if seg is None else seg.tolist()
     for t0 in range(0, n - 1, _TILE):
         t1 = min(t0 + _TILE, n)
         w, stop = t1 - t0, end[t1 - 1]
-        # g[a, b] is the gain from t0 + a to t0 + b.
-        g = gain(np.abs(v[t0:stop] - v[t0:t1, None]))
-        if end[t0] != stop:
-            g[seg[t0:t1, None] != seg[t0:stop]] = -np.inf
-        tile = best[t0:t1].tolist()
-        for a, row in enumerate(g[:, :w].tolist()):
-            x = tile[a]
-            for b in range(a + 1, w):
-                y = x + row[b]
-                if y > tile[b]:
-                    tile[b] = y
-        best[t0:t1] = tile
-        if t1 < stop:
-            later = g[:, w:]
-            later += best[t0:t1, None]
-            np.maximum(best[t1:stop], later.max(axis=0), out=best[t1:stop])
+        # d[a, b] is |v_j - v_i| from i = t0 + a to j = t0 + b.
+        d = np.abs(v[t0:stop] - v[t0:t1, None])
+        across = None if end[t0] == stop else \
+            seg[t0:t1, None] != seg[t0:stop]
+        for gain, top in tops:
+            g = gain(d)
+            if across is not None:
+                g[across] = -np.inf
+            tile = top[t0:t1].tolist()
+            for a, row in enumerate(g[:, :w].tolist()):
+                x = tile[a]
+                for b in range(a + 1, w):
+                    y = x + row[b]
+                    if y > tile[b]:
+                        tile[b] = y
+            top[t0:t1] = tile
+            if t1 < stop:
+                later = g[:, w:]
+                later += top[t0:t1, None]
+                np.maximum(top[t1:stop], later.max(axis=0), out=top[t1:stop])
     return best
 
 
@@ -225,7 +242,7 @@ def vr_exact(a, r: float) -> VariationResult:
     """
     _check_r(r)
     v = _one(a)
-    best = _longest_chain(v[None], lambda d: d ** r)[0]
+    best = _longest_chain(v[None], (_vr_gain(r),))[0, 0]
     chain = [int(np.argmax(best))]
     while best[chain[-1]] > 0:
         # The first predecessor attaining best[j].
@@ -267,19 +284,21 @@ def _remembered_max(kind: str, x, dtype: str, shape: tuple,
 
 def _row_max(a: np.ndarray, kind: str, x) -> np.ndarray:
     if kind == "jump":
-        gain = _jump_gain(x)
-        return _longest_chain(_block(a)[0], gain).max(axis=1)
+        return _longest_chain(_block(a)[0], (_jump_gain(x),))[0].max(axis=1)
     v = _block(a)[0]
     rs = x if isinstance(x, tuple) else (x,)
     # Complex rows, and r = 1, where monotone chains tie exactly, run
-    # uncut.
+    # uncut, every r in one engine run.
     cut = [k for k, r in enumerate(rs) if r > 1 and v.dtype.kind == "f"]
-    best = np.empty((len(rs), len(v)))
     if cut:
+        uncut = [k for k in range(len(rs)) if k not in cut]
+        best = np.empty((len(rs), len(v)))
         best[cut] = _cut_chain_max(v, [rs[k] for k in cut])
-    for k, r in enumerate(rs):
-        if k not in cut:
-            best[k] = _longest_chain(v, lambda d: d ** r).max(axis=1)
+        if uncut:
+            best[uncut] = _longest_chain(
+                v, [_vr_gain(rs[k]) for k in uncut]).max(axis=2)
+    else:
+        best = _longest_chain(v, [_vr_gain(r) for r in rs]).max(axis=2)
     return best if isinstance(x, tuple) else best[0]
 
 
@@ -309,17 +328,18 @@ def _cut_chain_max(v: np.ndarray, rs) -> np.ndarray:
     """`_row_max` of real rows v (m, n) at each r > 1: (len(rs), m).
 
     Every row is cut to its `_turning_points`, and the rows are grouped
-    by cut width: each group runs `_longest_chain` once per r, on its
-    cut rows only.  The cut drops no chain that an optimal one needs, so
-    a row's maximum is that of its uncut run; the tests hold the two to
-    the same bits.  A row with one point in its cut has no step and
-    gets 0.
+    by cut width: each group runs `_longest_chain` once with every r's
+    gain, on its cut rows only.  The cut drops no chain that an optimal
+    one needs, so a row's maximum is that of its uncut run; the tests
+    hold the two to the same bits.  A row with one point in its cut has
+    no step and gets 0.
     """
     keep = _turning_points(v)
     widths = np.count_nonzero(keep, axis=1)
     # bincount and a stable argsort group the rows; np.unique would
     # import numpy.ma.
     order = np.argsort(widths, kind="stable")
+    gains = [_vr_gain(r) for r in rs]
     best = np.zeros((len(rs), len(v)))
     start = 0
     for w, count in enumerate(np.bincount(widths).tolist()):
@@ -328,8 +348,7 @@ def _cut_chain_max(v: np.ndarray, rs) -> np.ndarray:
         if w < 2 or not count:
             continue
         cut = v[rows][keep[rows]].reshape(count, w)
-        for k, r in enumerate(rs):
-            best[k, rows] = _longest_chain(cut, lambda d: d ** r).max(axis=1)
+        best[:, rows] = _longest_chain(cut, gains).max(axis=2)
     return best
 
 
@@ -363,8 +382,8 @@ def _vr_parts(v: np.ndarray, r: float, ends) -> np.ndarray:
     _check_r(r)
     ends = np.asarray(ends)
     size = ends[1:] - ends[:-1]
-    best = _longest_chain(v, lambda d: d ** float(r),
-                          np.repeat(ends[1:], size))
+    best = _longest_chain(v, (_vr_gain(float(r)),),
+                          np.repeat(ends[1:], size))[0]
     top = np.zeros((len(v), len(size)))
     # reduceat takes each live part from its start to the next live start;
     # an empty part has no maximum to take.
@@ -414,7 +433,7 @@ def vr_bruteforce(a, r: float) -> VariationResult:
     """
     _check_r(r)
     v = _one(a)
-    chain = _subset_chains(v[None], lambda d: d ** r)[:, 0]
+    chain = _subset_chains(v[None], _vr_gain(r))[:, 0]
     # argmax is 0, the empty mask, exactly when the best total is 0.
     mask = int(chain.argmax()) or 1
     # The root as an array operation, exactly as in vr_exact.
@@ -438,7 +457,7 @@ def vr_bruteforce_batch(values: np.ndarray, r: float) -> np.ndarray:
     best = np.zeros(m)
     for i in range(0, m, rows):
         best[i:i + rows] = _subset_chains(v[i:i + rows],
-                                          lambda d: d ** r).max(axis=0)
+                                          _vr_gain(r)).max(axis=0)
     return best ** (1.0 / r)
 
 
@@ -633,6 +652,11 @@ def oscillation_holder_check(a, lacunary, J: int, r: float):
                 J ** (0.5 - 1.0 / r) * vr_exact_batch(v, r))
 
 
+def _vr_gain(r: float):
+    """V_r's gain: |v_j - v_i|^r."""
+    return lambda d: d ** r
+
+
 def _jump_gain(lam: float):
     """The jump gain: 1 on gaps strictly above lam (not at ties), else -inf."""
     if lam < 0:
@@ -642,7 +666,7 @@ def _jump_gain(lam: float):
 
 def jump_count(a, lam: float) -> int:
     """N_lam: the jumps of a longest chain with gaps strictly above lam."""
-    return int(_longest_chain(_one(a)[None], _jump_gain(lam)).max())
+    return int(_longest_chain(_one(a)[None], (_jump_gain(lam),)).max())
 
 
 def jump_count_bruteforce(a, lam: float) -> int:

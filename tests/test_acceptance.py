@@ -17,8 +17,9 @@ from radonlab import circle as ci
 from radonlab import cli, experiments, variation
 from radonlab.experiments import RunConfig, run
 from radonlab.expsum import avg_multiplier, odd_power_kernel
-from radonlab.operators import (GridFunction, apply_truncation, embed,
-                                ensemble, ergodic_truncation, union_box)
+from radonlab.operators import (GridFunction, Truncation, apply_truncation,
+                                embed, ensemble, ergodic_truncation,
+                                pushforward_kernel, union_box)
 from radonlab.polymap import PolynomialMapping, canonical_mapping
 from radonlab.variation import (dyadic_level_square_bound,
                                 jump_variation_check, l2_bound_check,
@@ -171,38 +172,42 @@ def test_operator_backend_equivalence():
     ergodic_ok = True
     for j, (Q, N, h) in enumerate(configs):
         fields = list(ensemble(Q.d, h, 20, seed=7000 + j))
+        shape = fields[0].values.shape
+        avg = Truncation(pushforward_kernel(Q, N), shape)
+        if Q.k == 1:
+            sing = Truncation(pushforward_kernel(Q, N, kernel), shape)
         for i, f in enumerate(fields):
             count += 1
-            direct = apply_truncation(f, Q, N, backend="direct")
-            fast = apply_truncation(f, Q, N, backend="fft")
+            direct = apply_truncation(f, avg, backend="direct")
+            fast = apply_truncation(f, avg, backend="fft")
             worst_backend = max(worst_backend, sup_gap(direct, fast))
             worst_mass = max(worst_mass,
                              abs(direct.values.sum() - f.values.sum())
                              / max(1.0, abs(f.values.sum())))
             if Q.k == 1:
-                ds = apply_truncation(f, Q, N, kernel, backend="direct")
-                fs = apply_truncation(f, Q, N, kernel, backend="fft")
+                ds = apply_truncation(f, sing, backend="direct")
+                fs = apply_truncation(f, sing, backend="fft")
                 worst_backend = max(worst_backend, sup_gap(ds, fs))
             if i < 2:
                 g = fields[i + 1]
                 ub = union_box(f, g)
                 fe, ge = embed(f, ub), embed(g, ub)
                 combo = GridFunction(ub, 0.7 * fe.values - 1.3j * ge.values)
-                lhs = apply_truncation(combo, Q, N, backend="fft")
-                rf = apply_truncation(fe, Q, N, backend="fft")
-                rg = apply_truncation(ge, Q, N, backend="fft")
+                lhs = apply_truncation(combo, avg, backend="fft")
+                rf = apply_truncation(fe, avg, backend="fft")
+                rg = apply_truncation(ge, avg, backend="fft")
                 dev = np.abs(lhs.values - (0.7 * rf.values
                                            - 1.3j * rg.values)).max()
                 worst_lin = max(worst_lin, float(dev)
                                 / max(float(np.abs(lhs.values).max()),
                                       1e-30))
             if i < 3:
-                erg = ergodic_truncation(f, Q, N)
+                erg = ergodic_truncation(f, avg)
                 u = union_box(direct, erg)
                 ergodic_ok = ergodic_ok and np.array_equal(
                     embed(direct, u).values, embed(erg, u).values)
                 if Q.k == 1:
-                    es = ergodic_truncation(f, Q, N, kernel)
+                    es = ergodic_truncation(f, sing)
                     u = union_box(ds, es)
                     ergodic_ok = ergodic_ok and np.array_equal(
                         embed(ds, u).values, embed(es, u).values)
@@ -326,6 +331,9 @@ def test_thread_count_determinism(tmp_path, capsys):
         ["operator-norm", "--seed", "3", "--size", "5"],
         ["operator-norm", "--seed", "3", "--size", "5",
          "--which", "singular"],
+        # prime linear sizes (67, 71, 73) padded for the FFT, every
+        # thread reading each N's one shared truncation
+        ["operator-norm", "--seed", "3", "--size", "3", "--halfwidth", "32"],
     )
     ok = True
     for argv in jobs:

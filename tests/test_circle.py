@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from radonlab import circle as ci
 from radonlab.errors import BudgetError, NotRepresentableError
 from radonlab.expsum import avg_multiplier
-from radonlab.operators import (GridFunction, apply_truncation,
-                                grid_difference)
+from radonlab.operators import (GridFunction, Truncation, apply_truncation,
+                                grid_difference, pushforward_kernel)
 from radonlab.polymap import canonical_mapping
 
 Q_1D = canonical_mapping(1, 1)     # y
@@ -184,7 +184,8 @@ def test_apply_matches_spatial_operator(Q, ndim, M, rng):
     f = _padded_field(rng, ndim, M, M // 2 - 2)
     spectral = ci.apply_periodic_multiplier(
         f, avg_multiplier(N, ci.torus_frequencies((M,) * ndim), Q))
-    spatial = apply_truncation(f, Q, N)
+    spatial = apply_truncation(
+        f, Truncation(pushforward_kernel(Q, N), f.values.shape))
     assert grid_difference(spectral, spatial) < 1e-10
 
 

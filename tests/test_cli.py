@@ -125,6 +125,8 @@ def test_a_wrongly_shaped_parameter_exits_two(tmp_path, capsys, experiment):
 @pytest.mark.parametrize("command, setting", [
     ("operator-norm --size 1", "size"),
     ("operator-norm --size 0", "size"),
+    ("operator-norm --halfwidth -3", "halfwidth"),
+    ("multiplier-apply --n 0", "n"),
     ("multiplier-apply --trials 0", "trials"),
     ("good-lambda --fields 0", "fields"),
     ("lepingle --fields 0", "fields"),
@@ -176,15 +178,19 @@ def test_an_empty_list_setting_is_refused_by_name(tmp_path, capsys,
 @pytest.mark.parametrize("command, value", [
     ("lepingle --r-grid 1.5,3", "1.5"),
     ("operator-norm --r-grid 2.0,3.0", "2.0"),
+    # a truncation radius below 1, refused as the growth fit's r is
+    ("operator-norm --n-set 0,1", "0"),
 ])
 def test_a_growth_fit_r_of_at_most_two_is_refused_by_name(
         tmp_path, capsys, monkeypatch, command, value):
     argv = command.split()
+    setting = argv[1][2:].replace("-", "_")
     refuse_to_run(monkeypatch, argv[0])
     code = cli.main(argv + ["--seed", "1", "--out", str(tmp_path)])
     assert code == 2
-    assert capsys.readouterr().err == (f"error: {argv[0]}: every r_grid "
-                                       f"entry must be > 2.0, got {value}\n")
+    assert capsys.readouterr().err == (
+        f"error: {argv[0]}: every {setting} entry must be > "
+        f"{EXPERIMENTS[argv[0]].exceeds[setting]}, got {value}\n")
     assert not list(tmp_path.iterdir())
 
 

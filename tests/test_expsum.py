@@ -11,7 +11,7 @@ from scipy.special import j1, sici
 
 from radonlab import expsum as es
 from radonlab.errors import BudgetError, KernelError, QuadratureError
-from radonlab.operators import apply_truncation, delta_function
+from radonlab.operators import pushforward_kernel
 from radonlab.polymap import canonical_mapping, lattice_points
 
 Q_LIN = canonical_mapping(1, 1)    # y
@@ -393,7 +393,7 @@ _Q2 = canonical_mapping(2, 1)
     lambda K: es.major_arc_diff_check(
         es.ArcWindow(N=64, L1=64.0, L2=1.0, L3=8.0), 32,
         es.RationalPoint((0, 0, 0), 1), np.zeros(3), _Q2, K),
-    lambda K: apply_truncation(delta_function(3), _Q2, 2, K)],
+    lambda K: pushforward_kernel(_Q2, 2, K)],
     ids=["sing-multiplier", "annulus", "singular-multiplier",
          "major-arc-diff", "apply-truncation"])
 def test_kernel_of_the_wrong_dimension_is_refused(call):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radonlab.errors import BudgetError
-from radonlab import experiments
+from radonlab import experiments, operators
 from radonlab.experiments import RunConfig, run
 from radonlab.expsum import (avg_multiplier, odd_power_kernel, phase_sum,
                             sing_multiplier)
-from radonlab.operators import (GridFunction, apply_truncation,
+from radonlab.operators import (GridFunction, Truncation, apply_truncation,
                                 delta_function, embed, ensemble,
                                 ergodic_truncation, grid_difference,
                                 pushforward_kernel, variation_curves)
@@ -27,11 +28,24 @@ P_2D_ID = PolynomialMapping(2, 2, ({(1, 0): 1}, {(0, 1): 1}))
 KERNEL = odd_power_kernel(1.0)
 
 
+def built(P, N, f, kernel=None):
+    """The truncation of P at N for inputs of f's shape."""
+    return Truncation(pushforward_kernel(P, N, kernel), f.values.shape)
+
+
+def apply(f, P, N, kernel=None, backend="direct"):
+    return apply_truncation(f, built(P, N, f, kernel), backend)
+
+
+def ergodic(f, P, N, kernel=None):
+    return ergodic_truncation(f, built(P, N, f, kernel))
+
+
 def curves(f, P, r_grid, N_set, p, kernel=None):
     """variation_curves over the fft outputs of the family at N_set: the
     ratio ||V_r||_p / ||f||_p per r."""
     return variation_curves(
-        f, [apply_truncation(f, P, n, kernel, backend="fft")
+        f, [apply(f, P, n, kernel, backend="fft")
             for n in sorted(N_set)], r_grid, p)
 
 
@@ -72,7 +86,7 @@ def test_embed_requires_containment():
 # -- frozen operator examples ---------------------------------------------------
 
 def test_average_of_delta_identity_map():
-    out = apply_truncation(delta_function(1), P_ID, 1)
+    out = apply(delta_function(1), P_ID, 1)
     assert out.box == ((-1, 1),)
     np.testing.assert_allclose(out.values.real, [1 / 3, 1 / 3, 1 / 3],
                                atol=1e-15)
@@ -80,7 +94,7 @@ def test_average_of_delta_identity_map():
 
 def test_average_of_delta_square_map_masses():
     # y in {-2..2}: images 4, 1, 0, 1, 4 -> mass 1/5 at 0, 2/5 at 1 and 4
-    out = apply_truncation(delta_function(1), P_SQ, 2)
+    out = apply(delta_function(1), P_SQ, 2)
     assert out.box == ((0, 4),)
     np.testing.assert_allclose(out.values.real, [0.2, 0.4, 0.0, 0.0, 0.4],
                                atol=1e-15)
@@ -95,7 +109,7 @@ def test_pushforward_kernel_masses():
 
 
 def test_singular_of_delta_is_kernel():
-    out = apply_truncation(delta_function(1), P_ID, 3, KERNEL)
+    out = apply(delta_function(1), P_ID, 3, KERNEL)
     assert out.box == ((-3, 3),)
     expected = [-1 / 3, -1 / 2, -1.0, 0.0, 1.0, 1 / 2, 1 / 3]
     np.testing.assert_allclose(out.values.real, expected, atol=1e-15)
@@ -104,7 +118,7 @@ def test_singular_of_delta_is_kernel():
 def test_singular_parity_odd_kernel_even_input():
     f = GridFunction(((-3, 3),), np.array([1.0, 2.0, 3.0, 4.0, 3.0, 2.0,
                                            1.0]))
-    out = apply_truncation(f, P_ID, 2, KERNEL)
+    out = apply(f, P_ID, 2, KERNEL)
     vals = out.values.real
     np.testing.assert_allclose(vals, -vals[::-1], atol=1e-14)
 
@@ -117,8 +131,8 @@ def test_direct_vs_fft_average(rng, P, ndim):
     # f lives on the target lattice Z^d, not the source Z^k.
     f = random_grid(rng, ndim, 6)
     for N in (1, 2, 5):
-        a = apply_truncation(f, P, N, backend="direct")
-        b = apply_truncation(f, P, N, backend="fft")
+        a = apply(f, P, N, backend="direct")
+        b = apply(f, P, N, backend="fft")
         assert a.box == b.box
         scale = np.abs(a.values).max()
         assert grid_difference(a, b) <= 1e-10 * max(scale, 1.0)
@@ -126,22 +140,69 @@ def test_direct_vs_fft_average(rng, P, ndim):
 
 def test_direct_vs_fft_2d_output(rng):
     f = random_grid(rng, 2, 3)
-    a = apply_truncation(f, P_2D, 4, backend="direct")
-    b = apply_truncation(f, P_2D, 4, backend="fft")
+    a = apply(f, P_2D, 4, backend="direct")
+    b = apply(f, P_2D, 4, backend="fft")
     assert grid_difference(a, b) <= 1e-10
 
 
 def test_direct_vs_fft_singular(rng):
     f = random_grid(rng, 1, 8)
     for N in (2, 7):
-        a = apply_truncation(f, P_SQ, N, KERNEL, backend="direct")
-        b = apply_truncation(f, P_SQ, N, KERNEL, backend="fft")
+        a = apply(f, P_SQ, N, KERNEL, backend="direct")
+        b = apply(f, P_SQ, N, KERNEL, backend="fft")
         assert grid_difference(a, b) <= 1e-10
 
 
 def test_unknown_backend_rejected():
     with pytest.raises(ValueError):
-        apply_truncation(delta_function(1), P_ID, 1, backend="magic")
+        apply(delta_function(1), P_ID, 1, backend="magic")
+
+
+@pytest.mark.parametrize("halfwidth,full", [(16, 37), (18, 41), (31, 67),
+                                            (33, 71), (34, 73)])
+def test_fft_at_a_prime_linear_size_is_the_direct_operator(rng, halfwidth,
+                                                           full):
+    # Under y -> (y, y^2) at N = 2 the kernel box is 5 x 5, so the linear
+    # size is 2 halfwidth + 5 on both axes: a prime, padded to a length
+    # with no prime factor above 7 and cropped back.
+    P = canonical_mapping(1, 2)
+    f = random_grid(rng, 2, halfwidth)
+    T = built(P, 2, f)
+    assert T.spectrum.shape == (operators._smooth_length(full),) * 2
+    assert T.spectrum.shape != (full, full)
+    a = apply_truncation(f, T, backend="direct")
+    b = apply_truncation(f, T, backend="fft")
+    assert a.box == b.box
+    assert b.values.shape == (full, full)
+    assert grid_difference(a, b) <= 1e-12 * np.abs(a.values).max()
+
+
+def test_smooth_length_is_the_least_7_smooth_length():
+    smooth = sorted(2 ** a * 3 ** b * 5 ** c * 7 ** d for a in range(10)
+                    for b in range(7) for c in range(5) for d in range(4))
+    for n in range(1, 513):
+        assert operators._smooth_length(n) == next(m for m in smooth
+                                                   if m >= n)
+
+
+def test_fft_budget_counts_the_padded_shape(monkeypatch):
+    # A 65 x 65 input under y -> (y, y^2) at N = 4: linear size 73 x 81,
+    # padded to 75 x 81; the spectrum, the input's transform and their
+    # product are allocated at the padded shape.
+    f = GridFunction(((-32, 32),) * 2, np.zeros((65, 65)))
+    ker = pushforward_kernel(canonical_mapping(1, 2), 4)
+    monkeypatch.setattr(operators, "MEMORY_BUDGET_ELEMENTS", 2 * 75 * 81 - 1)
+    with pytest.raises(BudgetError) as info:
+        Truncation(ker, f.values.shape)
+    assert info.value.estimate == 2 * 75 * 81 > 2 * 73 * 81
+    monkeypatch.setattr(operators, "MEMORY_BUDGET_ELEMENTS", 2 * 75 * 81)
+    assert Truncation(ker, f.values.shape).spectrum.shape == (75, 81)
+
+
+def test_fft_refuses_an_input_of_another_shape():
+    T = built(P_SQ, 2, delta_function(1))
+    with pytest.raises(ValueError, match="shape"):
+        apply_truncation(GridFunction(((0, 1),), np.ones(2)), T, "fft")
 
 
 # -- shift-system realization ------------------------------------------------------
@@ -149,31 +210,31 @@ def test_unknown_backend_rejected():
 def test_ergodic_average_bitwise_1d(rng):
     for P in (P_ID, P_SQ, P_CUBE_MIX):
         f = random_grid(rng, 1, 5)
-        direct = apply_truncation(f, P, 4, backend="direct")
-        orbit = ergodic_truncation(f, P, 4)
+        direct = apply(f, P, 4, backend="direct")
+        orbit = ergodic(f, P, 4)
         assert direct.box == orbit.box
         assert np.array_equal(direct.values, orbit.values)
 
 
 def test_ergodic_average_bitwise_2d(rng):
     f = random_grid(rng, 2, 3)
-    direct = apply_truncation(f, P_2D, 3, backend="direct")
-    orbit = ergodic_truncation(f, P_2D, 3)
+    direct = apply(f, P_2D, 3, backend="direct")
+    orbit = ergodic(f, P_2D, 3)
     assert direct.box == orbit.box
     assert np.array_equal(direct.values, orbit.values)
 
 
 def test_ergodic_singular_bitwise(rng):
     f = random_grid(rng, 1, 5)
-    direct = apply_truncation(f, P_SQ, 5, KERNEL, backend="direct")
-    orbit = ergodic_truncation(f, P_SQ, 5, KERNEL)
+    direct = apply(f, P_SQ, 5, KERNEL, backend="direct")
+    orbit = ergodic(f, P_SQ, 5, KERNEL)
     assert direct.box == orbit.box
     assert np.array_equal(direct.values, orbit.values)
 
 
 def test_ergodic_matches_average_of_delta():
-    direct = apply_truncation(delta_function(1), P_ID, 1)
-    orbit = ergodic_truncation(delta_function(1), P_ID, 1)
+    direct = apply(delta_function(1), P_ID, 1)
+    orbit = ergodic(delta_function(1), P_ID, 1)
     assert np.array_equal(direct.values, orbit.values)
 
 
@@ -184,9 +245,9 @@ def test_linearity(rng):
     g = random_grid(rng, 1, 6)
     alpha, beta = 1.7 - 0.3j, -0.4 + 2.1j
     combo = GridFunction(f.box, alpha * f.values + beta * g.values)
-    lhs = apply_truncation(combo, P_SQ, 3)
-    rhs_f = apply_truncation(f, P_SQ, 3)
-    rhs_g = apply_truncation(g, P_SQ, 3)
+    lhs = apply(combo, P_SQ, 3)
+    rhs_f = apply(f, P_SQ, 3)
+    rhs_g = apply(g, P_SQ, 3)
     rhs = alpha * rhs_f.values + beta * rhs_g.values
     assert np.abs(lhs.values - rhs).max() <= 1e-12 * np.abs(rhs).max()
 
@@ -198,8 +259,8 @@ def test_translation_equivariance_exact(rng):
                             g.values)
 
     f = random_grid(rng, 1, 6)
-    shifted_in = apply_truncation(translate(f, 9), P_SQ, 3)
-    shifted_out = translate(apply_truncation(f, P_SQ, 3), 9)
+    shifted_in = apply(translate(f, 9), P_SQ, 3)
+    shifted_out = translate(apply(f, P_SQ, 3), 9)
     assert shifted_in.box == shifted_out.box
     assert np.array_equal(shifted_in.values, shifted_out.values)
 
@@ -208,7 +269,7 @@ def test_mass_preservation(rng):
     for ndim, P in ((1, P_SQ), (2, P_2D)):
         f = random_grid(rng, ndim, 4)
         for N in (1, 3):
-            mass, out = f.values.sum(), apply_truncation(f, P, N).values.sum()
+            mass, out = f.values.sum(), apply(f, P, N).values.sum()
             assert abs(out - mass) <= 1e-12 * abs(mass + 1)
 
 
@@ -279,14 +340,13 @@ def test_multiplier_at_memory_is_chunked():
 
 def test_memory_budget_refusal():
     with pytest.raises(BudgetError) as info:
-        apply_truncation(delta_function(1),
-                         PolynomialMapping(1, 1, ({(5,): 1},)), 2000)
+        apply(delta_function(1), PolynomialMapping(1, 1, ({(5,): 1},)), 2000)
     assert info.value.estimate > 10 ** 16
 
 
 def test_invalid_truncation_radius():
     with pytest.raises(ValueError):
-        apply_truncation(delta_function(1), P_ID, 0)
+        apply(delta_function(1), P_ID, 0)
 
 
 # -- variation curves -----------------------------------------------------------------
@@ -403,29 +463,39 @@ def test_growth_fit_rejects_low_r():
 
 
 def test_operator_norm_applies_each_truncation_once(monkeypatch):
-    # Two backends per (field, N) serve every check, plus one linearity
-    # input per N; the orbit oracle realizes the first four fields.
-    calls = {}
+    # One build per (run, N): the lattice ball, the pushforward kernel and
+    # its spectrum.  Two backends per (field, N) serve every check, plus
+    # one linearity input per N; the orbit oracle realizes the first four
+    # fields.  multiplier-apply builds its one N once for every trial.
+    calls = Counter()
 
-    def counting(key):
-        fn = getattr(experiments, key)
+    def counting(module, key):
+        fn = getattr(module, key)
 
         def wrapped(*args, **kwargs):
             calls[key] += 1
             return fn(*args, **kwargs)
-        monkeypatch.setattr(experiments, key, wrapped)
+        monkeypatch.setattr(module, key, wrapped)
 
-    counting("apply_truncation")
-    counting("ergodic_truncation")
+    for key in ("pushforward_kernel", "Truncation", "apply_truncation",
+                "ergodic_truncation"):
+        counting(experiments, key)
+    counting(operators, "lattice_points")
     size, n_set = 5, (3, 1, 2)
+    builds = dict.fromkeys(("lattice_points", "pushforward_kernel",
+                            "Truncation"), len(n_set))
     for which in ("average", "singular"):
-        calls.update(apply_truncation=0, ergodic_truncation=0)
+        calls.clear()
         run(RunConfig("operator-norm", seed=2,
                       params={"size": size, "n_set": n_set,
                               "halfwidth": 6, "which": which}))
-        assert calls == {"apply_truncation": size * len(n_set) * 2
+        assert calls == {**builds,
+                         "apply_truncation": size * len(n_set) * 2
                          + len(n_set),
                          "ergodic_truncation": 4 * len(n_set)}
+    calls.clear()
+    run(RunConfig("multiplier-apply", seed=2, params={"trials": 3}))
+    assert calls == {**dict.fromkeys(builds, 1), "apply_truncation": 3}
 
 
 # -- randomized cross-checks ---------------------------------------------------------
@@ -435,8 +505,8 @@ def test_operator_norm_applies_each_truncation_once(monkeypatch):
 def test_backends_agree_property(seed, n):
     rng = np.random.default_rng(seed)
     f = random_grid(rng, 1, 5)
-    a = apply_truncation(f, P_SQ, n, backend="direct")
-    b = apply_truncation(f, P_SQ, n, backend="fft")
+    a = apply(f, P_SQ, n, backend="direct")
+    b = apply(f, P_SQ, n, backend="fft")
     assert grid_difference(a, b) <= 1e-10 * max(np.abs(a.values).max(), 1.0)
 
 
@@ -445,6 +515,6 @@ def test_backends_agree_property(seed, n):
 def test_ergodic_identification_property(seed):
     rng = np.random.default_rng(seed)
     f = random_grid(rng, 1, 4)
-    direct = apply_truncation(f, P_CUBE_MIX, 3, backend="direct")
-    orbit = ergodic_truncation(f, P_CUBE_MIX, 3)
+    direct = apply(f, P_CUBE_MIX, 3, backend="direct")
+    orbit = ergodic(f, P_CUBE_MIX, 3)
     assert np.array_equal(direct.values, orbit.values)

@@ -539,10 +539,10 @@ def fast_path_rows(n):
 def assert_one_row_is_its_batch_row(a, gain):
     # best at every chain end, alone (the tiled path) and as the first
     # row of a two-row batch (the per-predecessor path), bit for bit.
-    one = vr._longest_chain(a[None], gain)
-    two = vr._longest_chain(np.stack([a, a[::-1]]), gain)
-    assert one.shape == (1, len(a))
-    assert one[0].tobytes() == two[0].tobytes()
+    one = vr._longest_chain(a[None], (gain,))
+    two = vr._longest_chain(np.stack([a, a[::-1]]), (gain,))
+    assert one.shape == (1, 1, len(a))
+    assert one[0, 0].tobytes() == two[0, 0].tobytes()
 
 
 @pytest.mark.parametrize("n", _TILE_EDGES)
@@ -643,16 +643,29 @@ def test_real_rows_run_the_engine_on_their_cuts(cold_memo, monkeypatch):
 
 
 @pytest.mark.parametrize("complex_rows", [False, True])
-def test_a_sequence_of_r_is_the_scalar_calls(cold_memo, rng, complex_rows):
+def test_a_sequence_of_r_is_the_scalar_calls(cold_memo, monkeypatch, rng,
+                                             complex_rows):
     block = rng.normal(size=(40, 9))
     block[::3] = np.round(block[::3])
+    # One row of 65 points (the tiled schedule), a (6000, 4) block whose
+    # columns pass _GAIN_BYTES (one predecessor a chunk), and a (20, 100)
+    # block of several predecessors a chunk and many chunks.
+    inputs = [block, rng.normal(size=65), rng.normal(size=(6000, 4)),
+              rng.normal(size=(20, 100))]
     if complex_rows:
-        block = block + 1j * rng.normal(size=block.shape)
+        inputs = [a + 1j * rng.normal(size=a.shape) for a in inputs]
+    assert inputs[2].T.nbytes > vr._GAIN_BYTES
     grid = (4.0, 1.0, 2.05, 2.5, 10.0)
-    got = vr.vr_exact_batch(block, grid)
-    assert got.shape == (len(grid), len(block))
-    for r, row in zip(grid, got):
-        assert row.tobytes() == vr.vr_exact_batch(block, r).tobytes()
+    runs = engine_runs(monkeypatch)
+    for a in inputs:
+        runs.clear()
+        got = vr.vr_exact_batch(a, grid)
+        assert got.shape == (len(grid), len(np.atleast_2d(a)))
+        if complex_rows:
+            # Every r's gain reads one pass's differences.
+            assert [len(gains) for _, gains, _ in runs] == [len(grid)]
+        for r, row in zip(grid, got):
+            assert row.tobytes() == vr.vr_exact_batch(a, r).tobytes()
     assert vr.vr_exact_batch(block[0], grid).shape == (len(grid), 1)
     with pytest.raises(ValueError, match="r >= 1"):
         vr.vr_exact_batch(block, (2.0, 0.5))
@@ -723,13 +736,13 @@ def cold_memo():
 
 
 def engine_runs(monkeypatch) -> list:
-    """Records (input, gain, seg) of every `_longest_chain` run from now
+    """Records (input, gains, seg) of every `_longest_chain` run from now
     on; seg is None on an unsegmented run."""
     runs, engine = [], vr._longest_chain
 
-    def counting(v, gain, seg=None):
-        runs.append((v.copy(), gain, None if seg is None else seg.copy()))
-        return engine(v, gain, seg)
+    def counting(v, gains, seg=None):
+        runs.append((v.copy(), gains, None if seg is None else seg.copy()))
+        return engine(v, gains, seg)
     monkeypatch.setattr(vr, "_longest_chain", counting)
     return runs
 
@@ -760,7 +773,7 @@ def test_memo_hit_is_the_cold_run(cold_memo, monkeypatch, rng):
                lambda best: best.astype(int))
               for b in blocks for lam in (0.0, 0.5, 1.0)]
     # The engine's own values, before any memo is in the way.
-    want = [finish(vr._longest_chain(b, gain).max(axis=1)).tobytes()
+    want = [finish(vr._longest_chain(b, (gain,))[0].max(axis=1)).tobytes()
             for _, b, _, gain, finish in cases]
     runs = engine_runs(monkeypatch)
     for (entry, b, x, _, _), bits in zip(cases, want):
@@ -860,7 +873,7 @@ def test_seven_checks_run_the_full_row_once_per_gain(cold_memo, monkeypatch):
     # Five engine runs in all: the full row once per gain, then one
     # segmented run each for the split halves and the long/short parts.
     assert len(runs) == 5
-    plain = [(v, gain) for v, gain, seg in runs if seg is None]
+    plain = [(v, gain) for v, (gain,), seg in runs if seg is None]
     assert all(v.shape == (1, 65) and np.array_equal(v[0], a)
                for v, _ in plain)
     # A gap of 0.5 tells the gains apart: V_r's 0.5^r, 1 above lambda =
