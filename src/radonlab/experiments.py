@@ -12,10 +12,10 @@ runs reproducible byte for byte:
 `run` is the one entry point.  It checks every setting, the seed, the
 thread count and each parameter override, against the shape of its
 default (`param_shape`, which also gives the CLI its flag types), each
-count against the least value its experiment can run with, each list
-for at least one entry, each growth-fit r grid for r > 2 and each set
-of truncation radii for N >= 1, so every caller gets the same refusals
-before any work.
+list for at least one entry, and each bounded setting, a scalar or
+every entry of a list, against the range its experiment can run with
+(`ExperimentSpec.minimums` and `exceeds`), so every caller gets the same
+refusals before any work.
 
 Rows carry a pass flag only for exact-inequality checks with explicit
 constants.  Fitted constants, slopes, and feasibility reports always
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -43,8 +44,8 @@ from .expsum import (ArcWindow, _prime_divisors, annulus_integral,
 from .martingale import (doubling_constant, field_ensemble,
                          good_lambda_check, haar_field, jump_bound_defect,
                          orthogonality_defect, ratio_sweep, tower_defect)
-from .operators import (GridFunction, Truncation, apply_truncation, embed,
-                        ensemble, ergodic_truncation, grid_difference,
+from .operators import (GridFunction, apply_truncation, embed, ensemble,
+                        ergodic_truncation, grid_difference,
                         pushforward_kernel, union_box, variation_curves)
 from .polymap import canonical_mapping
 from .reporting import ResultRow
@@ -82,9 +83,9 @@ class ExperimentSpec:
     defaults: dict
     needs_seed: bool
     summary: str
-    # count setting -> the least value a run of the experiment can use
+    # setting -> the least value a run of the experiment can use
     minimums: dict = field(default_factory=dict)
-    # list setting -> the value every entry must exceed
+    # setting -> the value it must exceed
     exceeds: dict = field(default_factory=dict)
 
 
@@ -163,10 +164,10 @@ def run(config: RunConfig) -> RunOutcome:
 
     The seed (None or an integer in [0, 2^64)), the thread count (an
     integer >= 1) and each parameter override go through `param_shape`;
-    each count setting must reach its spec's minimum, each list setting
-    must hold an entry, and every entry of an `exceeds` list must exceed
-    its bound.  A refusal is a ValueError naming the experiment, setting
-    and value.
+    each list setting must hold an entry, and a setting with a spec
+    bound must reach its minimum, or exceed its `exceeds` value, as a
+    scalar or in every list entry (None is never bounded).  A refusal is
+    a ValueError naming the experiment, setting and value.
     """
     name = config.experiment
     if name not in EXPERIMENTS:
@@ -193,18 +194,18 @@ def run(config: RunConfig) -> RunOutcome:
     if spec.needs_seed and seed is None:
         raise ValueError(f"{name} draws random inputs; a seed is required")
     params = {**spec.defaults, **checked}
-    for key, low in spec.minimums.items():
-        if params[key] < low:
-            raise ValueError(f"{name}: {key} must be >= {low}, "
-                             f"got {params[key]}")
     for key, value in params.items():
         if value == ():
             raise ValueError(f"{name}: {key} must not be empty")
-    for key, low in spec.exceeds.items():
-        for x in params[key]:
-            if not x > low:
-                raise ValueError(f"{name}: every {key} entry must be > "
-                                 f"{low}, got {x}")
+    for bounds, relation, holds in ((spec.minimums, ">=", operator.ge),
+                                    (spec.exceeds, ">", operator.gt)):
+        for key, low in bounds.items():
+            listed = isinstance(params[key], tuple)
+            for x in params[key] if listed else (params[key],):
+                if x is not None and not holds(x, low):
+                    what = f"every {key} entry" if listed else key
+                    raise ValueError(f"{name}: {what} must be {relation} "
+                                     f"{low}, got {x}")
     config = RunConfig(name, seed, threads, checked)
     outcome = spec.runner(params, config)
     return replace(outcome, meta={"seed": seed, "params": checked,
@@ -414,6 +415,13 @@ def _run_prop_fit(params, config, which: str) -> RunOutcome:
     constant reported); exact rationals with zero offset isolate the
     q/N term of the bound, reported as error * N / q.
     """
+    name = config.experiment
+    if params["n_min"] > params["n_max"]:
+        raise ValueError(f"{name}: n_min must be <= n_max = "
+                         f"{params['n_max']}, got {params['n_min']}")
+    if which == "diff" and params["m_factor"] > 1:
+        raise ValueError(f"{name}: m_factor must be <= 1, got "
+                         f"{params['m_factor']}")
     Q = canonical_mapping(1, params["deg"])
     probes = _rational_probes(params, Q.d)
     rng = np.random.default_rng(config.seed)
@@ -421,7 +429,6 @@ def _run_prop_fit(params, config, which: str) -> RunOutcome:
     kernel = odd_power_kernel(params["kernel_c"]) if which == "diff" \
         else None
     tol = params["tol"]
-    name = config.experiment
 
     def approx(window, frac, offs) -> dict:
         if kernel is None:
@@ -547,12 +554,13 @@ def _run_operator_norm(params, config) -> RunOutcome:
     """Backend agreement, structural identities, and empirical norms.
 
     The kernel picks the family: M_N for `which` = average, T_N for
-    singular.  Each N's `Truncation` (ball, kernel grid and spectrum) is
-    built once, before the fields are mapped, and every field reads it.
-    Each field's direct and fft outputs are built once per N, and every
-    check reads them; only linearity applies the operator to a further
-    input, and the ergodic check realizes its own orbits.  The growth
-    rows read the fft outputs in increasing N.
+    singular.  Each N's `pushforward_kernel` (ball, images, weights and
+    kernel grid) is built once, before the fields are mapped, and every
+    field reads it; its spectrum is built at the first fft output and
+    kept.  Each field's direct and fft outputs are built once per N, and
+    every check reads them; only linearity applies the operator to a
+    further input, and the ergodic check realizes its own orbits.  The
+    growth rows read the fft outputs in increasing N.
     """
     which = params["which"]
     if which not in ("average", "singular"):
@@ -570,15 +578,14 @@ def _run_operator_norm(params, config) -> RunOutcome:
                            config.seed))
     p, r_grid = params["p"], params["r_grid"]
     by_n = sorted(range(len(n_set)), key=n_set.__getitem__)
-    family = [Truncation(pushforward_kernel(Q, N, kernel),
-                         fields[0].values.shape) for N in n_set]
+    family = [pushforward_kernel(Q, N, kernel) for N in n_set]
 
     def gap(a: GridFunction, b: GridFunction) -> float:
         return grid_difference(a, b) / max(float(np.abs(a.values).max()),
                                            1e-300)
 
-    def realized(f, T, direct) -> bool:
-        orbit = ergodic_truncation(f, T)
+    def realized(f, ker, direct) -> bool:
+        orbit = ergodic_truncation(f, ker)
         u = union_box(direct, orbit)
         return np.array_equal(embed(direct, u).values,
                               embed(orbit, u).values)
@@ -592,15 +599,15 @@ def _run_operator_norm(params, config) -> RunOutcome:
         outputs are never all held at once.
         """
         i, f = item
-        ffts = [apply_truncation(f, T, backend="fft") for T in family]
+        ffts = [apply_truncation(f, ker, backend="fft") for ker in family]
         ratios = variation_curves(f, [ffts[j] for j in by_n], r_grid, p)
-        directs = [apply_truncation(f, T) for T in family]
+        directs = [apply_truncation(f, ker) for ker in family]
         total = complex(f.values.sum())
         return {"backend": max(gap(a, b) for a, b in zip(directs, ffts)),
                 "mass": max(abs(complex(a.values.sum()) - total)
                             for a in directs) / max(1.0, abs(total)),
                 "ergodic": i >= 4 or all(
-                    realized(f, T, a) for T, a in zip(family, directs)),
+                    realized(f, ker, a) for ker, a in zip(family, directs)),
                 "ratios": ratios,
                 "direct": directs if i < 2 else None}
 
@@ -615,8 +622,8 @@ def _run_operator_norm(params, config) -> RunOutcome:
     f, g = fields[0], fields[1]
     combo = GridFunction(f.box, a1 * f.values + a2 * g.values)
     worst = 0.0
-    for T, fa, ga in zip(family, recs[0]["direct"], recs[1]["direct"]):
-        lhs = apply_truncation(combo, T)
+    for ker, fa, ga in zip(family, recs[0]["direct"], recs[1]["direct"]):
+        lhs = apply_truncation(combo, ker)
         worst = max(worst, gap(lhs, GridFunction(
             fa.box, a1 * fa.values + a2 * ga.values)))
     rows.append(_bound_row(name, "linearity", {"n_set": list(n_set)}, worst,
@@ -724,7 +731,8 @@ def _run_multiplier_apply(params, config) -> RunOutcome:
 
     Test inputs are supported well inside one period so the periodic
     convolution never wraps and equals the free-space operator exactly.
-    The truncation is built once, and every trial reads it.
+    The kernel is built once, and every trial reads it through the
+    direct backend, which needs no spectrum.
     """
     Q = canonical_mapping(params["k"], params["deg"])
     n, m, trials = params["n"], params["m"], params["trials"]
@@ -749,13 +757,12 @@ def _run_multiplier_apply(params, config) -> RunOutcome:
     shape = tuple(b - a + 1 for a, b in support_box)
     inputs = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
               for _ in range(trials)]
-    T = Truncation(ker, shape)
 
     squared = symbol ** 2
 
     def agree(values) -> tuple[float, float]:
         f = embed(GridFunction(support_box, values), period_box)
-        direct = apply_truncation(GridFunction(support_box, values), T)
+        direct = apply_truncation(GridFunction(support_box, values), ker)
         spectral = apply_periodic_multiplier(f, symbol)
         scale = max(float(np.abs(direct.values).max()), 1e-300)
         dev_apply = grid_difference(embed(direct, period_box),
@@ -782,20 +789,21 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         {"k": 1, "deg": 2, "q_max": 199},
         needs_seed=False,
         summary="Gauss sum magnitudes vs the classical square-root decay",
-        minimums={"q_max": 2}),
+        minimums={"q_max": 2, "k": 1, "deg": 1}),
     "weyl-decay": ExperimentSpec(
         _run_weyl_decay,
         {"deg": 2, "points": 50, "u_min": 1.5, "u_max": 200.0, "tol": 1e-7},
         needs_seed=False,
         summary="log-log decay of the continuous multipliers",
-        minimums={"points": 2}),
+        minimums={"points": 2, "deg": 1},
+        exceeds={"tol": 0}),
     "vr-suite": ExperimentSpec(
         _run_vr_suite,
         {"n_max": 12, "trials": 500,
          "r_grid": (1.0, 1.5, 2.0, 3.0, 10.0)},
         needs_seed=True,
         summary="variation DP against the subset-enumeration oracle",
-        minimums={"n_max": 2, "trials": 1}),
+        minimums={"n_max": 2, "trials": 1, "r_grid": 1}),
     "prop0-fit": ExperimentSpec(
         _run_prop0_fit,
         {"trials": 200, "n_min": 64, "n_max": 4096, "deg": 2,
@@ -804,7 +812,9 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
          "tol": 1e-8},
         needs_seed=True,
         summary="averaging multiplier major-arc approximation",
-        minimums={"trials": 1}),
+        # a window at N needs 1 <= L3 <= sqrt(N)
+        minimums={"trials": 1, "deg": 1, "n_min": 1},
+        exceeds={"tol": 0}),
     "prop2-fit": ExperimentSpec(
         _run_prop2_fit,
         {"trials": 200, "n_min": 64, "n_max": 4096, "deg": 2,
@@ -813,12 +823,16 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
          "m_factor": 0.5, "kernel_c": 0.5, "tol": 1e-8},
         needs_seed=True,
         summary="singular truncation-difference major-arc approximation",
-        minimums={"trials": 1}),
+        minimums={"trials": 1, "deg": 1, "n_min": 1},
+        exceeds={"tol": 0}),
     "iw-build": ExperimentSpec(
         _run_iw_build,
         {"rho": 1.0, "n": 4, "cap": None},
         needs_seed=False,
-        summary="denominator set construction and containment checks"),
+        summary="denominator set construction and containment checks",
+        # a cap of 0 would leave an empty segment
+        minimums={"n": 0, "cap": 1},
+        exceeds={"rho": 0}),
     "operator-norm": ExperimentSpec(
         _run_operator_norm,
         {"k": 1, "deg": 2, "halfwidth": 16, "size": 9,
@@ -827,7 +841,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         needs_seed=True,
         summary="operator backends, identities, and empirical norms",
         # the linearity check reads two fields
-        minimums={"size": 2, "halfwidth": 0},
+        minimums={"size": 2, "halfwidth": 0, "k": 1, "deg": 1, "p": 1},
         # the growth fit's regime, and truncation radii N >= 1
         exceeds={"r_grid": 2.0, "n_set": 0}),
     "lepingle": ExperimentSpec(
@@ -837,19 +851,22 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
          "lam_grid": (0.25, 0.5, 1.0), "jump_r": 2.5},
         needs_seed=True,
         summary="martingale identities and the variation-ratio sweep",
-        minimums={"fields": 1},
-        exceeds={"r_grid": 2.0}),  # the growth fit's regime
+        # the Haar check needs L >= 1 to resolve the half cells
+        minimums={"fields": 1, "m": 1, "L": 1, "jump_r": 1, "p_grid": 1},
+        # the growth fit's regime, and jumps of a positive size
+        exceeds={"r_grid": 2.0, "lam_grid": 0}),
     "good-lambda": ExperimentSpec(
         _run_good_lambda,
         {"m": 1, "L": 8, "fields": 100,
          "lam_grid": (0.25, 0.5, 1.0, 2.0), "q": 2.0, "r": 2.5},
         needs_seed=True,
         summary="distributional variation/square/maximal comparison",
-        minimums={"fields": 1}),
+        minimums={"fields": 1, "m": 1, "L": 0, "q": 2},
+        exceeds={"r": 2, "lam_grid": 0}),
     "multiplier-apply": ExperimentSpec(
         _run_multiplier_apply,
         {"k": 1, "deg": 2, "n": 4, "m": 64, "trials": 12},
         needs_seed=True,
         summary="Fourier-side realization against the direct operator",
-        minimums={"trials": 1, "n": 1}),
+        minimums={"trials": 1, "n": 1, "k": 1, "deg": 1}),
 }

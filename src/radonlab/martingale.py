@@ -81,13 +81,6 @@ class DyadicField:
     def cell_measure(self) -> float:
         return 2.0 ** (-self.m * self.L)
 
-    def norm(self, p: float) -> float:
-        """Integral L^p norm on [0, 1)^m; p = inf gives the sup."""
-        v = self.values
-        if v.dtype == object:
-            v = v.astype(complex)
-        return lp_norm(v, p, self.cell_measure)
-
 
 def cell_measure_exact(m: int, k: int) -> Fraction:
     """Measure of one level-k dyadic cube in [0, 1)^m."""

@@ -8,11 +8,11 @@ kernel K it applies T_N f(x) = sum_{y != 0} f(x - P(y)) K(y).  Both are
 convolutions with the pushforward of the lattice ball under the mapping.
 
 What does not depend on f is built once per (run, N), before a run maps
-over its inputs, and read by every input and thread: a `Truncation`
-holds the `pushforward_kernel` (the ball's images and weights, and the
-kernel grid they histogram into) and the grid's spectrum at the padded
-FFT shape of the run's input shape.  A run owns its truncations; nothing
-is cached across runs.
+over its inputs, and read by every input and thread: the
+`pushforward_kernel` holds the ball's images and weights, the kernel
+grid they histogram into, and the grid's FFT spectra, each built on
+first use at the padded shape of an input shape and kept.  A run owns
+its kernels; nothing is cached across runs.
 
 Two backends: "direct" accumulates weighted translates of f, one lattice
 point at a time in lexicographic order; "fft" multiplies f's transform
@@ -66,10 +66,6 @@ class GridFunction:
     @property
     def ndim(self) -> int:
         return len(self.box)
-
-    def norm(self, p: float) -> float:
-        """l^p norm against counting measure (`lp_norm`)."""
-        return lp_norm(self.values, p)
 
 
 def delta_function(ndim: int) -> GridFunction:
@@ -128,6 +124,25 @@ class PushforwardKernel:
     values: np.ndarray
     offsets: np.ndarray
     weights: np.ndarray
+    # padded shape -> read-only spectrum, filled by `spectrum`
+    _spectra: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
+
+    def spectrum(self, shape) -> np.ndarray:
+        """The grid's read-only spectrum at the padded FFT shape of inputs
+        of `shape`, built on first use, after the budget check (it and an
+        input's transform, which takes the product in place), and kept.
+        Threads that build one at once all read the first stored copy."""
+        padded = tuple(_smooth_length(fs + ks - 1)
+                       for fs, ks in zip(shape, self.values.shape))
+        spectrum = self._spectra.get(padded)
+        if spectrum is None:
+            _check_elements(2 * math.prod(padded))
+            spectrum = np.fft.fftn(self.values, s=padded,
+                                   axes=tuple(range(len(padded))))
+            spectrum.flags.writeable = False
+            spectrum = self._spectra.setdefault(padded, spectrum)
+        return spectrum
 
     def multiplier_at(self, xi):
         """Fourier transform sum_z kappa(z) e(z . xi) over the support:
@@ -186,33 +201,6 @@ def _smooth_length(n: int) -> int:
         n += 1
 
 
-@dataclass(frozen=True)
-class Truncation:
-    """One member of the truncation family, for inputs of one shape.
-
-    It holds the pushforward kernel (with its lattice ball) and the
-    kernel's spectrum at the padded FFT shape: each axis of the linear
-    size, input plus kernel minus one, padded to `_smooth_length`.  A
-    run builds one per N before it maps over its fields, and the
-    threads share it read-only.
-    """
-
-    kernel: PushforwardKernel
-    shape: tuple[int, ...]
-    spectrum: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        padded = tuple(_smooth_length(fs + ks - 1) for fs, ks in
-                       zip(self.shape, self.kernel.values.shape))
-        # The spectrum, and each input's transform, which takes the
-        # product and its inverse in place.
-        _check_elements(2 * math.prod(padded))
-        spectrum = np.fft.fftn(self.kernel.values, s=padded,
-                               axes=tuple(range(len(padded))))
-        spectrum.flags.writeable = False
-        object.__setattr__(self, "spectrum", spectrum)
-
-
 # -- the two backends ----------------------------------------------------------
 
 def _output_grid(f: GridFunction, ker: PushforwardKernel):
@@ -236,34 +224,32 @@ def _accumulate_translates(f: GridFunction,
     return GridFunction(out_box, out)
 
 
-def _convolve_fft(f: GridFunction, T: Truncation) -> GridFunction:
-    """The linear convolution of f with T's kernel, taken cyclically at
-    T's padded shape, which is at least the linear size on every axis,
-    so nothing wraps; the linear part is cropped out."""
-    if f.values.shape != T.shape:
-        raise ValueError(f"input shape {f.values.shape} is not the "
-                         f"truncation's {T.shape}")
+def _convolve_fft(f: GridFunction, ker: PushforwardKernel) -> GridFunction:
+    """The linear convolution of f with the kernel, taken cyclically at
+    the padded shape of f's shape, which is at least the linear size on
+    every axis, so nothing wraps; the linear part is cropped out."""
     out_box = tuple((flo + klo, fhi + khi)
-                    for (flo, fhi), (klo, khi) in zip(f.box, T.kernel.box))
+                    for (flo, fhi), (klo, khi) in zip(f.box, ker.box))
     axes = tuple(range(f.ndim))
-    F = np.fft.fftn(f.values, s=T.spectrum.shape, axes=axes)
-    F *= T.spectrum
+    spectrum = ker.spectrum(f.values.shape)
+    F = np.fft.fftn(f.values, s=spectrum.shape, axes=axes)
+    F *= spectrum
     out = np.fft.ifftn(F, axes=axes, out=F)
     return GridFunction(out_box, out[tuple(slice(0, hi - lo + 1)
                                            for lo, hi in out_box)])
 
 
-def apply_truncation(f: GridFunction, T: Truncation,
+def apply_truncation(f: GridFunction, ker: PushforwardKernel,
                      backend: str = "direct") -> GridFunction:
-    """One member of the truncation family, as T was built.
+    """One member of the truncation family, as its kernel was built.
 
     Without a kernel, M_N f(x) = |B_N|^{-1} sum_{y in B_N} f(x - P(y));
     with one, T_N f(x) = sum_{y in B_N, y != 0} f(x - P(y)) K(y).
     """
     if backend == "direct":
-        return _accumulate_translates(f, T.kernel)
+        return _accumulate_translates(f, ker)
     if backend == "fft":
-        return _convolve_fft(f, T)
+        return _convolve_fft(f, ker)
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -276,7 +262,8 @@ def _shift_axis(f: GridFunction, axis: int, amount: int) -> GridFunction:
     return GridFunction(new_box, f.values)
 
 
-def ergodic_truncation(f: GridFunction, T: Truncation) -> GridFunction:
+def ergodic_truncation(f: GridFunction,
+                       ker: PushforwardKernel) -> GridFunction:
     """The truncation family on the shift system X = Z^d.
 
     With commuting coordinate shifts S_j, the orbit sum
@@ -288,7 +275,6 @@ def ergodic_truncation(f: GridFunction, T: Truncation) -> GridFunction:
     it; the translate is realized by composing single-axis shifts
     rather than by index arithmetic.
     """
-    ker = T.kernel
     out_box, out = _output_grid(f, ker)
     for at, w in zip(ker.offsets.tolist(), ker.weights):
         shifted = f
@@ -314,7 +300,7 @@ def variation_curves(f: GridFunction, outs, r_grid, p: float) -> list[float]:
     """
     if not outs:
         raise ValueError("need at least one truncation")
-    den = f.norm(p)
+    den = lp_norm(f.values, p)
     if not den > 0:
         return [math.inf] * len(r_grid)
     u = union_box(*outs)

@@ -525,13 +525,13 @@ def growth_fit(r_grid, max_ratios) -> dict:
                                    default=0.0)}
 
 
-def long_short_split(a, r: float, labels=None):
+def long_short_split(a, r: float, labels):
     """(V_r, V_r^long, V_r^short); V_r <= 2 (long + short) on full ranges.
 
-    V_r^long is the variation along the powers of two present among the
-    labels, and V_r^short the l^r sum over the dyadic blocks
-    [2^b, 2^{b+1}) of the variation within each block; both come from one
-    family of parts.
+    The labels must be positive integers.  V_r^long is the variation
+    along the powers of two present among the labels, and V_r^short the
+    l^r sum over the dyadic blocks [2^b, 2^{b+1}) of the variation within
+    each block; both come from one family of parts.
     """
     v, lab, one = _block(a, labels)
     full = vr_exact_batch(v, r)

@@ -17,8 +17,8 @@ from radonlab import circle as ci
 from radonlab import cli, experiments, variation
 from radonlab.experiments import RunConfig, run
 from radonlab.expsum import avg_multiplier, odd_power_kernel
-from radonlab.operators import (GridFunction, Truncation, apply_truncation,
-                                embed, ensemble, ergodic_truncation,
+from radonlab.operators import (GridFunction, apply_truncation, embed,
+                                ensemble, ergodic_truncation,
                                 pushforward_kernel, union_box)
 from radonlab.polymap import PolynomialMapping, canonical_mapping
 from radonlab.variation import (dyadic_level_square_bound,
@@ -172,10 +172,9 @@ def test_operator_backend_equivalence():
     ergodic_ok = True
     for j, (Q, N, h) in enumerate(configs):
         fields = list(ensemble(Q.d, h, 20, seed=7000 + j))
-        shape = fields[0].values.shape
-        avg = Truncation(pushforward_kernel(Q, N), shape)
+        avg = pushforward_kernel(Q, N)
         if Q.k == 1:
-            sing = Truncation(pushforward_kernel(Q, N, kernel), shape)
+            sing = pushforward_kernel(Q, N, kernel)
         for i, f in enumerate(fields):
             count += 1
             direct = apply_truncation(f, avg, backend="direct")
@@ -331,9 +330,11 @@ def test_thread_count_determinism(tmp_path, capsys):
         ["operator-norm", "--seed", "3", "--size", "5"],
         ["operator-norm", "--seed", "3", "--size", "5",
          "--which", "singular"],
-        # prime linear sizes (67, 71, 73) padded for the FFT, every
-        # thread reading each N's one shared truncation
+        # prime linear sizes (67, 71, 73) padded for the FFT, each N's
+        # spectrum built inside the threaded map, both families
         ["operator-norm", "--seed", "3", "--size", "3", "--halfwidth", "32"],
+        ["operator-norm", "--seed", "3", "--size", "3", "--halfwidth", "32",
+         "--which", "singular"],
     )
     ok = True
     for argv in jobs:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from radonlab import circle as ci
 from radonlab.errors import BudgetError, NotRepresentableError
 from radonlab.expsum import avg_multiplier
-from radonlab.operators import (GridFunction, Truncation, apply_truncation,
+from radonlab.operators import (GridFunction, apply_truncation,
                                 grid_difference, pushforward_kernel)
 from radonlab.polymap import canonical_mapping
 
@@ -184,8 +184,7 @@ def test_apply_matches_spatial_operator(Q, ndim, M, rng):
     f = _padded_field(rng, ndim, M, M // 2 - 2)
     spectral = ci.apply_periodic_multiplier(
         f, avg_multiplier(N, ci.torus_frequencies((M,) * ndim), Q))
-    spatial = apply_truncation(
-        f, Truncation(pushforward_kernel(Q, N), f.values.shape))
+    spatial = apply_truncation(f, pushforward_kernel(Q, N))
     assert grid_difference(spectral, spatial) < 1e-10
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radonlab import cli
+from radonlab import cli, experiments
 from radonlab.errors import BudgetError
 from radonlab.experiments import (EXPERIMENTS, ExperimentSpec, RunConfig,
                                   RunOutcome, param_shape, run)
@@ -136,17 +136,38 @@ def test_a_wrongly_shaped_parameter_exits_two(tmp_path, capsys, experiment):
     ("vr-suite --n-max 1", "n_max"),
     ("gauss-scan --q-max 1", "q_max"),
     ("weyl-decay --points 1", "points"),
+    ("lepingle --m 0", "m"),
+    ("good-lambda --m 0", "m"),
+    ("lepingle --L 0", "L"),
+    ("iw-build --n -1", "n"),
+    ("iw-build --rho 0", "rho"),
+    # a cap of 0 ran an empty segment and passed its checks
+    ("iw-build --cap 0", "cap"),
+    *((f"{name} --{key} 0", key)
+      for name in ("gauss-scan", "weyl-decay", "prop0-fit", "prop2-fit",
+                   "operator-norm", "multiplier-apply")
+      for key in ("k", "deg") if key in EXPERIMENTS[name].defaults),
+    # tol 0 spent the quadrature node budget before it stopped
+    ("weyl-decay --tol 0", "tol"),
+    ("prop0-fit --tol 0", "tol"),
+    ("prop0-fit --n-max 3 --n-min 0", "n_min"),
+    ("lepingle --jump-r 0.5", "jump_r"),
+    ("operator-norm --p 0.5", "p"),
+    ("good-lambda --q 1", "q"),
+    ("good-lambda --r 2", "r"),
 ])
-def test_too_small_a_count_is_refused_by_name(tmp_path, capsys, command,
-                                              setting):
-    # A refusal up front, not an IndexError or an empty max() mid-run.
+def test_too_small_a_count_is_refused_by_name(tmp_path, capsys, monkeypatch,
+                                              command, setting):
+    # A refusal up front, not an IndexError, an empty max() or a library
+    # message mid-run: counts and every other bounded scalar setting.
     argv = command.split()
+    refuse_to_run(monkeypatch, argv[0])
     code = cli.main(argv + ["--seed", "1", "--out", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
-    assert err == (f"error: {argv[0]}: {setting} must be >= "
-                   f"{EXPERIMENTS[argv[0]].minimums[setting]}, "
-                   f"got {argv[-1]}\n")
+    assert err == (f"error: {argv[0]}: {setting} must be "
+                   f"{bound(argv[0], setting)}, got "
+                   f"{flag_value(argv[0], setting, argv[-1])}\n")
     assert not list(tmp_path.iterdir())
 
 
@@ -156,6 +177,19 @@ def refuse_to_run(monkeypatch, name):
         raise AssertionError(f"{name} ran")
     monkeypatch.setitem(EXPERIMENTS, name, dataclasses.replace(
         EXPERIMENTS[name], runner=runner))
+
+
+def bound(name, setting):
+    """The relation and value a setting's spec bounds it by."""
+    spec = EXPERIMENTS[name]
+    if setting in spec.minimums:
+        return f">= {spec.minimums[setting]}"
+    return f"> {spec.exceeds[setting]}"
+
+
+def flag_value(name, setting, text):
+    """A scalar flag's text as the run stores it."""
+    return param_shape(EXPERIMENTS[name].defaults[setting])[1](text)
 
 
 @pytest.mark.parametrize("command, setting", [
@@ -180,6 +214,11 @@ def test_an_empty_list_setting_is_refused_by_name(tmp_path, capsys,
     ("operator-norm --r-grid 2.0,3.0", "2.0"),
     # a truncation radius below 1, refused as the growth fit's r is
     ("operator-norm --n-set 0,1", "0"),
+    # entries bounded from below: each names the first one out of range
+    ("vr-suite --r-grid 0.5", "0.5"),
+    ("lepingle --p-grid 2,0.5", "0.5"),
+    ("lepingle --lam-grid 0.5,0", "0.0"),
+    ("good-lambda --lam-grid 0", "0.0"),
 ])
 def test_a_growth_fit_r_of_at_most_two_is_refused_by_name(
         tmp_path, capsys, monkeypatch, command, value):
@@ -189,14 +228,35 @@ def test_a_growth_fit_r_of_at_most_two_is_refused_by_name(
     code = cli.main(argv + ["--seed", "1", "--out", str(tmp_path)])
     assert code == 2
     assert capsys.readouterr().err == (
-        f"error: {argv[0]}: every {setting} entry must be > "
-        f"{EXPERIMENTS[argv[0]].exceeds[setting]}, got {value}\n")
+        f"error: {argv[0]}: every {setting} entry must be "
+        f"{bound(argv[0], setting)}, got {value}\n")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, message", [
+    ("prop0-fit --n-min 100 --n-max 50", "n_min must be <= n_max = 50, "
+                                         "got 100"),
+    ("prop2-fit --n-min 65 --n-max 64", "n_min must be <= n_max = 64, "
+                                        "got 65"),
+    ("prop2-fit --m-factor 2", "m_factor must be <= 1, got 2.0"),
+])
+def test_a_rule_across_settings_is_refused_before_the_first_draw(
+        tmp_path, capsys, monkeypatch, command, message):
+    argv = command.split()
+
+    def draw(*args):
+        raise AssertionError(f"{argv[0]} reached its probes")
+    for key in ("_rational_probes", "_random_windows"):
+        monkeypatch.setattr(experiments, key, draw)
+    code = cli.main(argv + ["--seed", "1", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {argv[0]}: {message}\n"
     assert not list(tmp_path.iterdir())
 
 
 _MARTINGALE_RUNS = """
 import sys
-from radonlab import cli
+from radonlab import cli, experiments
 for argv in (["lepingle", "--fields", "8"], ["good-lambda", "--fields", "4"]):
     assert cli.main(argv + ["--seed", "1", "--out", sys.argv[1]]) == 0
 print("numpy.ma" in sys.modules)

@@ -1,6 +1,8 @@
 import math
+import threading
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from radonlab import experiments, operators
 from radonlab.experiments import RunConfig, run
 from radonlab.expsum import (avg_multiplier, odd_power_kernel, phase_sum,
                             sing_multiplier)
-from radonlab.operators import (GridFunction, Truncation, apply_truncation,
+from radonlab.operators import (GridFunction, apply_truncation,
                                 delta_function, embed, ensemble,
                                 ergodic_truncation, grid_difference,
                                 pushforward_kernel, variation_curves)
@@ -28,17 +30,12 @@ P_2D_ID = PolynomialMapping(2, 2, ({(1, 0): 1}, {(0, 1): 1}))
 KERNEL = odd_power_kernel(1.0)
 
 
-def built(P, N, f, kernel=None):
-    """The truncation of P at N for inputs of f's shape."""
-    return Truncation(pushforward_kernel(P, N, kernel), f.values.shape)
-
-
 def apply(f, P, N, kernel=None, backend="direct"):
-    return apply_truncation(f, built(P, N, f, kernel), backend)
+    return apply_truncation(f, pushforward_kernel(P, N, kernel), backend)
 
 
 def ergodic(f, P, N, kernel=None):
-    return ergodic_truncation(f, built(P, N, f, kernel))
+    return ergodic_truncation(f, pushforward_kernel(P, N, kernel))
 
 
 def curves(f, P, r_grid, N_set, p, kernel=None):
@@ -66,15 +63,6 @@ def test_box_shape_mismatch_rejected():
 def test_empty_box_rejected():
     with pytest.raises(ValueError):
         GridFunction(((3, 1),), np.zeros(0))
-
-
-def test_norms():
-    f = GridFunction(((0, 2),), np.array([3.0, 4.0, 0.0]))
-    assert f.norm(2) == pytest.approx(5.0)
-    assert f.norm(1) == pytest.approx(7.0)
-    assert f.norm(np.inf) == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        f.norm(0)
 
 
 def test_embed_requires_containment():
@@ -167,11 +155,12 @@ def test_fft_at_a_prime_linear_size_is_the_direct_operator(rng, halfwidth,
     # with no prime factor above 7 and cropped back.
     P = canonical_mapping(1, 2)
     f = random_grid(rng, 2, halfwidth)
-    T = built(P, 2, f)
-    assert T.spectrum.shape == (operators._smooth_length(full),) * 2
-    assert T.spectrum.shape != (full, full)
-    a = apply_truncation(f, T, backend="direct")
-    b = apply_truncation(f, T, backend="fft")
+    ker = pushforward_kernel(P, 2)
+    spectrum = ker.spectrum(f.values.shape)
+    assert spectrum.shape == (operators._smooth_length(full),) * 2
+    assert spectrum.shape != (full, full)
+    a = apply_truncation(f, ker, backend="direct")
+    b = apply_truncation(f, ker, backend="fft")
     assert a.box == b.box
     assert b.values.shape == (full, full)
     assert grid_difference(a, b) <= 1e-12 * np.abs(a.values).max()
@@ -188,21 +177,51 @@ def test_smooth_length_is_the_least_7_smooth_length():
 def test_fft_budget_counts_the_padded_shape(monkeypatch):
     # A 65 x 65 input under y -> (y, y^2) at N = 4: linear size 73 x 81,
     # padded to 75 x 81; the spectrum, the input's transform and their
-    # product are allocated at the padded shape.
+    # product are allocated at the padded shape.  The check runs when the
+    # first FFT application builds the spectrum, and nothing is kept.
     f = GridFunction(((-32, 32),) * 2, np.zeros((65, 65)))
     ker = pushforward_kernel(canonical_mapping(1, 2), 4)
     monkeypatch.setattr(operators, "MEMORY_BUDGET_ELEMENTS", 2 * 75 * 81 - 1)
     with pytest.raises(BudgetError) as info:
-        Truncation(ker, f.values.shape)
+        apply_truncation(f, ker, backend="fft")
     assert info.value.estimate == 2 * 75 * 81 > 2 * 73 * 81
+    assert not ker._spectra
     monkeypatch.setattr(operators, "MEMORY_BUDGET_ELEMENTS", 2 * 75 * 81)
-    assert Truncation(ker, f.values.shape).spectrum.shape == (75, 81)
+    apply_truncation(f, ker, backend="fft")
+    assert list(ker._spectra) == [(75, 81)]
 
 
-def test_fft_refuses_an_input_of_another_shape():
-    T = built(P_SQ, 2, delta_function(1))
-    with pytest.raises(ValueError, match="shape"):
-        apply_truncation(GridFunction(((0, 1),), np.ones(2)), T, "fft")
+def test_one_kernel_serves_inputs_of_two_shapes(rng):
+    # One spectrum per padded shape, built on first use and kept.  The
+    # kernel box is 5 x 5: the 13 x 13 input's linear size 17 x 17 pads
+    # to 18 x 18, the 9 x 11 input's 13 x 15 to 14 x 15.
+    ker = pushforward_kernel(canonical_mapping(1, 2), 2)
+    f = random_grid(rng, 2, 6)
+    g = GridFunction(((-4, 4), (-5, 5)), rng.standard_normal((9, 11)))
+    for h in (f, g, f, g):
+        a = apply_truncation(h, ker, backend="direct")
+        b = apply_truncation(h, ker, backend="fft")
+        assert a.box == b.box
+        assert grid_difference(a, b) <= 1e-12 * np.abs(a.values).max()
+    assert list(ker._spectra) == [(18, 18), (14, 15)]
+    assert ker.spectrum(f.values.shape) is ker._spectra[18, 18]
+    assert not ker.spectrum((9, 11)).flags.writeable
+
+
+def test_threads_that_build_one_spectrum_at_once_read_one_copy(monkeypatch):
+    # Both threads miss the spectrum and build it; the first one stored
+    # is the one both get.
+    ker = pushforward_kernel(P_SQ, 2)
+    barrier = threading.Barrier(2)
+    fftn = np.fft.fftn
+
+    def meeting(*args, **kwargs):
+        barrier.wait(timeout=10)
+        return fftn(*args, **kwargs)
+    monkeypatch.setattr(np.fft, "fftn", meeting)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        first, second = pool.map(lambda _: ker.spectrum((7,)), range(2))
+    assert first is second is ker._spectra[operators._smooth_length(11),]
 
 
 # -- shift-system realization ------------------------------------------------------
@@ -464,28 +483,42 @@ def test_growth_fit_rejects_low_r():
 
 def test_operator_norm_applies_each_truncation_once(monkeypatch):
     # One build per (run, N): the lattice ball, the pushforward kernel and
-    # its spectrum.  Two backends per (field, N) serve every check, plus
-    # one linearity input per N; the orbit oracle realizes the first four
-    # fields.  multiplier-apply builds its one N once for every trial.
+    # its spectrum, at the one input shape.  Two backends per (field, N)
+    # serve every check, plus one linearity input per N; the orbit oracle
+    # realizes the first four fields.  multiplier-apply builds its one N
+    # once for every trial and, running only the direct backend, no
+    # spectrum.
     calls = Counter()
+    kernels = []
 
-    def counting(module, key):
+    def counting(module, key, keep=False):
         fn = getattr(module, key)
 
         def wrapped(*args, **kwargs):
             calls[key] += 1
-            return fn(*args, **kwargs)
+            out = fn(*args, **kwargs)
+            if keep:
+                kernels.append(out)
+            return out
         monkeypatch.setattr(module, key, wrapped)
 
-    for key in ("pushforward_kernel", "Truncation", "apply_truncation",
-                "ergodic_truncation"):
+    for key in ("apply_truncation", "ergodic_truncation"):
         counting(experiments, key)
+    counting(experiments, "pushforward_kernel", keep=True)
     counting(operators, "lattice_points")
+    fftn = np.fft.fftn
+
+    def counting_fftn(a, *args, **kwargs):
+        if any(a is ker.values for ker in kernels):
+            calls["spectrum"] += 1
+        return fftn(a, *args, **kwargs)
+    monkeypatch.setattr(np.fft, "fftn", counting_fftn)
     size, n_set = 5, (3, 1, 2)
     builds = dict.fromkeys(("lattice_points", "pushforward_kernel",
-                            "Truncation"), len(n_set))
+                            "spectrum"), len(n_set))
     for which in ("average", "singular"):
         calls.clear()
+        kernels.clear()
         run(RunConfig("operator-norm", seed=2,
                       params={"size": size, "n_set": n_set,
                               "halfwidth": 6, "which": which}))
@@ -493,9 +526,13 @@ def test_operator_norm_applies_each_truncation_once(monkeypatch):
                          "apply_truncation": size * len(n_set) * 2
                          + len(n_set),
                          "ergodic_truncation": 4 * len(n_set)}
+        assert all(len(ker._spectra) == 1 for ker in kernels)
     calls.clear()
+    kernels.clear()
     run(RunConfig("multiplier-apply", seed=2, params={"trials": 3}))
-    assert calls == {**dict.fromkeys(builds, 1), "apply_truncation": 3}
+    assert calls == {"lattice_points": 1, "pushforward_kernel": 1,
+                     "apply_truncation": 3}
+    assert not kernels[0]._spectra
 
 
 # -- randomized cross-checks ---------------------------------------------------------
