@@ -52,7 +52,8 @@ def _legendre_valuation(n: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class IWParams:
-    """Denominator-set parameters; derived values are always recomputed."""
+    """Denominator-set parameters.  The derived values are computed on
+    first use and kept; equality, hash and repr read (rho, N) only."""
 
     rho: float
     N: int
@@ -63,17 +64,17 @@ class IWParams:
         if self.N < 0:
             raise ValueError("need N >= 0")
 
-    @property
+    @functools.cached_property
     def N0(self) -> int:
         # The nudge keeps exact integer powers (e.g. 4^(1/2)) from
         # rounding below their true floor.
         return int(math.floor(self.N ** (self.rho / 2) + 1e-9)) + 1
 
-    @property
+    @functools.cached_property
     def D(self) -> int:
         return int(math.floor(2 / self.rho + 1e-9)) + 1
 
-    @property
+    @functools.cached_property
     def window_primes(self) -> tuple[int, ...]:
         return tuple(p for p in _primes_upto(self.N) if p > self.N0)
 

@@ -293,14 +293,15 @@ def _run_weyl_decay(params, config) -> RunOutcome:
     deg = params["deg"]
     points, u_min, u_max = params["points"], params["u_min"], params["u_max"]
     tol = params["tol"]
-    if not 0 < u_min < u_max:
-        raise ValueError("need 0 < u_min < u_max")
+    name = config.experiment
+    if u_min >= u_max:
+        raise ValueError(f"{name}: u_min must be < u_max = {u_max}, "
+                         f"got {u_min}")
     # The kernel 0.5/y lives on R^1, so the map has k = 1.
     Q = canonical_mapping(1, deg)
     direction = np.ones(Q.d)
     kernel = odd_power_kernel()
     grid = np.geomspace(u_min, u_max, points)
-    name = config.experiment
 
     def probe(u: float) -> dict:
         xi = u * direction
@@ -391,18 +392,20 @@ def _random_windows(rng, params, degrees, d):
     return out
 
 
-def _rational_probes(params, d):
+def _rational_probes(params, d, name):
     probes = []
     for N in params["rational_n_grid"]:
         for entry in params["rational_fracs"]:
             *a, q = entry
             if len(a) != d:
-                raise ValueError(f"fraction {entry} has {len(a)} "
-                                 f"numerators, mapping needs {d}")
+                raise ValueError(f"{name}: every rational_fracs entry must "
+                                 f"be {d} numerators and a denominator, "
+                                 f"got {list(entry)}")
             frac = reduce_fraction(a, q)
             if frac.q > math.sqrt(N):
-                raise ValueError(f"denominator {frac.q} too large for "
-                                 f"N = {N}")
+                raise ValueError(f"{name}: every rational_n_grid entry "
+                                 f"must be >= {frac.q ** 2}, the squared "
+                                 f"denominator of {list(entry)}, got {N}")
             window = ArcWindow(int(N), float(N), 1.0, math.sqrt(N))
             probes.append({"N": int(N), "frac": frac, "window": window})
     return probes
@@ -423,7 +426,7 @@ def _run_prop_fit(params, config, which: str) -> RunOutcome:
         raise ValueError(f"{name}: m_factor must be <= 1, got "
                          f"{params['m_factor']}")
     Q = canonical_mapping(1, params["deg"])
-    probes = _rational_probes(params, Q.d)
+    probes = _rational_probes(params, Q.d, name)
     rng = np.random.default_rng(config.seed)
     draws = _random_windows(rng, params, Q.degrees, Q.d)
     kernel = odd_power_kernel(params["kernel_c"]) if which == "diff" \
@@ -562,18 +565,21 @@ def _run_operator_norm(params, config) -> RunOutcome:
     further input, and the ergodic check realizes its own orbits.  The
     growth rows read the fft outputs in increasing N.
     """
-    which = params["which"]
+    which, name = params["which"], config.experiment
     if which not in ("average", "singular"):
-        raise ValueError("which must be 'average' or 'singular'")
+        raise ValueError(f"{name}: which must be 'average' or 'singular', "
+                         f"got {which!r}")
+    # The bundled kernel 0.5/y lives on R^1.
+    if which == "singular" and params["k"] != 1:
+        raise ValueError(f"{name}: k must be 1 with which = 'singular', "
+                         f"got {params['k']}")
     Q = canonical_mapping(params["k"], params["deg"])
     kernel = odd_power_kernel(params["kernel_c"]) \
         if which == "singular" else None
-    if which == "singular" and Q.k != 1:
-        raise ValueError("the bundled kernel is one-dimensional")
     n_set = tuple(int(n) for n in params["n_set"])
     if len(set(n_set)) != len(n_set):
-        raise ValueError("duplicate truncation radii")
-    name = config.experiment
+        raise ValueError(f"{name}: n_set entries must be distinct, "
+                         f"got {n_set}")
     fields = list(ensemble(Q.d, params["halfwidth"], params["size"],
                            config.seed))
     p, r_grid = params["p"], params["r_grid"]
@@ -741,10 +747,12 @@ def _run_multiplier_apply(params, config) -> RunOutcome:
 
     # The averaged output lives on supp(f) + Q(B_n); keep that inside
     # one period so the wrapped convolution equals the free-space one.
+    least = max(max(0, -lo) + max(0, hi) + 1 for lo, hi in ker.box)
+    if m < least:
+        raise ValueError(f"{name}: m must be >= {least} for n = {n}, "
+                         f"got {m}")
     lo_pad = tuple(max(0, -lo) for lo, _ in ker.box)
     hi_pad = tuple(m - 1 - max(0, hi) for _, hi in ker.box)
-    if any(a > b for a, b in zip(lo_pad, hi_pad)):
-        raise ValueError(f"period {m} too small for truncation {n}")
 
     xis = torus_frequencies((m,) * Q.d)
     symbol = avg_multiplier(n, xis, Q)
@@ -796,7 +804,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         needs_seed=False,
         summary="log-log decay of the continuous multipliers",
         minimums={"points": 2, "deg": 1},
-        exceeds={"tol": 0}),
+        exceeds={"tol": 0, "u_min": 0}),
     "vr-suite": ExperimentSpec(
         _run_vr_suite,
         {"n_max": 12, "trials": 500,
@@ -813,7 +821,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         needs_seed=True,
         summary="averaging multiplier major-arc approximation",
         # a window at N needs 1 <= L3 <= sqrt(N)
-        minimums={"trials": 1, "deg": 1, "n_min": 1},
+        minimums={"trials": 1, "deg": 1, "n_min": 1, "rational_n_grid": 1},
         exceeds={"tol": 0}),
     "prop2-fit": ExperimentSpec(
         _run_prop2_fit,
@@ -823,7 +831,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
          "m_factor": 0.5, "kernel_c": 0.5, "tol": 1e-8},
         needs_seed=True,
         summary="singular truncation-difference major-arc approximation",
-        minimums={"trials": 1, "deg": 1, "n_min": 1},
+        minimums={"trials": 1, "deg": 1, "n_min": 1, "rational_n_grid": 1},
         exceeds={"tol": 0}),
     "iw-build": ExperimentSpec(
         _run_iw_build,

@@ -17,7 +17,9 @@ is exact and only the final average rounds.
 The kernels take one input or a batch: `gauss_sum` one numerator vector
 (d,) or a block (m, d), `phase_sum` and the multipliers one frequency (d,)
 or a batch (F, d).  One input gives a complex, a batch an array, and a
-row of a batch equals its one-input call bit for bit.
+row of a batch equals its one-input call bit for bit.  `sing_multiplier`
+also takes a sequence of radii, and `phase_sum` parts of its points;
+either adds a leading axis whose entries keep their one-call bits.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, KernelError, QuadratureError
-from .polymap import PolynomialMapping, dilate, lattice_points
+from .polymap import PolynomialMapping, dilate, in_ball, lattice_points
 
 GAUSS_BUDGET = 100_000_000
 QUAD_NODE_BUDGET = 1 << 22  # integrand nodes per quadrature call
@@ -98,8 +100,12 @@ def gauss_sum(q: int, a, Q: PolynomialMapping):
     for bit.  The monomial residues y^gamma mod q and the root table
     e(r/q) are built once per call and shared by every row; rows go in
     chunks of at most _PHASE_CHUNK products a_i y^gamma_i (or one row), so
-    memory stays flat in m.  A sum of more than GAUSS_BUDGET terms q^k is
-    refused with a BudgetError.
+    memory stays flat in m.  A numerator column that is zero mod q in
+    every row is dropped before the residues are built (an all-zero block
+    keeps one column): it adds 0 to every phase, so each row keeps its
+    bits.  A sum of more than GAUSS_BUDGET terms q^k, or a modulus past
+    the int64 bound below, is refused with a BudgetError before anything
+    is allocated.
 
     The phase <a, Q(y)> mod q is exact int64 arithmetic: numerators are
     reduced mod q before the int64 cast, so any Python int is admitted;
@@ -121,21 +127,24 @@ def gauss_sum(q: int, a, Q: PolynomialMapping):
     if a.dtype != np.int64:  # e.g. Python ints of any size or sign
         a = (a.astype(object) % q).astype(np.int64)
     block = (a % q).reshape(-1, Q.d)
+    cols = np.flatnonzero(block.any(axis=0))
+    cols = cols if len(cols) else np.arange(1)
+    block = block[:, cols]
     y = np.arange(1, q + 1, dtype=np.int64)
     y[-1] = 0  # y = q is 0 mod q
     axes = [y.reshape((1,) * j + (q,) + (1,) * (Q.k - j - 1))
             for j in range(Q.k)]
-    monos = np.empty((Q.d,) + (q,) * Q.k, dtype=np.int64)
-    for i, g in enumerate(Q.gamma):
+    monos = np.empty((len(cols),) + (q,) * Q.k, dtype=np.int64)
+    for i, col in enumerate(cols):
         mono = None
-        for axis, e in zip(axes, g):
+        for axis, e in zip(axes, Q.gamma[col]):
             for _ in range(e):
                 mono = axis if mono is None else mono * axis % q
         monos[i] = mono
-    monos = monos.reshape(Q.d, terms)
+    monos = monos.reshape(len(cols), terms)
     roots = np.exp(2j * np.pi * np.arange(q) / q)
     out = np.empty(len(block), dtype=complex)
-    rows = max(1, _PHASE_CHUNK // (Q.d * terms))
+    rows = max(1, _PHASE_CHUNK // (len(cols) * terms))
     for lo in range(0, len(block), rows):
         products = block[lo:lo + rows, :, None] * monos
         products %= q
@@ -189,27 +198,51 @@ def avg_multiplier(N: int, xi, Q: PolynomialMapping):
     return phase_sum(Q.eval_real(pts), torus_reduce(xi))
 
 
-def sing_multiplier(N: int, xi, Q: PolynomialMapping, kernel):
+def sing_multiplier(N, xi, Q: PolynomialMapping, kernel):
     """sum_{y in B_N, y != 0} e(<xi, Q(y)>) K(y), not normalized; xi is
-    one frequency (d,) or a batch (F, d), as in avg_multiplier."""
-    pts = lattice_points(Q.k, N)
+    one frequency (d,) or a batch (F, d), as in avg_multiplier.
+
+    N is one radius or a sequence of radii.  A sequence enumerates, weights
+    and exponentiates the largest ball once and sums each radius's ball on
+    its own: the ball's terms in lattice order, picked by the membership
+    test of `lattice_points`, so each value has the bits of its one-radius
+    call.  The values of a sequence come along a leading axis, an array
+    (P,) for one frequency or (P, F) for a batch.
+    """
+    many = np.ndim(N) == 1
+    radii = list(N) if many else [N]
+    pts = lattice_points(Q.k, max(radii))
     pts = pts[np.any(pts != 0, axis=1)]
     w = kernel.eval_many(pts)
-    return phase_sum(Q.eval_real(pts), torus_reduce(xi), weights=w)
+    parts = [in_ball(pts, t) for t in radii] if many else None
+    return phase_sum(Q.eval_real(pts), torus_reduce(xi), weights=w,
+                     parts=parts)
 
 
-def phase_sum(points: np.ndarray, xi, weights=None):
+def phase_sum(points: np.ndarray, xi, weights=None, parts=None):
     """sum_j w_j e(<xi, z_j>) over the rows z_j of points (n, d), divided
     by n when weights is None.
 
     xi is one frequency (d,), giving a complex, or a batch (F, d), giving
     an (F,) array, summed in row chunks of at most _PHASE_CHUNK phases.
+    parts, a sequence of P boolean masks (n,) over the rows of points,
+    sums each masked part on its own from the same phases, divided by its
+    own count when weights is None, along a leading axis: (P,) or (P, F).
+    A part is summed over its rows in order, as one call on those rows
+    alone would sum them, so each value has that call's bits; a mask of
+    one contiguous run is read as a slice, any other is gathered one
+    chunk at a time.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.ndim > 2 or xi.shape[-1] != points.shape[1]:
         raise ValueError("frequency does not match the index set")
     batch = np.atleast_2d(xi)
-    out = np.empty(len(batch), dtype=complex)
+    if parts is None:
+        picks, counts = [slice(None)], [len(points)]
+    else:
+        picks = [_as_slice(mask) for mask in parts]
+        counts = [np.count_nonzero(mask) for mask in parts]
+    out = np.empty((len(picks), len(batch)), dtype=complex)
     rows = max(1, _PHASE_CHUNK // max(len(points), 1))
     for lo in range(0, len(batch), rows):
         block = batch[lo:lo + rows]
@@ -219,10 +252,27 @@ def phase_sum(points: np.ndarray, xi, weights=None):
         vals = np.exp(2j * np.pi * phase)
         if weights is not None:
             vals *= weights
-        out[lo:lo + rows] = vals.sum(axis=1)
+        for p, pick in enumerate(picks):
+            # take() keeps each row contiguous, so it sums as a call would
+            part = vals[:, pick] if isinstance(pick, slice) \
+                else vals.take(pick, axis=1)
+            out[p, lo:lo + rows] = part.sum(axis=1)
     if weights is None:
-        out /= len(points)
-    return out if xi.ndim == 2 else complex(out[0])
+        for p, count in enumerate(counts):
+            out[p] /= count
+    if parts is None:
+        return out[0] if xi.ndim == 2 else complex(out[0, 0])
+    return out if xi.ndim == 2 else out[:, 0]
+
+
+def _as_slice(mask: np.ndarray):
+    """A mask's one contiguous run of rows as a slice, else its indices."""
+    idx = np.flatnonzero(mask)
+    if len(idx) == 0:
+        return slice(0, 0)
+    if idx[-1] - idx[0] + 1 == len(idx):
+        return slice(idx[0], idx[-1] + 1)
+    return idx
 
 
 # -- Calderon-Zygmund kernels ---------------------------------------------
@@ -543,8 +593,7 @@ def major_arc_diff_check(window: ArcWindow, M: int, frac: RationalPoint,
     offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
     window.check(frac.q, offsets, Q.degrees)
     xi = frac.as_floats() + offsets
-    mN = sing_multiplier(window.N, xi, Q, kernel)
-    mM = sing_multiplier(M, xi, Q, kernel)
+    mN, mM = sing_multiplier((window.N, M), xi, Q, kernel).tolist()
     g = gauss_sum(frac.q, frac.numerators, Q)
     psi_diff = annulus_integral(float(M), float(window.N), offsets, Q,
                                 kernel, tol=tol)

@@ -104,10 +104,12 @@ class PolynomialMapping:
             for g, c in comp.items():
                 if not c:
                     continue
-                acc = np.full(y.shape[:-1], float(c))
+                # A unit coefficient starts from the monomial: 1.0 * t = t.
+                acc = None if c == 1 else np.full(y.shape[:-1], float(c))
                 for j, e in enumerate(g):
                     if e:
-                        acc = acc * y[..., j] ** e
+                        power = y[..., j] ** e
+                        acc = power if acc is None else acc * power
                 out[..., i] += acc
         return out
 
@@ -136,8 +138,14 @@ def lattice_points(k: int, t: float) -> np.ndarray:
     axes = [np.arange(-r, r + 1, dtype=np.int64)] * k
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     pts = grid.reshape(-1, k)
-    x = pts.astype(float)
-    return pts[(x * x).sum(axis=1) <= t * t]
+    return pts[in_ball(pts, t)]
+
+
+def in_ball(points: np.ndarray, t: float) -> np.ndarray:
+    """The mask of the rows y of points (n, k) with |y| <= t, tested in
+    floats as `lattice_points` tests its candidates."""
+    x = np.asarray(points, dtype=float)
+    return (x * x).sum(axis=1) <= t * t
 
 
 def dilate(Q: PolynomialMapping, t: float, x: np.ndarray) -> np.ndarray:

@@ -321,6 +321,8 @@ def test_thread_count_determinism(tmp_path, capsys):
         # one DFT table per q on the quadratic branch
         ["gauss-scan", "--deg", "3", "--q-max", "40"],
         ["gauss-scan", "--q-max", "40"],
+        # blocks with zero numerator columns on a k = 2 map
+        ["gauss-scan", "--k", "2", "--q-max", "12"],
         # one quadrature probe per point, one window or rational probe
         # per trial
         ["weyl-decay", "--points", "6"],

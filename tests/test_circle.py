@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -25,6 +26,24 @@ def test_params_derived_values():
     p5 = ci.IWParams(1.0, 5)
     assert (p5.N0, p5.D) == (3, 3)
     assert p5.window_primes == (5,)
+
+
+def test_params_cache_derived_values_outside_identity():
+    # N0, D and window_primes are computed once and kept on the instance;
+    # equality, hash and repr still read (rho, N) only.
+    p, fresh = ci.IWParams(0.5, 30), ci.IWParams(0.5, 30)
+    assert p.N0 == int(math.floor(30 ** 0.25 + 1e-9)) + 1 == 3
+    assert p.D == int(math.floor(2 / 0.5 + 1e-9)) + 1 == 5
+    assert p.window_primes == tuple(
+        n for n in range(p.N0 + 1, 31)
+        if all(n % m for m in range(2, math.isqrt(n) + 1)))
+    assert {"N0", "D", "window_primes"} <= set(vars(p))
+    assert p.window_primes is p.window_primes
+    assert p == fresh and hash(p) == hash(fresh)
+    assert repr(p) == repr(fresh) == "IWParams(rho=0.5, N=30)"
+    assert p != ci.IWParams(0.5, 31) and p != ci.IWParams(0.25, 30)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.N = 31
 
 
 def test_params_validation():

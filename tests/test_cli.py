@@ -149,6 +149,7 @@ def test_a_wrongly_shaped_parameter_exits_two(tmp_path, capsys, experiment):
       for key in ("k", "deg") if key in EXPERIMENTS[name].defaults),
     # tol 0 spent the quadrature node budget before it stopped
     ("weyl-decay --tol 0", "tol"),
+    ("weyl-decay --u-min 0", "u_min"),
     ("prop0-fit --tol 0", "tol"),
     ("prop0-fit --n-max 3 --n-min 0", "n_min"),
     ("lepingle --jump-r 0.5", "jump_r"),
@@ -219,6 +220,8 @@ def test_an_empty_list_setting_is_refused_by_name(tmp_path, capsys,
     ("lepingle --p-grid 2,0.5", "0.5"),
     ("lepingle --lam-grid 0.5,0", "0.0"),
     ("good-lambda --lam-grid 0", "0.0"),
+    # a window at N needs N >= 1
+    ("prop0-fit --rational-n-grid 0", "0"),
 ])
 def test_a_growth_fit_r_of_at_most_two_is_refused_by_name(
         tmp_path, capsys, monkeypatch, command, value):
@@ -239,6 +242,16 @@ def test_a_growth_fit_r_of_at_most_two_is_refused_by_name(
     ("prop2-fit --n-min 65 --n-max 64", "n_min must be <= n_max = 64, "
                                         "got 65"),
     ("prop2-fit --m-factor 2", "m_factor must be <= 1, got 2.0"),
+    ("weyl-decay --u-min 300", "u_min must be < u_max = 200.0, got 300.0"),
+    ("operator-norm --which foo", "which must be 'average' or 'singular', "
+                                  "got 'foo'"),
+    ("operator-norm --which singular --k 2", "k must be 1 with which = "
+                                             "'singular', got 2"),
+    ("operator-norm --n-set 2,1,2", "n_set entries must be distinct, "
+                                    "got (2, 1, 2)"),
+    # Q(B_4) spans [0, 16] on the y^2 axis, so a period needs 17 cells
+    ("multiplier-apply --m 0", "m must be >= 17 for n = 4, got 0"),
+    ("multiplier-apply --m 16", "m must be >= 17 for n = 4, got 16"),
 ])
 def test_a_rule_across_settings_is_refused_before_the_first_draw(
         tmp_path, capsys, monkeypatch, command, message):
@@ -246,8 +259,28 @@ def test_a_rule_across_settings_is_refused_before_the_first_draw(
 
     def draw(*args):
         raise AssertionError(f"{argv[0]} reached its probes")
-    for key in ("_rational_probes", "_random_windows"):
+    for key in ("_rational_probes", "_random_windows", "ensemble",
+                "torus_frequencies"):
         monkeypatch.setattr(experiments, key, draw)
+    code = cli.main(argv + ["--seed", "1", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {argv[0]}: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, message", [
+    ("prop0-fit --rational-n-grid 81,8", "every rational_n_grid entry must "
+     "be >= 9, the squared denominator of [0, 1, 3], got 8"),
+    ("prop2-fit --rational-n-grid 24", "every rational_n_grid entry must "
+     "be >= 25, the squared denominator of [1, 2, 5], got 24"),
+])
+def test_a_rational_probe_outside_its_window_is_refused_by_name(
+        tmp_path, capsys, monkeypatch, command, message):
+    argv = command.split()
+
+    def draw(*args):
+        raise AssertionError(f"{argv[0]} reached its draws")
+    monkeypatch.setattr(experiments, "_random_windows", draw)
     code = cli.main(argv + ["--seed", "1", "--out", str(tmp_path)])
     assert code == 2
     assert capsys.readouterr().err == f"error: {argv[0]}: {message}\n"

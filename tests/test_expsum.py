@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy.special import j1, sici
 
 from radonlab import expsum as es
 from radonlab.errors import BudgetError, KernelError, QuadratureError
+from radonlab.experiments import EXPERIMENTS, RunConfig, run
 from radonlab.operators import pushforward_kernel
 from radonlab.polymap import canonical_mapping, lattice_points
 
@@ -107,7 +109,15 @@ def test_gauss_block_equals_rows_bitwise(Q, rng):
         block = rng.integers(-3 * q, 3 * q, size=(9, Q.d))
         huge = [[(-1) ** i * (10 ** 30 + 7 * i + j) for j in range(Q.d)]
                 for i in range(2)]
-        for rows in (block, huge):
+        # zero columns, which gauss_sum drops: the first zero mod q in
+        # every row, the last in some rows only; an all-zero block; and
+        # the top family (0, ..., 0, a) of the deg >= 3 scan
+        zeroed = block.copy()
+        zeroed[:, 0] = q * rng.integers(-2, 3, size=len(block))
+        zeroed[::2, -1] = 0
+        top = np.zeros((q, Q.d), dtype=np.int64)
+        top[:, -1] = np.arange(q)
+        for rows in (block, huge, zeroed, np.zeros_like(block), top):
             sums = es.gauss_sum(q, rows, Q)
             assert sums.shape == (len(rows),) and sums.dtype == complex
             for row, g in zip(rows, sums):
@@ -234,6 +244,52 @@ def test_multiplier_batch_equals_single(N, Q, F):
         assert batch.shape == (F,)
         assert type(m(xis[7])) is complex
         assert np.array_equal(batch, [m(x) for x in xis])
+
+
+_Q_PLANE = canonical_mapping(2, 1)  # (y2, y1)
+
+
+@pytest.mark.parametrize("Q, K, N", [
+    (Q_QUAD, es.odd_power_kernel(0.5), 500),
+    (_Q_PLANE, es.plane_sign_kernel(), 20)])
+@pytest.mark.parametrize("M", [lambda N: 1, lambda N: N - 1, lambda N: N],
+                         ids=["1", "N-1", "N"])
+def test_sing_multiplier_radii_equal_one_call_per_radius(Q, K, N, M):
+    # One ball evaluation serves every radius, and each value keeps the
+    # bits of its own call: at k = 1 a ball is the middle slice, at k = 2
+    # the float membership test picks it.  1000 (k = 1) and 1256 (k = 2)
+    # points make chunks of 65 and 52 rows, so 150 frequencies span
+    # three chunks, the last one partial.
+    radii = (N, M(N), math.sqrt(50), M(N))
+    xis = np.random.default_rng(8).uniform(-1.5, 1.5, size=(150, Q.d))
+    xis[0] = 0.0
+    one = [es.sing_multiplier(t, xis, Q, K) for t in radii]
+    many = es.sing_multiplier(radii, xis, Q, K)
+    assert many.shape == (len(radii), len(xis))
+    assert np.array_equal(many, one)
+    single = es.sing_multiplier(list(radii), xis[7], Q, K)
+    assert single.shape == (len(radii),)
+    assert single.tolist() == [es.sing_multiplier(t, xis[7], Q, K)
+                               for t in radii]
+    # one radius in a sequence is the one-element case
+    assert np.array_equal(es.sing_multiplier([N], xis, Q, K),
+                          [es.sing_multiplier(N, xis, Q, K)])
+
+
+def test_sing_multiplier_two_radii_peak_as_one():
+    # The nested sums read the largest ball's term arrays and copy none.
+    K = es.odd_power_kernel(0.5)
+    xi = [0.123, 0.0456]
+    peaks = []
+    for radii in (6561, (6561, 3280)):
+        es.sing_multiplier(radii, xi, Q_QUAD, K)  # warm every code path
+        tracemalloc.start()
+        try:
+            es.sing_multiplier(radii, xi, Q_QUAD, K)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_multiplier_refuses_a_frequency_of_the_wrong_width():
@@ -516,6 +572,29 @@ def test_major_arc_diff_random_tuple(rng):
     off = rng.uniform(-1, 1, size=2) * caps
     out = es.major_arc_diff_check(w, N // 2, frac, off, Q_QUAD, K)
     assert out["ratio"] < 5.0
+
+
+def test_prop2_fit_evaluates_one_ball_per_window(monkeypatch):
+    # m_N and m_M of a window come from one ball: one lattice enumeration
+    # and one sing_multiplier call per random window and per rational
+    # probe, each as exact as the two one-radius calls.
+    calls = Counter()
+
+    def counting(key):
+        fn = getattr(es, key)
+
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(es, key, wrapped)
+    for key in ("lattice_points", "sing_multiplier"):
+        counting(key)
+    trials, grid = 5, (81, 243)
+    run(RunConfig("prop2-fit", seed=4,
+                  params={"trials": trials, "rational_n_grid": grid}))
+    fracs = EXPERIMENTS["prop2-fit"].defaults["rational_fracs"]
+    windows = trials + len(grid) * len(fracs)
+    assert calls == {"lattice_points": windows, "sing_multiplier": windows}
 
 
 def test_torus_reduce_window():

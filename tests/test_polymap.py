@@ -116,6 +116,36 @@ def test_eval_real_matches_integer_eval():
     assert np.allclose(real, Q.eval_many(np.array([y]))[0].astype(float))
 
 
+@pytest.mark.parametrize("P", [
+    pm.PolynomialMapping(1, 2, ({(1,): 1, (3,): -1}, {(2,): 3, (1,): 1})),
+    pm.PolynomialMapping(2, 3, ({(1, 1): 1}, {(0, 2): -1, (2, 1): 1},
+                                {(1, 0): 3, (0, 3): 1}))],
+    ids=["k=1", "k=2"])
+def test_eval_real_is_the_literal_formula_bitwise(P):
+    # sum_gamma c * prod_j y_j ** e_j, in order, in Python floats: a unit
+    # coefficient skips its multiply (1.0 * t = t), so signed zeros and
+    # the signs of odd powers stay those of the formula.  Every power of
+    # these points is exact, so no pow rounding enters the comparison.
+    axis = [-2.5, -1.0, -0.0, 0.0, 0.5, 1.75]
+    pts = np.array(list(itertools.product(axis, repeat=P.k)))
+    expect = []
+    for y in pts.tolist():
+        row = []
+        for comp in P.coeffs:
+            total = 0.0
+            for g, c in comp.items():
+                term = float(c)
+                for yj, e in zip(y, g):
+                    if e:
+                        term = term * yj ** e
+                total += term
+            row.append(total)
+        expect.append(row)
+    got = P.eval_real(pts)
+    assert got.tobytes() == np.array(expect).tobytes()
+    assert P.eval_real(pts[:, None]).tobytes() == got.tobytes()
+
+
 def test_canonical_mapping_is_a_polynomial_mapping():
     Q = pm.canonical_mapping(2, 2)
     gamma = pm.build_gamma(2, 2)
