@@ -55,11 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=FORMATS,
                        help="table format (default both)")
         for key, default in spec.defaults.items():
-            _, kind = param_shape(default)
-            if kind is None:
-                continue
             p.add_argument("--" + key.replace("_", "-"),
-                           dest="param_" + key, type=kind, default=None,
+                           dest="param_" + key,
+                           type=param_shape(default)[1], default=None,
                            help=f"default {default!r}")
     rep = sub.add_parser("report",
                          help="diff two result documents (JSON)")

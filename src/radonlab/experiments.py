@@ -46,10 +46,11 @@ from .martingale import (doubling_constant, field_ensemble,
                          orthogonality_defect, ratio_sweep, tower_defect)
 from .operators import (GridFunction, apply_truncation, embed, ensemble,
                         ergodic_truncation, grid_difference,
-                        pushforward_kernel, union_box, variation_curves)
+                        pushforward_kernel, union_box)
 from .polymap import canonical_mapping
 from .reporting import ResultRow
-from .variation import growth_fit, vr_bruteforce_batch, vr_exact_batch
+from .variation import (growth_fit, variation_ratios, vr_bruteforce_batch,
+                        vr_exact_batch)
 
 VR_TOLERANCE = 1e-12  # vr-suite's DP-vs-oracle pass gate, never loosened
 # iw-build: the segment [1, cap] built when the full set is over budget,
@@ -96,6 +97,17 @@ def _bound_row(name: str, case: str, params: dict, observed: float,
                      observed <= bound)
 
 
+def _fit_rows(name: str, p: float, fit: dict, case: str,
+              fit_case: str) -> list[ResultRow]:
+    """A `growth_fit` result at p as rows: one `case` row per r, in the
+    fit's order, then its fitted constant as the `fit_case` row."""
+    rows = [ResultRow(name, case, {"p": p, "r": rec["r"]}, rec["max_ratio"],
+                      None, rec["scaled"], None) for rec in fit["rows"]]
+    rows.append(ResultRow(name, fit_case, {"p": p}, fit["fitted_constant"],
+                          None, None, None))
+    return rows
+
+
 def _ordered_map(fn, items, threads: int) -> list:
     """Map preserving item order; thread count never changes results."""
     items = list(items)
@@ -127,13 +139,11 @@ def param_shape(default):
 
     Returns (check, flag): `check(value)` gives the value a run stores
     or raises TypeError naming the wanted shape; `flag` is the argparse
-    type of the setting's flag, None when no flag spells it.  An int
-    default takes an int; a float default an int or a float, stored as
-    float; a str default a str; a tuple of numbers a list of that cell
-    type (int when every default cell is), stored as a tuple, and its
-    flag a comma list; None takes None or an int; a tuple of tuples a
-    list of lists, whose entries the runner checks, and no flag.  Any
-    other default raises TypeError.
+    type of the setting's flag.  An int default takes an int; a float
+    default an int or a float, stored as float; a str default a str; a
+    tuple of numbers a list of that cell type (int when every default
+    cell is), stored as a tuple, and its flag a comma list; None takes
+    None or an int.  Any other default raises TypeError.
     """
     if default is None:
         return (lambda v: None if v is None
@@ -141,21 +151,16 @@ def param_shape(default):
     if type(default) in _CELLS:
         kind = type(default)
         return (lambda v: _cell(kind, v, _CELLS[kind][1])), kind
-    if isinstance(default, tuple) and default:
-        if all(isinstance(x, tuple) for x in default):
-            shape = "a list of lists"
-            return (lambda v: tuple(tuple(_sequence(e, shape))
-                                    for e in _sequence(v, shape))), None
-        if all(type(x) in (int, float) for x in default):
-            kind = int if all(type(x) is int for x in default) else float
-            shape = f"a list of {'integers' if kind is int else 'numbers'}"
+    if isinstance(default, tuple) and default and \
+            all(type(x) in (int, float) for x in default):
+        kind = int if all(type(x) is int for x in default) else float
+        shape = f"a list of {'integers' if kind is int else 'numbers'}"
 
-            def parse_list(text: str) -> tuple:
-                return tuple(kind(tok) for tok in text.split(",") if tok)
-            parse_list.__name__ = f"{kind.__name__}-list"
-            return (lambda v: tuple(_cell(kind, x, shape)
-                                    for x in _sequence(v, shape))), \
-                parse_list
+        def parse_list(text: str) -> tuple:
+            return tuple(kind(tok) for tok in text.split(",") if tok)
+        parse_list.__name__ = f"{kind.__name__}-list"
+        return (lambda v: tuple(_cell(kind, x, shape)
+                                for x in _sequence(v, shape))), parse_list
     raise TypeError(f"no parameter shape for default {default!r}")
 
 
@@ -392,23 +397,16 @@ def _random_windows(rng, params, degrees, d):
     return out
 
 
-def _rational_probes(params, d, name):
-    probes = []
-    for N in params["rational_n_grid"]:
-        for entry in params["rational_fracs"]:
-            *a, q = entry
-            if len(a) != d:
-                raise ValueError(f"{name}: every rational_fracs entry must "
-                                 f"be {d} numerators and a denominator, "
-                                 f"got {list(entry)}")
-            frac = reduce_fraction(a, q)
-            if frac.q > math.sqrt(N):
-                raise ValueError(f"{name}: every rational_n_grid entry "
-                                 f"must be >= {frac.q ** 2}, the squared "
-                                 f"denominator of {list(entry)}, got {N}")
-            window = ArcWindow(int(N), float(N), 1.0, math.sqrt(N))
-            probes.append({"N": int(N), "frac": frac, "window": window})
-    return probes
+def _rational_probes(params, d):
+    """The exact rationals (0, ..., 0, 1)/3, (1, ..., 1)/4 and
+    (1, ..., 1, 2)/5 in d numerators, each at every rational_n_grid entry
+    N, whose window needs q <= sqrt(N): the spec bounds N below by 5^2."""
+    fracs = [reduce_fraction((0,) * (d - 1) + (1,), 3),
+             reduce_fraction((1,) * d, 4),
+             reduce_fraction((1,) * (d - 1) + (2,), 5)]
+    return [{"N": N, "frac": frac,
+             "window": ArcWindow(N, float(N), 1.0, math.sqrt(N))}
+            for N in params["rational_n_grid"] for frac in fracs]
 
 
 def _run_prop_fit(params, config, which: str) -> RunOutcome:
@@ -426,7 +424,7 @@ def _run_prop_fit(params, config, which: str) -> RunOutcome:
         raise ValueError(f"{name}: m_factor must be <= 1, got "
                          f"{params['m_factor']}")
     Q = canonical_mapping(1, params["deg"])
-    probes = _rational_probes(params, Q.d, name)
+    probes = _rational_probes(params, Q.d)
     rng = np.random.default_rng(config.seed)
     draws = _random_windows(rng, params, Q.degrees, Q.d)
     kernel = odd_power_kernel(params["kernel_c"]) if which == "diff" \
@@ -606,7 +604,12 @@ def _run_operator_norm(params, config) -> RunOutcome:
         """
         i, f = item
         ffts = [apply_truncation(f, ker, backend="fft") for ker in family]
-        ratios = variation_curves(f, [ffts[j] for j in by_n], r_grid, p)
+        u = union_box(*ffts)
+        # Stacked N-major and read transposed: the engine's column layout
+        # is the stack itself, not a copy.
+        paths = np.stack([embed(ffts[j], u).values.ravel() for j in by_n])
+        ratios = variation_ratios(paths.T, f.values.reshape(1, -1), r_grid,
+                                  (p,))[0, :, 0].tolist()
         directs = [apply_truncation(f, ker) for ker in family]
         total = complex(f.values.sum())
         return {"backend": max(gap(a, b) for a, b in zip(directs, ffts)),
@@ -639,11 +642,7 @@ def _run_operator_norm(params, config) -> RunOutcome:
 
     fit = growth_fit(r_grid, [max(col) for col in zip(
         *(rec["ratios"] for rec in recs))])
-    for rec in fit["rows"]:
-        rows.append(ResultRow(name, "growth", {"p": p, "r": rec["r"]},
-                              rec["max_ratio"], None, rec["scaled"], None))
-    rows.append(ResultRow(name, "growth-fit", {"p": p},
-                          fit["fitted_constant"], None, None, None))
+    rows += _fit_rows(name, p, fit, "growth", "growth-fit")
     figures = ({"name": "growth", "case": "growth", "x": "params:r",
                 "y": "observed", "xlabel": "r",
                 "ylabel": "max ||V_r||_p / ||f||_p"},)
@@ -688,12 +687,7 @@ def _run_lepingle(params, config) -> RunOutcome:
 
     sweeps = ratio_sweep(fields, params["p_grid"], params["r_grid"])
     for p, sweep in zip(params["p_grid"], sweeps):
-        for rec in sweep["rows"]:
-            rows.append(ResultRow(name, "sweep", {"p": p, "r": rec["r"]},
-                                  rec["max_ratio"], None, rec["scaled"],
-                                  None))
-        rows.append(ResultRow(name, "constant-fit", {"p": p},
-                              sweep["fitted_constant"], None, None, None))
+        rows += _fit_rows(name, p, sweep, "sweep", "constant-fit")
     figures = ({"name": "sweep", "case": "sweep", "x": "params:r",
                 "y": "observed", "xlabel": "r",
                 "ylabel": "max ||V_r(E_k f)||_p / ||f||_p",
@@ -816,22 +810,21 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         _run_prop0_fit,
         {"trials": 200, "n_min": 64, "n_max": 4096, "deg": 2,
          "rational_n_grid": (81, 243, 729, 2187, 6561),
-         "rational_fracs": ((0, 1, 3), (1, 1, 4), (1, 2, 5)),
          "tol": 1e-8},
         needs_seed=True,
         summary="averaging multiplier major-arc approximation",
-        # a window at N needs 1 <= L3 <= sqrt(N)
-        minimums={"trials": 1, "deg": 1, "n_min": 1, "rational_n_grid": 1},
+        # a window at N needs 1 <= L3 <= sqrt(N), and a rational probe's
+        # L3 = sqrt(N) its q <= 5
+        minimums={"trials": 1, "deg": 1, "n_min": 1, "rational_n_grid": 25},
         exceeds={"tol": 0}),
     "prop2-fit": ExperimentSpec(
         _run_prop2_fit,
         {"trials": 200, "n_min": 64, "n_max": 4096, "deg": 2,
          "rational_n_grid": (81, 243, 729, 2187, 6561),
-         "rational_fracs": ((0, 1, 3), (1, 1, 4), (1, 2, 5)),
          "m_factor": 0.5, "kernel_c": 0.5, "tol": 1e-8},
         needs_seed=True,
         summary="singular truncation-difference major-arc approximation",
-        minimums={"trials": 1, "deg": 1, "n_min": 1, "rational_n_grid": 1},
+        minimums={"trials": 1, "deg": 1, "n_min": 1, "rational_n_grid": 25},
         exceeds={"tol": 0}),
     "iw-build": ExperimentSpec(
         _run_iw_build,

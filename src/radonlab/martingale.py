@@ -11,14 +11,17 @@ The pointwise functionals of the filtration (V_r, jump counts, the
 square and maximal functions) all read one level stack: the per-cell
 sequences E_0 f, ..., E_L f of a set of same-shape fields, one row per
 cell.  The sweeps stream the fields in groups, a chunk of at most
-_ENGINE_COLUMNS rows each, and build one stack per chunk, so a sweep's
-working set does not grow with the field count.  A stack whose
+_ENGINE_COLUMNS rows each: each chunk's values are stacked once into
+one array, and its level stack is built once from that array, so a
+sweep's working set does not grow with the field count.  A stack whose
 imaginary parts are all 0 goes to the variation engine as real rows,
-which take its turning-point cut, and V_r at every r of a sweep is one
-engine call per chunk (jump counts one per lambda); every p and lambda
-shares the result, and each L^p norm is one power per chunk and one
-fsum per field.  The engine's rows are independent, so chunking never
-changes a value.
+which take its turning-point cut.  The Lepingle ratio
+||V_r(E_k f : k)||_p / ||f||_p is `variation.variation_ratios` over the
+filtration, the same kernel the operator families use: V_r at every r
+of a sweep is one engine call per chunk (jump counts one per lambda),
+every p and lambda shares the result, and each L^p norm is one power per
+chunk and one fsum per field.  The engine's rows are independent, so
+chunking never changes a value.
 `conditional_expectation` builds one level of one field, exactly for
 rationals, and is the reference the stack is tested against.
 
@@ -37,8 +40,8 @@ from fractions import Fraction
 import numpy as np
 
 from .operators import random_arrays
-from .variation import (growth_fit, jump_count_batch, lp_norm, lp_norms,
-                        vr_exact_batch)
+from .variation import (growth_fit, jump_count_batch, lp_norms,
+                        variation_ratios, vr_exact_batch)
 
 # Rows of one level stack handed to the variation engine: 32 fields at
 # m = 1, L = 8.  Bounds a sweep's working set whatever the field count,
@@ -150,18 +153,14 @@ def conditional_expectation(f: DyadicField, k: int) -> DyadicField:
     return DyadicField(f.m, f.L, _expand(coarse, f.m, factor))
 
 
-def _level_stack(fields) -> np.ndarray:
+def _level_stack(v: np.ndarray, m: int, L: int) -> np.ndarray:
     """(F * cells, L + 1) complex array: row i * cells + c holds
-    E_0 f_i, ..., E_L f_i at cell c of the i-th field.
+    E_0 f_i, ..., E_L f_i at cell c, where v (F, 2^L, ..., 2^L) holds the
+    values of F fields on [0, 1)^m.
 
-    The fields must share m and L (np.stack refuses other shapes).
-    Every level is one block average of the whole (F, 2^L, ..., 2^L)
-    array, so a set of fields costs L + 1 array operations rather than
-    F (L + 1).
+    Every level is one block average of the whole array, so a set of
+    fields costs L + 1 array operations rather than F (L + 1).
     """
-    fields = list(fields)
-    m, L = fields[0].m, fields[0].L
-    v = np.stack([f.values for f in fields])
     stack = np.empty((v.size, L + 1), dtype=complex)
     for k in range(L + 1):
         stack[:, k] = _expand(_block_average(v, m, 2 ** (L - k)), m,
@@ -177,13 +176,17 @@ def _engine_rows(stack: np.ndarray) -> np.ndarray:
 
 
 def _chunks(fields):
-    """Consecutive runs of fields whose stacks fit in _ENGINE_COLUMNS rows."""
+    """(values, stack, cell measure) per run of same-shape fields whose
+    stack fits in _ENGINE_COLUMNS rows: the run's values (F, 2^L, ...,
+    2^L), stacked once, and their `_level_stack`."""
     fields = list(fields)
     if not fields:
         return
+    m, L, measure = fields[0].m, fields[0].L, fields[0].cell_measure
     size = max(1, _ENGINE_COLUMNS // fields[0].cells)
     for i in range(0, len(fields), size):
-        yield fields[i:i + size]
+        values = np.stack([f.values for f in fields[i:i + size]])
+        yield values, _level_stack(values, m, L), measure
 
 
 def _square(stack: np.ndarray) -> np.ndarray:
@@ -204,8 +207,8 @@ def jump_bound_defect(fields, lams, r: float) -> float:
     per (chunk, lambda).
     """
     defect = -math.inf
-    for chunk in _chunks(fields):
-        stack = _engine_rows(_level_stack(chunk))
+    for _, stack, _ in _chunks(fields):
+        stack = _engine_rows(stack)
         vr_r = vr_exact_batch(stack, r) ** r
         for lam in lams:
             jumps = jump_count_batch(stack, lam)
@@ -216,17 +219,15 @@ def jump_bound_defect(fields, lams, r: float) -> float:
 def tower_defect(fields) -> float:
     """max over fields, cells and j <= k of |E_j (E_k f) - E_j f|.
 
-    E_j (E_k f) is column j of the level stack of the fields E_k f, so
-    each chunk of fields costs one stack per level k.
+    E_j (E_k f) is column j of the level stack of the fields E_k f, and
+    E_k f is column k of the chunk's stack, so each chunk of fields costs
+    one stack per level k.
     """
     worst = 0.0
-    for chunk in _chunks(fields):
-        m, L, shape = chunk[0].m, chunk[0].L, chunk[0].values.shape
-        stack = _level_stack(chunk)
-        levels = stack.reshape(len(chunk), -1, L + 1)
+    for values, stack, _ in _chunks(fields):
+        m, L = values.ndim - 1, stack.shape[1] - 1
         for k in range(L + 1):
-            towered = _level_stack(DyadicField(m, L, v[:, k].reshape(shape))
-                                   for v in levels)
+            towered = _level_stack(stack[:, k].reshape(values.shape), m, L)
             worst = max(worst, float(np.max(np.abs(
                 towered[:, :k + 1] - stack[:, :k + 1]))))
     return worst
@@ -235,17 +236,16 @@ def tower_defect(fields) -> float:
 def orthogonality_defect(fields) -> float:
     """max over fields of the relative gap in
     ||E_L f - E_0 f||_2^2 = sum_k ||D_k f||_2^2, D_k = E_k f - E_{k-1} f
-    read as column differences of the level stack."""
+    read as column differences of the level stack, one `lp_norms` call
+    per field."""
     worst = 0.0
-    for chunk in _chunks(fields):
-        L = chunk[0].L
-        for f, v in zip(chunk, _level_stack(chunk).reshape(
-                len(chunk), -1, L + 1)):
-            lhs = float(np.sum(np.abs(v[:, L] - v[:, 0]) ** 2)
-                        * f.cell_measure)
-            rhs = math.fsum(lp_norm(v[:, k] - v[:, k - 1], 2,
-                                    f.cell_measure) ** 2
-                            for k in range(1, L + 1))
+    for values, stack, measure in _chunks(fields):
+        L = stack.shape[1] - 1
+        for levels in stack.reshape(len(values), -1, L + 1):
+            lhs = float(np.sum(np.abs(levels[:, L] - levels[:, 0]) ** 2)
+                        * measure)
+            rhs = math.fsum(x ** 2 for x in lp_norms(
+                np.diff(levels, axis=1).T, 2, measure))
             worst = max(worst, abs(lhs - rhs) / max(1.0, lhs))
     return worst
 
@@ -254,31 +254,24 @@ def ratio_sweep(fields, p_grid, r_grid) -> list[dict]:
     """Max Lepingle ratio per (p, r), with the r/(r - 2) growth factored out.
 
     The Lepingle ratio of a field f is ||V_r(E_k f : k)||_p / ||f||_p,
-    0 for f = 0; the regime needs r > 2, and `growth_fit` refuses any
-    other r.  fields is a set of same-shape fields.  Their level stack
-    is built once per chunk, and one engine call per chunk takes V_r at
-    every r; each (r, p) then costs one power of the chunk's V_r block
-    and one fsum per field (`lp_norms`).  Returns one sweep per p, in
-    p_grid order: {"p"} plus the `growth_fit` of its worst ratios, rows
-    running over r in decreasing order.
+    0 for f = 0 (`variation_ratios` over the filtration); the regime
+    needs r > 2, and `growth_fit` refuses any other r.  fields is a set
+    of same-shape fields, read one chunk at a time: one
+    `variation_ratios` call per chunk takes its level stack and values.
+    Returns one sweep per p, in p_grid order: {"p"} plus the `growth_fit`
+    of its worst ratios, rows running over r in decreasing order.
     """
     p_grid = list(p_grid)
     r_grid = sorted((float(r) for r in r_grid), reverse=True)
-    ratios = {(p, r): [] for p in p_grid for r in r_grid}
-    for chunk in _chunks(fields):
-        measure = chunk[0].cell_measure
-        values = np.stack([f.values.reshape(-1) for f in chunk]).astype(
-            complex, copy=False)
-        vr = vr_exact_batch(_engine_rows(_level_stack(chunk)),
-                            r_grid).reshape(len(r_grid), len(chunk), -1)
-        for p in p_grid:
-            denoms = lp_norms(values, p, measure)
-            for r, block in zip(r_grid, vr):
-                ratios[p, r] += [norm / d if d else 0.0 for norm, d in
-                                 zip(lp_norms(block, p, measure), denoms)]
-    return [{"p": p, **growth_fit(r_grid, [max(ratios[p, r])
-                                           for r in r_grid])}
-            for p in p_grid]
+    worst = np.zeros((len(p_grid), len(r_grid)))
+    for values, stack, measure in _chunks(fields):
+        stack = _engine_rows(stack)
+        ratios = variation_ratios(
+            stack, values.reshape(len(values), -1).astype(complex, copy=False),
+            r_grid, p_grid, measure)
+        np.maximum(worst, ratios.max(axis=2), out=worst)
+    return [{"p": p, **growth_fit(r_grid, row)}
+            for p, row in zip(p_grid, worst.tolist())]
 
 
 def good_lambda_check(fields, lams, q: float, r: float) -> list[list[dict]]:
@@ -303,14 +296,14 @@ def good_lambda_check(fields, lams, q: float, r: float) -> list[list[dict]]:
     if r <= 2:
         raise ValueError("need r > 2")
     out = []
-    for chunk in _chunks(fields):
-        stack = _engine_rows(_level_stack(chunk))
-        cells = (len(chunk), -1)
+    for values, stack, measure in _chunks(fields):
+        stack = _engine_rows(stack)
+        cells = (len(values), -1)
         sets = zip(vr_exact_batch(stack, r).reshape(cells),
                    _square(stack).reshape(cells),
                    np.abs(stack).max(axis=1).reshape(cells))
-        out += [_good_lambda_records(f.cell_measure, *per_cell, lams, q, r)
-                for f, per_cell in zip(chunk, sets)]
+        out += [_good_lambda_records(measure, *per_cell, lams, q, r)
+                for per_cell in sets]
     return out
 
 

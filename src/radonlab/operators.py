@@ -26,8 +26,9 @@ shift-system realization (composed single-axis translations), is an
 independent oracle: it performs the identical sequence of float
 operations as the direct backend and therefore matches it bitwise.
 
-`variation_curves` turns the outputs of one family into the ratios
-||V_r||_p / ||f||_p, one float per r.
+The module computes outputs only: the ratio ||V_r||_p / ||f||_p across a
+family's outputs is `variation.variation_ratios`, shared with the
+martingale filtration.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import numpy as np
 from .errors import BudgetError
 from .expsum import CZKernelSpec, phase_sum
 from .polymap import PolynomialMapping, lattice_points
-from .variation import lp_norm, lp_norms, vr_exact_batch
 
 MEMORY_BUDGET_ELEMENTS = 80_000_000
 _KINDS = ("spike", "bump", "rademacher")  # the random ensembles' cycle
@@ -284,30 +284,6 @@ def ergodic_truncation(f: GridFunction,
                    for (blo, bhi), (olo, _) in zip(shifted.box, out_box))
         out[sl] += w * shifted.values
     return GridFunction(out_box, out)
-
-
-# -- variation curves across truncations -----------------------------------------
-
-def variation_curves(f: GridFunction, outs, r_grid, p: float) -> list[float]:
-    """||V_r||_p / ||f||_p across a truncation family, one float per r.
-
-    outs are the family's outputs on f (`apply_truncation`) in
-    increasing N.  V_r is taken pointwise across them: one (cells,
-    len(outs)) stack goes to one `vr_exact_batch` call with every r of
-    r_grid, and one `lp_norms` call takes the norms, in grid order.  A
-    single output gives the zero field, and a zero f the ratio inf.  The
-    ratio is the quantity the boundedness statements control for r > 2.
-    """
-    if not outs:
-        raise ValueError("need at least one truncation")
-    den = lp_norm(f.values, p)
-    if not den > 0:
-        return [math.inf] * len(r_grid)
-    u = union_box(*outs)
-    # Stacked N-major and read transposed: the engine's column layout is
-    # the stack itself, not a copy.
-    stack = np.stack([embed(o, u).values.ravel() for o in outs])
-    return [x / den for x in lp_norms(vr_exact_batch(stack.T, r_grid), p)]
 
 
 # -- random ensembles ------------------------------------------------------------

@@ -26,10 +26,12 @@ with O(2^n) memory per row of the chunk.  The
 rest of the module packages the seminorm inequalities with explicit
 constants: sup bounds, splitting, the l^2 domination, long/short dyadic
 splitting, oscillation sums, the jump inequality and the dyadic-level
-square bound.  Two helpers serve every norm and every fit downstream:
-`lp_norm`, the one l^p (or L^p on equal cells) norm, with `lp_norms`
-taking it row by row over a block, and `growth_fit`, the r/(r - 2)
-scaling of a ratio sweep.
+square bound.  Three helpers serve every norm, ratio and fit
+downstream: `lp_norms`, the one l^p (or L^p on equal cells) norm, taken
+row by row over a block; `variation_ratios`, the one ratio
+||V_r(T f)||_p / ||f||_p over a family T, the averages or truncations
+of `operators` and the filtration of `martingale` alike; and
+`growth_fit`, the r/(r - 2) scaling of a sweep of worst ratios.
 
 Jump counts count jumps: a constant sequence or a single point has none.
 
@@ -288,17 +290,15 @@ def _row_max(a: np.ndarray, kind: str, x) -> np.ndarray:
     v = _block(a)[0]
     rs = x if isinstance(x, tuple) else (x,)
     # Complex rows, and r = 1, where monotone chains tie exactly, run
-    # uncut, every r in one engine run.
+    # uncut, every such r in one engine run.
     cut = [k for k, r in enumerate(rs) if r > 1 and v.dtype.kind == "f"]
+    uncut = [k for k in range(len(rs)) if k not in cut]
+    best = np.empty((len(rs), len(v)))
     if cut:
-        uncut = [k for k in range(len(rs)) if k not in cut]
-        best = np.empty((len(rs), len(v)))
         best[cut] = _cut_chain_max(v, [rs[k] for k in cut])
-        if uncut:
-            best[uncut] = _longest_chain(
-                v, [_vr_gain(rs[k]) for k in uncut]).max(axis=2)
-    else:
-        best = _longest_chain(v, [_vr_gain(r) for r in rs]).max(axis=2)
+    if uncut:
+        best[uncut] = _longest_chain(
+            v, [_vr_gain(rs[k]) for k in uncut]).max(axis=2)
     return best if isinstance(x, tuple) else best[0]
 
 
@@ -479,23 +479,17 @@ def _pow(x: np.ndarray, e: float) -> np.ndarray:
     return np.array([t ** e for t in x.ravel().tolist()]).reshape(x.shape)
 
 
-def lp_norm(v, p: float, measure: float = 1.0) -> float:
-    """(measure * sum |v|^p)^{1/p} over every entry of v; p = inf: max |v|.
+def lp_norms(rows, p: float, measure: float = 1.0) -> list[float]:
+    """(measure * sum |v|^p)^{1/p} of every row v of rows (k, n), as
+    floats; p = inf: max |v|.
 
     measure is the mass of one entry: 1 for counting measure, the cell
-    measure for cell-constant functions.  The one-row case of `lp_norms`.
-    """
-    return lp_norms(np.ravel(v)[None], p, measure)[0]
-
-
-def lp_norms(rows, p: float, measure: float = 1.0) -> list[float]:
-    """`lp_norm` of every row of rows (k, n), as floats.
-
-    One power for the whole block, then one fsum per row.  fsum is
-    exactly rounded, so the form of its input cannot change the value,
-    and the power is elementwise, so a row's norm has the bits of its own
-    call; a memoryview hands fsum Python floats without boxing each
-    element as a NumPy scalar, which is twice as fast.
+    measure for cell-constant functions.  One power for the whole block,
+    then one fsum per row.  fsum is exactly rounded, so the form of its
+    input cannot change the value, and the power is elementwise, so a
+    row's norm has the bits of its own call; a memoryview hands fsum
+    Python floats without boxing each element as a NumPy scalar, which
+    is twice as fast.
     """
     v = np.abs(rows)
     if p == math.inf:
@@ -504,6 +498,30 @@ def lp_norms(rows, p: float, measure: float = 1.0) -> list[float]:
         raise ValueError("need p >= 1")
     return [float((measure * math.fsum(memoryview(x))) ** (1.0 / p))
             for x in v ** p]
+
+
+def variation_ratios(paths, inputs, r_grid, p_grid,
+                     measure: float = 1.0) -> np.ndarray:
+    """||V_r(T f)||_p / ||f||_p of F inputs f over a family T, at every
+    (p, r): an array (len(p_grid), len(r_grid), F).
+
+    inputs (F, cells) holds the inputs, and paths (F * c, n) the family
+    pointwise, one row per cell of its outputs: input i's are rows i * c
+    to (i + 1) * c (c may differ from cells, as when the outputs live on
+    a larger box).  One `vr_exact_batch` call takes every r, and each
+    norm is one `lp_norms` row, so an input's ratios have the bits of a
+    call on it alone.  An input with ||f||_p = 0 gets 0.
+    """
+    inputs = np.asarray(inputs)
+    vr = vr_exact_batch(paths, r_grid).reshape(
+        len(r_grid), len(inputs), -1)
+    out = np.zeros((len(p_grid), len(r_grid), len(inputs)))
+    for i, p in enumerate(p_grid):
+        denoms = np.array(lp_norms(inputs, p, measure))
+        for j, block in enumerate(vr):
+            np.divide(lp_norms(block, p, measure), denoms, out=out[i, j],
+                      where=denoms > 0)
+    return out
 
 
 def growth_fit(r_grid, max_ratios) -> dict:

@@ -328,6 +328,8 @@ def test_thread_count_determinism(tmp_path, capsys):
         ["weyl-decay", "--points", "6"],
         ["prop0-fit", "--seed", "3", "--trials", "8"],
         ["prop2-fit", "--seed", "3", "--trials", "8"],
+        # one numerator per rational probe
+        ["prop2-fit", "--seed", "3", "--trials", "8", "--deg", "1"],
         # one per-field check per thread, both families
         ["operator-norm", "--seed", "3", "--size", "5"],
         ["operator-norm", "--seed", "3", "--size", "5",

@@ -99,7 +99,7 @@ def test_every_default_passes_its_own_shape_check(experiment):
 
 
 @pytest.mark.parametrize("default", [True, {}, (), ("a", "b"), [1, 2],
-                                     ((1,), 2), (1, None)])
+                                     ((1,), 2), (1, None), ((0, 1, 3),)])
 def test_param_shape_refuses_unknown_default_shapes(default):
     with pytest.raises(TypeError, match="no parameter shape"):
         param_shape(default)
@@ -220,7 +220,7 @@ def test_an_empty_list_setting_is_refused_by_name(tmp_path, capsys,
     ("lepingle --p-grid 2,0.5", "0.5"),
     ("lepingle --lam-grid 0.5,0", "0.0"),
     ("good-lambda --lam-grid 0", "0.0"),
-    # a window at N needs N >= 1
+    # a rational probe at N needs N >= 25, its largest q squared
     ("prop0-fit --rational-n-grid 0", "0"),
 ])
 def test_a_growth_fit_r_of_at_most_two_is_refused_by_name(
@@ -270,9 +270,9 @@ def test_a_rule_across_settings_is_refused_before_the_first_draw(
 
 @pytest.mark.parametrize("command, message", [
     ("prop0-fit --rational-n-grid 81,8", "every rational_n_grid entry must "
-     "be >= 9, the squared denominator of [0, 1, 3], got 8"),
+     "be >= 25, got 8"),
     ("prop2-fit --rational-n-grid 24", "every rational_n_grid entry must "
-     "be >= 25, the squared denominator of [1, 2, 5], got 24"),
+     "be >= 25, got 24"),
 ])
 def test_a_rational_probe_outside_its_window_is_refused_by_name(
         tmp_path, capsys, monkeypatch, command, message):
@@ -285,6 +285,42 @@ def test_a_rational_probe_outside_its_window_is_refused_by_name(
     assert code == 2
     assert capsys.readouterr().err == f"error: {argv[0]}: {message}\n"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("experiment", ["prop0-fit", "prop2-fit"])
+@pytest.mark.parametrize("deg", ["1", "3"])
+def test_prop_fits_run_at_any_degree_from_the_flag_alone(tmp_path, capsys,
+                                                         experiment, deg):
+    # The rational probes are built for the map's d numerators, so no
+    # config has to supply them.
+    code = cli.main([experiment, "--deg", deg, "--seed", "1", "--trials",
+                     "3", "--rational-n-grid", "25,81", "--out",
+                     str(tmp_path)])
+    assert code == 0
+    capsys.readouterr()
+    rows = read_json(tmp_path / f"{experiment}.json")["rows"]
+    probes = [row["params"]["a"] + [row["params"]["q"]] for row in rows
+              if row["case"] == "rational"]
+    d = int(deg)
+    fracs = [[0] * (d - 1) + [1, 3], [1] * d + [4], [1] * (d - 1) + [2, 5]]
+    assert probes == fracs + fracs
+
+
+# Flags that shrink an example config's run to a test's size.
+_CONFIG_SHRINK = {"lepingle": ["--fields", "6"], "vr-suite": ["--trials", "5"]}
+
+
+@pytest.mark.parametrize("path", sorted(
+    (Path(__file__).resolve().parents[1] / "configs").glob("*.json")),
+    ids=lambda path: path.stem)
+def test_every_example_config_runs(tmp_path, capsys, path):
+    # A config is named for its experiment: the longest experiment name
+    # that starts its file name.
+    name = max((e for e in EXPERIMENTS if path.stem.startswith(e)), key=len)
+    code = cli.main([name, "--config", str(path), "--out", str(tmp_path),
+                     *_CONFIG_SHRINK.get(name, [])])
+    assert code == 0, capsys.readouterr().err
+    capsys.readouterr()
 
 
 _MARTINGALE_RUNS = """
@@ -355,19 +391,6 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     code = cli.main(["iw-build", "--config", str(cfg)])
     assert code == 2
     assert "sed" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("experiment", ["prop0-fit", "prop2-fit"])
-@pytest.mark.parametrize("frac", [[1, 1, 0], [1, 1, 1.5]],
-                         ids=["zero-q", "float-q"])
-def test_bad_rational_fraction_is_a_usage_error(tmp_path, capsys,
-                                                experiment, frac):
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"params": {"rational_fracs": [frac]}}))
-    code = cli.main([experiment, "--seed", "1", "--config", str(cfg),
-                     "--out", str(tmp_path)])
-    assert code == 2
-    assert f"fraction (1, 1)/{frac[-1]}" in capsys.readouterr().err
 
 
 def test_config_budgets_is_an_unknown_key(tmp_path, capsys):

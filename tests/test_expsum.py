@@ -12,7 +12,7 @@ from scipy.special import j1, sici
 
 from radonlab import expsum as es
 from radonlab.errors import BudgetError, KernelError, QuadratureError
-from radonlab.experiments import EXPERIMENTS, RunConfig, run
+from radonlab.experiments import RunConfig, run
 from radonlab.operators import pushforward_kernel
 from radonlab.polymap import canonical_mapping, lattice_points
 
@@ -592,8 +592,8 @@ def test_prop2_fit_evaluates_one_ball_per_window(monkeypatch):
     trials, grid = 5, (81, 243)
     run(RunConfig("prop2-fit", seed=4,
                   params={"trials": trials, "rational_n_grid": grid}))
-    fracs = EXPERIMENTS["prop2-fit"].defaults["rational_fracs"]
-    windows = trials + len(grid) * len(fracs)
+    # three rational probes per N
+    windows = trials + len(grid) * 3
     assert calls == {"lattice_points": windows, "sing_multiplier": windows}
 
 

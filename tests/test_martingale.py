@@ -9,14 +9,25 @@ from hypothesis import strategies as st
 
 from radonlab import martingale as mg
 from radonlab.experiments import EXPERIMENTS
-from radonlab.variation import (jump_count_batch, lp_norm, vr_exact_batch,
-                                vr_value)
+from radonlab.variation import (jump_count_batch, lp_norms,
+                                variation_ratios, vr_exact_batch, vr_value)
 
 
 def random_field(rng, m=1, L=6):
     shape = (2 ** L,) * m
     return mg.DyadicField(m, L, rng.standard_normal(shape)
                           + 1j * rng.standard_normal(shape))
+
+
+def norm(v, p, measure):
+    """The L^p norm of all of v, one `lp_norms` row."""
+    return lp_norms(np.ravel(v)[None], p, measure)[0]
+
+
+def stack_of(*fields):
+    """The level stack of same-shape fields."""
+    return mg._level_stack(np.stack([f.values for f in fields]),
+                           fields[0].m, fields[0].L)
 
 
 def level_rows(f):
@@ -45,12 +56,12 @@ def test_field_validation():
 
 
 def test_field_norms():
-    # Integral norms: lp_norm with the cell measure.
+    # Integral norms: lp_norms with the cell measure.
     h = mg.haar_field(4)
     for p in (1, 2, math.inf):
-        assert lp_norm(h.values, p, h.cell_measure) == 1.0
+        assert norm(h.values, p, h.cell_measure) == 1.0
     with pytest.raises(ValueError):
-        lp_norm(h.values, 0.5, h.cell_measure)
+        norm(h.values, 0.5, h.cell_measure)
 
 
 def test_expectation_of_half_indicator():
@@ -120,14 +131,14 @@ def test_differences_have_zero_parent_mean():
 
 
 def test_orthogonality_identity():
-    def norm(g):
-        return lp_norm(g.values, 2, g.cell_measure)
+    def norm2(g):
+        return norm(g.values, 2, g.cell_measure)
 
     rng = np.random.default_rng(2)
     for f in (random_field(rng, m=1, L=6), random_field(rng, m=2, L=3)):
-        lhs = norm(f) ** 2
-        rhs = norm(mg.conditional_expectation(f, 0)) ** 2 + sum(
-            norm(d) ** 2 for d in differences(f))
+        lhs = norm2(f) ** 2
+        rhs = norm2(mg.conditional_expectation(f, 0)) ** 2 + sum(
+            norm2(d) ** 2 for d in differences(f))
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -149,9 +160,9 @@ def test_square_norm_equals_mean_free_norm():
     f = random_field(rng, L=6)
     sub = mg.DyadicField(1, 6, f.values
                          - mg.conditional_expectation(f, 0).values)
-    square = mg._square(mg._level_stack([f]))
-    assert lp_norm(square, 2, f.cell_measure) == pytest.approx(
-        lp_norm(sub.values, 2, sub.cell_measure), abs=1e-10)
+    square = mg._square(stack_of(f))
+    assert norm(square, 2, f.cell_measure) == pytest.approx(
+        norm(sub.values, 2, sub.cell_measure), abs=1e-10)
 
 
 # square, maximal, jumps -------------------------------------------------------
@@ -166,32 +177,32 @@ def test_level_stack_equals_the_conditional_expectations():
                             otypes=[object])(ints)
         f = mg.DyadicField(m, L, vals)
         want = np.stack([v.ravel() for v in level_rows(f)], axis=1)
-        got = mg._level_stack([mg.DyadicField(m, L, vals.astype(complex))])
+        got = stack_of(mg.DyadicField(m, L, vals.astype(complex)))
         assert np.array_equal(got, want.astype(complex))
 
 
 def test_constant_square_and_maximal():
-    stack = mg._level_stack([mg.DyadicField(1, 4, np.full(16, -2.5 + 0j))])
+    stack = stack_of(mg.DyadicField(1, 4, np.full(16, -2.5 + 0j)))
     assert np.all(mg._square(stack) == 0.0)
     assert np.all(np.abs(stack).max(axis=1) == 2.5)
 
 
 def test_haar_square_and_maximal():
-    stack = mg._level_stack([mg.haar_field(5)])
+    stack = stack_of(mg.haar_field(5))
     assert np.all(mg._square(stack) == 1.0)
     assert np.all(np.abs(stack).max(axis=1) == 1.0)
 
 
 def test_jump_counts():
     c = mg.DyadicField(1, 3, np.full(8, 7.0 + 0j))
-    assert np.all(jump_count_batch(mg._level_stack([c]), 0.5) == 0)
+    assert np.all(jump_count_batch(stack_of(c), 0.5) == 0)
     h = mg.haar_field(5)
-    jumps = jump_count_batch(mg._level_stack([h]), 0.5)
+    jumps = jump_count_batch(stack_of(h), 0.5)
     assert np.all(jumps == 1)
     # One jump of size 1 everywhere: ||lambda N_lambda^{1/2}||_p = lambda.
-    assert lp_norm(0.5 * np.sqrt(jumps), 2, h.cell_measure) == 0.5
+    assert norm(0.5 * np.sqrt(jumps), 2, h.cell_measure) == 0.5
     with pytest.raises(ValueError):
-        jump_count_batch(mg._level_stack([h]), -1.0)
+        jump_count_batch(stack_of(h), -1.0)
 
 
 def test_jump_dominated_by_variation_pointwise():
@@ -271,13 +282,48 @@ def test_ratio_sweep_bitwise_across_chunk_boundaries(monkeypatch):
         for p, sweep in zip(p_grid, sweeps):
             ratios = []
             for f, v in zip(fields, vrs):
-                den = lp_norm(f.values, p, f.cell_measure)
-                ratios.append(lp_norm(v, p, f.cell_measure) / den
+                den = norm(f.values, p, f.cell_measure)
+                ratios.append(norm(v, p, f.cell_measure) / den
                               if den else 0.0)
             if p < 3:
                 assert ratios.index(max(ratios)) == len(fields) - 1
             row, = (row for row in sweep["rows"] if row["r"] == r)
             assert row["max_ratio"] == max(ratios)
+
+
+def test_chunk_ratios_are_one_field_calls(monkeypatch):
+    # Chunks of 4 fields over 11 mixed fields, a zero field among them:
+    # each chunk's `variation_ratios` block, taken as `ratio_sweep` takes
+    # it, holds every field's one-field call bit for bit.
+    monkeypatch.setattr(mg, "_ENGINE_COLUMNS", 1024)
+    fields = list(mg.field_ensemble(1, 8, 10, seed=9))
+    fields.insert(5, mg.DyadicField(1, 8, np.zeros(256)))
+    r_grid, p_grid = (4.0, 2.5, 2.05), (1.5, 2.0, 3.0)
+
+    def ratios(chunk):
+        return [variation_ratios(mg._engine_rows(stack),
+                                 values.reshape(len(values), -1),
+                                 r_grid, p_grid, measure)
+                for values, stack, measure in mg._chunks(chunk)]
+    blocks = ratios(fields)
+    assert [b.shape[2] for b in blocks] == [4, 4, 3]
+    whole = np.concatenate(blocks, axis=2)
+    assert not whole[:, :, 5].any()
+    for i, f in enumerate(fields):
+        (one,) = ratios([f])
+        assert one[:, :, 0].tobytes() == whole[:, :, i].tobytes()
+
+
+def test_chunks_stack_each_field_once():
+    # A chunk's values are its fields' values, stacked in order, and its
+    # stack is built from them.
+    fields = list(mg.field_ensemble(2, 3, 5, seed=4))
+    (values, stack, measure), = mg._chunks(fields)
+    assert values.shape == (5, 8, 8) and measure == 2.0 ** -6
+    assert all(np.array_equal(v, f.values) for v, f in zip(values, fields))
+    assert np.array_equal(stack, np.concatenate(
+        [np.stack([v.ravel() for v in level_rows(f)], axis=1)
+         for f in fields]))
 
 
 def test_good_lambda_grid_equals_one_lambda_calls():
@@ -376,8 +422,7 @@ def test_cut_real_stacks_are_the_uncut_complex_ones(seed):
                        params.get("jump_r", params.get("r"))})
         fields = list(mg.field_ensemble(params["m"], params["L"],
                                         params["fields"], seed))
-        for chunk in mg._chunks(fields):
-            stack = mg._level_stack(chunk)
+        for _, stack, _ in mg._chunks(fields):
             rows = mg._engine_rows(stack)
             assert rows.dtype == float
             for r, got in zip(grid, vr_exact_batch(rows, grid)):
@@ -386,7 +431,7 @@ def test_cut_real_stacks_are_the_uncut_complex_ones(seed):
 
 def test_complex_stacks_stay_complex():
     f = random_field(np.random.default_rng(3))
-    stack = mg._level_stack([f])
+    stack = stack_of(f)
     assert mg._engine_rows(stack) is stack
 
 
@@ -407,7 +452,7 @@ def test_jump_monotone_in_lambda(l1, l2):
     rng = np.random.default_rng(29)
     f = random_field(rng, L=4)
     lo, hi = sorted((l1, l2))
-    stack = mg._level_stack([f])
+    stack = stack_of(f)
     assert np.all(jump_count_batch(stack, hi) <= jump_count_batch(stack, lo))
 
 

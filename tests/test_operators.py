@@ -17,9 +17,9 @@ from radonlab.expsum import (avg_multiplier, odd_power_kernel, phase_sum,
 from radonlab.operators import (GridFunction, apply_truncation,
                                 delta_function, embed, ensemble,
                                 ergodic_truncation, grid_difference,
-                                pushforward_kernel, variation_curves)
+                                pushforward_kernel, union_box)
 from radonlab.polymap import PolynomialMapping, canonical_mapping
-from radonlab.variation import growth_fit
+from radonlab.variation import growth_fit, variation_ratios
 
 P_ID = PolynomialMapping(1, 1, ({(1,): 1},))
 P_SQ = PolynomialMapping(1, 1, ({(2,): 1},))
@@ -39,11 +39,14 @@ def ergodic(f, P, N, kernel=None):
 
 
 def curves(f, P, r_grid, N_set, p, kernel=None):
-    """variation_curves over the fft outputs of the family at N_set: the
-    ratio ||V_r||_p / ||f||_p per r."""
-    return variation_curves(
-        f, [apply(f, P, n, kernel, backend="fft")
-            for n in sorted(N_set)], r_grid, p)
+    """The ratio ||V_r||_p / ||f||_p per r, by `variation_ratios`, over the
+    fft outputs of the family at N_set in increasing N, each cell's path
+    across them a row, as operator-norm stacks them."""
+    outs = [apply(f, P, n, kernel, backend="fft") for n in sorted(N_set)]
+    u = union_box(*outs)
+    paths = np.stack([embed(o, u).values.ravel() for o in outs]).T
+    return variation_ratios(paths, f.values.reshape(1, -1), r_grid,
+                            (p,))[0, :, 0].tolist()
 
 
 def random_grid(rng, ndim, halfwidth):
@@ -374,6 +377,15 @@ def test_variation_singleton_is_zero():
     assert curves(delta_function(1), P_ID, [3.0], [1], 2.0) == [0.0]
 
 
+def test_variation_of_a_zero_input_is_zero():
+    # The one zero rule of `variation_ratios`, on an operator family as
+    # on the martingale filtration.
+    zero = GridFunction(((-3, 3),), np.zeros(7))
+    for kernel in (None, KERNEL):
+        assert curves(zero, P_SQ, (2.5, 4.0), [1, 2, 3], 2.0,
+                      kernel=kernel) == [0.0, 0.0]
+
+
 def test_variation_two_term_value():
     # At |x| <= 1 the averages are 1/3 then 1/5, so V_r(x) = 2/15, and at
     # |x| = 2 they are 0 then 1/5: ||V_r||_2 = sqrt(30) / 15 for every r.
@@ -404,8 +416,9 @@ def test_variation_rejects_duplicates():
         with pytest.raises(ValueError):
             run(RunConfig("operator-norm", seed=1,
                           params={"n_set": n_set}))
+    # An empty family leaves the variation engine no sequence to read.
     with pytest.raises(ValueError):
-        variation_curves(delta_function(1), [], [3.0], 2.0)
+        variation_ratios(np.zeros((1, 0)), [[1.0]], [3.0], [2.0])
 
 
 def test_variation_singular_curve_runs(rng):

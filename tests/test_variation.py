@@ -102,16 +102,45 @@ def test_dyadic_level_requires_power_of_two_plus_one():
 
 
 def test_lp_norm_is_the_compensated_sum():
+    # Each row's norm is the exactly rounded sum of its powers.
     rng = np.random.default_rng(8)
-    for shape in ((7,), (3, 5), (2, 2, 2)):
+    for shape in ((1, 7), (3, 5), (4, 2)):
         v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         for p in (1.0, 1.5, 2.0, 3.0):
-            s = math.fsum(np.abs(v).ravel() ** p)
-            assert vr.lp_norm(v, p) == float(s) ** (1 / p)
-            assert vr.lp_norm(v, p, 0.25) == (0.25 * s) ** (1 / p)
-        assert vr.lp_norm(v, math.inf) == np.abs(v).max()
+            s = [math.fsum(np.abs(row) ** p) for row in v]
+            assert vr.lp_norms(v, p) == [x ** (1 / p) for x in s]
+            assert vr.lp_norms(v, p, 0.25) == [(0.25 * x) ** (1 / p)
+                                               for x in s]
+        assert vr.lp_norms(v, math.inf) == np.abs(v).max(axis=1).tolist()
     with pytest.raises(ValueError):
-        vr.lp_norm(v, 0.5)
+        vr.lp_norms(v, 0.5)
+
+
+def test_variation_ratios_of_a_block_are_its_one_input_calls():
+    # F inputs of 6 cells each, their paths on 9 cells each (a larger box
+    # than the inputs'), complex and real: each input's ratios have the
+    # bits of a call on it alone, at every (p, r), and the zero input's
+    # are 0.
+    rng = np.random.default_rng(12)
+    r_grid, p_grid = (4.0, 2.5, 2.05), (1.5, 2.0, math.inf)
+    for dtype in (complex, float):
+        inputs = rng.standard_normal((5, 6)).astype(dtype)
+        inputs[3] = 0
+        paths = rng.standard_normal((5 * 9, 7)).astype(dtype)
+        block = vr.variation_ratios(paths, inputs, r_grid, p_grid, 0.125)
+        assert block.shape == (3, 3, 5)
+        assert not block[:, :, 3].any() and block[:, :, :3].all()
+        for i in range(5):
+            one = vr.variation_ratios(paths[9 * i:9 * (i + 1)],
+                                      inputs[i:i + 1], r_grid, p_grid,
+                                      0.125)
+            assert one[:, :, 0].tobytes() == block[:, :, i].tobytes()
+        # the ratio is ||V_r||_p / ||f||_p with both norms from lp_norms
+        vrs = vr.vr_exact_batch(paths, 2.5).reshape(5, 9)
+        assert block[1, 1].tolist() == [
+            a / b if b else 0.0 for a, b in zip(
+                vr.lp_norms(vrs, 2.0, 0.125),
+                vr.lp_norms(inputs, 2.0, 0.125))]
 
 
 # oracle equivalence and properties --------------------------------------
